@@ -23,7 +23,7 @@ BatchContext::FetchAdjacency(const graph::RelationalGraphStore& store,
 }
 
 RegionIndex::RegionIndex(const graph::Graph& g, uint32_t order)
-    : g_(&g), order_(order) {
+    : order_(order) {
   if (g.num_nodes() == 0 || order_ == 0) return;
   double min_x = std::numeric_limits<double>::infinity();
   double min_y = std::numeric_limits<double>::infinity();
@@ -40,24 +40,20 @@ RegionIndex::RegionIndex(const graph::Graph& g, uint32_t order)
   const double span_y = max_y - min_y;
   if (span_x <= 0.0 && span_y <= 0.0) return;  // no spatial signal
   const double cells = static_cast<double>(uint64_t{1} << order_);
-  min_x_ = min_x;
-  min_y_ = min_y;
-  scale_x_ = span_x > 0.0 ? cells / span_x : 0.0;
-  scale_y_ = span_y > 0.0 ? cells / span_y : 0.0;
-  degenerate_ = false;
-}
-
-uint64_t RegionIndex::RegionOf(graph::NodeId u) const {
-  if (degenerate_ || !g_->HasNode(u)) return 0;
-  const graph::Point& p = g_->point(u);
+  const double scale_x = span_x > 0.0 ? cells / span_x : 0.0;
+  const double scale_y = span_y > 0.0 ? cells / span_y : 0.0;
   const uint32_t last = (uint32_t{1} << order_) - 1;
   auto cell = [last](double v, double lo, double scale) -> uint32_t {
     const double c = (v - lo) * scale;
     if (c <= 0.0) return 0;
     return std::min(last, static_cast<uint32_t>(c));
   };
-  return graph::HilbertIndex(order_, cell(p.x, min_x_, scale_x_),
-                             cell(p.y, min_y_, scale_y_));
+  regions_.reserve(g.num_nodes());
+  for (size_t u = 0; u < g.num_nodes(); ++u) {
+    const graph::Point& p = g.point(static_cast<graph::NodeId>(u));
+    regions_.push_back(graph::HilbertIndex(order_, cell(p.x, min_x, scale_x),
+                                           cell(p.y, min_y, scale_y)));
+  }
 }
 
 std::vector<size_t> PlanCoalescing(const std::vector<CoalesceKey>& keys) {

@@ -80,21 +80,28 @@ class BatchContext {
 /// shared-adjacency and buffer-pool reuse. Degenerate geometry (absent or
 /// constant on both axes) yields region 0 for every node — batching then
 /// degrades gracefully to arrival order.
+///
+/// Every node's region is computed at construction, so the index keeps no
+/// reference to `g`: the graph snapshot it was built from may be retired
+/// (a traffic update publishes a new one) while batches keep forming.
+/// Traffic updates change edge costs only, never coordinates, so the
+/// regions stay valid for the map's lifetime.
 class RegionIndex {
  public:
   RegionIndex(const graph::Graph& g, uint32_t order);
 
   /// Hilbert index of the cell holding node u (0 for unknown ids).
-  uint64_t RegionOf(graph::NodeId u) const;
+  uint64_t RegionOf(graph::NodeId u) const {
+    return u >= 0 && static_cast<size_t>(u) < regions_.size()
+               ? regions_[static_cast<size_t>(u)]
+               : 0;
+  }
 
   uint32_t order() const { return order_; }
 
  private:
-  const graph::Graph* g_;
   uint32_t order_;
-  double min_x_ = 0.0, min_y_ = 0.0;
-  double scale_x_ = 0.0, scale_y_ = 0.0;  // cells per coordinate unit
-  bool degenerate_ = true;
+  std::vector<uint64_t> regions_;  ///< regions_[u]; empty when degenerate
 };
 
 /// Singleflight identity of a route query within one batch. The cache

@@ -150,13 +150,15 @@ class RelationalGraphStore {
   /// either way (the per-node insertion sequence).
   Result<std::vector<EdgeRow>> FetchAdjacency(NodeId u) const;
 
-  /// Node row via the ISAM index (returns the record id for updates).
+  /// Node row via the ISAM index (returns the record id for updates),
+  /// decoded straight from the packed row on its page.
   Result<std::pair<storage::RecordId, NodeRow>> GetNode(NodeId u) const;
 
+  /// Rewrites R's row at `rid` in place on its page.
   Status UpdateNode(storage::RecordId rid, const NodeRow& row);
 
-  /// One REPLACE over R: status := null, path := none, path_cost := +inf.
-  /// (The algorithms' initialisation step.)
+  /// One REPLACE over R: status := null, path := none, path_cost := +inf,
+  /// written in place. (The algorithms' initialisation step.)
   Status ResetSearchState();
 
   /// REPLACE of one S tuple's edge_cost (a traffic update). NotFound when
@@ -198,18 +200,26 @@ class RelationalGraphStore {
     return std::round(coord * kCoordScale) / kCoordScale;
   }
 
-  // Tuple conversions (schemas below are fixed for the store's lifetime).
+  // Row conversions (schemas below are fixed for the store's lifetime).
+  // Tuples are built only for whole-row APPENDs; reads decode the packed
+  // row in place, and UpdateNode writes it in place.
   static relational::Tuple ToTuple(const NodeRow& row);
-  static NodeRow NodeFromTuple(const relational::Tuple& t);
+  static NodeRow NodeFromRow(const relational::RowView& row);
+  /// Writes every field of `row` into a packed R row (as Pack(ToTuple)).
+  static void WriteNode(const NodeRow& row, relational::RowWriter* out);
   static relational::Tuple ToTuple(const EdgeRow& row);
-  static EdgeRow EdgeFromTuple(const relational::Tuple& t);
+  static EdgeRow EdgeFromRow(const relational::RowView& row);
   static relational::Tuple ToTuple(const LandmarkDistRow& row);
-  static LandmarkDistRow LandmarkDistFromTuple(const relational::Tuple& t);
+  static LandmarkDistRow LandmarkDistFromRow(const relational::RowView& row);
   static relational::Tuple ToTuple(const OverlayCellRow& row);
-  static OverlayCellRow OverlayCellFromTuple(const relational::Tuple& t);
+  static OverlayCellRow OverlayCellFromRow(const relational::RowView& row);
   static relational::Tuple ToTuple(const OverlayShortcutRow& row);
-  static OverlayShortcutRow OverlayShortcutFromTuple(
-      const relational::Tuple& t);
+  static OverlayShortcutRow OverlayShortcutFromRow(
+      const relational::RowView& row);
+
+  /// R's status field, for predicates that test it on the packed row
+  /// before deciding to decode (RowView::Int(kStatusField)).
+  static constexpr size_t kStatusField = 3;
 
   static relational::Schema EdgeSchema();
   static relational::Schema NodeSchema();

@@ -12,14 +12,16 @@ namespace atis::quel {
 
 using relational::AsDouble;
 using relational::Relation;
+using relational::RowView;
+using relational::RowWriter;
 using relational::Schema;
 using relational::Tuple;
 
 namespace {
 
-/// Evaluates an expression against one tuple of the bound relation.
+/// Evaluates an expression against one packed row of the bound relation.
 Result<double> Eval(const Expr& e, const std::string& bound_var,
-                    const Schema& schema, const Tuple& tuple) {
+                    const RowView& row) {
   switch (e.kind) {
     case Expr::Kind::kNumber:
       return e.number;
@@ -28,17 +30,15 @@ Result<double> Eval(const Expr& e, const std::string& bound_var,
         return Status::InvalidArgument("unbound range variable '" + e.var +
                                        "'");
       }
-      const int idx = schema.FieldIndex(e.field);
+      const int idx = row.schema().FieldIndex(e.field);
       if (idx < 0) {
         return Status::InvalidArgument("no field '" + e.field + "'");
       }
-      return AsDouble(tuple[static_cast<size_t>(idx)]);
+      return row.Double(static_cast<size_t>(idx));
     }
     case Expr::Kind::kBinary: {
-      ATIS_ASSIGN_OR_RETURN(double l,
-                            Eval(*e.lhs, bound_var, schema, tuple));
-      ATIS_ASSIGN_OR_RETURN(double r,
-                            Eval(*e.rhs, bound_var, schema, tuple));
+      ATIS_ASSIGN_OR_RETURN(double l, Eval(*e.lhs, bound_var, row));
+      ATIS_ASSIGN_OR_RETURN(double r, Eval(*e.rhs, bound_var, row));
       switch (e.op) {
         case BinaryOp::kAdd:
           return l + r;
@@ -57,13 +57,10 @@ Result<double> Eval(const Expr& e, const std::string& bound_var,
 }
 
 Result<bool> Matches(const Qualification& where,
-                     const std::string& bound_var, const Schema& schema,
-                     const Tuple& tuple) {
+                     const std::string& bound_var, const RowView& row) {
   for (const Comparison& cmp : where.terms) {
-    ATIS_ASSIGN_OR_RETURN(double l,
-                          Eval(*cmp.lhs, bound_var, schema, tuple));
-    ATIS_ASSIGN_OR_RETURN(double r,
-                          Eval(*cmp.rhs, bound_var, schema, tuple));
+    ATIS_ASSIGN_OR_RETURN(double l, Eval(*cmp.lhs, bound_var, row));
+    ATIS_ASSIGN_OR_RETURN(double r, Eval(*cmp.rhs, bound_var, row));
     bool ok = false;
     switch (cmp.op) {
       case CompareOp::kEq:
@@ -90,23 +87,23 @@ Result<bool> Matches(const Qualification& where,
   return true;
 }
 
-/// Applies assignments to one tuple (integer fields are rounded).
+/// Applies assignments to one packed row in place, in order: each
+/// assignment sees the row as the previous ones left it (integer fields
+/// are rounded).
 Status Apply(const std::vector<Assignment>& values,
-             const std::string& bound_var, const Schema& schema,
-             Tuple* tuple) {
+             const std::string& bound_var, RowWriter* row) {
+  const Schema& schema = row->schema();
   for (const Assignment& a : values) {
     const int idx = schema.FieldIndex(a.field);
     if (idx < 0) {
       return Status::InvalidArgument("no field '" + a.field + "'");
     }
-    ATIS_ASSIGN_OR_RETURN(double v,
-                          Eval(*a.value, bound_var, schema, *tuple));
-    if (relational::IsIntegerType(
-            schema.field(static_cast<size_t>(idx)).type)) {
-      (*tuple)[static_cast<size_t>(idx)] =
-          static_cast<int64_t>(std::llround(v));
+    ATIS_ASSIGN_OR_RETURN(double v, Eval(*a.value, bound_var, row->view()));
+    const size_t field = static_cast<size_t>(idx);
+    if (relational::IsIntegerType(schema.field(field).type)) {
+      row->SetInt(field, static_cast<int64_t>(std::llround(v)));
     } else {
-      (*tuple)[static_cast<size_t>(idx)] = v;
+      row->SetDouble(field, v);
     }
   }
   return Status::OK();
@@ -213,9 +210,9 @@ Result<QueryResult> QuelSession::Execute(const Statement& stmt) {
       ATIS_ASSIGN_OR_RETURN(
           auto matches,
           relational::SelectScan(
-              *rel, [&](const Tuple& t) {
-                auto m = Matches(stmt.retrieve.where, stmt.retrieve.var,
-                                 schema, t);
+              *rel, [&](const RowView& row) {
+                auto m =
+                    Matches(stmt.retrieve.where, stmt.retrieve.var, row);
                 if (!m.ok()) {
                   eval_error = m.status();
                   return false;
@@ -241,26 +238,21 @@ Result<QueryResult> QuelSession::Execute(const Statement& stmt) {
       }
       const Schema& schema = rel->second->schema();
       // Unassigned fields default to zero.
-      Tuple tuple(schema.num_fields(), int64_t{0});
-      for (size_t i = 0; i < schema.num_fields(); ++i) {
-        if (!relational::IsIntegerType(schema.field(i).type)) {
-          tuple[i] = 0.0;
-        }
-      }
-      ATIS_RETURN_NOT_OK(Apply(stmt.append.values, /*bound_var=*/"",
-                               schema, &tuple));
+      std::vector<uint8_t> packed(schema.tuple_size(), 0);
+      RowWriter row(schema, packed);
+      ATIS_RETURN_NOT_OK(Apply(stmt.append.values, /*bound_var=*/"", &row));
+      const Tuple tuple = schema.Unpack(packed.data());
       ATIS_RETURN_NOT_OK(relational::Append(rel->second, tuple));
       out.affected = 1;
       return out;
     }
     case Statement::Kind::kDelete: {
       ATIS_ASSIGN_OR_RETURN(Relation * rel, Resolve(stmt.del.var));
-      const Schema& schema = rel->schema();
       Status eval_error = Status::OK();
       ATIS_ASSIGN_OR_RETURN(
           out.affected,
-          relational::DeleteWhere(rel, [&](const Tuple& t) {
-            auto m = Matches(stmt.del.where, stmt.del.var, schema, t);
+          relational::DeleteWhere(rel, [&](const RowView& row) {
+            auto m = Matches(stmt.del.where, stmt.del.var, row);
             if (!m.ok()) {
               eval_error = m.status();
               return false;
@@ -272,24 +264,22 @@ Result<QueryResult> QuelSession::Execute(const Statement& stmt) {
     }
     case Statement::Kind::kReplace: {
       ATIS_ASSIGN_OR_RETURN(Relation * rel, Resolve(stmt.replace.var));
-      const Schema& schema = rel->schema();
       Status eval_error = Status::OK();
       ATIS_ASSIGN_OR_RETURN(
           out.affected,
           relational::Replace(
               rel,
-              [&](const Tuple& t) {
-                auto m = Matches(stmt.replace.where, stmt.replace.var,
-                                 schema, t);
+              [&](const RowView& row) {
+                auto m = Matches(stmt.replace.where, stmt.replace.var, row);
                 if (!m.ok()) {
                   eval_error = m.status();
                   return false;
                 }
                 return *m;
               },
-              [&](Tuple* t) {
-                const Status st = Apply(stmt.replace.values,
-                                        stmt.replace.var, schema, t);
+              [&](RowWriter& row) {
+                const Status st =
+                    Apply(stmt.replace.values, stmt.replace.var, &row);
                 if (!st.ok()) eval_error = st;
               }));
       ATIS_RETURN_NOT_OK(eval_error);

@@ -16,10 +16,10 @@ class RunCursor {
 
   bool Valid() const { return cursor_.Valid(); }
   int64_t key() const {
-    return AsInt(cursor_.tuple()[static_cast<size_t>(key_field_)]);
+    return cursor_.row().Int(static_cast<size_t>(key_field_));
   }
   Tuple Take() {
-    Tuple t = cursor_.tuple();
+    Tuple t = cursor_.row().Unpack();
     cursor_.Next();
     return t;
   }
@@ -72,9 +72,8 @@ Result<std::unique_ptr<Relation>> ExternalSort(
     return Status::OK();
   };
   for (Relation::Cursor c = input.Scan(); c.Valid(); c.Next()) {
-    Tuple t = c.tuple();
-    const int64_t k = AsInt(t[static_cast<size_t>(key)]);
-    buffer.emplace_back(k, std::move(t));
+    const RowView row = c.row();
+    buffer.emplace_back(row.Int(static_cast<size_t>(key)), row.Unpack());
     if (buffer.size() >= run_capacity) {
       ATIS_RETURN_NOT_OK(flush_run());
     }

@@ -140,12 +140,12 @@ Result<std::unique_ptr<Relation>> NestedLoopJoin(const Relation& left,
                                                  std::string name) {
   ATIS_ASSIGN_OR_RETURN(auto out, MakeResultRelation(left, right, name));
   for (Relation::Cursor lc = left.Scan(); lc.Valid(); lc.Next()) {
-    const Tuple lt = lc.tuple();
+    const Tuple lt = lc.row().Unpack();
     const int64_t lkey = AsInt(lt[static_cast<size_t>(lf)]);
     for (Relation::Cursor rc = right.Scan(); rc.Valid(); rc.Next()) {
-      const Tuple rt = rc.tuple();
-      if (AsInt(rt[static_cast<size_t>(rf)]) == lkey) {
-        ATIS_RETURN_NOT_OK(out->Insert(Concat(lt, rt)).status());
+      const RowView rt = rc.row();
+      if (rt.Int(static_cast<size_t>(rf)) == lkey) {
+        ATIS_RETURN_NOT_OK(out->Insert(Concat(lt, rt.Unpack())).status());
       }
     }
   }
@@ -161,13 +161,14 @@ Result<std::unique_ptr<Relation>> HashJoinImpl(const Relation& left,
   std::unordered_multimap<int64_t, Tuple> table;
   table.reserve(right.num_tuples());
   for (Relation::Cursor rc = right.Scan(); rc.Valid(); rc.Next()) {
-    Tuple rt = rc.tuple();
-    const int64_t key = AsInt(rt[static_cast<size_t>(rf)]);
-    table.emplace(key, std::move(rt));
+    const RowView rt = rc.row();
+    table.emplace(rt.Int(static_cast<size_t>(rf)), rt.Unpack());
   }
   for (Relation::Cursor lc = left.Scan(); lc.Valid(); lc.Next()) {
-    const Tuple lt = lc.tuple();
-    auto [lo, hi] = table.equal_range(AsInt(lt[static_cast<size_t>(lf)]));
+    const RowView lrow = lc.row();
+    auto [lo, hi] = table.equal_range(lrow.Int(static_cast<size_t>(lf)));
+    if (lo == hi) continue;
+    const Tuple lt = lrow.Unpack();
     for (auto it = lo; it != hi; ++it) {
       ATIS_RETURN_NOT_OK(out->Insert(Concat(lt, it->second)).status());
     }
@@ -197,8 +198,8 @@ Result<std::unique_ptr<Relation>> SortMergeJoinImpl(
     // temporaries are dropped below.
     Relation::Cursor lc = sorted_left->Scan();
     Relation::Cursor rc = sorted_right->Scan();
-  auto lkey = [&] { return AsInt(lc.tuple()[static_cast<size_t>(lf)]); };
-  auto rkey = [&] { return AsInt(rc.tuple()[static_cast<size_t>(rf)]); };
+  auto lkey = [&] { return lc.row().Int(static_cast<size_t>(lf)); };
+  auto rkey = [&] { return rc.row().Int(static_cast<size_t>(rf)); };
   while (lc.Valid() && rc.Valid()) {
     if (lkey() < rkey()) {
       lc.Next();
@@ -210,11 +211,11 @@ Result<std::unique_ptr<Relation>> SortMergeJoinImpl(
       const int64_t key = lkey();
       std::vector<Tuple> group;
       while (rc.Valid() && rkey() == key) {
-        group.push_back(rc.tuple());
+        group.push_back(rc.row().Unpack());
         rc.Next();
       }
       while (lc.Valid() && lkey() == key) {
-        const Tuple lt = lc.tuple();
+        const Tuple lt = lc.row().Unpack();
         for (const Tuple& rt : group) {
           ATIS_RETURN_NOT_OK(out->Insert(Concat(lt, rt)).status());
         }
@@ -235,9 +236,12 @@ Result<std::unique_ptr<Relation>> PrimaryKeyJoinImpl(const Relation& left,
                                                      std::string name) {
   ATIS_ASSIGN_OR_RETURN(auto out, MakeResultRelation(left, right, name));
   for (Relation::Cursor lc = left.Scan(); lc.Valid(); lc.Next()) {
-    const Tuple lt = lc.tuple();
-    const int64_t key = AsInt(lt[static_cast<size_t>(lf)]);
-    ATIS_ASSIGN_OR_RETURN(auto matches, SelectIndex(right, rfield, key));
+    const RowView lrow = lc.row();
+    ATIS_ASSIGN_OR_RETURN(
+        auto matches,
+        SelectIndex(right, rfield, lrow.Int(static_cast<size_t>(lf))));
+    if (matches.empty()) continue;
+    const Tuple lt = lrow.Unpack();
     for (const MatchedTuple& m : matches) {
       ATIS_RETURN_NOT_OK(out->Insert(Concat(lt, m.tuple)).status());
     }

@@ -11,10 +11,8 @@ Result<std::vector<MatchedTuple>> SelectScan(const Relation& rel,
   std::vector<MatchedTuple> out;
   Relation::Cursor c = rel.Scan();
   for (; c.Valid(); c.Next()) {
-    Tuple t = c.tuple();
-    if (!pred || pred(t)) {
-      out.push_back({c.rid(), std::move(t)});
-    }
+    const RowView row = c.row();
+    if (!pred || pred(row)) out.push_back({c.rid(), row.Unpack()});
   }
   // A scan cut short by a storage fault must fail the statement, not
   // return a silently-partial result set.
@@ -33,32 +31,39 @@ Result<std::vector<MatchedTuple>> SelectIndex(const Relation& rel,
   std::vector<MatchedTuple> out;
   out.reserve(rids.size());
   for (const storage::RecordId rid : rids) {
-    ATIS_ASSIGN_OR_RETURN(Tuple t, rel.Get(rid));
-    if (!pred || pred(t)) {
-      out.push_back({rid, std::move(t)});
-    }
+    ATIS_RETURN_NOT_OK(rel.Read(rid, [&](const RowView& row) {
+      if (!pred || pred(row)) out.push_back({rid, row.Unpack()});
+    }));
   }
   span.Tag("matched", static_cast<uint64_t>(out.size()));
   return out;
 }
+
+namespace {
+
+/// Record ids of the rows satisfying `pred`, in scan order.
+Result<std::vector<storage::RecordId>> MatchingRids(const Relation& rel,
+                                                    const Predicate& pred) {
+  std::vector<storage::RecordId> rids;
+  Relation::Cursor c = rel.Scan();
+  for (; c.Valid(); c.Next()) {
+    if (!pred || pred(c.row())) rids.push_back(c.rid());
+  }
+  ATIS_RETURN_NOT_OK(c.status());
+  return rids;
+}
+
+}  // namespace
 
 Result<size_t> Replace(Relation* rel, const Predicate& pred,
                        const Updater& update) {
   obs::ScopedSpan span("replace", "operator");
   span.Tag("relation", rel->name());
   // Two-phase: match first, then write. A single-pass scan-and-update is
-  // unsound if updates relocate tuples the scan has not reached yet.
-  std::vector<MatchedTuple> matches;
-  for (Relation::Cursor c = rel->Scan(); c.Valid(); c.Next()) {
-    Tuple t = c.tuple();
-    if (!pred || pred(t)) {
-      matches.push_back({c.rid(), std::move(t)});
-    }
-  }
-  for (MatchedTuple& m : matches) {
-    update(&m.tuple);
-    ATIS_RETURN_NOT_OK(rel->Update(m.rid, m.tuple));
-  }
+  // unsound if updates move tuples the scan has not reached yet (a key
+  // change re-files a row in the indexes).
+  ATIS_ASSIGN_OR_RETURN(const auto matches, MatchingRids(*rel, pred));
+  ATIS_RETURN_NOT_OK(rel->EditAll(matches, update));
   span.Tag("replaced", static_cast<uint64_t>(matches.size()));
   return matches.size();
 }
@@ -72,10 +77,7 @@ Status Append(Relation* rel, const Tuple& tuple) {
 Result<size_t> DeleteWhere(Relation* rel, const Predicate& pred) {
   obs::ScopedSpan span("delete", "operator");
   span.Tag("relation", rel->name());
-  std::vector<storage::RecordId> victims;
-  for (Relation::Cursor c = rel->Scan(); c.Valid(); c.Next()) {
-    if (!pred || pred(c.tuple())) victims.push_back(c.rid());
-  }
+  ATIS_ASSIGN_OR_RETURN(const auto victims, MatchingRids(*rel, pred));
   for (const storage::RecordId rid : victims) {
     ATIS_RETURN_NOT_OK(rel->Delete(rid));
   }
@@ -84,28 +86,31 @@ Result<size_t> DeleteWhere(Relation* rel, const Predicate& pred) {
 }
 
 Result<size_t> CountWhere(const Relation& rel, const Predicate& pred) {
-  size_t n = 0;
-  for (Relation::Cursor c = rel.Scan(); c.Valid(); c.Next()) {
-    if (!pred || pred(c.tuple())) ++n;
-  }
-  return n;
+  ATIS_ASSIGN_OR_RETURN(const auto matches, MatchingRids(rel, pred));
+  return matches.size();
 }
 
 Result<std::optional<MatchedTuple>> MinBy(
     const Relation& rel, const Predicate& pred,
-    const std::function<double(const Tuple&)>& key) {
-  std::optional<MatchedTuple> best;
+    const std::function<double(const RowView&)>& key) {
+  std::optional<storage::RecordId> best;
+  std::vector<uint8_t> best_row;  // the packed winner, unpacked at the end
   double best_key = 0.0;
-  for (Relation::Cursor c = rel.Scan(); c.Valid(); c.Next()) {
-    Tuple t = c.tuple();
-    if (pred && !pred(t)) continue;
-    const double k = key(t);
+  Relation::Cursor c = rel.Scan();
+  for (; c.Valid(); c.Next()) {
+    const RowView row = c.row();
+    if (pred && !pred(row)) continue;
+    const double k = key(row);
     if (!best || k < best_key) {
-      best = MatchedTuple{c.rid(), std::move(t)};
+      best = c.rid();
+      best_row.assign(row.bytes().begin(), row.bytes().end());
       best_key = k;
     }
   }
-  return best;
+  ATIS_RETURN_NOT_OK(c.status());
+  if (!best) return std::optional<MatchedTuple>{};
+  return std::optional<MatchedTuple>(
+      MatchedTuple{*best, rel.schema().Unpack(best_row.data())});
 }
 
 }  // namespace atis::relational

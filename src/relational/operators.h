@@ -16,8 +16,11 @@
 
 namespace atis::relational {
 
-using Predicate = std::function<bool(const Tuple&)>;
-using Updater = std::function<void(Tuple*)>;
+/// Row tests and edits run on the packed bytes (see RowView): a statement
+/// decodes only the rows its predicate keeps, and REPLACE writes the
+/// changed fields in place on the page.
+using Predicate = std::function<bool(const RowView&)>;
+using Updater = Relation::RowEdit;
 
 struct MatchedTuple {
   storage::RecordId rid;
@@ -34,8 +37,9 @@ Result<std::vector<MatchedTuple>> SelectIndex(const Relation& rel,
                                               int64_t key,
                                               const Predicate& pred = {});
 
-/// REPLACE: scans, applies `update` to each tuple satisfying `pred`, and
-/// writes it back. Returns the number of tuples replaced.
+/// REPLACE: scans for the rows satisfying `pred`, then applies `update` to
+/// each in place (Relation::EditAll). Two-phase, so the write pass never
+/// meets a row it already rewrote. Returns the number of rows replaced.
 Result<size_t> Replace(Relation* rel, const Predicate& pred,
                        const Updater& update);
 
@@ -54,7 +58,7 @@ Result<size_t> CountWhere(const Relation& rel, const Predicate& pred);
 /// minimum C(s,u) [+ f(u,d)]".
 Result<std::optional<MatchedTuple>> MinBy(
     const Relation& rel, const Predicate& pred,
-    const std::function<double(const Tuple&)>& key);
+    const std::function<double(const RowView&)>& key);
 
 /// Statement-at-a-time execution context: wraps the buffer pool used by a
 /// sequence of statements and evicts it at statement boundaries when

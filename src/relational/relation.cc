@@ -39,7 +39,7 @@ Status Relation::CreateHashIndex(std::string_view field, size_t num_buckets) {
   hash_index_ = std::make_unique<index::StaticHashIndex>(pool_, num_buckets);
   hash_field_ = idx;
   for (Cursor c = Scan(); c.Valid(); c.Next()) {
-    ATIS_RETURN_NOT_OK(hash_index_->Insert(KeyOf(c.tuple(), idx), c.rid()));
+    ATIS_RETURN_NOT_OK(hash_index_->Insert(c.row().Int(idx), c.rid()));
   }
   return Status::OK();
 }
@@ -52,7 +52,7 @@ Status Relation::BuildIsamIndex(std::string_view field,
   std::vector<index::IsamIndex::Entry> entries;
   entries.reserve(num_tuples());
   for (Cursor c = Scan(); c.Valid(); c.Next()) {
-    entries.push_back({KeyOf(c.tuple(), idx), c.rid()});
+    entries.push_back({c.row().Int(idx), c.rid()});
   }
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.key < b.key; });
@@ -68,61 +68,81 @@ Result<RecordId> Relation::Insert(const Tuple& tuple) {
   ATIS_RETURN_NOT_OK(schema_.Pack(tuple, buf.data()));
   ATIS_ASSIGN_OR_RETURN(RecordId rid, file_.Insert(buf));
   if (hash_index_) {
-    ATIS_RETURN_NOT_OK(hash_index_->Insert(KeyOf(tuple, hash_field_), rid));
+    ATIS_RETURN_NOT_OK(hash_index_->Insert(
+        AsInt(tuple[static_cast<size_t>(hash_field_)]), rid));
   }
   if (isam_index_) {
-    ATIS_RETURN_NOT_OK(isam_index_->Insert(KeyOf(tuple, isam_field_), rid));
+    ATIS_RETURN_NOT_OK(isam_index_->Insert(
+        AsInt(tuple[static_cast<size_t>(isam_field_)]), rid));
   }
   return rid;
 }
 
 Result<Tuple> Relation::Get(RecordId rid) const {
-  ATIS_ASSIGN_OR_RETURN(auto bytes, file_.Get(rid));
-  if (bytes.size() != schema_.tuple_size()) {
-    return Status::Corruption("tuple size mismatch in relation " + name_);
-  }
-  return schema_.Unpack(bytes.data());
+  Tuple tuple;
+  ATIS_RETURN_NOT_OK(
+      Read(rid, [&](const RowView& row) { tuple = row.Unpack(); }));
+  return tuple;
 }
 
-Status Relation::Update(RecordId rid, const Tuple& tuple) {
-  // Keep indexes consistent if a key field changes.
-  Tuple old;
-  if (hash_index_ || isam_index_) {
-    ATIS_ASSIGN_OR_RETURN(old, Get(rid));
+Status Relation::Read(RecordId rid,
+                      const std::function<void(const RowView&)>& visit) const {
+  bool sized = true;
+  ATIS_RETURN_NOT_OK(file_.Read(rid, [&](std::span<const uint8_t> bytes) {
+    sized = bytes.size() == schema_.tuple_size();
+    if (sized) visit(RowView(schema_, bytes));
+  }));
+  if (!sized) {
+    return Status::Corruption("tuple size mismatch in relation " + name_);
   }
-  std::vector<uint8_t> buf(schema_.tuple_size());
-  ATIS_RETURN_NOT_OK(schema_.Pack(tuple, buf.data()));
-  ATIS_RETURN_NOT_OK(file_.Update(rid, buf));
-  if (hash_index_) {
-    const int64_t old_key = KeyOf(old, hash_field_);
-    const int64_t new_key = KeyOf(tuple, hash_field_);
-    if (old_key != new_key) {
-      ATIS_RETURN_NOT_OK(hash_index_->Erase(old_key, rid));
-      ATIS_RETURN_NOT_OK(hash_index_->Insert(new_key, rid));
+  return Status::OK();
+}
+
+Status Relation::EditAll(std::span<const RecordId> rids,
+                         const RowEdit& edit) {
+  storage::HeapFile::Editor editor(&file_);
+  for (const RecordId rid : rids) {
+    ATIS_ASSIGN_OR_RETURN(std::span<uint8_t> bytes, editor.Edit(rid));
+    if (bytes.size() != schema_.tuple_size()) {
+      return Status::Corruption("tuple size mismatch in relation " + name_);
     }
-  }
-  if (isam_index_) {
-    const int64_t old_key = KeyOf(old, isam_field_);
-    const int64_t new_key = KeyOf(tuple, isam_field_);
-    if (old_key != new_key) {
-      ATIS_RETURN_NOT_OK(isam_index_->Erase(old_key, rid));
-      ATIS_RETURN_NOT_OK(isam_index_->Insert(new_key, rid));
+    RowWriter row(schema_, bytes);
+    const int64_t old_hash = hash_index_ ? row.Int(hash_field_) : 0;
+    const int64_t old_isam = isam_index_ ? row.Int(isam_field_) : 0;
+    edit(row);
+    const int64_t new_hash = hash_index_ ? row.Int(hash_field_) : 0;
+    const int64_t new_isam = isam_index_ ? row.Int(isam_field_) : 0;
+    if (new_hash == old_hash && new_isam == old_isam) continue;
+    // A key moved: the index pages are fetched next, and the row's page is
+    // fetched afresh for the next row, as a row-at-a-time rewrite does.
+    editor.Release();
+    if (new_hash != old_hash) {
+      ATIS_RETURN_NOT_OK(hash_index_->Erase(old_hash, rid));
+      ATIS_RETURN_NOT_OK(hash_index_->Insert(new_hash, rid));
+    }
+    if (new_isam != old_isam) {
+      ATIS_RETURN_NOT_OK(isam_index_->Erase(old_isam, rid));
+      ATIS_RETURN_NOT_OK(isam_index_->Insert(new_isam, rid));
     }
   }
   return Status::OK();
 }
 
 Status Relation::Delete(RecordId rid) {
-  Tuple old;
+  int64_t hash_key = 0;
+  int64_t isam_key = 0;
   if (hash_index_ || isam_index_) {
-    ATIS_ASSIGN_OR_RETURN(old, Get(rid));
+    ATIS_RETURN_NOT_OK(Read(rid, [&](const RowView& row) {
+      if (hash_index_) hash_key = row.Int(hash_field_);
+      if (isam_index_) isam_key = row.Int(isam_field_);
+    }));
   }
   ATIS_RETURN_NOT_OK(file_.Delete(rid));
   if (hash_index_) {
-    ATIS_RETURN_NOT_OK(hash_index_->Erase(KeyOf(old, hash_field_), rid));
+    ATIS_RETURN_NOT_OK(hash_index_->Erase(hash_key, rid));
   }
   if (isam_index_) {
-    ATIS_RETURN_NOT_OK(isam_index_->Erase(KeyOf(old, isam_field_), rid));
+    ATIS_RETURN_NOT_OK(isam_index_->Erase(isam_key, rid));
   }
   return Status::OK();
 }

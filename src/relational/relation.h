@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "index/hash_index.h"
@@ -43,8 +44,26 @@ class Relation {
 
   Result<storage::RecordId> Insert(const Tuple& tuple);
   Result<Tuple> Get(storage::RecordId rid) const;
-  Status Update(storage::RecordId rid, const Tuple& tuple);
   Status Delete(storage::RecordId rid);
+
+  /// Calls `visit` with a zero-copy view of the row at `rid`, valid only
+  /// during the call. Same page fetch as Get, without building a Tuple.
+  Status Read(storage::RecordId rid,
+              const std::function<void(const RowView&)>& visit) const;
+
+  /// Changes fields of one stored row in place on its page.
+  using RowEdit = std::function<void(RowWriter&)>;
+  /// Applies `edit` to the row at each of `rids`, in order, directly on its
+  /// pinned page (marked dirty). Consecutive rows on one page share a page
+  /// fetch; otherwise the pages fetched and dirtied, and their order, are
+  /// those of reading each row and then rewriting it. When an edit changes
+  /// an indexed key field, the page is released and the index updated
+  /// before the next row.
+  Status EditAll(std::span<const storage::RecordId> rids,
+                 const RowEdit& edit);
+  Status Edit(storage::RecordId rid, const RowEdit& edit) {
+    return EditAll({&rid, 1}, edit);
+  }
 
   /// Deletes all tuples, releasing pages. Charges D_t when `charge` is set.
   Status Clear(bool charge = true);
@@ -65,29 +84,38 @@ class Relation {
   int hash_field() const { return hash_field_; }
   int isam_field() const { return isam_field_; }
 
-  /// Forward scan of live tuples.
+  /// Forward scan of live tuples, read in place on each pinned page.
   class Cursor {
    public:
     Cursor(const Relation* rel) : rel_(rel), it_(rel->file_.Begin()) {}
     bool Valid() const { return it_.Valid(); }
     storage::RecordId rid() const { return it_.rid(); }
-    Tuple tuple() const { return rel_->schema_.Unpack(it_.record().data()); }
-    void Next() { it_.Next(); }
+    /// The current row, undecoded. Valid only until Next() (or the
+    /// cursor's move or destruction); debug builds assert on later reads.
+    RowView row() const {
+      RowView view(rel_->schema_, it_.record());
+#ifndef NDEBUG
+      view.BindToCursor(&step_);
+#endif
+      return view;
+    }
+    void Next() {
+      it_.Next();
+      ++step_;
+    }
     /// OK unless the scan ended on a storage error instead of end-of-file.
     const Status& status() const { return it_.status(); }
 
    private:
     const Relation* rel_;
     storage::HeapFile::Iterator it_;
+    uint64_t step_ = 0;  ///< Next() count; stamps views in debug builds
   };
 
   Cursor Scan() const { return Cursor(this); }
 
  private:
   Status ValidateIndexedField(std::string_view field, int* out_index) const;
-  int64_t KeyOf(const Tuple& tuple, int field) const {
-    return AsInt(tuple[static_cast<size_t>(field)]);
-  }
 
   std::string name_;
   Schema schema_;

@@ -110,32 +110,91 @@ T LoadAs(const uint8_t* src) {
 
 }  // namespace
 
+int64_t Schema::ReadInt(const uint8_t* row, size_t i) const {
+  const uint8_t* at = row + offsets_[i];
+  switch (fields_[i].type) {
+    case FieldType::kInt8:
+      return LoadAs<int8_t>(at);
+    case FieldType::kInt16:
+      return LoadAs<int16_t>(at);
+    case FieldType::kInt32:
+      return LoadAs<int32_t>(at);
+    case FieldType::kInt64:
+      return LoadAs<int64_t>(at);
+    case FieldType::kFloat:
+      return static_cast<int64_t>(static_cast<double>(LoadAs<float>(at)));
+    case FieldType::kDouble:
+      return static_cast<int64_t>(LoadAs<double>(at));
+  }
+  return 0;
+}
+
+double Schema::ReadDouble(const uint8_t* row, size_t i) const {
+  const uint8_t* at = row + offsets_[i];
+  switch (fields_[i].type) {
+    case FieldType::kFloat:
+      return static_cast<double>(LoadAs<float>(at));
+    case FieldType::kDouble:
+      return LoadAs<double>(at);
+    case FieldType::kInt8:
+    case FieldType::kInt16:
+    case FieldType::kInt32:
+    case FieldType::kInt64:
+      return static_cast<double>(ReadInt(row, i));
+  }
+  return 0.0;
+}
+
+void Schema::WriteInt(uint8_t* row, size_t i, int64_t value) const {
+  uint8_t* at = row + offsets_[i];
+  switch (fields_[i].type) {
+    case FieldType::kInt8:
+      StoreAs<int8_t>(at, static_cast<int8_t>(value));
+      break;
+    case FieldType::kInt16:
+      StoreAs<int16_t>(at, static_cast<int16_t>(value));
+      break;
+    case FieldType::kInt32:
+      StoreAs<int32_t>(at, static_cast<int32_t>(value));
+      break;
+    case FieldType::kInt64:
+      StoreAs<int64_t>(at, value);
+      break;
+    case FieldType::kFloat:
+    case FieldType::kDouble:
+      WriteDouble(row, i, static_cast<double>(value));
+      break;
+  }
+}
+
+void Schema::WriteDouble(uint8_t* row, size_t i, double value) const {
+  uint8_t* at = row + offsets_[i];
+  switch (fields_[i].type) {
+    case FieldType::kFloat:
+      StoreAs<float>(at, static_cast<float>(value));
+      break;
+    case FieldType::kDouble:
+      StoreAs<double>(at, value);
+      break;
+    case FieldType::kInt8:
+    case FieldType::kInt16:
+    case FieldType::kInt32:
+    case FieldType::kInt64:
+      WriteInt(row, i, static_cast<int64_t>(value));
+      break;
+  }
+}
+
 Status Schema::Pack(const Tuple& tuple, uint8_t* dest) const {
   if (tuple.size() != fields_.size()) {
     return Status::InvalidArgument("tuple arity does not match schema");
   }
   std::memset(dest, 0, tuple_size_);
   for (size_t i = 0; i < fields_.size(); ++i) {
-    uint8_t* at = dest + offsets_[i];
-    switch (fields_[i].type) {
-      case FieldType::kInt8:
-        StoreAs<int8_t>(at, static_cast<int8_t>(AsInt(tuple[i])));
-        break;
-      case FieldType::kInt16:
-        StoreAs<int16_t>(at, static_cast<int16_t>(AsInt(tuple[i])));
-        break;
-      case FieldType::kInt32:
-        StoreAs<int32_t>(at, static_cast<int32_t>(AsInt(tuple[i])));
-        break;
-      case FieldType::kInt64:
-        StoreAs<int64_t>(at, AsInt(tuple[i]));
-        break;
-      case FieldType::kFloat:
-        StoreAs<float>(at, static_cast<float>(AsDouble(tuple[i])));
-        break;
-      case FieldType::kDouble:
-        StoreAs<double>(at, AsDouble(tuple[i]));
-        break;
+    if (IsIntegerType(fields_[i].type)) {
+      WriteInt(dest, i, AsInt(tuple[i]));
+    } else {
+      WriteDouble(dest, i, AsDouble(tuple[i]));
     }
   }
   return Status::OK();
@@ -145,26 +204,10 @@ Tuple Schema::Unpack(const uint8_t* src) const {
   Tuple tuple;
   tuple.reserve(fields_.size());
   for (size_t i = 0; i < fields_.size(); ++i) {
-    const uint8_t* at = src + offsets_[i];
-    switch (fields_[i].type) {
-      case FieldType::kInt8:
-        tuple.emplace_back(static_cast<int64_t>(LoadAs<int8_t>(at)));
-        break;
-      case FieldType::kInt16:
-        tuple.emplace_back(static_cast<int64_t>(LoadAs<int16_t>(at)));
-        break;
-      case FieldType::kInt32:
-        tuple.emplace_back(static_cast<int64_t>(LoadAs<int32_t>(at)));
-        break;
-      case FieldType::kInt64:
-        tuple.emplace_back(LoadAs<int64_t>(at));
-        break;
-      case FieldType::kFloat:
-        tuple.emplace_back(static_cast<double>(LoadAs<float>(at)));
-        break;
-      case FieldType::kDouble:
-        tuple.emplace_back(LoadAs<double>(at));
-        break;
+    if (IsIntegerType(fields_[i].type)) {
+      tuple.emplace_back(ReadInt(src, i));
+    } else {
+      tuple.emplace_back(ReadDouble(src, i));
     }
   }
   return tuple;

@@ -18,7 +18,7 @@ Result<FieldStats> AnalyzeField(const Relation& rel,
   FieldStats stats;
   std::unordered_set<int64_t> distinct;
   for (Relation::Cursor c = rel.Scan(); c.Valid(); c.Next()) {
-    const int64_t v = AsInt(c.tuple()[static_cast<size_t>(idx)]);
+    const int64_t v = c.row().Int(static_cast<size_t>(idx));
     if (stats.num_tuples == 0) {
       stats.min_value = stats.max_value = v;
     } else {

@@ -86,17 +86,40 @@ Result<RecordId> HeapFile::Insert(std::span<const uint8_t> record) {
   return RecordId{info.id, slot};
 }
 
+Result<std::pair<uint16_t, uint16_t>> HeapFile::LiveSlot(const Page& p,
+                                                         uint16_t slot) {
+  if (slot >= SlotCount(p)) return Status::NotFound("slot out of range");
+  const auto [offset, size] = ReadSlot(p, slot);
+  if (offset == 0) return Status::NotFound("record deleted");
+  return std::make_pair(offset, size);
+}
+
 Result<std::vector<uint8_t>> HeapFile::Get(RecordId rid) const {
+  std::vector<uint8_t> out;
+  ATIS_RETURN_NOT_OK(Read(rid, [&](std::span<const uint8_t> record) {
+    out.assign(record.begin(), record.end());
+  }));
+  return out;
+}
+
+Status HeapFile::Read(
+    RecordId rid,
+    const std::function<void(std::span<const uint8_t>)>& visit) const {
   ATIS_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page));
   const Page& p = guard.page();
-  if (rid.slot >= SlotCount(p)) {
-    return Status::NotFound("slot out of range");
+  ATIS_ASSIGN_OR_RETURN(const auto slot, LiveSlot(p, rid.slot));
+  visit({p.data() + slot.first, slot.second});
+  return Status::OK();
+}
+
+Result<std::span<uint8_t>> HeapFile::Editor::Edit(RecordId rid) {
+  if (page_ == nullptr || guard_.id() != rid.page) {
+    Release();
+    ATIS_ASSIGN_OR_RETURN(guard_, file_->pool_->FetchPage(rid.page));
+    page_ = &guard_.MutablePage();
   }
-  const auto [offset, size] = ReadSlot(p, rid.slot);
-  if (offset == 0) return Status::NotFound("record deleted");
-  std::vector<uint8_t> out(size);
-  p.ReadBytes(offset, out.data(), size);
-  return out;
+  ATIS_ASSIGN_OR_RETURN(const auto slot, LiveSlot(*page_, rid.slot));
+  return std::span<uint8_t>(page_->data() + slot.first, slot.second);
 }
 
 Status HeapFile::Update(RecordId rid, std::span<const uint8_t> record) {
@@ -105,9 +128,8 @@ Status HeapFile::Update(RecordId rid, std::span<const uint8_t> record) {
   }
   ATIS_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page));
   Page& p = guard.MutablePage();
-  if (rid.slot >= SlotCount(p)) return Status::NotFound("slot out of range");
-  auto [offset, size] = ReadSlot(p, rid.slot);
-  if (offset == 0) return Status::NotFound("record deleted");
+  ATIS_ASSIGN_OR_RETURN(const auto live, LiveSlot(p, rid.slot));
+  const auto [offset, size] = live;
 
   if (record.size() <= size) {
     p.WriteBytes(offset, record.data(), record.size());
@@ -147,10 +169,7 @@ Status HeapFile::Update(RecordId rid, std::span<const uint8_t> record) {
 Status HeapFile::Delete(RecordId rid) {
   ATIS_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page));
   Page& p = guard.MutablePage();
-  if (rid.slot >= SlotCount(p)) return Status::NotFound("slot out of range");
-  const auto [offset, size] = ReadSlot(p, rid.slot);
-  (void)size;
-  if (offset == 0) return Status::NotFound("record already deleted");
+  ATIS_RETURN_NOT_OK(LiveSlot(p, rid.slot).status());
   WriteSlot(&p, rid.slot, 0, 0);
   RefreshPageInfo(rid.page, p);
   --num_records_;
@@ -239,8 +258,8 @@ void HeapFile::Iterator::AdvanceToLive() {
       const auto [offset, size] = ReadSlot(guard_.page(), slot_);
       if (offset != 0) {
         rid_ = RecordId{guard_.id(), slot_};
-        record_.resize(size);
-        guard_.page().ReadBytes(offset, record_.data(), size);
+        offset_ = offset;
+        size_ = size;
         return;
       }
       ++slot_;

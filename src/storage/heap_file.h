@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -43,6 +44,12 @@ class HeapFile {
   /// Reads a record. NotFound if the slot is a tombstone or out of range.
   Result<std::vector<uint8_t>> Get(RecordId rid) const;
 
+  /// Calls `visit` with the record's payload on its pinned page — no copy.
+  /// The span is valid only during the call. Errors as Get.
+  Status Read(RecordId rid,
+              const std::function<void(std::span<const uint8_t>)>& visit)
+      const;
+
   /// Rewrites a record in place. The new payload may be any size that fits
   /// in the page (larger payloads are relocated within the page).
   Status Update(RecordId rid, std::span<const uint8_t> record);
@@ -63,6 +70,29 @@ class HeapFile {
     return ids;
   }
 
+  /// Same-size rewrites in place. Edit(rid) pins the record's page for
+  /// writing (marking it dirty) and hands out the payload bytes on that
+  /// page; the page stays pinned while consecutive edits land on it, so a
+  /// run of records on one page costs one fetch. Release() (or the
+  /// editor's destruction) unpins it.
+  class Editor {
+   public:
+    explicit Editor(HeapFile* file) : file_(file) {}
+
+    /// Payload of `rid`, writable in place; valid until the next Edit()
+    /// or Release(). NotFound if the slot is a tombstone or out of range.
+    Result<std::span<uint8_t>> Edit(RecordId rid);
+    void Release() {
+      guard_.Release();
+      page_ = nullptr;
+    }
+
+   private:
+    HeapFile* file_;
+    PageGuard guard_;
+    Page* page_ = nullptr;  ///< guard_'s page, already marked dirty
+  };
+
   /// Forward scan over live records. A storage error (e.g. an injected
   /// disk fault) ends the scan — Valid() goes false — and is reported by
   /// status(); callers that must distinguish end-of-file from a failed
@@ -73,8 +103,12 @@ class HeapFile {
 
     bool Valid() const { return valid_; }
     RecordId rid() const { return rid_; }
-    /// Payload of the current record. Precondition: Valid().
-    const std::vector<uint8_t>& record() const { return record_; }
+    /// Payload of the current record, read in place on the pinned page.
+    /// Valid only until Next() (or the iterator's move or destruction).
+    /// Precondition: Valid().
+    std::span<const uint8_t> record() const {
+      return {guard_.page().data() + offset_, size_};
+    }
     void Next();
     /// OK unless a page fetch failed mid-scan.
     const Status& status() const { return status_; }
@@ -91,7 +125,8 @@ class HeapFile {
     bool valid_ = false;
     Status status_;
     RecordId rid_;
-    std::vector<uint8_t> record_;
+    uint16_t offset_ = 0;
+    uint16_t size_ = 0;
   };
 
   Iterator Begin() const { return Iterator(this, 0); }
@@ -134,6 +169,10 @@ class HeapFile {
   }
 
   Result<PageId> AllocateDataPage();
+  /// {offset, size} of a live slot's payload on `p`; NotFound for a
+  /// tombstone or an out-of-range slot.
+  static Result<std::pair<uint16_t, uint16_t>> LiveSlot(const Page& p,
+                                                        uint16_t slot);
   /// Rewrites the page with live records packed at the high end.
   static void CompactPage(Page* p);
   /// Recomputes a page's free/dead byte accounting from its slot directory.

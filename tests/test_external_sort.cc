@@ -33,7 +33,7 @@ class ExternalSortTest : public ::testing::Test {
     size_t count = 0;
     int64_t last = INT64_MIN;
     for (Relation::Cursor c = rel.Scan(); c.Valid(); c.Next()) {
-      const int64_t k = AsInt(c.tuple()[0]);
+      const int64_t k = c.row().Int(0);
       EXPECT_GE(k, last);
       last = k;
       ++count;
@@ -102,8 +102,8 @@ TEST_F(ExternalSortTest, StableForEqualKeys) {
   ASSERT_TRUE(out.ok());
   double last_payload[3] = {-1.0, -1.0, -1.0};
   for (Relation::Cursor c = (*out)->Scan(); c.Valid(); c.Next()) {
-    const auto k = static_cast<size_t>(AsInt(c.tuple()[0]));
-    const double p = AsDouble(c.tuple()[1]);
+    const auto k = static_cast<size_t>(c.row().Int(0));
+    const double p = c.row().Double(1);
     EXPECT_GT(p, last_payload[k]);
     last_payload[k] = p;
   }
@@ -146,12 +146,12 @@ TEST_F(ExternalSortTest, InputRelationUntouched) {
   FillRandom(500, 3);
   std::vector<int64_t> before;
   for (Relation::Cursor c = rel_.Scan(); c.Valid(); c.Next()) {
-    before.push_back(AsInt(c.tuple()[0]));
+    before.push_back(c.row().Int(0));
   }
   ASSERT_TRUE(ExternalSort(rel_, "key", "out").ok());
   std::vector<int64_t> after;
   for (Relation::Cursor c = rel_.Scan(); c.Valid(); c.Next()) {
-    after.push_back(AsInt(c.tuple()[0]));
+    after.push_back(c.row().Int(0));
   }
   EXPECT_EQ(before, after);
 }

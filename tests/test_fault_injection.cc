@@ -16,6 +16,7 @@
 #include "index/hash_index.h"
 #include "index/isam_index.h"
 #include "quel/executor.h"
+#include "relational/operators.h"
 #include "relational/relation.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
@@ -102,6 +103,33 @@ TEST(FaultInjectionTest, RelationSurfacesErrorsOnScanAndInsert) {
   visited = 0;
   for (Relation::Cursor c = rel.Scan(); c.Valid(); c.Next()) ++visited;
   EXPECT_EQ(visited, 2000u);
+}
+
+TEST(FaultInjectionTest, InPlaceReplaceSurfacesErrorAndLeaksNoPin) {
+  DiskManager dm;
+  BufferPool pool(&dm, 2);
+  Relation rel("t", Schema({{"id", FieldType::kInt32}}), &pool);
+  ASSERT_TRUE(rel.CreateHashIndex("id", 8).ok());
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(rel.Insert(Tuple{int64_t{i}}).ok());
+  }
+  ASSERT_GE(rel.num_blocks(), 3u);
+  ASSERT_TRUE(pool.EvictAll().ok());
+  // The match scan reads every data page; the write pass then re-reads
+  // the first one and fails on its next page fetch, mid-statement, while
+  // rows of the first page are already rewritten (and that page dirty).
+  dm.FailAfter(rel.num_blocks() + 1);
+  auto n = relational::Replace(
+      &rel, {}, [](relational::RowWriter& row) {
+        row.SetInt(0, row.Int(0) + 1);  // moves every hash-index key
+      });
+  EXPECT_FALSE(n.ok());
+  dm.ClearFaultInjection();
+  // No frame is left pinned by the failed statement: evicting all works.
+  EXPECT_TRUE(pool.EvictAll().ok());
+  size_t rows = 0;
+  for (Relation::Cursor c = rel.Scan(); c.Valid(); c.Next()) ++rows;
+  EXPECT_EQ(rows, 2000u);
 }
 
 TEST(FaultInjectionTest, HeapFileScanAndGetSurviveFaults) {

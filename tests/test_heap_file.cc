@@ -15,7 +15,7 @@ std::vector<uint8_t> Bytes(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
 }
 
-std::string Str(const std::vector<uint8_t>& v) {
+std::string Str(std::span<const uint8_t> v) {
   return std::string(v.begin(), v.end());
 }
 

@@ -44,7 +44,7 @@ class JoinStrategyTest : public ::testing::TestWithParam<JoinStrategy> {
   std::multiset<std::pair<int64_t, double>> Rows(const Relation& rel) {
     std::multiset<std::pair<int64_t, double>> rows;
     for (Relation::Cursor c = rel.Scan(); c.Valid(); c.Next()) {
-      const Tuple t = c.tuple();
+      const Tuple t = c.row().Unpack();
       rows.insert({AsInt(t[0]), AsDouble(t[3])});
     }
     return rows;

@@ -31,8 +31,8 @@ TEST_F(OperatorsTest, SelectScanAll) {
 }
 
 TEST_F(OperatorsTest, SelectScanPredicate) {
-  auto evens = SelectScan(rel_, [](const Tuple& t) {
-    return AsInt(t[0]) % 2 == 0;
+  auto evens = SelectScan(rel_, [](const RowView& t) {
+    return t.Int(0) % 2 == 0;
   });
   ASSERT_TRUE(evens.ok());
   EXPECT_EQ(evens->size(), 10u);
@@ -44,8 +44,8 @@ TEST_F(OperatorsTest, SelectIndexWithFilter) {
   ASSERT_TRUE(hit.ok());
   ASSERT_EQ(hit->size(), 1u);
   EXPECT_DOUBLE_EQ(AsDouble((*hit)[0].tuple[1]), 10.5);
-  auto filtered = SelectIndex(rel_, "id", 7, [](const Tuple& t) {
-    return AsDouble(t[1]) > 100.0;
+  auto filtered = SelectIndex(rel_, "id", 7, [](const RowView& t) {
+    return t.Double(1) > 100.0;
   });
   ASSERT_TRUE(filtered.ok());
   EXPECT_TRUE(filtered->empty());
@@ -53,20 +53,20 @@ TEST_F(OperatorsTest, SelectIndexWithFilter) {
 
 TEST_F(OperatorsTest, ReplaceUpdatesMatching) {
   auto n = Replace(
-      &rel_, [](const Tuple& t) { return AsInt(t[0]) < 5; },
-      [](Tuple* t) { (*t)[1] = -1.0; });
+      &rel_, [](const RowView& t) { return t.Int(0) < 5; },
+      [](RowWriter& t) { t.SetDouble(1, -1.0); });
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 5u);
-  auto check = SelectScan(rel_, [](const Tuple& t) {
-    return AsDouble(t[1]) == -1.0;
+  auto check = SelectScan(rel_, [](const RowView& t) {
+    return t.Double(1) == -1.0;
   });
   EXPECT_EQ(check->size(), 5u);
 }
 
 TEST_F(OperatorsTest, ReplaceWithNoMatchesIsNoop) {
   auto n = Replace(
-      &rel_, [](const Tuple&) { return false; },
-      [](Tuple* t) { (*t)[1] = 0.0; });
+      &rel_, [](const RowView&) { return false; },
+      [](RowWriter& t) { t.SetDouble(1, 0.0); });
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 0u);
 }
@@ -77,8 +77,8 @@ TEST_F(OperatorsTest, AppendInserts) {
 }
 
 TEST_F(OperatorsTest, DeleteWhereRemovesMatching) {
-  auto n = DeleteWhere(&rel_, [](const Tuple& t) {
-    return AsInt(t[0]) >= 15;
+  auto n = DeleteWhere(&rel_, [](const RowView& t) {
+    return t.Int(0) >= 15;
   });
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 5u);
@@ -86,15 +86,15 @@ TEST_F(OperatorsTest, DeleteWhereRemovesMatching) {
 }
 
 TEST_F(OperatorsTest, CountWhere) {
-  auto n = CountWhere(rel_, [](const Tuple& t) {
-    return AsInt(t[0]) % 3 == 0;
+  auto n = CountWhere(rel_, [](const RowView& t) {
+    return t.Int(0) % 3 == 0;
   });
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 7u);  // 0,3,6,9,12,15,18
 }
 
 TEST_F(OperatorsTest, MinByFindsMinimum) {
-  auto m = MinBy(rel_, {}, [](const Tuple& t) { return -AsDouble(t[1]); });
+  auto m = MinBy(rel_, {}, [](const RowView& t) { return -t.Double(1); });
   ASSERT_TRUE(m.ok());
   ASSERT_TRUE(m->has_value());
   EXPECT_EQ(AsInt((**m).tuple[0]), 19);  // max v => min of -v
@@ -102,8 +102,8 @@ TEST_F(OperatorsTest, MinByFindsMinimum) {
 
 TEST_F(OperatorsTest, MinByWithPredicate) {
   auto m = MinBy(
-      rel_, [](const Tuple& t) { return AsInt(t[0]) > 10; },
-      [](const Tuple& t) { return AsDouble(t[1]); });
+      rel_, [](const RowView& t) { return t.Int(0) > 10; },
+      [](const RowView& t) { return t.Double(1); });
   ASSERT_TRUE(m.ok());
   ASSERT_TRUE(m->has_value());
   EXPECT_EQ(AsInt((**m).tuple[0]), 11);
@@ -111,8 +111,8 @@ TEST_F(OperatorsTest, MinByWithPredicate) {
 
 TEST_F(OperatorsTest, MinByEmptyMatchIsNullopt) {
   auto m = MinBy(
-      rel_, [](const Tuple&) { return false; },
-      [](const Tuple&) { return 0.0; });
+      rel_, [](const RowView&) { return false; },
+      [](const RowView&) { return 0.0; });
   ASSERT_TRUE(m.ok());
   EXPECT_FALSE(m->has_value());
 }
@@ -121,7 +121,7 @@ TEST_F(OperatorsTest, MinByBreaksTiesByScanOrder) {
   Relation ties("ties", Schema({{"id", FieldType::kInt32}}), &pool_);
   ASSERT_TRUE(ties.Insert(Tuple{int64_t{10}}).ok());
   ASSERT_TRUE(ties.Insert(Tuple{int64_t{20}}).ok());
-  auto m = MinBy(ties, {}, [](const Tuple&) { return 1.0; });
+  auto m = MinBy(ties, {}, [](const RowView&) { return 1.0; });
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(AsInt((**m).tuple[0]), 10);
 }

@@ -129,7 +129,7 @@ TEST_P(JoinFuzz, AllStrategiesProduceTheSameMultiset) {
   auto rows_of = [](const Relation& rel) {
     std::multiset<std::tuple<int64_t, int64_t, int64_t>> rows;
     for (Relation::Cursor c = rel.Scan(); c.Valid(); c.Next()) {
-      const Tuple t = c.tuple();
+      const Tuple t = c.row().Unpack();
       rows.insert({AsInt(t[0]), AsInt(t[1]), AsInt(t[3])});
     }
     return rows;
@@ -190,8 +190,8 @@ TEST_P(SortFuzz, MatchesReferenceSort) {
   size_t i = 0;
   for (Relation::Cursor c = (*sorted)->Scan(); c.Valid(); c.Next(), ++i) {
     ASSERT_LT(i, reference.size());
-    EXPECT_EQ(AsInt(c.tuple()[0]), reference[i].first);
-    EXPECT_EQ(AsInt(c.tuple()[1]), reference[i].second);
+    EXPECT_EQ(c.row().Int(0), reference[i].first);
+    EXPECT_EQ(c.row().Int(1), reference[i].second);
   }
   EXPECT_EQ(i, reference.size());
 }

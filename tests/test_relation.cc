@@ -37,7 +37,8 @@ TEST_F(RelationTest, InsertGetRoundTrip) {
 TEST_F(RelationTest, UpdateRewrites) {
   auto rid = rel_.Insert(Tuple{int64_t{1}, 2.5});
   ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(rel_.Update(*rid, Tuple{int64_t{1}, 9.0}).ok());
+  ASSERT_TRUE(
+      rel_.Edit(*rid, [](RowWriter& row) { row.SetDouble(1, 9.0); }).ok());
   EXPECT_DOUBLE_EQ(AsDouble((*rel_.Get(*rid))[1]), 9.0);
 }
 
@@ -56,7 +57,7 @@ TEST_F(RelationTest, ScanVisitsEverything) {
     ids.insert(i);
   }
   for (Relation::Cursor c = rel_.Scan(); c.Valid(); c.Next()) {
-    ids.erase(AsInt(c.tuple()[0]));
+    ids.erase(c.row().Int(0));
   }
   EXPECT_TRUE(ids.empty());
   EXPECT_GT(rel_.num_blocks(), 1u);
@@ -81,7 +82,7 @@ TEST_F(RelationTest, HashIndexMaintainedByMutations) {
   ASSERT_TRUE(rid.ok());
   EXPECT_EQ(rel_.IndexLookup("id", 5)->size(), 1u);
   // Key change moves the entry.
-  ASSERT_TRUE(rel_.Update(*rid, Tuple{int64_t{6}, 0.0}).ok());
+  ASSERT_TRUE(rel_.Edit(*rid, [](RowWriter& row) { row.SetInt(0, 6); }).ok());
   EXPECT_TRUE(rel_.IndexLookup("id", 5)->empty());
   EXPECT_EQ(rel_.IndexLookup("id", 6)->size(), 1u);
   ASSERT_TRUE(rel_.Delete(*rid).ok());

@@ -150,8 +150,19 @@ TEST_F(RelationalGraphTest, TupleConversionRoundTrips) {
   row.status = NodeStatus::kCurrent;
   row.pred = 99;
   row.path_cost = 17.25;
-  const auto t = RelationalGraphStore::ToTuple(row);
-  const auto back = RelationalGraphStore::NodeFromTuple(t);
+  // ToTuple (APPEND) and WriteNode (in-place update) pack the same bytes,
+  // and NodeFromRow decodes them back.
+  const relational::Schema node_schema = RelationalGraphStore::NodeSchema();
+  std::vector<uint8_t> packed(node_schema.tuple_size());
+  ASSERT_TRUE(
+      node_schema.Pack(RelationalGraphStore::ToTuple(row), packed.data())
+          .ok());
+  std::vector<uint8_t> written(node_schema.tuple_size(), 0);
+  relational::RowWriter writer(node_schema, written);
+  RelationalGraphStore::WriteNode(row, &writer);
+  EXPECT_EQ(written, packed);
+  const auto back = RelationalGraphStore::NodeFromRow(
+      relational::RowView(node_schema, packed));
   EXPECT_EQ(back.id, 123);
   EXPECT_DOUBLE_EQ(back.x, 4.5);
   EXPECT_DOUBLE_EQ(back.y, -2.0625);
@@ -160,8 +171,12 @@ TEST_F(RelationalGraphTest, TupleConversionRoundTrips) {
   EXPECT_NEAR(back.path_cost, 17.25, 1e-6);
 
   RelationalGraphStore::EdgeRow e{7, 8, 2.75};
-  const auto et = RelationalGraphStore::ToTuple(e);
-  const auto eback = RelationalGraphStore::EdgeFromTuple(et);
+  const relational::Schema edge_schema = RelationalGraphStore::EdgeSchema();
+  std::vector<uint8_t> epacked(edge_schema.tuple_size());
+  ASSERT_TRUE(
+      edge_schema.Pack(RelationalGraphStore::ToTuple(e), epacked.data()).ok());
+  const auto eback = RelationalGraphStore::EdgeFromRow(
+      relational::RowView(edge_schema, epacked));
   EXPECT_EQ(eback.begin, 7);
   EXPECT_EQ(eback.end, 8);
   EXPECT_NEAR(eback.cost, 2.75, 1e-6);

@@ -634,6 +634,46 @@ TEST(RouteServerIngestTest, BatchedUpdatePublishesOneVersionAtomically) {
   EXPECT_EQ((*resp)[0].result.path, (*want)[0].result.path);
 }
 
+TEST(RouteServerIngestTest, BatchedServingAfterUpdatesIsExact) {
+  // Region batching keys every query by its source's region. The region
+  // index outlives the version-1 snapshot it was built from (published
+  // updates retire it), so batch formation after updates must not read
+  // that snapshot — the sanitizer runs of this test catch it if it does.
+  const graph::Graph g = MakeGrid(8);
+  RouteServer::Options opt;
+  opt.num_workers = 2;
+  opt.max_batch = 8;
+  RouteServer server(g, opt);
+  ASSERT_TRUE(server.init_status().ok());
+
+  graph::Graph updated = g;
+  for (graph::NodeId u : {0, 9, 27, 40}) {
+    const graph::Edge e = g.Neighbors(u)[0];
+    const double cost = e.cost + 3.0;
+    const std::vector<EdgeCostUpdate> batch{{u, e.to, cost}};
+    ASSERT_TRUE(server.ApplyUpdates(batch).ok());
+    updated = WithEdgeCost(updated, u, e.to, cost);
+  }
+  EXPECT_EQ(server.published_version(), 5u);
+
+  RouteServer::Options ref_opt;
+  ref_opt.num_workers = 1;
+  RouteServer reference(updated, ref_opt);
+  ASSERT_TRUE(reference.init_status().ok());
+  const std::vector<RouteQuery> queries = CornerQueries(8, 24);
+  auto got = server.ServeBatch(queries);
+  auto want = reference.ServeBatch(queries);
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(want.ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE((*got)[i].status.ok()) << i;
+    ASSERT_TRUE((*want)[i].status.ok()) << i;
+    EXPECT_EQ((*got)[i].metric_version, 5u) << i;
+    EXPECT_EQ((*got)[i].result.cost, (*want)[i].result.cost) << i;
+    EXPECT_EQ((*got)[i].result.path, (*want)[i].result.path) << i;
+  }
+}
+
 TEST(RouteServerIngestTest, InvalidBatchesRejectWithoutPublishing) {
   const graph::Graph g = MakeGrid(5);
   RouteServer::Options opt;
