@@ -38,12 +38,14 @@ class Page {
     std::memcpy(bytes_.data() + offset, &value, sizeof(T));
   }
 
+  // An empty record's span may carry a null pointer, and memcpy with a
+  // null argument is undefined even for zero bytes.
   void ReadBytes(size_t offset, void* dest, size_t len) const {
-    std::memcpy(dest, bytes_.data() + offset, len);
+    if (len != 0) std::memcpy(dest, bytes_.data() + offset, len);
   }
 
   void WriteBytes(size_t offset, const void* src, size_t len) {
-    std::memcpy(bytes_.data() + offset, src, len);
+    if (len != 0) std::memcpy(bytes_.data() + offset, src, len);
   }
 
  private:
