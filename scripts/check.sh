@@ -21,6 +21,9 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
   resilience_test obs_test overlay_test ingest_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
   -R 'BufferPool|RouteServer|RouteCache|Resilien|DiskManager|CircuitBreaker|Deadline|SloWindows|HttpExporter|SlowQueryLog|TraceRing|ObsSampling|Batch|Overlay|UpdateLog|DurableFile|AtomicFile|CrashRecovery|Ingest'
+# The pool's races are rare interleavings: run its tests 20 more times.
+"$repo/build-tsan/tests/storage_test" --gtest_filter='BufferPool*' \
+  --gtest_repeat=20 --gtest_brief=1
 
 echo
 echo "check.sh: all gates passed"

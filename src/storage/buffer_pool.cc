@@ -7,12 +7,22 @@
 
 namespace atis::storage {
 
+namespace {
+
+/// Times a latch holder looks again (yielding in between) before it
+/// concludes that a frame, or every frame of a shard, is really pinned and
+/// not just held for a moment by an optimistic fetch undoing a stale pin.
+constexpr int kClaimAttempts = 8;
+
+}  // namespace
+
 PageGuard& PageGuard::operator=(PageGuard&& o) noexcept {
   if (this != &o) {
     Release();
     pool_ = o.pool_;
     id_ = o.id_;
     page_ = o.page_;
+    frame_ = o.frame_;
     o.pool_ = nullptr;
     o.id_ = kInvalidPageId;
     o.page_ = nullptr;
@@ -22,17 +32,46 @@ PageGuard& PageGuard::operator=(PageGuard&& o) noexcept {
 
 Page& PageGuard::MutablePage() {
   assert(valid());
-  pool_->MarkDirty(id_);
+  pool_->MarkDirty(id_, frame_);
   return *page_;
 }
 
 void PageGuard::Release() {
   if (pool_ != nullptr && page_ != nullptr) {
-    pool_->Unpin(id_);
+    pool_->Unpin(id_, frame_);
   }
   pool_ = nullptr;
   page_ = nullptr;
   id_ = kInvalidPageId;
+}
+
+BufferPool::PageTable::PageTable()
+    : dir_(new std::atomic<std::atomic<uint32_t>*>[kDirSize]()) {}
+
+BufferPool::PageTable::~PageTable() {
+  for (size_t i = 0; i < kDirSize; ++i) {
+    delete[] dir_[i].load(std::memory_order_relaxed);
+  }
+}
+
+void BufferPool::PageTable::Set(PageId id, uint32_t frame) {
+  std::atomic<std::atomic<uint32_t>*>& slot = dir_[id >> kChunkBits];
+  std::atomic<uint32_t>* chunk = slot.load(std::memory_order_acquire);
+  if (chunk == nullptr) {
+    if (frame == kNoFrame) return;
+    auto* fresh = new std::atomic<uint32_t>[kChunkMask + 1];
+    for (PageId i = 0; i <= kChunkMask; ++i) {
+      fresh[i].store(kNoFrame, std::memory_order_relaxed);
+    }
+    // Shards fill chunks concurrently; the first installer wins.
+    if (slot.compare_exchange_strong(chunk, fresh, std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+      chunk = fresh;
+    } else {
+      delete[] fresh;
+    }
+  }
+  chunk[id & kChunkMask].store(frame, std::memory_order_relaxed);
 }
 
 BufferPool::BufferPool(DiskManager* disk, size_t capacity, size_t num_shards)
@@ -43,12 +82,13 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity, size_t num_shards)
   capacity_ = capacity;
   shards_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
     // Even split; the first (capacity % num_shards) shards get one extra.
     const size_t frames = capacity / num_shards + (s < capacity % num_shards);
-    shard->frames.resize(frames);
+    auto shard = std::make_unique<Shard>(frames);
     shard->free_frames.reserve(frames);
-    for (size_t i = frames; i > 0; --i) shard->free_frames.push_back(i - 1);
+    for (size_t i = frames; i > 0; --i) {
+      shard->free_frames.push_back(static_cast<uint32_t>(i - 1));
+    }
     shards_.push_back(std::move(shard));
   }
 }
@@ -61,92 +101,130 @@ BufferPool::~BufferPool() {
 
 Result<PageGuard> BufferPool::FetchPage(PageId id) {
   Shard& shard = ShardFor(id);
-  std::unique_lock<std::mutex> lock(shard.mu);
-
-  // Hit path. A frame whose fill is still in flight is not usable yet:
-  // wait for the loader and re-probe (the fill may have failed, removing
-  // the mapping — then this thread becomes the loader).
-  auto it = shard.table.find(id);
-  while (it != shard.table.end() &&
-         shard.frames[it->second].io_in_progress) {
-    shard.io_cv.wait(lock);
-    it = shard.table.find(id);
-  }
-  if (it != shard.table.end()) {
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    Frame& f = shard.frames[it->second];
-    NotePrefetchConsumed(f);
-    if (f.pin_count == 0 && f.in_lru) {
-      shard.lru.erase(f.lru_pos);
-      f.in_lru = false;
+  const uint32_t idx = table_.Get(id);
+  if (idx != kNoFrame) {
+    Frame& f = shard.frames[idx];
+    // Optimistic pin: only from a non-busy count, and only while the frame
+    // still holds `id` afterwards (it may have been evicted and refilled
+    // since the table load; the early id check makes that pin rare).
+    if (f.id.load(std::memory_order_relaxed) == id) {
+      int32_t pins = f.pins.load(std::memory_order_relaxed);
+      while (pins >= 0 &&
+             !f.pins.compare_exchange_weak(pins, pins + 1,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed)) {
+      }
+      if (pins >= 0) {
+        if (f.id.load(std::memory_order_relaxed) == id) {
+          shard.hits.fetch_add(1, std::memory_order_relaxed);
+          NotePrefetchConsumed(f);
+          return PageGuard(this, id, &f.page, idx);
+        }
+        f.pins.fetch_sub(1, std::memory_order_release);  // ABA: undo
+      }
     }
-    ++f.pin_count;
-    return PageGuard(this, id, &f.page);
   }
+  return FetchPageSlow(shard, id);
+}
 
-  // Miss: claim a frame under the latch, then fill it from disk with the
-  // latch released so slow devices don't serialise the shard. The frame
-  // is pinned and flagged in-flight throughout, so no other thread can
-  // evict or reuse it. A dirty victim is written back *inside* the
-  // critical section: once its mapping is gone, a concurrent fetch of the
-  // victim page reads it straight from disk, and that read must observe
-  // this write-back (the latch orders them).
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  ATIS_ASSIGN_OR_RETURN(size_t idx, GetVictimFrame(shard));
-  Frame& f = shard.frames[idx];
-  f.id = id;
-  f.pin_count = 1;
-  f.dirty = false;
-  f.in_lru = false;
-  f.io_in_progress = true;
-  f.prefetched = false;
-  shard.table[id] = idx;
+Result<PageGuard> BufferPool::FetchPageSlow(Shard& shard, PageId id) {
+  std::unique_lock<std::mutex> lock(shard.mu);
+  for (;;) {
+    const uint32_t idx = table_.Get(id);
+    if (idx != kNoFrame) {
+      Frame& f = shard.frames[idx];
+      // A frame whose fill is still in flight is not usable yet: wait for
+      // the loader and re-probe (the fill may have failed, removing the
+      // mapping — then this thread becomes the loader).
+      if (f.io_in_progress) {
+        shard.io_cv.wait(lock);
+        continue;
+      }
+      // Under the latch a mapped frame that is not being filled is never
+      // busy, so a plain increment pins it.
+      f.pins.fetch_add(1, std::memory_order_acquire);
+      shard.hits.fetch_add(1, std::memory_order_relaxed);
+      NotePrefetchConsumed(f);
+      return PageGuard(this, id, &f.page, idx);
+    }
 
-  lock.unlock();
-  Status io = ReadWithRetry(id, &f.page);
-  lock.lock();
+    // Miss: claim a frame under the latch, then fill it from disk with the
+    // latch released so slow devices don't serialise the shard. The frame
+    // stays busy and flagged in-flight throughout, so no other thread can
+    // pin, evict or reuse it. A dirty victim is written back *inside* the
+    // critical section: once its mapping is gone, a concurrent fetch of
+    // the victim page reads it straight from disk, and that read must
+    // observe this write-back (the latch orders them).
+    Result<uint32_t> victim = ClaimVictim(shard);
+    if (WaitForPrefetchFill(shard, lock, victim)) continue;
+    shard.misses.fetch_add(1, std::memory_order_relaxed);
+    if (!victim.ok()) return victim.status();
+    const uint32_t fill = victim.value();
+    Frame& f = shard.frames[fill];
+    Map(f, fill, id);
+    f.io_in_progress = true;
 
-  f.io_in_progress = false;
-  if (!io.ok()) {
-    // Roll back so a failed fill does not leak capacity; waiters re-probe
-    // and find no mapping.
-    shard.table.erase(id);
-    f.id = kInvalidPageId;
-    f.pin_count = 0;
-    f.dirty = false;
-    shard.free_frames.push_back(idx);
+    lock.unlock();
+    Status io = ReadWithRetry(id, &f.page);
+    lock.lock();
+
+    f.io_in_progress = false;
+    if (!io.ok()) {
+      // Roll back so a failed fill does not leak capacity; waiters re-probe
+      // and find no mapping.
+      Unmap(f);
+      shard.free_frames.push_back(fill);
+      f.pins.store(0, std::memory_order_release);
+      shard.io_cv.notify_all();
+      return io;
+    }
+    f.pins.store(1, std::memory_order_release);
     shard.io_cv.notify_all();
-    return io;
+    return PageGuard(this, id, &f.page, fill);
   }
-  shard.io_cv.notify_all();
-  return PageGuard(this, id, &f.page);
+}
+
+bool BufferPool::WaitForPrefetchFill(Shard& shard,
+                                     std::unique_lock<std::mutex>& lock,
+                                     const Result<uint32_t>& claim) {
+  if (claim.ok() || claim.status().code() != StatusCode::kResourceExhausted ||
+      shard.prefetch_fills == 0) {
+    return false;
+  }
+  ++shard.waiting_misses;
+  shard.io_cv.wait(lock);
+  --shard.waiting_misses;
+  return true;
 }
 
 Result<PageGuard> BufferPool::NewPage() {
   const PageId id = disk_->AllocatePage();
   Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  ATIS_ASSIGN_OR_RETURN(size_t idx, GetVictimFrame(shard));
+  std::unique_lock<std::mutex> lock(shard.mu);
+  Result<uint32_t> victim = ClaimVictim(shard);
+  while (WaitForPrefetchFill(shard, lock, victim)) victim = ClaimVictim(shard);
+  if (!victim.ok()) return victim.status();
+  const uint32_t idx = victim.value();
   Frame& f = shard.frames[idx];
   f.page.Zero();
-  f.id = id;
-  f.pin_count = 1;
-  f.dirty = true;  // must reach disk even if never modified again
-  f.in_lru = false;
-  f.prefetched = false;
-  shard.table[id] = idx;
-  return PageGuard(this, id, &f.page);
+  // Dirty from the start: the page must reach disk even if never modified.
+  f.dirty.store(true, std::memory_order_relaxed);
+  Map(f, idx, id);
+  f.pins.store(1, std::memory_order_release);
+  return PageGuard(this, id, &f.page, idx);
 }
 
 Status BufferPool::FlushPage(PageId id) {
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.table.find(id);
-  if (it == shard.table.end()) return Status::OK();
-  Frame& f = shard.frames[it->second];
-  if (f.dirty) {
-    ATIS_RETURN_NOT_OK(disk_->WritePage(f.id, f.page));
-    f.dirty = false;
+  const uint32_t idx = table_.Get(id);
+  if (idx == kNoFrame) return Status::OK();
+  Frame& f = shard.frames[idx];
+  // Acquire the last unpin, so the page writes it published are visible.
+  (void)f.pins.load(std::memory_order_acquire);
+  if (f.dirty.load(std::memory_order_relaxed)) {
+    ATIS_RETURN_NOT_OK(disk_->WritePage(id, f.page));
+    f.dirty.store(false, std::memory_order_relaxed);
     shard.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::OK();
@@ -156,11 +234,13 @@ Status BufferPool::FlushAll() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [id, idx] : shard.table) {
-      Frame& f = shard.frames[idx];
-      if (f.dirty) {
-        ATIS_RETURN_NOT_OK(disk_->WritePage(f.id, f.page));
-        f.dirty = false;
+    for (size_t i = 0; i < shard.num_frames; ++i) {
+      Frame& f = shard.frames[i];
+      const PageId id = f.id.load(std::memory_order_relaxed);
+      (void)f.pins.load(std::memory_order_acquire);  // as in FlushPage
+      if (id != kInvalidPageId && f.dirty.load(std::memory_order_relaxed)) {
+        ATIS_RETURN_NOT_OK(disk_->WritePage(id, f.page));
+        f.dirty.store(false, std::memory_order_relaxed);
         shard.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -172,28 +252,34 @@ Status BufferPool::EvictAll() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (const Frame& f : shard.frames) {
-      if (f.id != kInvalidPageId && f.pin_count > 0) {
-        return Status::FailedPrecondition(
-            "EvictAll with pinned page " + std::to_string(f.id));
+    for (size_t i = 0; i < shard.num_frames; ++i) {
+      const Frame& f = shard.frames[i];
+      const PageId id = f.id.load(std::memory_order_relaxed);
+      if (id != kInvalidPageId &&
+          f.pins.load(std::memory_order_relaxed) != 0) {
+        return Status::FailedPrecondition("EvictAll with pinned page " +
+                                          std::to_string(id));
       }
     }
-    for (Frame& f : shard.frames) {
-      if (f.id == kInvalidPageId) continue;
-      if (f.dirty) {
-        ATIS_RETURN_NOT_OK(disk_->WritePage(f.id, f.page));
-        f.dirty = false;
+    for (size_t i = 0; i < shard.num_frames; ++i) {
+      Frame& f = shard.frames[i];
+      const PageId id = f.id.load(std::memory_order_relaxed);
+      if (id == kInvalidPageId) continue;
+      if (!ClaimUnpinned(f)) {
+        return Status::FailedPrecondition("EvictAll with pinned page " +
+                                          std::to_string(id));
+      }
+      if (f.dirty.load(std::memory_order_relaxed)) {
+        if (Status st = disk_->WritePage(id, f.page); !st.ok()) {
+          f.pins.store(0, std::memory_order_release);
+          return st;
+        }
         shard.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
       }
       NotePrefetchDiscarded(f);
-      shard.table.erase(f.id);
-      if (f.in_lru) {
-        shard.lru.erase(f.lru_pos);
-        f.in_lru = false;
-      }
-      f.id = kInvalidPageId;
-      shard.free_frames.push_back(
-          static_cast<size_t>(&f - shard.frames.data()));
+      Unmap(f);
+      shard.free_frames.push_back(static_cast<uint32_t>(i));
+      f.pins.store(0, std::memory_order_release);
       shard.evictions.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -204,22 +290,17 @@ Status BufferPool::DeletePage(PageId id) {
   Shard& shard = ShardFor(id);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.table.find(id);
-    if (it != shard.table.end()) {
-      Frame& f = shard.frames[it->second];
-      if (f.pin_count > 0) {
+    const uint32_t idx = table_.Get(id);
+    if (idx != kNoFrame) {
+      Frame& f = shard.frames[idx];
+      if (!ClaimUnpinned(f)) {
         return Status::FailedPrecondition("DeletePage on pinned page " +
                                           std::to_string(id));
       }
-      if (f.in_lru) {
-        shard.lru.erase(f.lru_pos);
-        f.in_lru = false;
-      }
       NotePrefetchDiscarded(f);
-      f.id = kInvalidPageId;
-      f.dirty = false;
-      shard.free_frames.push_back(it->second);
-      shard.table.erase(it);
+      Unmap(f);
+      shard.free_frames.push_back(idx);
+      f.pins.store(0, std::memory_order_release);
     }
   }
   return disk_->DeallocatePage(id);
@@ -229,9 +310,17 @@ size_t BufferPool::num_cached() const {
   size_t total = 0;
   for (const auto& shard_ptr : shards_) {
     std::lock_guard<std::mutex> lock(shard_ptr->mu);
-    total += shard_ptr->table.size();
+    for (size_t i = 0; i < shard_ptr->num_frames; ++i) {
+      total += shard_ptr->frames[i].id.load(std::memory_order_relaxed) !=
+               kInvalidPageId;
+    }
   }
   return total;
+}
+
+bool BufferPool::IsCached(PageId id) const {
+  std::lock_guard<std::mutex> lock(ShardFor(id).mu);
+  return table_.Get(id) != kNoFrame;
 }
 
 BufferPoolStats BufferPool::stats() const {
@@ -293,58 +382,93 @@ Status BufferPool::ReadWithRetry(PageId id, Page* dest) {
   return io;
 }
 
-void BufferPool::Unpin(PageId id) {
+void BufferPool::Unpin(PageId id, uint32_t frame) {
   Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.table.find(id);
-  assert(it != shard.table.end());
-  Frame& f = shard.frames[it->second];
-  assert(f.pin_count > 0);
-  if (--f.pin_count == 0) {
-    shard.lru.push_front(it->second);
-    f.lru_pos = shard.lru.begin();
-    f.in_lru = true;
+  Frame& f = shard.frames[frame];
+  assert(f.id.load(std::memory_order_relaxed) == id &&
+         f.pins.load(std::memory_order_relaxed) > 0);
+  // Stamp before the release-decrement: an evictor that sees the frame
+  // unpinned also sees its new LRU position.
+  f.stamp.store(shard.clock.fetch_add(1, std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+  f.pins.fetch_sub(1, std::memory_order_release);
+}
+
+void BufferPool::MarkDirty(PageId id, uint32_t frame) {
+  Frame& f = ShardFor(id).frames[frame];
+  assert(f.id.load(std::memory_order_relaxed) == id &&
+         f.pins.load(std::memory_order_relaxed) > 0);
+  f.dirty.store(true, std::memory_order_relaxed);
+}
+
+bool BufferPool::TryClaim(Frame& f) {
+  int32_t expected = 0;
+  return f.pins.compare_exchange_strong(expected, kBusy,
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed);
+}
+
+bool BufferPool::ClaimUnpinned(Frame& f) {
+  for (int attempt = 0; attempt < kClaimAttempts; ++attempt) {
+    if (TryClaim(f)) return true;
+    // A fill in flight owns a busy frame.
+    if (f.pins.load(std::memory_order_relaxed) < 0) return false;
+    std::this_thread::yield();
   }
+  return false;
 }
 
-void BufferPool::MarkDirty(PageId id) {
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.table.find(id);
-  assert(it != shard.table.end());
-  shard.frames[it->second].dirty = true;
+void BufferPool::Unmap(Frame& f) {
+  table_.Set(f.id.load(std::memory_order_relaxed), kNoFrame);
+  f.id.store(kInvalidPageId, std::memory_order_relaxed);
+  f.dirty.store(false, std::memory_order_relaxed);
 }
 
-Result<size_t> BufferPool::GetVictimFrame(Shard& shard) {
+Result<uint32_t> BufferPool::ClaimVictim(Shard& shard) {
   if (!shard.free_frames.empty()) {
-    const size_t idx = shard.free_frames.back();
+    // Free frames are used first. One may carry a stale optimistic pin for
+    // a moment (its holder sees the invalid id and undoes it), so wait it
+    // out rather than skip the frame.
+    const uint32_t idx = shard.free_frames.back();
+    while (!ClaimUnpinned(shard.frames[idx])) {
+    }
     shard.free_frames.pop_back();
     return idx;
   }
-  if (shard.lru.empty()) {
-    return Status::ResourceExhausted("buffer pool: all frames of shard "
-                                     "pinned");
+  for (int attempt = 0; attempt < kClaimAttempts; ++attempt) {
+    // LRU victim: the unpinned resident frame unpinned longest ago.
+    uint32_t best = kNoFrame;
+    uint64_t best_stamp = UINT64_MAX;
+    for (size_t i = 0; i < shard.num_frames; ++i) {
+      const Frame& f = shard.frames[i];
+      if (f.pins.load(std::memory_order_acquire) != 0) continue;
+      const uint64_t stamp = f.stamp.load(std::memory_order_relaxed);
+      if (stamp < best_stamp) {
+        best_stamp = stamp;
+        best = static_cast<uint32_t>(i);
+      }
+    }
+    if (best == kNoFrame) {
+      std::this_thread::yield();
+      continue;
+    }
+    Frame& f = shard.frames[best];
+    if (!TryClaim(f)) continue;  // pinned since the scan: look again
+    if (f.dirty.load(std::memory_order_relaxed)) {
+      if (Status st = disk_->WritePage(f.id.load(std::memory_order_relaxed),
+                                       f.page);
+          !st.ok()) {
+        f.pins.store(0, std::memory_order_release);
+        return st;
+      }
+      shard.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
+    }
+    NotePrefetchDiscarded(f);
+    Unmap(f);
+    shard.evictions.fetch_add(1, std::memory_order_relaxed);
+    return best;
   }
-  const size_t idx = shard.lru.back();
-  ATIS_RETURN_NOT_OK(EvictFrame(shard, idx));
-  return idx;
-}
-
-Status BufferPool::EvictFrame(Shard& shard, size_t frame_idx) {
-  Frame& f = shard.frames[frame_idx];
-  assert(f.pin_count == 0 && f.in_lru);
-  if (f.dirty) {
-    ATIS_RETURN_NOT_OK(disk_->WritePage(f.id, f.page));
-    shard.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
-  }
-  shard.lru.erase(f.lru_pos);
-  f.in_lru = false;
-  NotePrefetchDiscarded(f);
-  shard.table.erase(f.id);
-  f.id = kInvalidPageId;
-  f.dirty = false;
-  shard.evictions.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  return Status::ResourceExhausted("buffer pool: all frames of shard pinned");
 }
 
 void BufferPool::StartPrefetchWorkers(size_t num_workers) {
@@ -458,45 +582,44 @@ void BufferPool::PrefetchFill(PageId id) {
   std::unique_lock<std::mutex> lock(shard.mu);
   // Already resident or being filled (by a foreground miss or another
   // worker): the hint is satisfied by residency, nothing to do.
-  if (shard.table.find(id) != shard.table.end()) return;
-  Result<size_t> victim = GetVictimFrame(shard);
+  if (table_.Get(id) != kNoFrame) return;
+  // Advisory hints are droppable, never an error the caller sees: drop
+  // this one when a foreground miss is waiting for the shard's next free
+  // frame, when every frame is pinned, or when the victim write-back fails.
+  Result<uint32_t> victim =
+      shard.waiting_misses > 0
+          ? Status::ResourceExhausted("a foreground miss is waiting")
+          : ClaimVictim(shard);
   if (!victim.ok()) {
-    // Every frame pinned (or the victim write-back failed): advisory
-    // hints are droppable, never an error the caller sees.
     prefetch_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const size_t idx = victim.value();
+  const uint32_t idx = victim.value();
   Frame& f = shard.frames[idx];
-  f.id = id;
-  f.pin_count = 1;  // pinned only while the read is in flight
-  f.dirty = false;
-  f.in_lru = false;
-  f.io_in_progress = true;
-  f.prefetched = false;
-  shard.table[id] = idx;
+  Map(f, idx, id);
+  f.io_in_progress = true;  // the frame stays busy only while in flight
+  ++shard.prefetch_fills;
 
   lock.unlock();
   Status io = ReadWithRetry(id, &f.page);
   lock.lock();
 
   f.io_in_progress = false;
-  f.pin_count = 0;
+  --shard.prefetch_fills;
   if (!io.ok()) {
     // Roll back exactly like a failed foreground fill; waiters re-probe,
     // find no mapping, and become the loader themselves.
-    shard.table.erase(id);
-    f.id = kInvalidPageId;
-    f.dirty = false;
+    Unmap(f);
     shard.free_frames.push_back(idx);
+    f.pins.store(0, std::memory_order_release);
     prefetch_errors_.fetch_add(1, std::memory_order_relaxed);
     shard.io_cv.notify_all();
     return;
   }
-  f.prefetched = true;
-  shard.lru.push_front(idx);
-  f.lru_pos = shard.lru.begin();
-  f.in_lru = true;
+  f.prefetched.store(true, std::memory_order_relaxed);
+  f.stamp.store(shard.clock.fetch_add(1, std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+  f.pins.store(0, std::memory_order_release);
   prefetch_filled_.fetch_add(1, std::memory_order_relaxed);
   shard.io_cv.notify_all();
 }

@@ -8,26 +8,56 @@
 // like a normal database buffer cache.
 //
 // Concurrency: the pool is split into `num_shards` shards, each owning a
-// fixed slice of the frames plus its own hash table, LRU list, free list
-// and latch. A page id maps to exactly one shard (id % num_shards), so all
-// operations on one page serialise on that shard's latch while operations
-// on different shards proceed in parallel. Pinned frames are never victims,
-// so a Page* handed out by a PageGuard stays valid and unshared for the
-// guard's lifetime. The default is a single shard, which preserves the
-// exact global-LRU hit/miss/eviction sequence of the paper-mode
+// fixed slice of the frames plus its own free list, LRU clock and latch. A
+// page id maps to exactly one shard (id % num_shards). The default is a
+// single shard, which keeps the exact global-LRU sequence of the paper-mode
 // experiments; concurrent servers construct the pool with more shards.
+//
+// Page table. A dense two-level array indexed by page id (DiskManager ids
+// are small and reused) maps a resident page to its frame. Chunks are
+// allocated on first use and never move, so readers load entries without
+// any latch; entries are only written under the owning shard's latch.
+//
+// Frame states, kept in the atomic `Frame::pins`:
+//   - pins >= 0, id valid:   resident; `pins` guards hold it. Unpinned
+//                            (pins == 0) frames are eviction candidates.
+//   - pins == 0, id invalid: free (on the shard's free list).
+//   - pins == kBusy (< 0):   claimed by a latch holder that is evicting,
+//                            deleting or filling the frame. A fill from
+//                            disk keeps the frame busy (and
+//                            `io_in_progress` set) until its read ends.
+// Only a thread holding the shard latch may move a frame into kBusy, and
+// only by CAS 0 -> kBusy; so a frame with pins > 0 is never a victim and a
+// Page* handed out by a PageGuard stays valid for the guard's lifetime.
+//
+// Hit path (no latch, no allocation): load the frame index from the page
+// table, CAS-increment `pins` from a value >= 0, then re-check
+// `frame.id == id`. The re-check catches ABA: the frame may have been
+// evicted and refilled with another page between the table load and the
+// pin. On a mismatch the pin is undone and the fetch takes the latched
+// slow path, as do misses, in-flight fills and busy frames. (An id check
+// before the CAS as well makes such stale pins rare.) A stale pin lasts a
+// few instructions; a latch holder whose CAS loses to one looks again.
+//
+// LRU by unpin stamps. Unpin stores a tick of the shard's clock in
+// `frame.stamp` before its release-decrement of `pins`, and a prefetch fill
+// stamps its frame when the read completes. The victim is the unpinned
+// resident frame with the smallest stamp; free frames are used first. A
+// list LRU moves a frame to its front at exactly these two events and
+// removes it while pinned, so in a single-threaded run (the paper's
+// statement-at-a-time mode and every unit test) the hit, miss, victim and
+// dirty write-back sequence is the list LRU's, tick for tick. Under
+// concurrency the order is the order in which the stamps were taken.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -40,14 +70,15 @@ namespace atis::storage {
 class BufferPool;
 
 /// RAII handle to a pinned frame. While alive, the page cannot be evicted.
-/// Movable, not copyable.
+/// Movable, not copyable. Carries its frame index (local to the page's
+/// shard), so unpinning and dirtying need no page-table probe.
 class PageGuard {
  public:
   PageGuard() = default;
-  PageGuard(BufferPool* pool, PageId id, Page* page)
-      : pool_(pool), id_(id), page_(page) {}
+  PageGuard(BufferPool* pool, PageId id, Page* page, uint32_t frame)
+      : pool_(pool), id_(id), page_(page), frame_(frame) {}
   PageGuard(PageGuard&& o) noexcept
-      : pool_(o.pool_), id_(o.id_), page_(o.page_) {
+      : pool_(o.pool_), id_(o.id_), page_(o.page_), frame_(o.frame_) {
     o.pool_ = nullptr;
     o.id_ = kInvalidPageId;
     o.page_ = nullptr;
@@ -72,6 +103,7 @@ class PageGuard {
   BufferPool* pool_ = nullptr;
   PageId id_ = kInvalidPageId;
   Page* page_ = nullptr;
+  uint32_t frame_ = 0;
 };
 
 /// Statistics for cache behaviour analysis.
@@ -123,8 +155,8 @@ struct RetryPolicy {
 class BufferPool {
  public:
   /// `capacity` is the total number of frames, distributed evenly across
-  /// `num_shards` latch-protected shards (each shard gets at least one
-  /// frame, so the effective capacity is max(capacity, num_shards)).
+  /// `num_shards` shards (each shard gets at least one frame, so the
+  /// effective capacity is max(capacity, num_shards)).
   /// Preconditions relaxed to clamps: capacity >= 1, num_shards >= 1.
   BufferPool(DiskManager* disk, size_t capacity, size_t num_shards = 1);
 
@@ -158,6 +190,8 @@ class BufferPool {
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
   size_t num_cached() const;
+  /// Whether `id` is resident (or being filled). Exact when quiesced.
+  bool IsCached(PageId id) const;
   /// Aggregated snapshot across shards. Exact when quiesced; concurrent
   /// readers may see counters mid-update (each field is atomic).
   BufferPoolStats stats() const;
@@ -208,70 +242,134 @@ class BufferPool {
  private:
   friend class PageGuard;
 
-  struct Frame {
-    Page page;
-    PageId id = kInvalidPageId;
-    int pin_count = 0;
-    bool dirty = false;
-    /// Set while a miss is filling this frame from disk *outside* the
-    /// shard latch (so slow devices don't serialise the whole shard).
-    /// The frame is pinned for the duration; concurrent fetchers of the
-    /// same page wait on the shard's `io_cv`.
-    bool io_in_progress = false;
+  /// `Frame::pins` while a latch holder owns the frame (see file comment).
+  static constexpr int32_t kBusy = -1;
+  /// Page-table entry of a page that is not resident.
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
+  /// Cache-line aligned with the metadata first, so pin traffic on one
+  /// frame never shares a line with any page's bytes.
+  struct alignas(64) Frame {
+    std::atomic<PageId> id{kInvalidPageId};
+    std::atomic<int32_t> pins{0};
+    /// Shard clock tick of the last unpin (or prefetch fill); the smallest
+    /// stamp among unpinned resident frames is the LRU victim.
+    std::atomic<uint64_t> stamp{0};
+    std::atomic<bool> dirty{false};
     /// Set when a background prefetch filled this frame and no foreground
-    /// fetch has consumed it yet; drives useful/wasted attribution.
-    bool prefetched = false;
-    std::list<size_t>::iterator lru_pos;  // valid iff pin_count == 0
-    bool in_lru = false;
+    /// fetch has consumed it yet; drives useful/wasted attribution. Cleared
+    /// by exchange, so each fill is attributed exactly once.
+    std::atomic<bool> prefetched{false};
+    /// Set (under the shard latch) while a miss or prefetch is filling this
+    /// frame from disk *outside* the latch; the frame is kBusy meanwhile.
+    /// Slow-path fetchers of the same page wait on the shard's `io_cv`.
+    bool io_in_progress = false;
+    alignas(64) Page page;
   };
 
-  /// One latch-protected slice of the pool. Frame indexes below are local
-  /// to the shard's `frames` vector.
+  /// One slice of the pool. Frame indexes are local to the shard.
   struct Shard {
+    explicit Shard(size_t n) : frames(new Frame[n]), num_frames(n) {}
     mutable std::mutex mu;
     std::condition_variable io_cv;  // signalled when an in-flight fill ends
-    std::vector<Frame> frames;
-    std::vector<size_t> free_frames;
-    std::unordered_map<PageId, size_t> table;  // page id -> frame index
-    std::list<size_t> lru;                     // front = most recent
+    std::unique_ptr<Frame[]> frames;
+    size_t num_frames;
+    std::vector<uint32_t> free_frames;  // guarded by mu
+    /// Prefetch fills in flight and foreground misses waiting for one to
+    /// free a frame; both guarded by mu.
+    size_t prefetch_fills = 0;
+    size_t waiting_misses = 0;
+    /// Touched by every unpin and hit; kept off the latch's cache line.
+    alignas(64) std::atomic<uint64_t> clock{0};
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> evictions{0};
     std::atomic<uint64_t> dirty_writebacks{0};
   };
 
-  Shard& ShardFor(PageId id) { return *shards_[id % shards_.size()]; }
+  /// Dense page id -> frame index map: a directory covering every PageId,
+  /// pointing to fixed-size chunks that are installed by CAS on first
+  /// write and never move, so Get() is lock-free. Set() is called under
+  /// the owning shard's latch.
+  class PageTable {
+   public:
+    PageTable();
+    PageTable(const PageTable&) = delete;
+    PageTable& operator=(const PageTable&) = delete;
+    ~PageTable();
+    uint32_t Get(PageId id) const {
+      const std::atomic<uint32_t>* chunk =
+          dir_[id >> kChunkBits].load(std::memory_order_acquire);
+      return chunk == nullptr
+                 ? kNoFrame
+                 : chunk[id & kChunkMask].load(std::memory_order_relaxed);
+    }
+    void Set(PageId id, uint32_t frame);
 
-  void Unpin(PageId id);
-  void MarkDirty(PageId id);
-  /// Finds a free frame in `shard`, evicting its LRU unpinned frame if
-  /// needed. Caller holds shard.mu.
-  Result<size_t> GetVictimFrame(Shard& shard);
-  Status EvictFrame(Shard& shard, size_t frame_idx);  // caller holds mu
+   private:
+    static constexpr int kChunkBits = 16;
+    static constexpr PageId kChunkMask = (PageId{1} << kChunkBits) - 1;
+    static constexpr size_t kDirSize = size_t{1} << (32 - kChunkBits);
+    std::unique_ptr<std::atomic<std::atomic<uint32_t>*>[]> dir_;
+  };
+
+  Shard& ShardFor(PageId id) const {
+    return *shards_[id % shards_.size()];
+  }
+
+  /// Latched half of FetchPage: in-flight fills, busy frames and misses.
+  Result<PageGuard> FetchPageSlow(Shard& shard, PageId id);
+  void Unpin(PageId id, uint32_t frame);
+  void MarkDirty(PageId id, uint32_t frame);
+  /// Claims a frame for a new page (pins == kBusy on return): a free frame
+  /// if any, else the unpinned resident frame with the smallest stamp,
+  /// evicted (with dirty write-back). Caller holds shard.mu.
+  Result<uint32_t> ClaimVictim(Shard& shard);
+  /// CAS 0 -> kBusy. Caller holds the shard latch.
+  static bool TryClaim(Frame& f);
+  /// TryClaim, retried briefly while a stale optimistic pin holds the
+  /// frame. False if the frame stays pinned or is busy.
+  static bool ClaimUnpinned(Frame& f);
+  /// Drops a claimed (kBusy) resident frame's mapping; the frame stays
+  /// kBusy with an invalid id. Caller holds the shard latch and has
+  /// written back any dirty contents.
+  void Unmap(Frame& f);
+  /// Installs `id` in claimed frame `idx`. The caller fills the page and
+  /// then publishes the frame by storing its pin count.
+  void Map(Frame& f, uint32_t idx, PageId id) {
+    f.id.store(id, std::memory_order_relaxed);
+    table_.Set(id, idx);
+  }
+  /// When `claim` failed only because prefetch fills hold the shard's
+  /// frames, waits (on io_cv, releasing `lock`) for one to finish and
+  /// returns true: the caller retries. Prefetch never fails a foreground
+  /// fetch.
+  static bool WaitForPrefetchFill(Shard& shard,
+                                  std::unique_lock<std::mutex>& lock,
+                                  const Result<uint32_t>& claim);
 
   /// Reads `id` into *dest honouring retry_: re-issues the read after a
   /// transient fault, with exponential backoff, up to max_attempts. Called
   /// with no shard latch held (the fill slot is already claimed).
   Status ReadWithRetry(PageId id, Page* dest);
 
-  /// Clears a frame's `prefetched` flag, attributing the outcome. Caller
-  /// holds the owning shard's latch.
+  /// Clears a frame's `prefetched` flag, attributing the outcome.
   void NotePrefetchConsumed(Frame& f) {
-    if (f.prefetched) {
-      f.prefetched = false;
+    if (f.prefetched.load(std::memory_order_relaxed) &&
+        f.prefetched.exchange(false, std::memory_order_relaxed)) {
       prefetch_useful_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   void NotePrefetchDiscarded(Frame& f) {
-    if (f.prefetched) {
-      f.prefetched = false;
+    if (f.prefetched.exchange(false, std::memory_order_relaxed)) {
       prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   void PrefetchWorkerLoop();
   /// Fills one hinted page (worker thread). Skips resident/in-flight
-  /// pages; drops the hint when the shard has no evictable frame.
+  /// pages; drops the hint when the shard has no evictable frame or a
+  /// foreground miss is waiting for one.
   void PrefetchFill(PageId id);
 
   DiskManager* disk_;
@@ -286,6 +384,7 @@ class BufferPool {
   std::atomic<uint64_t> prefetch_wasted_{0};
   std::atomic<uint64_t> prefetch_errors_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
+  PageTable table_;
 
   /// Hint queue + worker pool. `mu` orders queue/in-flight/stop state;
   /// `cv` wakes workers, `idle_cv` wakes WaitForPrefetchIdle.

@@ -94,14 +94,6 @@ Result<std::pair<uint16_t, uint16_t>> HeapFile::LiveSlot(const Page& p,
   return std::make_pair(offset, size);
 }
 
-Result<std::vector<uint8_t>> HeapFile::Get(RecordId rid) const {
-  std::vector<uint8_t> out;
-  ATIS_RETURN_NOT_OK(Read(rid, [&](std::span<const uint8_t> record) {
-    out.assign(record.begin(), record.end());
-  }));
-  return out;
-}
-
 Status HeapFile::Read(
     RecordId rid,
     const std::function<void(std::span<const uint8_t>)>& visit) const {
@@ -120,50 +112,6 @@ Result<std::span<uint8_t>> HeapFile::Editor::Edit(RecordId rid) {
   }
   ATIS_ASSIGN_OR_RETURN(const auto slot, LiveSlot(*page_, rid.slot));
   return std::span<uint8_t>(page_->data() + slot.first, slot.second);
-}
-
-Status HeapFile::Update(RecordId rid, std::span<const uint8_t> record) {
-  if (record.size() > kMaxRecordSize) {
-    return Status::InvalidArgument("record too large for a page");
-  }
-  ATIS_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(rid.page));
-  Page& p = guard.MutablePage();
-  ATIS_ASSIGN_OR_RETURN(const auto live, LiveSlot(p, rid.slot));
-  const auto [offset, size] = live;
-
-  if (record.size() <= size) {
-    p.WriteBytes(offset, record.data(), record.size());
-    WriteSlot(&p, rid.slot, offset, static_cast<uint16_t>(record.size()));
-  } else {
-    // Relocate within the page.
-    if (ContiguousFree(p) < record.size()) {
-      // Free the old copy first, then compact to coalesce space. Keep the
-      // old payload so the record can be restored if the new one does not
-      // fit even then.
-      std::vector<uint8_t> old_payload(size);
-      p.ReadBytes(offset, old_payload.data(), size);
-      WriteSlot(&p, rid.slot, 0, 0);
-      CompactPage(&p);
-      if (ContiguousFree(p) < record.size()) {
-        const uint16_t restore_end =
-            static_cast<uint16_t>(FreeEnd(p) - old_payload.size());
-        p.WriteBytes(restore_end, old_payload.data(), old_payload.size());
-        p.WriteAt<uint16_t>(kOffFreeEnd, restore_end);
-        WriteSlot(&p, rid.slot, restore_end,
-                  static_cast<uint16_t>(old_payload.size()));
-        RefreshPageInfo(rid.page, p);
-        return Status::ResourceExhausted("page full: cannot grow record");
-      }
-    }
-    const uint16_t new_free_end =
-        static_cast<uint16_t>(FreeEnd(p) - record.size());
-    p.WriteBytes(new_free_end, record.data(), record.size());
-    p.WriteAt<uint16_t>(kOffFreeEnd, new_free_end);
-    WriteSlot(&p, rid.slot, new_free_end,
-              static_cast<uint16_t>(record.size()));
-  }
-  RefreshPageInfo(rid.page, p);
-  return Status::OK();
 }
 
 Status HeapFile::Delete(RecordId rid) {

@@ -41,18 +41,12 @@ class HeapFile {
   /// Appends a record. Record size must fit on one page.
   Result<RecordId> Insert(std::span<const uint8_t> record);
 
-  /// Reads a record. NotFound if the slot is a tombstone or out of range.
-  Result<std::vector<uint8_t>> Get(RecordId rid) const;
-
   /// Calls `visit` with the record's payload on its pinned page — no copy.
-  /// The span is valid only during the call. Errors as Get.
+  /// The span is valid only during the call. NotFound if the slot is a
+  /// tombstone or out of range.
   Status Read(RecordId rid,
               const std::function<void(std::span<const uint8_t>)>& visit)
       const;
-
-  /// Rewrites a record in place. The new payload may be any size that fits
-  /// in the page (larger payloads are relocated within the page).
-  Status Update(RecordId rid, std::span<const uint8_t> record);
 
   /// Tombstones a record.
   Status Delete(RecordId rid);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <list>
+#include <map>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -630,6 +633,339 @@ TEST(BufferPoolPrefetchTest, StopWorkersDrainsAndStops) {
   pool.StopPrefetchWorkers();
   const std::vector<PageId> ids = MakeColdPages(dm, 1);
   EXPECT_EQ(pool.Prefetch(ids), 0u);
+}
+
+// A foreground miss that finds every frame of its shard held, one of them
+// only by an in-flight prefetch fill, must wait for that fill instead of
+// failing: prefetch never makes a foreground fetch fail.
+TEST(BufferPoolPrefetchTest, ForegroundMissWaitsForInFlightPrefetch) {
+  DiskManager dm;
+  const std::vector<PageId> ids = MakeColdPages(dm, 2);
+  BufferPool pool(&dm, 1);
+  pool.StartPrefetchWorkers(1);
+  dm.SetLatencyModel(DiskLatencyModel{.read_micros = 100'000});
+  ASSERT_EQ(pool.Prefetch(std::vector<PageId>{ids[0]}), 1u);
+  // The worker maps the page before its read starts, so once a page
+  // counts as cached the only frame is held by the fill.
+  while (pool.num_cached() == 0) std::this_thread::yield();
+  auto g = pool.FetchPage(ids[1]);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->page().ReadAt<uint32_t>(0), 1001u);
+  g->Release();
+  pool.StopPrefetchWorkers();
+  const BufferPoolStats s = pool.stats();
+  EXPECT_EQ(s.prefetch_filled, 1u);
+  EXPECT_EQ(s.prefetch_wasted, 1u);  // evicted before any foreground use
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 0u);
+}
+
+// Threads fetch, dirty and unpin a working set three times the pool, so
+// optimistic hits constantly race evictions and refills of the same
+// frames (the ABA case the hit path re-checks for). Every page carries its
+// own tag, so a pin that landed on the wrong page is caught, and each
+// thread's increments on its own pages must all survive.
+TEST(BufferPoolTest, OptimisticHitsRacingEvictionKeepTagsAndStats) {
+  constexpr size_t kThreads = 4;
+  constexpr size_t kFrames = 16;
+  constexpr size_t kPages = 3 * kFrames;
+  constexpr int kOpsPerThread = 4000;
+
+  DiskManager dm;
+  BufferPool pool(&dm, kFrames, 4);
+  std::vector<PageId> ids;
+  for (size_t i = 0; i < kPages; ++i) {
+    auto g = pool.NewPage();
+    ASSERT_TRUE(g.ok());
+    g->MutablePage().WriteAt<uint32_t>(0, 0xA000 + static_cast<uint32_t>(i));
+    ids.push_back(g->id());
+  }
+  pool.ResetStats();
+
+  std::atomic<uint64_t> fetches{0};
+  std::atomic<int> failures{0};
+  std::vector<uint64_t> bumps(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(900 + t);
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        const size_t i = rng.UniformInt(kPages);
+        auto g = pool.FetchPage(ids[i]);
+        if (!g.ok() ||
+            g->page().ReadAt<uint32_t>(0) != 0xA000 + static_cast<uint32_t>(i)) {
+          failures.fetch_add(1);
+          return;
+        }
+        fetches.fetch_add(1);
+        // Page i's counter belongs to thread i % kThreads alone.
+        if (i % kThreads == t) {
+          Page& p = g->MutablePage();
+          p.WriteAt<uint32_t>(4, p.ReadAt<uint32_t>(4) + 1);
+          ++bumps[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  const BufferPoolStats s = pool.stats();
+  EXPECT_EQ(s.hits + s.misses, fetches.load());
+  EXPECT_GT(s.evictions, 0u);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  std::vector<uint64_t> totals(kThreads, 0);
+  for (size_t i = 0; i < kPages; ++i) {
+    Page p;
+    ASSERT_TRUE(dm.ReadPage(ids[i], &p).ok());
+    EXPECT_EQ(p.ReadAt<uint32_t>(0), 0xA000 + static_cast<uint32_t>(i));
+    totals[i % kThreads] += p.ReadAt<uint32_t>(4);
+  }
+  EXPECT_EQ(totals, bumps);
+}
+
+// ---------------------------------------------------------------------------
+// LRU equivalence. Single-threaded, the pool must replay a reference
+// std::list LRU exactly (the same hits, misses, victims, evictions and
+// dirty write-backs), which is what keeps the statement-at-a-time block
+// counts of the paper's experiments bit-identical.
+
+/// The reference: per shard, a free-frame count and a list of the
+/// unpinned resident pages, most recently unpinned (or prefetched) first.
+class ReferenceLru {
+ public:
+  ReferenceLru(size_t capacity, size_t num_shards) : shards_(num_shards) {
+    for (size_t s = 0; s < num_shards; ++s) {
+      shards_[s].free = capacity / num_shards + (s < capacity % num_shards);
+    }
+  }
+
+  BufferPoolStats stats;
+  uint64_t blocks_read = 0;
+
+  bool cached(PageId id) const { return pages_.count(id) > 0; }
+
+  /// False when every frame of the page's shard is pinned.
+  bool Fetch(PageId id) {
+    auto it = pages_.find(id);
+    if (it != pages_.end()) {
+      ++stats.hits;
+      Entry& e = it->second;
+      if (e.prefetched) {
+        e.prefetched = false;
+        ++stats.prefetch_useful;
+      }
+      if (e.pins++ == 0) ShardOf(id).lru.remove(id);
+      return true;
+    }
+    ++stats.misses;
+    if (!Claim(id)) return false;
+    ++blocks_read;
+    pages_[id] = Entry{1, false, false};
+    return true;
+  }
+  bool New(PageId id) {
+    if (!Claim(id)) return false;
+    pages_[id] = Entry{1, true, false};
+    return true;
+  }
+  void Unpin(PageId id) {
+    if (--pages_[id].pins == 0) ShardOf(id).lru.push_front(id);
+  }
+  void Dirty(PageId id) { pages_[id].dirty = true; }
+  void Prefetch(PageId id) {
+    if (cached(id)) return;
+    if (!Claim(id)) {
+      ++stats.prefetch_dropped;
+      return;
+    }
+    ++blocks_read;
+    ++stats.prefetch_filled;
+    pages_[id] = Entry{0, false, true};
+    ShardOf(id).lru.push_front(id);
+  }
+  /// False when the page is pinned.
+  bool Delete(PageId id) {
+    auto it = pages_.find(id);
+    if (it == pages_.end()) return true;
+    if (it->second.pins > 0) return false;
+    if (it->second.prefetched) ++stats.prefetch_wasted;
+    ShardOf(id).lru.remove(id);
+    ++ShardOf(id).free;
+    pages_.erase(it);
+    return true;
+  }
+  /// Shard by shard; false at the first shard holding a pinned page.
+  bool EvictAll() {
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      for (const auto& [id, e] : pages_) {
+        if (id % shards_.size() == s && e.pins > 0) return false;
+      }
+      for (auto it = pages_.begin(); it != pages_.end();) {
+        if (it->first % shards_.size() != s) {
+          ++it;
+          continue;
+        }
+        if (it->second.dirty) ++stats.dirty_writebacks;
+        if (it->second.prefetched) ++stats.prefetch_wasted;
+        ++stats.evictions;
+        ++shards_[s].free;
+        it = pages_.erase(it);
+      }
+      shards_[s].lru.clear();
+    }
+    return true;
+  }
+  void FlushAll() {
+    for (auto& [id, e] : pages_) {
+      if (e.dirty) ++stats.dirty_writebacks;
+      e.dirty = false;
+    }
+  }
+
+ private:
+  struct Entry {
+    int pins;
+    bool dirty;
+    bool prefetched;
+  };
+  struct Shard {
+    size_t free = 0;
+    std::list<PageId> lru;
+  };
+
+  Shard& ShardOf(PageId id) { return shards_[id % shards_.size()]; }
+
+  /// A free frame, else the LRU victim (written back when dirty).
+  bool Claim(PageId id) {
+    Shard& s = ShardOf(id);
+    if (s.free > 0) {
+      --s.free;
+      return true;
+    }
+    if (s.lru.empty()) return false;
+    const PageId victim = s.lru.back();
+    s.lru.pop_back();
+    const Entry& e = pages_.at(victim);
+    if (e.dirty) ++stats.dirty_writebacks;
+    if (e.prefetched) ++stats.prefetch_wasted;
+    ++stats.evictions;
+    pages_.erase(victim);
+    return true;
+  }
+
+  std::vector<Shard> shards_;
+  std::map<PageId, Entry> pages_;
+};
+
+void ExpectSameState(const BufferPool& pool, const ReferenceLru& ref,
+                     const DiskManager& dm, uint64_t writes_before,
+                     const std::vector<PageId>& pages, int op) {
+  const BufferPoolStats s = pool.stats();
+  ASSERT_EQ(s.hits, ref.stats.hits) << "op " << op;
+  ASSERT_EQ(s.misses, ref.stats.misses) << "op " << op;
+  ASSERT_EQ(s.evictions, ref.stats.evictions) << "op " << op;
+  ASSERT_EQ(s.dirty_writebacks, ref.stats.dirty_writebacks) << "op " << op;
+  ASSERT_EQ(s.prefetch_filled, ref.stats.prefetch_filled) << "op " << op;
+  ASSERT_EQ(s.prefetch_dropped, ref.stats.prefetch_dropped) << "op " << op;
+  ASSERT_EQ(s.prefetch_useful, ref.stats.prefetch_useful) << "op " << op;
+  ASSERT_EQ(s.prefetch_wasted, ref.stats.prefetch_wasted) << "op " << op;
+  ASSERT_EQ(dm.meter().counters().blocks_read, ref.blocks_read) << "op " << op;
+  ASSERT_EQ(dm.meter().counters().blocks_written - writes_before,
+            ref.stats.dirty_writebacks)
+      << "op " << op;
+  // Same residency everywhere means the same victim at every eviction.
+  for (const PageId id : pages) {
+    ASSERT_EQ(pool.IsCached(id), ref.cached(id)) << "op " << op << " page "
+                                                 << id;
+  }
+}
+
+void RunLruEquivalence(size_t capacity, size_t num_shards, uint64_t seed) {
+  DiskManager dm;
+  std::vector<PageId> pages = MakeColdPages(dm, 3 * capacity);
+  const uint64_t writes_before = dm.meter().counters().blocks_written;
+  BufferPool pool(&dm, capacity, num_shards);
+  pool.StartPrefetchWorkers(1);  // one worker: fills land in hint order
+  ReferenceLru ref(capacity, num_shards);
+  std::vector<PageGuard> held;
+  Rng rng(seed);
+  for (int op = 0; op < 3000; ++op) {
+    const uint64_t kind = rng.UniformInt(100);
+    const PageId id = pages[rng.UniformInt(pages.size())];
+    if (kind < 50) {
+      // Fetch; sometimes dirty it, sometimes keep it pinned for a while.
+      auto g = pool.FetchPage(id);
+      const bool ok = ref.Fetch(id);
+      ASSERT_EQ(g.ok(), ok) << "op " << op;
+      if (!ok) {
+        EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted);
+      } else {
+        if (rng.UniformInt(3) == 0) {
+          g->MutablePage().WriteAt<uint32_t>(4, static_cast<uint32_t>(op));
+          ref.Dirty(id);
+        }
+        if (held.size() < 3 && rng.UniformInt(4) == 0) {
+          held.push_back(std::move(g).value());
+        } else {
+          g->Release();
+          ref.Unpin(id);
+        }
+      }
+    } else if (kind < 62) {
+      if (held.empty()) continue;
+      const size_t i = rng.UniformInt(held.size());
+      if (rng.UniformInt(2) == 0) {
+        held[i].MutablePage().WriteAt<uint32_t>(8, static_cast<uint32_t>(op));
+        ref.Dirty(held[i].id());
+      }
+      ref.Unpin(held[i].id());
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (kind < 68) {
+      // Only with nothing pinned, so the new page always finds a frame
+      // (its id is unknown until the call returns).
+      if (!held.empty()) continue;
+      auto g = pool.NewPage();
+      ASSERT_TRUE(g.ok());
+      ASSERT_TRUE(ref.New(g->id()));
+      pages.push_back(g->id());
+      g->Release();
+      ref.Unpin(pages.back());
+    } else if (kind < 74) {
+      if (pages.size() <= capacity) continue;
+      const bool ok = ref.Delete(id);
+      ASSERT_EQ(pool.DeletePage(id).ok(), ok) << "op " << op;
+      if (ok) pages.erase(std::find(pages.begin(), pages.end(), id));
+    } else if (kind < 88) {
+      pool.Prefetch(std::vector<PageId>{id});
+      pool.WaitForPrefetchIdle();
+      ref.Prefetch(id);
+    } else if (kind < 94) {
+      ASSERT_EQ(pool.EvictAll().ok(), ref.EvictAll()) << "op " << op;
+    } else {
+      ASSERT_TRUE(pool.FlushAll().ok());
+      ref.FlushAll();
+    }
+    ExpectSameState(pool, ref, dm, writes_before, pages, op);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (PageGuard& g : held) ref.Unpin(g.id());
+  held.clear();
+  pool.StopPrefetchWorkers();
+}
+
+TEST(BufferPoolLruModelTest, OneShardReplaysReferenceLru) {
+  for (const uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    RunLruEquivalence(6, 1, seed);
+  }
+}
+
+TEST(BufferPoolLruModelTest, FourShardsReplayReferenceLru) {
+  for (const uint64_t seed : {4, 5, 6}) {
+    SCOPED_TRACE(seed);
+    RunLruEquivalence(10, 4, seed);
+  }
 }
 
 }  // namespace

@@ -153,7 +153,8 @@ TEST(FaultInjectionTest, HeapFileScanAndGetSurviveFaults) {
   EXPECT_LT(visited, rids.size());
   // Point reads surface the error directly.
   ASSERT_TRUE(pool.EvictAll().ok());
-  EXPECT_EQ(file.Get(rids.back()).status().code(), StatusCode::kInternal);
+  EXPECT_EQ(file.Read(rids.back(), [](std::span<const uint8_t>) {}).code(),
+            StatusCode::kInternal);
 
   dm.ClearFaultInjection();
   ASSERT_TRUE(pool.EvictAll().ok());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,6 +20,25 @@ std::string Str(std::span<const uint8_t> v) {
   return std::string(v.begin(), v.end());
 }
 
+/// Copies a record out through HeapFile::Read.
+Result<std::string> ReadStr(const HeapFile& file, RecordId rid) {
+  std::string out;
+  ATIS_RETURN_NOT_OK(
+      file.Read(rid, [&](std::span<const uint8_t> r) { out = Str(r); }));
+  return out;
+}
+
+/// Overwrites a record with a same-size payload through HeapFile::Editor.
+Status Overwrite(HeapFile& file, RecordId rid, const std::string& payload) {
+  HeapFile::Editor editor(&file);
+  ATIS_ASSIGN_OR_RETURN(std::span<uint8_t> bytes, editor.Edit(rid));
+  if (bytes.size() != payload.size()) {
+    return Status::InvalidArgument("payload size differs");
+  }
+  std::copy(payload.begin(), payload.end(), bytes.begin());
+  return Status::OK();
+}
+
 class HeapFileTest : public ::testing::Test {
  protected:
   HeapFileTest() : pool_(&disk_, 8), file_(&pool_) {}
@@ -30,9 +50,9 @@ class HeapFileTest : public ::testing::Test {
 TEST_F(HeapFileTest, InsertAndGet) {
   auto rid = file_.Insert(Bytes("hello"));
   ASSERT_TRUE(rid.ok());
-  auto got = file_.Get(*rid);
+  auto got = ReadStr(file_, *rid);
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(Str(*got), "hello");
+  EXPECT_EQ(*got, "hello");
   EXPECT_EQ(file_.num_records(), 1u);
 }
 
@@ -41,14 +61,14 @@ TEST_F(HeapFileTest, GetMissingSlotFails) {
   ASSERT_TRUE(rid.ok());
   RecordId bogus = *rid;
   bogus.slot = 99;
-  EXPECT_TRUE(file_.Get(bogus).status().IsNotFound());
+  EXPECT_TRUE(ReadStr(file_, bogus).status().IsNotFound());
 }
 
 TEST_F(HeapFileTest, DeleteTombstones) {
   auto rid = file_.Insert(Bytes("bye"));
   ASSERT_TRUE(rid.ok());
   ASSERT_TRUE(file_.Delete(*rid).ok());
-  EXPECT_TRUE(file_.Get(*rid).status().IsNotFound());
+  EXPECT_TRUE(ReadStr(file_, *rid).status().IsNotFound());
   EXPECT_TRUE(file_.Delete(*rid).IsNotFound());
   EXPECT_EQ(file_.num_records(), 0u);
 }
@@ -56,23 +76,8 @@ TEST_F(HeapFileTest, DeleteTombstones) {
 TEST_F(HeapFileTest, UpdateSameSizeInPlace) {
   auto rid = file_.Insert(Bytes("abcde"));
   ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(file_.Update(*rid, Bytes("ABCDE")).ok());
-  EXPECT_EQ(Str(*file_.Get(*rid)), "ABCDE");
-}
-
-TEST_F(HeapFileTest, UpdateSmallerShrinks) {
-  auto rid = file_.Insert(Bytes("abcdef"));
-  ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(file_.Update(*rid, Bytes("xy")).ok());
-  EXPECT_EQ(Str(*file_.Get(*rid)), "xy");
-}
-
-TEST_F(HeapFileTest, UpdateLargerRelocates) {
-  auto rid = file_.Insert(Bytes("ab"));
-  ASSERT_TRUE(rid.ok());
-  const std::string big(300, 'z');
-  ASSERT_TRUE(file_.Update(*rid, Bytes(big)).ok());
-  EXPECT_EQ(Str(*file_.Get(*rid)), big);
+  ASSERT_TRUE(Overwrite(file_, *rid, "ABCDE").ok());
+  EXPECT_EQ(*ReadStr(file_, *rid), "ABCDE");
 }
 
 TEST_F(HeapFileTest, RecordTooLargeRejected) {
@@ -158,7 +163,7 @@ TEST_F(HeapFileTest, ClearReleasesPages) {
 TEST_F(HeapFileTest, EmptyRecordSupported) {
   auto rid = file_.Insert({});
   ASSERT_TRUE(rid.ok());
-  auto got = file_.Get(*rid);
+  auto got = ReadStr(file_, *rid);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->empty());
 }
@@ -181,19 +186,10 @@ TEST_F(HeapFileTest, RandomOpsMatchReferenceModel) {
       auto it = model.begin();
       std::advance(it, static_cast<long>(rng.UniformInt(
                            static_cast<uint64_t>(model.size()))));
-      const size_t len = rng.UniformInt(uint64_t{200});
-      std::string payload(len, static_cast<char>('A' + (step % 26)));
-      const Status st = file_.Update(it->second.first, Bytes(payload));
-      if (st.ok()) {
-        it->second.second = payload;
-      } else {
-        // Documented contract: growth beyond the record's page can fail
-        // with ResourceExhausted, leaving the old record intact.
-        ASSERT_EQ(st.code(), StatusCode::kResourceExhausted);
-        auto old = file_.Get(it->second.first);
-        ASSERT_TRUE(old.ok());
-        EXPECT_EQ(Str(*old), it->second.second);
-      }
+      std::string payload(it->second.second.size(),
+                          static_cast<char>('A' + (step % 26)));
+      ASSERT_TRUE(Overwrite(file_, it->second.first, payload).ok());
+      it->second.second = payload;
     } else {
       auto it = model.begin();
       std::advance(it, static_cast<long>(rng.UniformInt(
@@ -204,9 +200,9 @@ TEST_F(HeapFileTest, RandomOpsMatchReferenceModel) {
   }
   EXPECT_EQ(file_.num_records(), model.size());
   for (const auto& [key, entry] : model) {
-    auto got = file_.Get(entry.first);
+    auto got = ReadStr(file_, entry.first);
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(Str(*got), entry.second);
+    EXPECT_EQ(*got, entry.second);
   }
 }
 
