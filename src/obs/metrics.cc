@@ -302,15 +302,19 @@ std::string MetricsRegistry::ToPrometheusText() {
                 << RenderLabels(WithLe(s.labels, h.bounds()[i])) << " "
                 << h.CumulativeCount(i) << "\n";
           }
+          // One read serves the +Inf bucket and _count, which must agree
+          // even while observations keep arriving; read after the finite
+          // buckets, it is never below them.
+          const uint64_t count = h.count();
           out << name << "_bucket"
               << RenderLabels(
                      WithLe(s.labels,
                             std::numeric_limits<double>::infinity()))
-              << " " << h.count() << "\n";
+              << " " << count << "\n";
           out << name << "_sum" << RenderLabels(s.labels) << " "
               << FormatValue(h.sum()) << "\n";
-          out << name << "_count" << RenderLabels(s.labels) << " "
-              << h.count() << "\n";
+          out << name << "_count" << RenderLabels(s.labels) << " " << count
+              << "\n";
           break;
         }
       }
@@ -381,13 +385,12 @@ std::string MetricsRegistry::ToJson() {
               out << FormatValue(h.bounds()[i]);
             }
             out << "],\"cumulative_counts\":[";
-            for (size_t i = 0; i <= h.bounds().size(); ++i) {
-              if (i) out << ",";
-              out << (i < h.bounds().size() ? h.CumulativeCount(i)
-                                            : h.count());
+            for (size_t i = 0; i < h.bounds().size(); ++i) {
+              out << h.CumulativeCount(i) << ",";
             }
-            out << "],\"sum\":" << FormatValue(h.sum())
-                << ",\"count\":" << h.count()
+            const uint64_t count = h.count();  // as in the text format
+            out << count << "],\"sum\":" << FormatValue(h.sum())
+                << ",\"count\":" << count
                 << ",\"p50\":" << FormatValue(h.Percentile(50.0))
                 << ",\"p95\":" << FormatValue(h.Percentile(95.0))
                 << ",\"p99\":" << FormatValue(h.Percentile(99.0));
