@@ -9,7 +9,9 @@
 
 #include "core/advanced_search.h"
 #include "core/hierarchy.h"
+#include "core/landmarks.h"
 #include "core/memory_search.h"
+#include "core/sssp.h"
 #include "graph/grid_generator.h"
 #include "graph/road_map_generator.h"
 
@@ -78,29 +80,52 @@ void BM_Iterative_GridDiagonal(benchmark::State& state) {
 }
 BENCHMARK(BM_Iterative_GridDiagonal)->Arg(10)->Arg(20)->Arg(30)->Arg(60)->Arg(100);
 
-void BM_RoadMap_LongTrip(benchmark::State& state) {
+const graph::RoadMap& MinneapolisMap() {
   static const graph::RoadMap* rm = [] {
     auto r = graph::GenerateMinneapolisLike();
     return new graph::RoadMap(std::move(r).value());
   }();
+  return *rm;
+}
+
+void BM_RoadMap_LongTrip(benchmark::State& state) {
+  const graph::RoadMap& rm = MinneapolisMap();
   const auto eu = MakeEstimator(EstimatorKind::kEuclidean);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(AStarSearch(rm->graph, rm->a, rm->b, *eu));
+    benchmark::DoNotOptimize(AStarSearch(rm.graph, rm.a, rm.b, *eu));
   }
 }
 BENCHMARK(BM_RoadMap_LongTrip);
 
 void BM_RoadMap_ShortTrip(benchmark::State& state) {
-  static const graph::RoadMap* rm = [] {
-    auto r = graph::GenerateMinneapolisLike();
-    return new graph::RoadMap(std::move(r).value());
-  }();
+  const graph::RoadMap& rm = MinneapolisMap();
   const auto eu = MakeEstimator(EstimatorKind::kEuclidean);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(AStarSearch(rm->graph, rm->g, rm->d, *eu));
+    benchmark::DoNotOptimize(AStarSearch(rm.graph, rm.g, rm.d, *eu));
   }
 }
 BENCHMARK(BM_RoadMap_ShortTrip);
+
+// The shortest-path kernel alone: one full SSSP tree over the road map,
+// and the 8-landmark selection (16 trees plus the seed tree) that
+// RouteServer runs at setup and, as RecomputeLandmarks, per update batch.
+void BM_SingleSourceDijkstra_RoadMap(benchmark::State& state) {
+  const graph::RoadMap& rm = MinneapolisMap();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::SingleSourceDijkstra(rm.graph, rm.a));
+  }
+}
+BENCHMARK(BM_SingleSourceDijkstra_RoadMap);
+
+void BM_SelectLandmarks_RoadMap(benchmark::State& state) {
+  const graph::RoadMap& rm = MinneapolisMap();
+  core::LandmarkOptions options;
+  options.num_landmarks = 8;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::SelectLandmarks(rm.graph, options));
+  }
+}
+BENCHMARK(BM_SelectLandmarks_RoadMap);
 
 void BM_BidirectionalDijkstra_GridDiagonal(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

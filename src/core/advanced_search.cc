@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <vector>
+
+#include "graph/shortest_path.h"
 
 namespace atis::core {
 
@@ -79,95 +80,52 @@ PathResult BidirectionalDijkstra(const Graph& g, const Graph& reverse,
   }
 
   const size_t n = g.num_nodes();
-  struct Side {
-    std::vector<double> dist;
-    std::vector<NodeId> pred;
-    std::vector<uint8_t> settled;
-    std::priority_queue<std::pair<double, NodeId>,
-                        std::vector<std::pair<double, NodeId>>,
-                        std::greater<>>
-        pq;
-  };
-  Side fwd{std::vector<double>(n, kInf), std::vector<NodeId>(n, graph::kInvalidNode),
-           std::vector<uint8_t>(n, 0), {}};
-  Side bwd{std::vector<double>(n, kInf), std::vector<NodeId>(n, graph::kInvalidNode),
-           std::vector<uint8_t>(n, 0), {}};
-  fwd.dist[static_cast<size_t>(source)] = 0.0;
-  fwd.pq.emplace(0.0, source);
-  bwd.dist[static_cast<size_t>(destination)] = 0.0;
-  bwd.pq.emplace(0.0, destination);
+  graph::ShortestPathSearch fwd(n);
+  graph::ShortestPathSearch bwd(n);
+  fwd.Seed(source, 0.0);
+  bwd.Seed(destination, 0.0);
 
   double best = kInf;
   NodeId meet = graph::kInvalidNode;
 
-  auto scan_top = [](Side& side) {
-    while (!side.pq.empty() &&
-           side.pq.top().first >
-               side.dist[static_cast<size_t>(side.pq.top().second)]) {
-      side.pq.pop();  // stale
-    }
-    return side.pq.empty() ? kInf : side.pq.top().first;
-  };
-
   while (true) {
-    const double top_f = scan_top(fwd);
-    const double top_b = scan_top(bwd);
+    const double top_f = fwd.FrontierMin();
+    const double top_b = bwd.FrontierMin();
     if (top_f + top_b >= best) break;  // no shorter meeting possible
     if (top_f == kInf && top_b == kInf) break;
 
     const bool expand_forward = top_f <= top_b;
-    Side& side = expand_forward ? fwd : bwd;
-    Side& other = expand_forward ? bwd : fwd;
+    graph::ShortestPathSearch& side = expand_forward ? fwd : bwd;
+    const graph::ShortestPathSearch& other = expand_forward ? bwd : fwd;
     const Graph& edges = expand_forward ? g : reverse;
-
-    const auto [du, u] = side.pq.top();
-    side.pq.pop();
-    if (side.settled[static_cast<size_t>(u)]) continue;
-    side.settled[static_cast<size_t>(u)] = 1;
-    ++result.stats.iterations;
-    ++result.stats.nodes_expanded;
-
-    for (const graph::Edge& e : edges.Neighbors(u)) {
-      ++result.stats.nodes_generated;
-      const double nd = du + e.cost;
-      if (nd < side.dist[static_cast<size_t>(e.to)]) {
-        ++result.stats.nodes_improved;
-        side.dist[static_cast<size_t>(e.to)] = nd;
-        side.pred[static_cast<size_t>(e.to)] = u;
-        side.pq.emplace(nd, e.to);
+    side.Step([&](NodeId u, const auto& relax) {
+      ++result.stats.iterations;
+      ++result.stats.nodes_expanded;
+      for (const graph::Edge& e : edges.Neighbors(u)) {
+        ++result.stats.nodes_generated;
+        if (relax(e.to, e.cost)) ++result.stats.nodes_improved;
+        // Meeting-point bookkeeping uses the relaxed label plus the other
+        // side's best-known label.
+        const double through = side.dist(e.to) + other.dist(e.to);
+        if (through < best) {
+          best = through;
+          meet = e.to;
+        }
       }
-      // Meeting-point bookkeeping uses the relaxed label plus the other
-      // side's best-known label.
-      const double through =
-          side.dist[static_cast<size_t>(e.to)] +
-          other.dist[static_cast<size_t>(e.to)];
-      if (through < best) {
-        best = through;
-        meet = e.to;
-      }
-    }
+    });
   }
 
   if (meet == graph::kInvalidNode) return result;  // disconnected
 
   result.found = true;
   result.cost = best;
-  // Forward half: source..meet.
-  std::vector<NodeId> path;
-  for (NodeId at = meet; at != graph::kInvalidNode;
-       at = fwd.pred[static_cast<size_t>(at)]) {
-    path.push_back(at);
-    if (at == source) break;
+  // Forward half: source..meet, then the backward half meet..destination
+  // (the backward tree's parents are g-successors).
+  result.path = fwd.PathTo(meet);
+  for (NodeId at = bwd.parent(meet); at != graph::kInvalidNode;
+       at = bwd.parent(at)) {
+    result.path.push_back(at);
   }
-  std::reverse(path.begin(), path.end());
-  // Backward half: meet..destination (backward preds are g-successors).
-  for (NodeId at = bwd.pred[static_cast<size_t>(meet)];
-       at != graph::kInvalidNode;
-       at = bwd.pred[static_cast<size_t>(at)]) {
-    path.push_back(at);
-    if (at == destination) break;
-  }
-  result.path = std::move(path);
   return result;
 }
 

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <queue>
-#include <unordered_map>
+
+#include "graph/shortest_path.h"
 
 namespace atis::core {
 
@@ -12,56 +11,41 @@ using graph::Graph;
 using graph::NodeId;
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Dijkstra over an arbitrary local adjacency map keyed by global node
-/// ids. Returns dist/pred maps.
-struct LocalSearch {
-  std::unordered_map<NodeId, double> dist;
-  std::unordered_map<NodeId, NodeId> pred;
-};
+/// Index of u in a cell's ascending member list.
+NodeId MemberIndex(const std::vector<NodeId>& members, NodeId u) {
+  return static_cast<NodeId>(
+      std::lower_bound(members.begin(), members.end(), u) - members.begin());
+}
 
-LocalSearch LocalDijkstra(
-    const std::unordered_map<NodeId, std::vector<graph::Edge>>& adj,
-    NodeId from) {
-  LocalSearch out;
-  out.dist[from] = 0.0;
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  pq.emplace(0.0, from);
-  while (!pq.empty()) {
-    const auto [du, u] = pq.top();
-    pq.pop();
-    const auto it = out.dist.find(u);
-    if (it == out.dist.end() || du > it->second) continue;
-    const auto au = adj.find(u);
-    if (au == adj.end()) continue;
-    for (const graph::Edge& e : au->second) {
-      const double nd = du + e.cost;
-      const auto dv = out.dist.find(e.to);
-      if (dv == out.dist.end() || nd < dv->second) {
-        out.dist[e.to] = nd;
-        out.pred[e.to] = u;
-        pq.emplace(nd, e.to);
+/// Dijkstra from `from` inside one cell, over its intra-cell arcs
+/// (reversed when `reverse`). Labels are indices into `members`, which
+/// is ascending, so member order is id order and ties break as they
+/// would on global ids.
+graph::ShortestPathSearch CellSearch(const Graph& g,
+                                     const std::vector<int>& cell_of,
+                                     const std::vector<NodeId>& members,
+                                     NodeId from, bool reverse) {
+  const int cell = cell_of[static_cast<size_t>(from)];
+  std::vector<std::vector<std::pair<NodeId, double>>> adj(members.size());
+  for (size_t mi = 0; mi < members.size(); ++mi) {
+    for (const graph::Edge& e : g.Neighbors(members[mi])) {
+      if (cell_of[static_cast<size_t>(e.to)] != cell) continue;
+      const NodeId to = MemberIndex(members, e.to);
+      if (reverse) {
+        adj[static_cast<size_t>(to)].emplace_back(static_cast<NodeId>(mi),
+                                                  e.cost);
+      } else {
+        adj[mi].emplace_back(to, e.cost);
       }
     }
   }
-  return out;
-}
-
-std::vector<NodeId> LocalPath(const LocalSearch& search, NodeId from,
-                              NodeId to) {
-  std::vector<NodeId> path;
-  NodeId at = to;
-  while (true) {
-    path.push_back(at);
-    if (at == from) break;
-    const auto it = search.pred.find(at);
-    if (it == search.pred.end()) return {};
-    at = it->second;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
+  graph::ShortestPathSearch search(members.size());
+  search.Seed(MemberIndex(members, from), 0.0);
+  search.Run([&adj](NodeId u, const auto& relax) {
+    for (const auto& [v, c] : adj[static_cast<size_t>(u)]) relax(v, c);
+  });
+  return search;
 }
 
 }  // namespace
@@ -143,25 +127,21 @@ Result<HierarchicalRouter> HierarchicalRouter::Build(
 std::vector<HierarchicalRouter::Shortcut>
 HierarchicalRouter::IntraCellPaths(
     int cell, NodeId from, const std::vector<NodeId>& targets) const {
-  // Local adjacency restricted to intra-cell edges.
-  std::unordered_map<NodeId, std::vector<graph::Edge>> adj;
-  for (const NodeId u : cells_[static_cast<size_t>(cell)].members) {
-    for (const graph::Edge& e : g_->Neighbors(u)) {
-      if (cell_of_[static_cast<size_t>(e.to)] == cell) {
-        adj[u].push_back(e);
-      }
-    }
-  }
-  const LocalSearch search = LocalDijkstra(adj, from);
+  const std::vector<NodeId>& members =
+      cells_[static_cast<size_t>(cell)].members;
+  const graph::ShortestPathSearch search =
+      CellSearch(*g_, cell_of_, members, from, /*reverse=*/false);
   std::vector<Shortcut> out;
   for (const NodeId t : targets) {
     if (t == from) continue;
-    const auto it = search.dist.find(t);
-    if (it == search.dist.end()) continue;
+    const NodeId ti = MemberIndex(members, t);
+    if (!search.Reached(ti)) continue;
     Shortcut sc;
     sc.to = t;
-    sc.cost = it->second;
-    sc.path = LocalPath(search, from, t);
+    sc.cost = search.dist(ti);
+    for (const NodeId mi : search.PathTo(ti)) {
+      sc.path.push_back(members[static_cast<size_t>(mi)]);
+    }
     out.push_back(std::move(sc));
   }
   return out;
@@ -183,22 +163,23 @@ PathResult HierarchicalRouter::Route(NodeId source,
     double cost;
     std::vector<NodeId> path;  // from..to inclusive
   };
-  std::unordered_map<NodeId, std::vector<OverlayEdge>> overlay;
+  const size_t n = g_->num_nodes();
+  std::vector<std::vector<OverlayEdge>> overlay(n);
 
   // (a) Precomputed intra-cell boundary shortcuts.
   for (const Cell& cell : cells_) {
     for (const auto& [b, shortcuts] : cell.shortcuts) {
       for (const Shortcut& sc : shortcuts) {
-        overlay[b].push_back({sc.to, sc.cost, sc.path});
+        overlay[static_cast<size_t>(b)].push_back({sc.to, sc.cost, sc.path});
       }
     }
   }
   // (b) Original cross-cell edges (both endpoints are boundary nodes).
-  for (NodeId u = 0; u < static_cast<NodeId>(g_->num_nodes()); ++u) {
+  for (NodeId u = 0; u < static_cast<NodeId>(n); ++u) {
     for (const graph::Edge& e : g_->Neighbors(u)) {
       if (cell_of_[static_cast<size_t>(u)] !=
           cell_of_[static_cast<size_t>(e.to)]) {
-        overlay[u].push_back({e.to, e.cost, {u, e.to}});
+        overlay[static_cast<size_t>(u)].push_back({e.to, e.cost, {u, e.to}});
       }
     }
   }
@@ -210,85 +191,60 @@ PathResult HierarchicalRouter::Route(NodeId source,
     std::vector<NodeId> targets =
         cells_[static_cast<size_t>(s_cell)].boundary;
     if (d_cell == s_cell) targets.push_back(destination);
-    for (Shortcut& sc : [&] {
-           auto v = IntraCellPaths(s_cell, source, targets);
-           return v;
-         }()) {
-      overlay[source].push_back(
+    for (Shortcut& sc : IntraCellPaths(s_cell, source, targets)) {
+      overlay[static_cast<size_t>(source)].push_back(
           {sc.to, sc.cost, std::move(sc.path)});
     }
   }
   // (d) Destination-cell interior: boundary nodes to the destination,
   //     via a reversed intra-cell search from the destination.
   {
-    std::unordered_map<NodeId, std::vector<graph::Edge>> radj;
-    for (const NodeId u : cells_[static_cast<size_t>(d_cell)].members) {
-      for (const graph::Edge& e : g_->Neighbors(u)) {
-        if (cell_of_[static_cast<size_t>(e.to)] == d_cell) {
-          radj[e.to].push_back({u, e.cost});
-        }
-      }
-    }
-    const LocalSearch back = LocalDijkstra(radj, destination);
+    const std::vector<NodeId>& members =
+        cells_[static_cast<size_t>(d_cell)].members;
+    const graph::ShortestPathSearch back =
+        CellSearch(*g_, cell_of_, members, destination, /*reverse=*/true);
     for (const NodeId b : cells_[static_cast<size_t>(d_cell)].boundary) {
       if (b == destination) continue;
-      const auto it = back.dist.find(b);
-      if (it == back.dist.end()) continue;
-      // Reversed-tree chain b -> ... -> destination.
+      const NodeId bi = MemberIndex(members, b);
+      if (!back.Reached(bi)) continue;
+      // The reverse tree's root..b walk, read backwards, is the forward
+      // chain b -> ... -> destination.
       std::vector<NodeId> path;
-      NodeId at = b;
-      while (true) {
-        path.push_back(at);
-        if (at == destination) break;
-        at = back.pred.at(at);
+      const std::vector<NodeId> chain = back.PathTo(bi);
+      for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+        path.push_back(members[static_cast<size_t>(*it)]);
       }
-      overlay[b].push_back({destination, it->second, std::move(path)});
+      overlay[static_cast<size_t>(b)].push_back(
+          {destination, back.dist(bi), std::move(path)});
     }
   }
 
-  // Overlay Dijkstra with stale-skip; record the incoming overlay edge
-  // for expansion.
-  std::unordered_map<NodeId, double> dist;
-  std::unordered_map<NodeId, std::pair<NodeId, const std::vector<NodeId>*>>
-      via;  // node -> (pred overlay node, expanded segment)
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  dist[source] = 0.0;
-  pq.emplace(0.0, source);
-  while (!pq.empty()) {
-    const auto [du, u] = pq.top();
-    pq.pop();
-    if (du > dist[u]) continue;
-    if (u == destination) break;
-    ++result.stats.iterations;
-    ++result.stats.nodes_expanded;
-    const auto au = overlay.find(u);
-    if (au == overlay.end()) continue;
-    for (const OverlayEdge& e : au->second) {
-      ++result.stats.nodes_generated;
-      const double nd = du + e.cost;
-      const auto dv = dist.find(e.to);
-      if (dv == dist.end() || nd < dv->second) {
-        ++result.stats.nodes_improved;
-        dist[e.to] = nd;
-        via[e.to] = {u, &e.path};
-        pq.emplace(nd, e.to);
-      }
-    }
-  }
+  // Overlay Dijkstra; record the incoming overlay edge for expansion.
+  graph::ShortestPathSearch search(n);
+  std::vector<const std::vector<NodeId>*> via(n, nullptr);
+  search.Seed(source, 0.0);
+  search.Run(
+      [&](NodeId u, const auto& relax) {
+        ++result.stats.iterations;
+        ++result.stats.nodes_expanded;
+        for (const OverlayEdge& e : overlay[static_cast<size_t>(u)]) {
+          ++result.stats.nodes_generated;
+          if (relax(e.to, e.cost)) {
+            ++result.stats.nodes_improved;
+            via[static_cast<size_t>(e.to)] = &e.path;
+          }
+        }
+      },
+      [destination](NodeId u) { return u == destination; });
 
-  const auto dd = dist.find(destination);
-  if (dd == dist.end()) return result;
+  if (!search.Reached(destination)) return result;
   result.found = true;
-  result.cost = dd->second;
+  result.cost = search.dist(destination);
 
   // Expand: walk overlay predecessors, splicing each segment.
   std::vector<const std::vector<NodeId>*> segments;
-  NodeId at = destination;
-  while (at != source) {
-    const auto& [prev, seg] = via.at(at);
-    segments.push_back(seg);
-    at = prev;
+  for (NodeId at = destination; at != source; at = search.parent(at)) {
+    segments.push_back(via[static_cast<size_t>(at)]);
   }
   std::reverse(segments.begin(), segments.end());
   result.path.push_back(source);

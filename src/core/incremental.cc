@@ -1,10 +1,11 @@
 #include "core/incremental.h"
 
 #include <limits>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "core/advanced_search.h"
+#include "graph/shortest_path.h"
 
 namespace atis::core {
 
@@ -14,28 +15,17 @@ using graph::NodeId;
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-using Item = std::pair<double, NodeId>;
-using MinQueue =
-    std::priority_queue<Item, std::vector<Item>, std::greater<>>;
-
-/// Dijkstra continuation: pops until empty, relaxing over `g`, with
-/// stale-skip against `dist`. Counts pops in `rescanned`.
-void RunQueue(const Graph& g, MinQueue* pq, std::vector<double>* dist,
-              std::vector<NodeId>* pred, size_t* rescanned) {
-  while (!pq->empty()) {
-    const auto [du, x] = pq->top();
-    pq->pop();
-    if (du > (*dist)[static_cast<size_t>(x)]) continue;
-    ++*rescanned;
-    for (const graph::Edge& e : g.Neighbors(x)) {
-      const double nd = du + e.cost;
-      if (nd < (*dist)[static_cast<size_t>(e.to)]) {
-        (*dist)[static_cast<size_t>(e.to)] = nd;
-        (*pred)[static_cast<size_t>(e.to)] = x;
-        pq->emplace(nd, e.to);
-      }
-    }
-  }
+/// Propagates the seeded labels of a repair over `g` to a fixed point,
+/// counting settled nodes in `rescanned`.
+ShortestPathTree Resume(const Graph& g, NodeId source,
+                        graph::ShortestPathSearch search,
+                        size_t* rescanned) {
+  search.Run([&g](NodeId x, const auto& relax) {
+    for (const graph::Edge& e : g.Neighbors(x)) relax(e.to, e.cost);
+  });
+  *rescanned = search.settled();
+  return ShortestPathTree(source, search.TakeDistances(),
+                          search.TakeParents());
 }
 
 }  // namespace
@@ -67,19 +57,17 @@ Result<ShortestPathTree> RepairAfterEdgeChange(
     if (e.to == v) new_cost = std::min(new_cost, e.cost);
   }
 
-  MinQueue pq;
-
   // -- Decrease side: the new edge may open cheaper paths through v.
   if (dist[static_cast<size_t>(u)] != kInf &&
       dist[static_cast<size_t>(u)] + new_cost <
           dist[static_cast<size_t>(v)]) {
-    dist[static_cast<size_t>(v)] =
-        dist[static_cast<size_t>(u)] + new_cost;
-    pred[static_cast<size_t>(v)] = u;
-    pq.emplace(dist[static_cast<size_t>(v)], v);
-    RunQueue(updated_graph, &pq, &dist, &pred, &local.nodes_rescanned);
+    const double through_u = dist[static_cast<size_t>(u)] + new_cost;
+    graph::ShortestPathSearch search(std::move(dist), std::move(pred));
+    search.Seed(v, through_u, u);
+    ShortestPathTree tree = Resume(updated_graph, source, std::move(search),
+                                   &local.nodes_rescanned);
     if (stats != nullptr) *stats = local;
-    return ShortestPathTree(source, std::move(dist), std::move(pred));
+    return tree;
   }
 
   // -- Increase side: invalidate every node whose tree path crossed
@@ -105,8 +93,8 @@ Result<ShortestPathTree> RepairAfterEdgeChange(
       }
     }
 
-    // Drop affected labels, then re-seed each affected node from its best
-    // unaffected in-neighbour.
+    // Drop affected labels, then re-seed each affected node from its
+    // unaffected in-neighbours.
     const Graph local_reverse =
         reverse == nullptr ? ReverseOf(updated_graph) : Graph();
     const Graph& rev = reverse == nullptr ? local_reverse : *reverse;
@@ -119,21 +107,18 @@ Result<ShortestPathTree> RepairAfterEdgeChange(
       dist[static_cast<size_t>(x)] = kInf;
       pred[static_cast<size_t>(x)] = graph::kInvalidNode;
     }
+    graph::ShortestPathSearch search(std::move(dist), std::move(pred));
     for (NodeId x = 0; x < static_cast<NodeId>(n); ++x) {
       if (affected[static_cast<size_t>(x)] != 1) continue;
       for (const graph::Edge& in : rev.Neighbors(x)) {
         if (affected[static_cast<size_t>(in.to)] == 1) continue;
-        const double via = dist[static_cast<size_t>(in.to)] + in.cost;
-        if (via < dist[static_cast<size_t>(x)]) {
-          dist[static_cast<size_t>(x)] = via;
-          pred[static_cast<size_t>(x)] = in.to;
-        }
-      }
-      if (dist[static_cast<size_t>(x)] != kInf) {
-        pq.emplace(dist[static_cast<size_t>(x)], x);
+        search.Seed(x, search.dist(in.to) + in.cost, in.to);
       }
     }
-    RunQueue(updated_graph, &pq, &dist, &pred, &local.nodes_rescanned);
+    ShortestPathTree tree = Resume(updated_graph, source, std::move(search),
+                                   &local.nodes_rescanned);
+    if (stats != nullptr) *stats = local;
+    return tree;
   }
   // else: the changed edge was not on any tree path and did not improve
   // anything — the old tree is already exact.

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <set>
 #include <utility>
 #include <vector>
+
+#include "graph/shortest_path.h"
 
 namespace atis::core {
 
@@ -28,39 +29,22 @@ ConstrainedResult ConstrainedDijkstra(
     const Graph& g, NodeId source, NodeId destination,
     const std::set<std::pair<NodeId, NodeId>>& banned_edges,
     const std::vector<uint8_t>& banned_nodes) {
+  graph::ShortestPathSearch search(g.num_nodes());
+  search.Seed(source, 0.0);
+  search.Run(
+      [&](NodeId u, const auto& relax) {
+        for (const graph::Edge& e : g.Neighbors(u)) {
+          if (banned_nodes[static_cast<size_t>(e.to)]) continue;
+          if (banned_edges.count({u, e.to}) != 0) continue;
+          relax(e.to, e.cost);
+        }
+      },
+      [destination](NodeId u) { return u == destination; });
   ConstrainedResult out;
-  const size_t n = g.num_nodes();
-  std::vector<double> dist(n, kInf);
-  std::vector<NodeId> pred(n, graph::kInvalidNode);
-  dist[static_cast<size_t>(source)] = 0.0;
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  pq.emplace(0.0, source);
-  while (!pq.empty()) {
-    const auto [du, u] = pq.top();
-    pq.pop();
-    if (du > dist[static_cast<size_t>(u)]) continue;
-    if (u == destination) break;
-    for (const graph::Edge& e : g.Neighbors(u)) {
-      if (banned_nodes[static_cast<size_t>(e.to)]) continue;
-      if (banned_edges.count({u, e.to}) != 0) continue;
-      const double nd = du + e.cost;
-      if (nd < dist[static_cast<size_t>(e.to)]) {
-        dist[static_cast<size_t>(e.to)] = nd;
-        pred[static_cast<size_t>(e.to)] = u;
-        pq.emplace(nd, e.to);
-      }
-    }
-  }
-  if (dist[static_cast<size_t>(destination)] == kInf) return out;
+  if (!search.Reached(destination)) return out;
   out.found = true;
-  out.cost = dist[static_cast<size_t>(destination)];
-  for (NodeId at = destination; at != graph::kInvalidNode;
-       at = pred[static_cast<size_t>(at)]) {
-    out.path.push_back(at);
-    if (at == source) break;
-  }
-  std::reverse(out.path.begin(), out.path.end());
+  out.cost = search.dist(destination);
+  out.path = search.PathTo(destination);
   return out;
 }
 

@@ -4,12 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
-#include <limits>
-#include <queue>
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "graph/shortest_path.h"
 #include "graph/spatial_layout.h"
 #include "obs/metrics.h"
 #include "util/atomic_file.h"
@@ -22,7 +21,6 @@ using graph::RelationalGraphStore;
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr uint32_t kMaxCellOrder = 8;
 
 /// Shortest-path tree over a member-index adjacency list (one cell's
@@ -36,27 +34,12 @@ struct MemberTree {
 MemberTree MemberDijkstra(
     const std::vector<std::vector<std::pair<int32_t, double>>>& adj,
     int32_t source) {
-  MemberTree tree;
-  tree.dist.assign(adj.size(), kInf);
-  tree.parent.assign(adj.size(), -1);
-  tree.dist[static_cast<size_t>(source)] = 0.0;
-  using Item = std::pair<double, int32_t>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  pq.emplace(0.0, source);
-  while (!pq.empty()) {
-    const auto [du, u] = pq.top();
-    pq.pop();
-    if (du > tree.dist[static_cast<size_t>(u)]) continue;
-    for (const auto& [v, c] : adj[static_cast<size_t>(u)]) {
-      const double nd = du + c;
-      if (nd < tree.dist[static_cast<size_t>(v)]) {
-        tree.dist[static_cast<size_t>(v)] = nd;
-        tree.parent[static_cast<size_t>(v)] = u;
-        pq.emplace(nd, v);
-      }
-    }
-  }
-  return tree;
+  graph::ShortestPathSearch search(adj.size());
+  search.Seed(source, 0.0);
+  search.Run([&adj](int32_t u, const auto& relax) {
+    for (const auto& [v, c] : adj[static_cast<size_t>(u)]) relax(v, c);
+  });
+  return MemberTree{search.TakeDistances(), search.TakeParents()};
 }
 
 /// One cell's freshly customized state: its tables plus the current cross

@@ -92,19 +92,23 @@ RouteServer::RouteServer(const graph::Graph& g, Options options) {
     }
   }
 
+  // The initial metric on the store's float-rounded costs (a snapshot
+  // route costs what the engine would have reported); landmarks are
+  // selected on it too, since that is the metric the engines accumulate.
+  write_graph_ = WithStoredEdgeCosts(base);
+
   std::shared_ptr<const Estimator> estimator_init;
   std::shared_ptr<const OverlayIndex> overlay_init;
 
   if (options.num_landmarks > 0) {
-    // One ALT table serves every worker: select on the float-rounded
-    // metric (the one the engines accumulate), persist/load it through
-    // replica 0's storage path for metered accounting, and share the
-    // immutable result.
+    // One ALT table serves every worker: select on write_graph_,
+    // persist/load it through replica 0's storage path for metered
+    // accounting, and share the immutable result.
     init_status_ = [&]() -> Status {
       LandmarkOptions lm;
       lm.num_landmarks = options.num_landmarks;
       ATIS_ASSIGN_OR_RETURN(LandmarkSet selected,
-                            SelectLandmarks(WithStoredEdgeCosts(base), lm));
+                            SelectLandmarks(write_graph_, lm));
       ATIS_ASSIGN_OR_RETURN(auto table,
                             PersistAndLoadLandmarks(selected,
                                                     stores_.front().get()));
@@ -301,10 +305,8 @@ RouteServer::RouteServer(const graph::Graph& g, Options options) {
   for (size_t w = 0; w < options.num_workers; ++w) {
     breakers_.push_back(std::make_unique<CircuitBreaker>(options.breaker));
   }
-  // Version 1: the initial metric, on the store's float-rounded costs (a
-  // snapshot route costs what the engine would have reported). Every
+  // Version 1: the initial metric (write_graph_, built above). Every
   // worker replica starts caught up to it.
-  write_graph_ = WithStoredEdgeCosts(base);
   {
     auto head = std::make_shared<MetricState>();
     head->version = 1;

@@ -1,7 +1,8 @@
 #include "core/sssp.h"
 
 #include <algorithm>
-#include <queue>
+
+#include "graph/shortest_path.h"
 
 namespace atis::core {
 
@@ -29,28 +30,13 @@ Result<ShortestPathTree> SingleSourceDijkstra(const Graph& g,
   if (!g.HasNode(source)) {
     return Status::InvalidArgument("unknown source node");
   }
-  const size_t n = g.num_nodes();
-  std::vector<double> dist(n, kInf);
-  std::vector<NodeId> pred(n, graph::kInvalidNode);
-  dist[static_cast<size_t>(source)] = 0.0;
-
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  pq.emplace(0.0, source);
-  while (!pq.empty()) {
-    const auto [du, u] = pq.top();
-    pq.pop();
-    if (du > dist[static_cast<size_t>(u)]) continue;  // stale entry
-    for (const graph::Edge& e : g.Neighbors(u)) {
-      const double nd = du + e.cost;
-      if (nd < dist[static_cast<size_t>(e.to)]) {
-        dist[static_cast<size_t>(e.to)] = nd;
-        pred[static_cast<size_t>(e.to)] = u;
-        pq.emplace(nd, e.to);
-      }
-    }
-  }
-  return ShortestPathTree(source, std::move(dist), std::move(pred));
+  graph::ShortestPathSearch search(g.num_nodes());
+  search.Seed(source, 0.0);
+  search.Run([&g](NodeId u, const auto& relax) {
+    for (const graph::Edge& e : g.Neighbors(u)) relax(e.to, e.cost);
+  });
+  return ShortestPathTree(source, search.TakeDistances(),
+                          search.TakeParents());
 }
 
 Result<std::vector<std::vector<double>>> AllPairsDistances(const Graph& g) {

@@ -4,12 +4,12 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "graph/graph_io.h"
+#include "graph/shortest_path.h"
 #include "graph/spatial_layout.h"
 #include "storage/spill_sort.h"
 
@@ -18,6 +18,10 @@ namespace atis::graph {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Cut-snapping window as a fraction of the equal-count partition size:
+/// a cut lands on the largest Hilbert-key gap within +/- this window.
+constexpr double kGapWindow = 0.10;
 
 /// External-sort record for nodes: Hilbert key, original id, coordinates.
 struct BuildNodeRecord {
@@ -55,16 +59,6 @@ struct SortedEdgeRecord {
 double StoreCost(double cost) {
   return static_cast<double>(static_cast<float>(cost));
 }
-
-/// Binary min-heap entry for the in-memory Dijkstras.
-struct HeapEntry {
-  double dist;
-  uint32_t node;
-  bool operator>(const HeapEntry& o) const { return dist > o.dist; }
-};
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>;
 
 }  // namespace
 
@@ -163,8 +157,7 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
   cut.push_back(0);
   const size_t part_span = n / num_parts;
   const size_t window = std::max<size_t>(
-      1, static_cast<size_t>(options.gap_window *
-                             static_cast<double>(part_span)));
+      1, static_cast<size_t>(kGapWindow * static_cast<double>(part_span)));
   for (size_t p = 1; p < num_parts; ++p) {
     const size_t target = p * n / num_parts;
     const size_t lo = std::max(cut.back() + 1,
@@ -328,12 +321,10 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
   // every entry to every exit, over an in-memory CSR built from the edge
   // spill with store-rounded costs. Partitions are independent, so the
   // loop fans out across threads (the spill reads go through the
-  // thread-safe DiskManager).
+  // thread-safe DiskManager), one thread per hardware thread.
   {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     const unsigned num_threads = static_cast<unsigned>(std::min<size_t>(
-        options.customize_threads == 0 ? hw : options.customize_threads,
-        num_partitions));
+        std::max(1u, std::thread::hardware_concurrency()), num_partitions));
     std::atomic<size_t> next{0};
     std::vector<Status> thread_status(num_threads, Status::OK());
     auto customize_one = [&](size_t p) -> Status {
@@ -341,7 +332,7 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
       if (part.entries.empty() || part.exits.empty()) return Status::OK();
       const size_t owned = part.num_owned;
       // Intra-partition CSR over owned local ids.
-      std::vector<std::vector<std::pair<uint32_t, double>>> adj(owned);
+      std::vector<std::vector<std::pair<NodeId, double>>> adj(owned);
       ATIS_RETURN_NOT_OK(edge_spill.ReadRange(
           edge_begin[p], edge_begin[p + 1],
           [&](size_t, const SortedEdgeRecord& rec) {
@@ -350,38 +341,23 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
             if ((pv >> 16) != p) return;  // leaves the partition
             const uint32_t pu =
                 store->global_map_[static_cast<size_t>(rec.u)];
-            adj[pu & 0xFFFF].emplace_back(pv & 0xFFFF,
+            adj[pu & 0xFFFF].emplace_back(static_cast<NodeId>(pv & 0xFFFF),
                                           StoreCost(rec.cost));
           }));
-      part.entry_exit_cost.assign(part.entries.size() * part.exits.size(),
-                                  kInf);
-      std::vector<double> dist(owned);
+      auto local_of = [&](NodeId global) {
+        return static_cast<NodeId>(
+            store->global_map_[static_cast<size_t>(global)] & 0xFFFF);
+      };
+      part.entry_exit_cost.resize(part.entries.size() * part.exits.size());
       for (size_t ei = 0; ei < part.entries.size(); ++ei) {
-        const uint32_t source =
-            store->global_map_[static_cast<size_t>(part.entries[ei])] &
-            0xFFFF;
-        std::fill(dist.begin(), dist.end(), kInf);
-        dist[source] = 0.0;
-        MinHeap heap;
-        heap.push(HeapEntry{0.0, source});
-        while (!heap.empty()) {
-          const HeapEntry top = heap.top();
-          heap.pop();
-          if (top.dist > dist[top.node]) continue;
-          for (const auto& [to, cost] : adj[top.node]) {
-            const double nd = top.dist + cost;
-            if (nd < dist[to]) {
-              dist[to] = nd;
-              heap.push(HeapEntry{nd, to});
-            }
-          }
-        }
+        ShortestPathSearch search(owned);
+        search.Seed(local_of(part.entries[ei]), 0.0);
+        search.Run([&adj](NodeId u, const auto& relax) {
+          for (const auto& [v, c] : adj[static_cast<size_t>(u)]) relax(v, c);
+        });
         for (size_t xi = 0; xi < part.exits.size(); ++xi) {
-          const uint32_t exit_local =
-              store->global_map_[static_cast<size_t>(part.exits[xi])] &
-              0xFFFF;
           part.entry_exit_cost[ei * part.exits.size() + xi] =
-              dist[exit_local];
+              search.dist(local_of(part.exits[xi]));
         }
       }
       return Status::OK();
@@ -433,8 +409,8 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
           if (!(cost < kInf)) continue;
           const int32_t to =
               store->overlay_index_[static_cast<size_t>(part.exits[xi])];
-          store->overlay_adj_[static_cast<size_t>(from)].emplace_back(
-              static_cast<uint32_t>(to), cost);
+          store->overlay_adj_[static_cast<size_t>(from)].emplace_back(to,
+                                                                      cost);
         }
       }
     }
@@ -442,7 +418,7 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
       const int32_t from = store->overlay_index_[static_cast<size_t>(ce.u)];
       const int32_t to = store->overlay_index_[static_cast<size_t>(ce.v)];
       store->overlay_adj_[static_cast<size_t>(from)].emplace_back(
-          static_cast<uint32_t>(to), StoreCost(ce.cost));
+          to, StoreCost(ce.cost));
     }
   }
   return store;
@@ -470,34 +446,21 @@ Result<std::vector<double>> PartitionedGraphStore::RestrictedDijkstra(
     size_t p, const std::vector<std::pair<NodeId, double>>& seeds,
     uint64_t* settled) const {
   const Partition& part = partitions_[p];
-  std::vector<double> dist(part.local_to_global.size(), kInf);
-  MinHeap heap;
-  for (const auto& [local, d] : seeds) {
-    if (d < dist[static_cast<size_t>(local)]) {
-      dist[static_cast<size_t>(local)] = d;
-      heap.push(HeapEntry{d, static_cast<uint32_t>(local)});
-    }
-  }
-  while (!heap.empty()) {
-    const HeapEntry top = heap.top();
-    heap.pop();
-    if (top.dist > dist[top.node]) continue;
-    if (top.node >= part.num_owned) continue;  // ghost: outside p
-    if (settled != nullptr) ++*settled;
+  ShortestPathSearch search(part.local_to_global.size());
+  for (const auto& [local, d] : seeds) search.Seed(local, d);
+  ATIS_RETURN_NOT_OK(search.Run([&](NodeId u, const auto& relax) -> Status {
     ATIS_ASSIGN_OR_RETURN(std::vector<RelationalGraphStore::EdgeRow> rows,
-                          part.store->FetchAdjacency(
-                              static_cast<NodeId>(top.node)));
+                          part.store->FetchAdjacency(u));
     for (const RelationalGraphStore::EdgeRow& row : rows) {
-      const size_t to = static_cast<size_t>(row.end);
-      if (to >= part.num_owned) continue;  // edge leaves the partition
-      const double nd = top.dist + row.cost;
-      if (nd < dist[to]) {
-        dist[to] = nd;
-        heap.push(HeapEntry{nd, static_cast<uint32_t>(to)});
+      // Ghost ids follow the owned range: such an edge leaves p.
+      if (static_cast<uint32_t>(row.end) < part.num_owned) {
+        relax(row.end, row.cost);
       }
     }
-  }
-  return dist;
+    return Status::OK();
+  }));
+  if (settled != nullptr) *settled = search.settled();
+  return search.TakeDistances();
 }
 
 Result<PartitionedGraphStore::RouteCost>
@@ -526,41 +489,24 @@ PartitionedGraphStore::StitchedDistance(NodeId source, NodeId destination,
   // Phase 2: Dijkstra over the in-memory boundary overlay, seeded with
   // the source partition's exit distances.
   const Partition& spart = partitions_[static_cast<size_t>(ps)];
-  std::vector<double> dist_ov(overlay_nodes_.size(), kInf);
-  MinHeap heap;
+  ShortestPathSearch overlay(overlay_nodes_.size());
   for (const NodeId exit : spart.exits) {
-    const double d =
-        dist_s[static_cast<size_t>(packed(exit) & 0xFFFF)];
-    if (!(d < kInf)) continue;
-    const int32_t idx = overlay_index_[static_cast<size_t>(exit)];
-    if (d < dist_ov[static_cast<size_t>(idx)]) {
-      dist_ov[static_cast<size_t>(idx)] = d;
-      heap.push(HeapEntry{d, static_cast<uint32_t>(idx)});
-    }
+    overlay.Seed(overlay_index_[static_cast<size_t>(exit)],
+                 dist_s[static_cast<size_t>(packed(exit) & 0xFFFF)]);
   }
-  uint64_t settled2 = 0;
-  while (!heap.empty()) {
-    const HeapEntry top = heap.top();
-    heap.pop();
-    if (top.dist > dist_ov[top.node]) continue;
-    ++settled2;
-    for (const auto& [to, cost] : overlay_adj_[top.node]) {
-      const double nd = top.dist + cost;
-      if (nd < dist_ov[to]) {
-        dist_ov[to] = nd;
-        heap.push(HeapEntry{nd, to});
-      }
+  overlay.Run([this](NodeId u, const auto& relax) {
+    for (const auto& [to, cost] : overlay_adj_[static_cast<size_t>(u)]) {
+      relax(to, cost);
     }
-  }
-  if (stats != nullptr) stats->settled_overlay = settled2;
+  });
+  if (stats != nullptr) stats->settled_overlay = overlay.settled();
 
   // Phase 3: multi-source restricted Dijkstra in the target partition,
   // seeded with the overlay labels of its entry nodes.
   const Partition& tpart = partitions_[static_cast<size_t>(pt)];
   std::vector<std::pair<NodeId, double>> seeds;
   for (const NodeId entry : tpart.entries) {
-    const int32_t idx = overlay_index_[static_cast<size_t>(entry)];
-    const double d = dist_ov[static_cast<size_t>(idx)];
+    const double d = overlay.dist(overlay_index_[static_cast<size_t>(entry)]);
     if (!(d < kInf)) continue;
     seeds.emplace_back(static_cast<NodeId>(packed(entry) & 0xFFFF), d);
   }
@@ -586,37 +532,21 @@ PartitionedGraphStore::GlobalDijkstra(NodeId source, NodeId destination,
     stats->cross_partition =
         PartitionOf(source) != PartitionOf(destination);
   }
-  std::unordered_map<NodeId, double> dist;
-  dist.reserve(1024);
-  MinHeap heap;
-  dist.emplace(source, 0.0);
-  heap.push(HeapEntry{0.0, static_cast<uint32_t>(source)});
-  uint64_t settled = 0;
-  while (!heap.empty()) {
-    const HeapEntry top = heap.top();
-    heap.pop();
-    const NodeId u = static_cast<NodeId>(top.node);
-    const auto it = dist.find(u);
-    if (it == dist.end() || top.dist > it->second) continue;
-    ++settled;
-    if (u == destination) {
-      if (stats != nullptr) stats->settled_source = settled;
-      return RouteCost{true, top.dist};
-    }
-    ATIS_ASSIGN_OR_RETURN(std::vector<RelationalGraphStore::EdgeRow> rows,
-                          FetchAdjacency(u));
-    for (const RelationalGraphStore::EdgeRow& row : rows) {
-      const double nd = top.dist + row.cost;
-      const auto [vit, inserted] = dist.emplace(row.end, nd);
-      if (!inserted) {
-        if (nd >= vit->second) continue;
-        vit->second = nd;
-      }
-      heap.push(HeapEntry{nd, static_cast<uint32_t>(row.end)});
-    }
-  }
-  if (stats != nullptr) stats->settled_source = settled;
-  return RouteCost{false, 0.0};
+  ShortestPathSearch search(static_cast<size_t>(num_nodes_));
+  search.Seed(source, 0.0);
+  ATIS_RETURN_NOT_OK(search.Run(
+      [this](NodeId u, const auto& relax) -> Status {
+        ATIS_ASSIGN_OR_RETURN(std::vector<RelationalGraphStore::EdgeRow> rows,
+                              FetchAdjacency(u));
+        for (const RelationalGraphStore::EdgeRow& row : rows) {
+          relax(row.end, row.cost);
+        }
+        return Status::OK();
+      },
+      [destination](NodeId u) { return u == destination; }));
+  if (stats != nullptr) stats->settled_source = search.settled();
+  if (!search.Reached(destination)) return RouteCost{false, 0.0};
+  return RouteCost{true, search.dist(destination)};
 }
 
 }  // namespace atis::graph

@@ -47,11 +47,6 @@ struct PartitionedStoreOptions {
   size_t max_partition_nodes = 24000;
   /// Run-buffer budget for the build's external sorts.
   size_t sort_budget_bytes = 4u << 20;
-  /// Cut-snapping window as a fraction of the equal-count partition
-  /// size: the cut lands on the largest key gap within +/- this window.
-  double gap_window = 0.10;
-  /// Threads for overlay customization (0 = hardware concurrency).
-  unsigned customize_threads = 0;
 };
 
 class PartitionedGraphStore {
@@ -153,7 +148,7 @@ class PartitionedGraphStore {
   /// Overlay graph over boundary nodes: ids, global->overlay index, and
   /// adjacency (entry->exit customized arcs + cross edges).
   std::vector<NodeId> overlay_nodes_;
-  std::vector<std::vector<std::pair<uint32_t, double>>> overlay_adj_;
+  std::vector<std::vector<std::pair<NodeId, double>>> overlay_adj_;
   /// Overlay index of a global id, or -1 (parallel to global_map_; dense
   /// int32 keeps lookups O(1) without a hash map).
   std::vector<int32_t> overlay_index_;
