@@ -8,7 +8,6 @@
 #include <map>
 
 #include "core/advanced_search.h"
-#include "core/hierarchy.h"
 #include "core/landmarks.h"
 #include "core/memory_search.h"
 #include "core/sssp.h"
@@ -130,7 +129,7 @@ BENCHMARK(BM_SelectLandmarks_RoadMap);
 void BM_BidirectionalDijkstra_GridDiagonal(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const graph::Graph& g = GridFor(k);
-  const graph::Graph rev = core::ReverseOf(g);
+  const graph::Graph rev = graph::ReverseOf(g);
   const auto q = GridGraphGenerator::DiagonalQuery(k);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -138,25 +137,6 @@ void BM_BidirectionalDijkstra_GridDiagonal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BidirectionalDijkstra_GridDiagonal)->Arg(30)->Arg(100);
-
-void BM_HierarchicalRoute_GridDiagonal(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const graph::Graph& g = GridFor(k);
-  core::HierarchyOptions opt;
-  opt.cell_size = k / 4.0;
-  static std::map<int, core::HierarchicalRouter>* routers =
-      new std::map<int, core::HierarchicalRouter>;
-  auto it = routers->find(k);
-  if (it == routers->end()) {
-    auto built = core::HierarchicalRouter::Build(&g, opt);
-    it = routers->emplace(k, std::move(built).value()).first;
-  }
-  const auto q = GridGraphGenerator::DiagonalQuery(k);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(it->second.Route(q.source, q.destination));
-  }
-}
-BENCHMARK(BM_HierarchicalRoute_GridDiagonal)->Arg(30)->Arg(100);
 
 void BM_DuplicatePolicy_Dijkstra(benchmark::State& state) {
   const graph::Graph& g = GridFor(30);

@@ -50,21 +50,6 @@ PathResult WeightedAStarSearch(const Graph& g, NodeId source,
   return result;
 }
 
-graph::Graph ReverseOf(const Graph& g) {
-  Graph rev;
-  for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
-    const graph::Point& p = g.point(u);
-    rev.AddNode(p.x, p.y);
-  }
-  for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
-    for (const graph::Edge& e : g.Neighbors(u)) {
-      // Costs are non-negative by Graph's invariant; AddEdge cannot fail.
-      (void)rev.AddEdge(e.to, u, e.cost);
-    }
-  }
-  return rev;
-}
-
 PathResult BidirectionalDijkstra(const Graph& g, const Graph& reverse,
                                  NodeId source, NodeId destination) {
   PathResult result;
@@ -131,7 +116,7 @@ PathResult BidirectionalDijkstra(const Graph& g, const Graph& reverse,
 
 PathResult BidirectionalDijkstra(const Graph& g, NodeId source,
                                  NodeId destination) {
-  return BidirectionalDijkstra(g, ReverseOf(g), source, destination);
+  return BidirectionalDijkstra(g, graph::ReverseOf(g), source, destination);
 }
 
 }  // namespace atis::core

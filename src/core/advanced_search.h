@@ -32,7 +32,7 @@ PathResult WeightedAStarSearch(const graph::Graph& g, graph::NodeId source,
 /// backward search (over reversed edges) from the destination, stopping
 /// when the frontiers' radii cover the best meeting point. Exact, and on
 /// long queries expands roughly half the nodes of unidirectional
-/// Dijkstra. `reverse` must be ReverseOf(g) (precomputed so repeated
+/// Dijkstra. `reverse` must be graph::ReverseOf(g) (precomputed so repeated
 /// queries share it); iterations count expansions in both directions.
 PathResult BidirectionalDijkstra(const graph::Graph& g,
                                  const graph::Graph& reverse,
@@ -43,9 +43,5 @@ PathResult BidirectionalDijkstra(const graph::Graph& g,
 PathResult BidirectionalDijkstra(const graph::Graph& g,
                                  graph::NodeId source,
                                  graph::NodeId destination);
-
-/// The transpose graph: same nodes/coordinates, every edge u->v becomes
-/// v->u with the same cost.
-graph::Graph ReverseOf(const graph::Graph& g);
 
 }  // namespace atis::core

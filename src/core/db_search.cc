@@ -375,6 +375,11 @@ Result<PathResult> DbSearchEngine::BestFirstStatusAttribute(
         const NodeRow row = RelationalGraphStore::NodeFromRow(view);
         const double f = row.path_cost + h(row);
         topk.Offer(f, row.path_cost, row.id);
+        // f is +inf only when a landmark proves the row cannot reach the
+        // destination: never select it. An admissible search always has a
+        // finite-f row open until the destination is selected, so this
+        // changes no reachable query; an unreachable one ends at once.
+        if (f == kInf) continue;
         if (!best || BetterCandidate(f, row.path_cost, row.id, best_f,
                                      best->second.path_cost,
                                      best->second.id)) {
@@ -388,7 +393,7 @@ Result<PathResult> DbSearchEngine::BestFirstStatusAttribute(
     }
     phase.Charge(&result.stats.breakdown.selection);
 
-    if (!best) break;  // frontier empty: destination unreachable
+    if (!best) break;  // no finite-f open row: destination unreachable
 
     if (best->second.id == destination) {
       // Terminating selection (not counted as an iteration).

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/advanced_search.h"
 #include "core/sssp.h"
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
@@ -183,7 +182,7 @@ Result<LandmarkSet> SelectLandmarks(const Graph& g,
   }
 
   // Backward columns d(v -> l) = forward distances on the reverse graph.
-  const Graph rev = ReverseOf(g);
+  const Graph rev = graph::ReverseOf(g);
   std::vector<std::vector<double>> dist_to;
   dist_to.reserve(landmarks.size());
   for (const NodeId l : landmarks) {
@@ -217,7 +216,7 @@ Result<LandmarkSet> RecomputeLandmarks(const std::vector<NodeId>& landmarks,
     ATIS_ASSIGN_OR_RETURN(auto tree, SingleSourceDijkstra(g, l));
     dist_from.push_back(tree.distances());
   }
-  const Graph rev = ReverseOf(g);
+  const Graph rev = graph::ReverseOf(g);
   std::vector<std::vector<double>> dist_to;
   dist_to.reserve(landmarks.size());
   for (const NodeId l : landmarks) {

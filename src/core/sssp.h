@@ -38,10 +38,6 @@ class ShortestPathTree {
     return dist_[static_cast<size_t>(v)];
   }
 
-  graph::NodeId Predecessor(graph::NodeId v) const {
-    return pred_[static_cast<size_t>(v)];
-  }
-
   /// Reconstructs the node sequence source..v (empty when unreachable).
   std::vector<graph::NodeId> PathTo(graph::NodeId v) const;
 

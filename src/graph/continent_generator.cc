@@ -82,7 +82,8 @@ Result<ContinentGenerator> ContinentGenerator::Create(
   const double max_coord =
       static_cast<double>(gen.grid_cols_) * gen.city_slot_span() +
       options.jitter + 1.0;
-  if (max_coord * RelationalGraphStore::kCoordScale > 32767.0) {
+  if (max_coord * RelationalGraphStore::kCoordScale >
+      static_cast<double>(RelationalGraphStore::kMaxFixedCoord)) {
     return Status::InvalidArgument(
         "continent extent exceeds the int16 fixed-point coordinate budget; "
         "reduce num_cities or city_k");

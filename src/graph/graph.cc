@@ -77,4 +77,19 @@ Status Graph::SetEdgeCost(NodeId u, NodeId v, double cost) {
   return Status::NotFound("no edge to update");
 }
 
+Graph ReverseOf(const Graph& g) {
+  Graph rev;
+  for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
+    const Point& p = g.point(u);
+    rev.AddNode(p.x, p.y);
+  }
+  for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
+    for (const Edge& e : g.Neighbors(u)) {
+      // Costs are non-negative by Graph's invariant; AddEdge cannot fail.
+      (void)rev.AddEdge(e.to, u, e.cost);
+    }
+  }
+  return rev;
+}
+
 }  // namespace atis::graph

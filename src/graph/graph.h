@@ -76,8 +76,8 @@ class Graph {
   /// Manhattan (L1) distance between two nodes' coordinates.
   double ManhattanDistance(NodeId u, NodeId v) const;
 
-  /// Multiplies every edge cost by `factor` (> 0). Used by examples to
-  /// model congestion (travel time = distance / speed).
+  /// Multiplies every edge cost by `factor` (> 0), e.g. to turn
+  /// distances into travel times (travel time = distance / speed).
   Status ScaleEdgeCosts(double factor);
 
   /// Replaces the cost of u -> v. NotFound when the edge is absent.
@@ -88,5 +88,9 @@ class Graph {
   std::vector<std::vector<Edge>> adjacency_;
   size_t num_edges_ = 0;
 };
+
+/// The transpose graph: same nodes/coordinates, every edge u->v becomes
+/// v->u with the same cost.
+Graph ReverseOf(const Graph& g);
 
 }  // namespace atis::graph

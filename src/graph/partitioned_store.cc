@@ -75,7 +75,7 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
     const std::string& path, storage::BufferPool* pool,
     const PartitionedStoreOptions& options) {
   if (options.max_partition_nodes < 2 ||
-      options.max_partition_nodes > 32767) {
+      options.max_partition_nodes > RelationalGraphStore::kMaxNodes) {
     return Status::InvalidArgument(
         "max_partition_nodes must be in [2, 32767]");
   }
@@ -275,7 +275,7 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
       ghost_local.emplace(v, local);
       part.local_to_global.push_back(v);
     }
-    if (g.num_nodes() > 32767) {
+    if (g.num_nodes() > RelationalGraphStore::kMaxNodes) {
       return Status::Internal(
           "partition plus ghosts exceeds the 32767-node store cap");
     }

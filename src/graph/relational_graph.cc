@@ -34,6 +34,29 @@ int64_t FixedPoint(double coord) {
       std::llround(coord * RelationalGraphStore::kCoordScale));
 }
 
+// The store's hard limits, shared by Load and LoadStreaming.
+Status CheckNodeCount(size_t num_nodes) {
+  if (num_nodes <= RelationalGraphStore::kMaxNodes) return Status::OK();
+  return Status::InvalidArgument(
+      "graph has " + std::to_string(num_nodes) +
+      " nodes; R's 16-bit node ids limit the store to " +
+      std::to_string(RelationalGraphStore::kMaxNodes));
+}
+
+Status CheckCoordinates(NodeId u, double x, double y) {
+  for (const double coord : {x, y}) {
+    const int64_t fixed = FixedPoint(coord);
+    if (std::abs(fixed) > RelationalGraphStore::kMaxFixedCoord) {
+      return Status::OutOfRange(
+          "node " + std::to_string(u) + " coordinate " +
+          std::to_string(coord) + " is " + std::to_string(fixed) +
+          " in fixed point; R's int16 fields hold at most +/-" +
+          std::to_string(RelationalGraphStore::kMaxFixedCoord));
+    }
+  }
+  return Status::OK();
+}
+
 // External-sort records for the streaming load (storage/spill_sort.h).
 // Node tuples sort by Hilbert key with ties broken by insertion (= id)
 // order via the sorter's stability — the same (key, id) order
@@ -115,20 +138,14 @@ Status RelationalGraphStore::Load(const Graph& g,
   if (loaded_) {
     return Status::FailedPrecondition("graph store already loaded");
   }
-  if (g.num_nodes() > 32767) {
-    return Status::InvalidArgument(
-        "R's 16-bit node ids limit the store to 32767 nodes");
-  }
+  ATIS_RETURN_NOT_OK(CheckNodeCount(g.num_nodes()));
   // Physical insertion order. kRowOrder yields the identity permutation,
   // keeping the insertion sequence (and therefore every page assignment)
   // bit-identical to the paper-mode store.
   const std::vector<NodeId> order = ComputeNodeOrder(g, options.layout);
   for (const NodeId u : order) {
     const Point& p = g.point(u);
-    if (std::abs(FixedPoint(p.x)) > 32767 ||
-        std::abs(FixedPoint(p.y)) > 32767) {
-      return Status::OutOfRange("coordinate exceeds fixed-point range");
-    }
+    ATIS_RETURN_NOT_OK(CheckCoordinates(u, p.x, p.y));
     NodeRow row;
     row.id = u;
     row.x = p.x;
@@ -184,10 +201,7 @@ Status RelationalGraphStore::LoadStreaming(const std::string& path,
   // and the coordinate-range check Load performs.
   ATIS_ASSIGN_OR_RETURN(StreamingGraphReader pass1,
                         StreamingGraphReader::Open(path));
-  if (pass1.num_nodes() > 32767) {
-    return Status::InvalidArgument(
-        "R's 16-bit node ids limit the store to 32767 nodes");
-  }
+  ATIS_RETURN_NOT_OK(CheckNodeCount(pass1.num_nodes()));
   const NodeId n = static_cast<NodeId>(pass1.num_nodes());
   double min_x = std::numeric_limits<double>::infinity();
   double min_y = std::numeric_limits<double>::infinity();
@@ -196,10 +210,7 @@ Status RelationalGraphStore::LoadStreaming(const std::string& path,
   for (NodeId u = 0; u < n; ++u) {
     StreamingGraphReader::NodeRecord rec;
     ATIS_RETURN_NOT_OK(pass1.NextNode(&rec));
-    if (std::abs(FixedPoint(rec.x)) > 32767 ||
-        std::abs(FixedPoint(rec.y)) > 32767) {
-      return Status::OutOfRange("coordinate exceeds fixed-point range");
-    }
+    ATIS_RETURN_NOT_OK(CheckCoordinates(u, rec.x, rec.y));
     min_x = std::min(min_x, rec.x);
     min_y = std::min(min_y, rec.y);
     max_x = std::max(max_x, rec.x);

@@ -40,6 +40,10 @@ class RelationalGraphStore {
  public:
   /// Fixed-point scale for stored coordinates.
   static constexpr double kCoordScale = 16.0;
+  /// Most nodes a store holds: R's node ids are 16-bit.
+  static constexpr size_t kMaxNodes = 32767;
+  /// Largest |coordinate * kCoordScale| R's int16 x/y fields hold.
+  static constexpr int64_t kMaxFixedCoord = 32767;
 
   struct NodeRow {
     NodeId id = kInvalidNode;
@@ -106,7 +110,8 @@ class RelationalGraphStore {
 
   /// Populates S and R from an in-memory graph and builds both primary
   /// indexes. Node coordinates are quantised to kCoordScale. May be called
-  /// once per store. Node count is limited to 32767 by R's 16-bit node ids.
+  /// once per store. InvalidArgument beyond kMaxNodes nodes, OutOfRange
+  /// for a coordinate beyond kMaxFixedCoord in fixed point.
   Status Load(const Graph& g);
   Status Load(const Graph& g, const LoadOptions& options);
 

@@ -70,11 +70,6 @@ class ShortestPathSearch {
       : dist_(n, std::numeric_limits<double>::infinity()),
         parent_(n, kInvalidNode) {}
 
-  /// Resumes from existing labels (a repaired tree): Seed the nodes whose
-  /// labels must propagate, then Run.
-  ShortestPathSearch(std::vector<double> dist, std::vector<NodeId> parent)
-      : dist_(std::move(dist)), parent_(std::move(parent)) {}
-
   /// Offers label d, reached from `parent`, to u; queues u if it improves.
   /// Call once per source for a multi-source search. (It does not share
   /// Relax's code: one emplace call site keeps the scan's push inlined.)

@@ -13,6 +13,7 @@ using graph::Graph;
 using graph::GridCostModel;
 using graph::GridGraphGenerator;
 using graph::NodeId;
+using graph::ReverseOf;
 
 Graph RandomGeometric(uint64_t seed, size_t n = 80) {
   Rng rng(seed);
@@ -35,33 +36,6 @@ Graph RandomGeometric(uint64_t seed, size_t n = 80) {
                     .ok());
   }
   return g;
-}
-
-// ---------------------------------------------------------------------------
-// ReverseOf
-
-TEST(ReverseOfTest, TransposesEdges) {
-  Graph g;
-  g.AddNode(0, 0);
-  g.AddNode(1, 1);
-  ASSERT_TRUE(g.AddEdge(0, 1, 2.5).ok());
-  const Graph rev = ReverseOf(g);
-  EXPECT_EQ(rev.num_nodes(), 2u);
-  EXPECT_EQ(rev.num_edges(), 1u);
-  EXPECT_DOUBLE_EQ(*rev.EdgeCost(1, 0), 2.5);
-  EXPECT_FALSE(rev.EdgeCost(0, 1).ok());
-  EXPECT_DOUBLE_EQ(rev.point(1).x, 1.0);
-}
-
-TEST(ReverseOfTest, DoubleReverseIsIdentity) {
-  const Graph g = RandomGeometric(5);
-  const Graph back = ReverseOf(ReverseOf(g));
-  ASSERT_EQ(back.num_edges(), g.num_edges());
-  for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
-    for (const graph::Edge& e : g.Neighbors(u)) {
-      EXPECT_TRUE(back.EdgeCost(u, e.to).ok());
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

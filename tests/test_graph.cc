@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "graph/graph_io.h"
+#include "util/random.h"
 
 namespace atis::graph {
 namespace {
@@ -101,6 +102,55 @@ TEST(GraphTest, SetEdgeCost) {
   EXPECT_DOUBLE_EQ(*g.EdgeCost(0, 1), 7.5);
   EXPECT_TRUE(g.SetEdgeCost(1, 0, 1.0).IsNotFound());
   EXPECT_TRUE(g.SetEdgeCost(0, 1, -1.0).IsInvalidArgument());
+}
+
+// Random points on a 10x10 square: a two-way ring plus 4n random one-way
+// chords.
+Graph RandomGeometric(uint64_t seed, size_t n = 80) {
+  Rng rng(seed);
+  Graph g;
+  for (size_t i = 0; i < n; ++i) {
+    g.AddNode(rng.UniformDouble(0, 10), rng.UniformDouble(0, 10));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const NodeId u = static_cast<NodeId>(i);
+    const NodeId v = static_cast<NodeId>((i + 1) % n);
+    EXPECT_TRUE(g.AddUndirectedEdge(u, v, g.EuclideanDistance(u, v) + 0.01)
+                    .ok());
+  }
+  for (size_t i = 0; i < 4 * n; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.UniformInt(uint64_t{n}));
+    const NodeId v = static_cast<NodeId>(rng.UniformInt(uint64_t{n}));
+    if (u == v) continue;
+    EXPECT_TRUE(g.AddEdge(u, v, g.EuclideanDistance(u, v) +
+                                    rng.UniformDouble(0.01, 1.0))
+                    .ok());
+  }
+  return g;
+}
+
+TEST(ReverseOfTest, TransposesEdges) {
+  Graph g;
+  g.AddNode(0, 0);
+  g.AddNode(1, 1);
+  ASSERT_TRUE(g.AddEdge(0, 1, 2.5).ok());
+  const Graph rev = ReverseOf(g);
+  EXPECT_EQ(rev.num_nodes(), 2u);
+  EXPECT_EQ(rev.num_edges(), 1u);
+  EXPECT_DOUBLE_EQ(*rev.EdgeCost(1, 0), 2.5);
+  EXPECT_FALSE(rev.EdgeCost(0, 1).ok());
+  EXPECT_DOUBLE_EQ(rev.point(1).x, 1.0);
+}
+
+TEST(ReverseOfTest, DoubleReverseIsIdentity) {
+  const Graph g = RandomGeometric(5);
+  const Graph back = ReverseOf(ReverseOf(g));
+  ASSERT_EQ(back.num_edges(), g.num_edges());
+  for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
+    for (const graph::Edge& e : g.Neighbors(u)) {
+      EXPECT_TRUE(back.EdgeCost(u, e.to).ok());
+    }
+  }
 }
 
 TEST(GraphIoTest, RoundTripThroughText) {

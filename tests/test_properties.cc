@@ -216,7 +216,7 @@ TEST_P(ExactSearchMatrix, AllExactConfigurationsAgree) {
   ASSERT_TRUE(tree.ok());
   auto man = core::MakeEstimator(core::EstimatorKind::kManhattan);
   auto eu = core::MakeEstimator(core::EstimatorKind::kEuclidean);
-  const graph::Graph rev = core::ReverseOf(*g);
+  const graph::Graph rev = graph::ReverseOf(*g);
   Rng rng(GetParam() * 31);
   for (int trial = 0; trial < 12; ++trial) {
     const auto d =

@@ -9,6 +9,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "graph/graph_io.h"
 #include "graph/grid_generator.h"
@@ -327,6 +328,72 @@ TEST_F(RelationalGraphTest, OutOfRangeCoordinateRejected) {
   Graph g;
   g.AddNode(1e9, 0);
   EXPECT_TRUE(store_.Load(g).IsOutOfRange());
+}
+
+/// Loads `g` into two fresh stores: through Load, and through
+/// LoadStreaming from a file. Returns both statuses.
+std::vector<Status> LoadBothWays(const Graph& g, const std::string& name) {
+  std::vector<Status> out;
+  {
+    DiskManager disk;
+    BufferPool pool(&disk, 64);
+    RelationalGraphStore store(&pool);
+    out.push_back(store.Load(g));
+  }
+  const std::string path = ::testing::TempDir() + "/" + name + ".atisg";
+  EXPECT_TRUE(SaveGraphFile(g, path).ok());
+  DiskManager disk;
+  BufferPool pool(&disk, 64);
+  RelationalGraphStore store(&pool);
+  out.push_back(store.LoadStreaming(path));
+  return out;
+}
+
+bool Mentions(const Status& st, const std::string& text) {
+  return st.message().find(text) != std::string::npos;
+}
+
+TEST(RelationalGraphLimitTest, LoadsExactlyMaxNodes) {
+  Graph g;
+  for (int i = 0; i < 32767; ++i) g.AddNode(0, 0);
+  for (const Status& st : LoadBothWays(g, "atis_at_node_limit")) {
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+}
+
+TEST(RelationalGraphLimitTest, RejectsOneNodeOverMax) {
+  Graph g;
+  for (int i = 0; i < 32768; ++i) g.AddNode(0, 0);
+  for (const Status& st : LoadBothWays(g, "atis_over_node_limit")) {
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_TRUE(Mentions(st, "32768")) << st.ToString();
+    EXPECT_TRUE(Mentions(st, "32767")) << st.ToString();
+  }
+}
+
+TEST(RelationalGraphLimitTest, LoadsCoordinatesAtFixedPointLimit) {
+  // 32767 / kCoordScale = 2047.9375 is exactly representable.
+  const double limit = 32767 / RelationalGraphStore::kCoordScale;
+  Graph g;
+  g.AddNode(limit, -limit);
+  g.AddNode(-limit, limit);
+  for (const Status& st : LoadBothWays(g, "atis_at_coord_limit")) {
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+}
+
+TEST(RelationalGraphLimitTest, RejectsCoordinateOneOverFixedPointLimit) {
+  const double over = 32768 / RelationalGraphStore::kCoordScale;
+  for (const auto& [x, y] : {std::pair{over, 0.0}, std::pair{0.0, -over}}) {
+    Graph g;
+    g.AddNode(0, 0);
+    g.AddNode(x, y);
+    for (const Status& st : LoadBothWays(g, "atis_over_coord_limit")) {
+      EXPECT_TRUE(st.IsOutOfRange()) << st.ToString();
+      EXPECT_TRUE(Mentions(st, "32768")) << st.ToString();
+      EXPECT_TRUE(Mentions(st, "32767")) << st.ToString();
+    }
+  }
 }
 
 /// The streaming (external-sort) load must reproduce the in-memory load

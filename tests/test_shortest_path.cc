@@ -7,7 +7,6 @@
 #include <set>
 #include <vector>
 
-#include "core/advanced_search.h"
 #include "core/memory_search.h"
 #include "util/random.h"
 
@@ -237,7 +236,7 @@ TEST(ShortestPathTest, StopOnTargetSetSettlesTheNearestTarget) {
 TEST(ShortestPathTest, ReverseAdjacencyGivesDistancesToTheRoot) {
   for (const auto& [g, exact] : TestGraphs()) {
     const auto n = static_cast<NodeId>(g.num_nodes());
-    const Graph rev = core::ReverseOf(g);
+    const Graph rev = ReverseOf(g);
     const NodeId root = n - 1;
     ShortestPathSearch search(g.num_nodes());
     search.Seed(root, 0.0);
