@@ -830,6 +830,7 @@ Status RouteServer::PublishBatchLocked(
       cache_->BumpEpoch();
     }
   }
+  cache_version_.store(new_version, std::memory_order_release);
   traffic_updates_applied_.fetch_add(updates.size(),
                                      std::memory_order_relaxed);
   traffic_update_batches_.fetch_add(1, std::memory_order_relaxed);
@@ -1287,13 +1288,21 @@ RouteResponse RouteServer::RunOne(size_t worker_id, size_t query_index,
   if (cache_ && !answered_stale_replica) {
     observed_epoch = cache_->epoch();
     observed_seq = cache_->invalidation_seq();
+    // A cached route is exact at the pinned version only once that
+    // version's invalidation has finished (the older routes it drops are
+    // gone) and while no newer version has published (whose queries may
+    // have cached routes on a metric this query must not see).
     // A degraded-capable server keeps stale entries around (miss, no
     // eviction): they are the first fallback when this recompute fails,
     // and a successful Insert overwrites them anyway.
-    RouteCache::LookupResult cached =
-        cache_->Lookup(key, /*evict_stale=*/!options_.enable_degraded);
+    RouteCache::LookupResult cached;
+    if (cache_version_.load(std::memory_order_acquire) == pinned.version) {
+      cached = cache_->Lookup(key, /*evict_stale=*/!options_.enable_degraded);
+    }
     if (cached.stale_evicted) cache_stale_->Increment();
-    if (cached.result.has_value()) {
+    if (cached.result.has_value() &&
+        published_version_.load(std::memory_order_acquire) ==
+            pinned.version) {
       cache_hits_->Increment();
       resp.cache_hit = true;
       resp.served_via = ServedVia::kCache;
