@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
 #include <set>
 
 #include "core/memory_search.h"
 #include "graph/grid_generator.h"
 #include "graph/road_map_generator.h"
+#include "util/random.h"
 
 namespace atis::core {
 namespace {
@@ -145,6 +149,100 @@ TEST(KShortestTest, SecondPathStrictlyDifferentEvenWithParallelEdges) {
   ASSERT_EQ(paths->size(), 1u);
   EXPECT_NEAR((*paths)[0].cost, 1.0, 1e-12);
 }
+
+
+/// Every loopless path source -> destination by depth-first enumeration,
+/// each costed with its cheapest edges, sorted by cost.
+std::vector<RankedPath> AllLooplessPaths(const Graph& g, NodeId source,
+                                         NodeId destination) {
+  std::vector<RankedPath> out;
+  std::vector<NodeId> path{source};
+  std::vector<bool> on_path(g.num_nodes(), false);
+  on_path[static_cast<size_t>(source)] = true;
+  std::function<void(double)> extend = [&](double cost) {
+    const NodeId u = path.back();
+    if (u == destination) {
+      out.push_back({cost, path});
+      return;
+    }
+    std::set<NodeId> seen;
+    for (const graph::Edge& e : g.Neighbors(u)) {
+      if (on_path[static_cast<size_t>(e.to)] || !seen.insert(e.to).second) {
+        continue;
+      }
+      on_path[static_cast<size_t>(e.to)] = true;
+      path.push_back(e.to);
+      extend(cost + *g.EdgeCost(u, e.to));
+      path.pop_back();
+      on_path[static_cast<size_t>(e.to)] = false;
+    }
+  };
+  extend(0.0);
+  std::sort(out.begin(), out.end(),
+            [](const RankedPath& a, const RankedPath& b) {
+              return a.cost < b.cost;
+            });
+  return out;
+}
+
+/// Property: on small directed grids (random costs, one-way streets),
+/// the k paths returned are exactly the k cheapest loopless
+/// paths a brute-force enumeration finds. `atis_cli alternates` lists
+/// these as the alternate routes.
+class KShortestProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(KShortestProperty, MatchesBruteForceEnumeration) {
+  GridGraphGenerator::Options opt;
+  opt.k = 4;
+  opt.cost_model = GridCostModel::kVariance20;
+  opt.seed = GetParam();
+  auto grid = GridGraphGenerator::Generate(opt);
+  ASSERT_TRUE(grid.ok());
+  // Make about a third of the streets one-way, in a random direction,
+  // except along the bottom row and right column, so that 0 -> 15 stays
+  // routable.
+  Rng rng(GetParam() * 131);
+  Graph g;
+  for (NodeId n = 0; n < static_cast<NodeId>(grid->num_nodes()); ++n) {
+    g.AddNode(grid->point(n).x, grid->point(n).y);
+  }
+  const auto on_route = [](NodeId n) { return n / 4 == 0 || n % 4 == 3; };
+  for (NodeId n = 0; n < static_cast<NodeId>(grid->num_nodes()); ++n) {
+    for (const graph::Edge& e : grid->Neighbors(n)) {
+      if (e.to < n) continue;  // each street once
+      bool forward = true;
+      bool backward = true;
+      if (!(on_route(n) && on_route(e.to)) && rng.NextDouble() < 0.3) {
+        (rng.NextDouble() < 0.5 ? forward : backward) = false;
+      }
+      if (forward) {
+        ASSERT_TRUE(g.AddEdge(n, e.to, e.cost).ok());
+      }
+      if (backward) {
+        ASSERT_TRUE(g.AddEdge(e.to, n, *grid->EdgeCost(e.to, n)).ok());
+      }
+    }
+  }
+
+  const NodeId s = 0;
+  const NodeId d = 15;
+  const std::vector<RankedPath> all = AllLooplessPaths(g, s, d);
+  constexpr size_t kK = 10;
+  ASSERT_GT(all.size(), kK);  // enough alternatives to rank
+  auto paths = KShortestPaths(g, s, d, kK);
+  ASSERT_TRUE(paths.ok());
+  ASSERT_EQ(paths->size(), kK);
+  std::set<std::vector<NodeId>> every;
+  for (const RankedPath& p : all) every.insert(p.path);
+  for (size_t i = 0; i < paths->size(); ++i) {
+    // Equal-cost paths may come in either order; the costs may not.
+    EXPECT_NEAR((*paths)[i].cost, all[i].cost, 1e-9) << "rank " << i;
+    EXPECT_TRUE(every.count((*paths)[i].path)) << "rank " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KShortestProperty,
+                         ::testing::Range(uint64_t{1}, uint64_t{9}));
 
 }  // namespace
 }  // namespace atis::core

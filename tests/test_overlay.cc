@@ -25,11 +25,13 @@
 #include "core/db_search.h"
 #include "core/landmarks.h"
 #include "core/memory_search.h"
+#include "core/sssp.h"
 #include "graph/grid_generator.h"
 #include "graph/relational_graph.h"
 #include "graph/road_map_generator.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "util/random.h"
 
 namespace atis::core {
 namespace {
@@ -538,6 +540,331 @@ TEST(OverlayEnableTest, Version5NeedsEnableOverlayFirst) {
       std::make_shared<const OverlayTopology>(std::move(topo).value());
   EXPECT_FALSE(engine.EnableOverlay(half).ok());
   EXPECT_FALSE(engine.overlay_enabled());
+}
+
+
+/// Asserts two customizations of one topology hold identical distance
+/// tables and cross arcs.
+void ExpectSameCustomization(const OverlayTopology& topo,
+                             const OverlayCustomization& got,
+                             const OverlayCustomization& want) {
+  for (int32_t c = 0; c < static_cast<int32_t>(topo.num_cells()); ++c) {
+    EXPECT_EQ(got.cell(c).fwd_dist, want.cell(c).fwd_dist) << "cell " << c;
+    EXPECT_EQ(got.cell(c).rev_dist, want.cell(c).rev_dist) << "cell " << c;
+    EXPECT_EQ(got.cell(c).incell_dist, want.cell(c).incell_dist)
+        << "cell " << c;
+  }
+  for (NodeId n = 0; n < static_cast<NodeId>(topo.num_nodes()); ++n) {
+    const auto& a = got.cross_arcs(n);
+    const auto& b = want.cross_arcs(n);
+    ASSERT_EQ(a.size(), b.size()) << "node " << n;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].to, b[i].to) << "node " << n;
+      EXPECT_EQ(a[i].cost, b[i].cost) << "node " << n;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Version 5 exactness on random pairs, across grid sizes and cell orders:
+// a larger order means more, smaller cells and more boundary crossings
+// per route.
+
+class OverlayExactnessTest
+    : public OverlayQueryTest,
+      public ::testing::WithParamInterface<std::tuple<int, uint32_t>> {};
+
+TEST_P(OverlayExactnessTest, MatchesDijkstraOnRandomPairs) {
+  const auto [k, order] = GetParam();
+  Start(Grid(k, GridCostModel::kVariance20), order);
+  Rng rng(99);
+  for (int trial = 0; trial < 25; ++trial) {
+    const auto s = static_cast<NodeId>(rng.UniformInt(g_.num_nodes()));
+    const auto d = static_cast<NodeId>(rng.UniformInt(g_.num_nodes()));
+    ExpectExact(s, d);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(GridAndCellOrders, OverlayExactnessTest,
+                         ::testing::Combine(::testing::Values(8, 12, 20),
+                                            ::testing::Values(1u, 2u, 3u)));
+
+TEST_F(OverlayQueryTest, SameCellPairsWhoseBestRouteLeavesTheCellAreExact) {
+  // A cheap street runs up column 4, just outside the cells holding
+  // column 3, with cheap links across. Between two column-3 nodes of one
+  // cell the best route leaves the cell for that street and comes back;
+  // the in-cell table alone would overcharge exactly these pairs.
+  graph::Graph g = Grid(8, GridCostModel::kUniform);
+  for (int row = 0; row < 8; ++row) {
+    const NodeId west = graph::GridGraphGenerator::NodeAt(8, row, 3);
+    const NodeId street = graph::GridGraphGenerator::NodeAt(8, row, 4);
+    ASSERT_TRUE(g.SetEdgeCost(west, street, 0.0625).ok());
+    ASSERT_TRUE(g.SetEdgeCost(street, west, 0.0625).ok());
+    if (row + 1 < 8) {
+      const NodeId north = graph::GridGraphGenerator::NodeAt(8, row + 1, 4);
+      ASSERT_TRUE(g.SetEdgeCost(street, north, 0.0625).ok());
+      ASSERT_TRUE(g.SetEdgeCost(north, street, 0.0625).ok());
+    }
+  }
+  Start(g, 1);
+  const OverlayTopology topo = BuildTopology(g_, 1);
+  ASSERT_NE(topo.CellOf(3), topo.CellOf(4));
+  size_t must_leave = 0;
+  for (int32_t c = 0; c < static_cast<int32_t>(topo.num_cells()); ++c) {
+    const std::vector<NodeId>& members = topo.cell(c).members;
+    for (size_t si = 0; si < members.size(); ++si) {
+      const std::vector<double> in_cell =
+          RestrictedDistances(rounded_, members, si);
+      auto tree = SingleSourceDijkstra(rounded_, members[si]);
+      ASSERT_TRUE(tree.ok());
+      for (size_t mi = 0; mi < members.size(); ++mi) {
+        if (!(in_cell[mi] > tree->Distance(members[mi]) + 1e-9)) continue;
+        ++must_leave;
+        ExpectExact(members[si], members[mi]);
+      }
+    }
+  }
+  EXPECT_GT(must_leave, 0u);
+}
+
+TEST_F(OverlayQueryTest, LongQuerySettlesFewerNodesThanDijkstra) {
+  Start(Grid(30, GridCostModel::kVariance20), 2);
+  const auto q = graph::GridGraphGenerator::DiagonalQuery(30);
+  ExpectExact(q.source, q.destination);
+  auto v5 = engine_->AStar(q.source, q.destination, AStarVersion::kV5);
+  auto dijkstra = engine_->Dijkstra(q.source, q.destination);
+  ASSERT_TRUE(v5.ok() && dijkstra.ok());
+  // The overlay search settles boundary nodes only.
+  EXPECT_LT(v5->stats.nodes_expanded, dijkstra->stats.nodes_expanded);
+  EXPECT_LT(v5->stats.io.blocks_read, dijkstra->stats.io.blocks_read);
+}
+
+TEST_F(OverlayQueryTest, TrivialAndMissingNodeQueries) {
+  Start(Grid(6, GridCostModel::kUniform), 1);
+  auto same = engine_->AStar(5, 5, AStarVersion::kV5);
+  ASSERT_TRUE(same.ok());
+  EXPECT_TRUE(same->found);
+  EXPECT_EQ(same->cost, 0.0);
+  EXPECT_EQ(same->path, std::vector<NodeId>{5});
+  EXPECT_FALSE(engine_->AStar(0, 999, AStarVersion::kV5).ok());
+  EXPECT_FALSE(engine_->AStar(999, 0, AStarVersion::kV5).ok());
+}
+
+TEST_F(OverlayQueryTest, OrderZeroIsOneCellAndStaysExact) {
+  Start(Grid(5, GridCostModel::kVariance20), 0);
+  const OverlayTopology topo = BuildTopology(g_, 0);
+  EXPECT_EQ(topo.num_cells(), 1u);
+  EXPECT_EQ(topo.num_boundary_nodes(), 0u);
+  for (NodeId n = 0; n < static_cast<NodeId>(g_.num_nodes()); ++n) {
+    ExpectExact(0, n);
+    ExpectExact(n, 0);
+  }
+}
+
+TEST_F(OverlayQueryTest, ExactOnThePaperRoadMapTrips) {
+  auto rm = graph::GenerateMinneapolisLike();
+  ASSERT_TRUE(rm.ok());
+  for (const uint32_t order : {1u, 2u, 3u}) {
+    SCOPED_TRACE(order);
+    Start(rm->graph, order);
+    for (const auto& [s, d] : {std::pair{rm->a, rm->b}, std::pair{rm->c, rm->d},
+                               std::pair{rm->g, rm->d},
+                               std::pair{rm->e, rm->f}}) {
+      ExpectExact(s, d);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Incremental re-customization is how served traffic updates reach
+// Version 5: chained per-edge repairs must always equal a customization
+// from scratch, and must leave the tables of untouched cells shared.
+
+class OverlayRecustomizeProperty
+    : public OverlayCustomizationTest,
+      public ::testing::WithParamInterface<uint64_t> {};
+
+TEST_P(OverlayRecustomizeProperty, ChainedEdgeChangesMatchFullCustomization) {
+  graph::GridGraphGenerator::Options gopt;
+  gopt.k = 10;
+  gopt.cost_model = GridCostModel::kVariance20;
+  gopt.seed = GetParam();
+  auto g = graph::GridGraphGenerator::Generate(gopt);
+  ASSERT_TRUE(g.ok());
+  SetUpWith(*g, 2);
+  Rng rng(GetParam() * 131);
+  for (int change = 0; change < 15; ++change) {
+    const auto u = static_cast<NodeId>(rng.UniformInt(g_.num_nodes()));
+    const auto edges = g_.Neighbors(u);
+    ASSERT_FALSE(edges.empty());
+    const NodeId v = edges[rng.UniformInt(edges.size())].to;
+    const double factor = rng.NextDouble() < 0.5
+                              ? rng.UniformDouble(0.05, 0.9)   // decrease
+                              : rng.UniformDouble(1.2, 20.0);  // increase
+    const double cost = *g_.EdgeCost(u, v) * factor;
+    ASSERT_TRUE(store_->UpdateEdgeCost(u, v, cost).ok());
+    ASSERT_TRUE(g_.SetEdgeCost(u, v, cost).ok());
+
+    size_t cells_changed = 99;
+    auto incr = RecustomizeForEdge(*topo_, *cust_, u, v, store_.get(),
+                                   &cells_changed);
+    ASSERT_TRUE(incr.ok()) << incr.status().ToString();
+    EXPECT_EQ(cells_changed, topo_->CellOf(u) == topo_->CellOf(v) ? 1u : 0u);
+    graph::RelationalGraphStore* stores[] = {store_.get()};
+    auto full = CustomizeOverlay(*topo_, stores, (*incr)->metric_version());
+    ASSERT_TRUE(full.ok());
+    ExpectSameCustomization(*topo_, **incr, **full);
+    cust_ = std::move(incr).value();  // chain repairs
+  }
+
+  // Version 5 over the chained customization answers the changed map.
+  DbSearchEngine engine(store_.get(), pool_.get(), DbSearchOptions{});
+  ASSERT_TRUE(engine
+                  .EnableOverlay(std::make_shared<OverlayIndex>(
+                      OverlayIndex{topo_, cust_}))
+                  .ok());
+  auto tree = SingleSourceDijkstra(WithStoredEdgeCosts(g_), 0);
+  ASSERT_TRUE(tree.ok());
+  for (NodeId d = 0; d < static_cast<NodeId>(g_.num_nodes()); ++d) {
+    auto got = engine.AStar(0, d, AStarVersion::kV5);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->found, tree->Reaches(d)) << "0->" << d;
+    EXPECT_NEAR(got->cost, tree->Distance(d), 1e-9) << "0->" << d;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OverlayRecustomizeProperty,
+                         ::testing::Range(uint64_t{1}, uint64_t{9}));
+
+TEST_F(OverlayCustomizationTest, EdgeUpdateRebuildsOneCellAndSharesTheRest) {
+  SetUpWith(Grid(20, GridCostModel::kVariance20), 3);
+  // A far-corner street, both directions: its cell is one of 64.
+  const NodeId u = graph::GridGraphGenerator::NodeAt(20, 19, 18);
+  const NodeId v = graph::GridGraphGenerator::NodeAt(20, 19, 19);
+  const int32_t cell = topo_->CellOf(u);
+  ASSERT_EQ(topo_->CellOf(v), cell);
+  ASSERT_GT(topo_->num_cells(), 16u);
+  ASSERT_TRUE(store_->UpdateEdgeCost(u, v, 5.0).ok());
+  ASSERT_TRUE(store_->UpdateEdgeCost(v, u, 5.0).ok());
+
+  const std::pair<NodeId, NodeId> edges[] = {{u, v}, {v, u}};
+  size_t cells_changed = 99;
+  auto incr = RecustomizeForEdges(*topo_, *cust_, edges, store_.get(),
+                                  &cells_changed, /*metric_version=*/2);
+  ASSERT_TRUE(incr.ok()) << incr.status().ToString();
+  EXPECT_EQ(cells_changed, 1u);
+  EXPECT_EQ((*incr)->metric_version(), 2u);
+  for (int32_t c = 0; c < static_cast<int32_t>(topo_->num_cells()); ++c) {
+    if (c == cell) {
+      EXPECT_NE(&(*incr)->cell(c), &cust_->cell(c));
+    } else {
+      EXPECT_EQ(&(*incr)->cell(c), &cust_->cell(c)) << "cell " << c;
+    }
+  }
+  graph::RelationalGraphStore* stores[] = {store_.get()};
+  auto full = CustomizeOverlay(*topo_, stores, 2);
+  ASSERT_TRUE(full.ok());
+  ExpectSameCustomization(*topo_, **incr, **full);
+}
+
+TEST_F(OverlayCustomizationTest, BatchRebuildsEachTouchedCellOnce) {
+  SetUpWith(Grid(10, GridCostModel::kVariance20), 2);
+  const int32_t first = topo_->CellOf(0);
+  const int32_t last = topo_->CellOf(99);
+  ASSERT_NE(first, last);
+  // Every street inside the first and last cells, plus two cross-cell
+  // streets: two cells to rebuild however many updates land in them.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  size_t cross = 0;
+  for (NodeId u = 0; u < static_cast<NodeId>(g_.num_nodes()); ++u) {
+    for (const graph::Edge& e : g_.Neighbors(u)) {
+      const int32_t c = topo_->CellOf(u);
+      const bool same = c == topo_->CellOf(e.to);
+      if (same && (c == first || c == last)) {
+        edges.emplace_back(u, e.to);
+      } else if (!same && cross < 2) {
+        edges.emplace_back(u, e.to);
+        ++cross;
+      }
+    }
+  }
+  ASSERT_EQ(cross, 2u);
+  ASSERT_GT(edges.size(), 10u);
+  for (const auto& [u, v] : edges) {
+    ASSERT_TRUE(store_->UpdateEdgeCost(u, v, *g_.EdgeCost(u, v) + 1.5).ok());
+  }
+  size_t cells_changed = 99;
+  auto incr = RecustomizeForEdges(*topo_, *cust_, edges, store_.get(),
+                                  &cells_changed, /*metric_version=*/7);
+  ASSERT_TRUE(incr.ok()) << incr.status().ToString();
+  EXPECT_EQ(cells_changed, 2u);
+  EXPECT_EQ((*incr)->metric_version(), 7u);
+  graph::RelationalGraphStore* stores[] = {store_.get()};
+  auto full = CustomizeOverlay(*topo_, stores, 7);
+  ASSERT_TRUE(full.ok());
+  ExpectSameCustomization(*topo_, **incr, **full);
+}
+
+TEST_F(OverlayCustomizationTest, EdgesOutsideTheOverlayAreRejected) {
+  SetUpWith(Grid(4, GridCostModel::kUniform), 1);
+  size_t cells_changed = 0;
+  for (const auto& [u, v] : {std::pair<NodeId, NodeId>{0, 999},
+                             std::pair<NodeId, NodeId>{999, 0},
+                             std::pair<NodeId, NodeId>{-1, 0}}) {
+    EXPECT_TRUE(RecustomizeForEdge(*topo_, *cust_, u, v, store_.get(),
+                                   &cells_changed)
+                    .status()
+                    .IsInvalidArgument())
+        << u << "->" << v;
+    const std::pair<NodeId, NodeId> batch[] = {{0, 1}, {u, v}};
+    EXPECT_TRUE(RecustomizeForEdges(*topo_, *cust_, batch, store_.get(),
+                                    &cells_changed, 2)
+                    .status()
+                    .IsInvalidArgument())
+        << u << "->" << v;
+  }
+}
+
+TEST_F(OverlayQueryTest, ClosedStreetsDisconnectAndReopenedOnesReconnect) {
+  // An infinite cost closes a street: the customized tables and cross
+  // arcs must drop it rather than route through it.
+  Start(Grid(6, GridCostModel::kUniform), 1);
+  const NodeId corner = 35;
+  const std::pair<NodeId, NodeId> into_corner[] = {{29, corner},
+                                                   {34, corner}};
+  const auto topo =
+      std::make_shared<const OverlayTopology>(BuildTopology(g_, 1));
+  graph::RelationalGraphStore* stores[] = {store_.get()};
+  auto base = CustomizeOverlay(*topo, stores, 1);
+  ASSERT_TRUE(base.ok());
+  std::shared_ptr<const OverlayCustomization> cust = std::move(base).value();
+  const auto recustomize = [&](double cost, uint64_t version) {
+    for (const auto& [u, v] : into_corner) {
+      ASSERT_TRUE(store_->UpdateEdgeCost(u, v, cost).ok());
+      ASSERT_TRUE(g_.SetEdgeCost(u, v, cost).ok());
+    }
+    size_t cells_changed = 0;
+    auto next = RecustomizeForEdges(*topo, *cust, into_corner, store_.get(),
+                                    &cells_changed, version);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    cust = std::move(next).value();
+    ASSERT_TRUE(engine_
+                    ->EnableOverlay(std::make_shared<OverlayIndex>(
+                        OverlayIndex{topo, cust}))
+                    .ok());
+    rounded_ = WithStoredEdgeCosts(g_);
+  };
+
+  recustomize(kInf, 2);
+  for (NodeId s = 0; s < corner; ++s) {
+    auto got = engine_->AStar(s, corner, AStarVersion::kV5);
+    ASSERT_TRUE(got.ok());
+    EXPECT_FALSE(got->found) << s << "->" << corner;
+    ExpectExact(corner, s);  // the corner's own exits stay open
+  }
+
+  recustomize(1.0, 3);
+  for (NodeId s = 0; s < corner; ++s) ExpectExact(s, corner);
 }
 
 }  // namespace

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -17,10 +19,12 @@
 #include "core/db_search.h"
 #include "core/landmarks.h"
 #include "core/memory_search.h"
+#include "core/sssp.h"
 #include "graph/grid_generator.h"
 #include "graph/relational_graph.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "util/random.h"
 
 namespace atis::core {
 namespace {
@@ -870,6 +874,329 @@ TEST(RouteServerIngestTest, CheckpointsRollTheLogAndKeepRecoveryExact) {
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ((*batch)[0].result.cost, final_cost);
 }
+
+
+// ---------------------------------------------------------------------------
+// Live traffic through ApplyUpdates. The server repairs each published
+// metric by re-customizing the overlay and, after any decrease, by
+// re-validating the landmarks, so Dijkstra and A* Versions 4 and 5 must
+// answer the changed map exactly as a search from scratch.
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+/// Options enabling Versions 4 and 5: 4 landmarks and an order-2
+/// overlay.
+RouteServer::Options LandmarkOverlayOptions() {
+  RouteServer::Options opt;
+  opt.num_workers = 2;
+  opt.num_landmarks = 4;
+  opt.overlay_cell_order = 2;
+  return opt;
+}
+
+graph::Graph MakeUniformGrid(int k) {
+  graph::GridGraphGenerator::Options opt;
+  opt.k = k;
+  opt.cost_model = graph::GridCostModel::kUniform;
+  auto g = graph::GridGraphGenerator::Generate(opt);
+  EXPECT_TRUE(g.ok());
+  return std::move(g).value();
+}
+
+/// One source -> destination query per search the server keeps exact
+/// under any metric: Dijkstra, Version 4 and Version 5. (Versions 1-3
+/// estimate with geometric distance, which stops being a lower bound once
+/// an update prices a street below its length.)
+void AddExactVersions(graph::NodeId source, graph::NodeId destination,
+                      std::vector<RouteQuery>* queries) {
+  for (const auto& [algorithm, version] :
+       {std::pair{Algorithm::kDijkstra, AStarVersion::kV3},
+        std::pair{Algorithm::kAStar, AStarVersion::kV4},
+        std::pair{Algorithm::kAStar, AStarVersion::kV5}}) {
+    RouteQuery q;
+    q.source = source;
+    q.destination = destination;
+    q.algorithm = algorithm;
+    q.version = version;
+    queries->push_back(q);
+  }
+}
+
+std::vector<RouteQuery> ExactVersionsFrom(const graph::Graph& g,
+                                          graph::NodeId source) {
+  std::vector<RouteQuery> queries;
+  for (graph::NodeId d = 0; d < static_cast<graph::NodeId>(g.num_nodes());
+       ++d) {
+    AddExactVersions(source, d, &queries);
+  }
+  return queries;
+}
+
+/// Serves `queries` and checks every answer against in-memory Dijkstra
+/// over `current`'s stored (float-rounded) costs: the same found flag,
+/// the optimal cost, and a path of existing streets between the
+/// endpoints. The database engines carry path costs in f32 columns, so
+/// costs compare to 1e-4 as in test_db_search.cc.
+void ExpectServedExactly(RouteServer& server, const graph::Graph& current,
+                         const std::vector<RouteQuery>& queries) {
+  const graph::Graph rounded = WithStoredEdgeCosts(current);
+  auto batch = server.ServeBatch(queries);
+  ASSERT_TRUE(batch.ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const RouteQuery& q = queries[i];
+    const RouteResponse& resp = (*batch)[i];
+    SCOPED_TRACE(::testing::Message()
+                 << AlgorithmName(q.algorithm) << " "
+                 << AStarVersionName(q.version) << " " << q.source << "->"
+                 << q.destination);
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    const PathResult want = DijkstraSearch(rounded, q.source, q.destination);
+    ASSERT_EQ(resp.result.found, want.found);
+    if (!want.found) continue;
+    EXPECT_NEAR(resp.result.cost, want.cost, 1e-4);
+    ASSERT_FALSE(resp.result.path.empty());
+    EXPECT_EQ(resp.result.path.front(), q.source);
+    EXPECT_EQ(resp.result.path.back(), q.destination);
+    double resum = 0.0;
+    for (size_t h = 0; h + 1 < resp.result.path.size(); ++h) {
+      auto c = rounded.EdgeCost(resp.result.path[h], resp.result.path[h + 1]);
+      ASSERT_TRUE(c.ok());
+      resum += *c;
+    }
+    EXPECT_NEAR(resum, want.cost, 1e-4);
+  }
+}
+
+TEST(RouteServerTrafficTest, DecreaseKeepsLandmarkAndOverlayVersionsExact) {
+  // A near-free street in the middle of the grid pulls many routes onto
+  // it; landmark bounds from before the decrease would overestimate.
+  const graph::Graph g = MakeUniformGrid(8);
+  RouteServer server(g, LandmarkOverlayOptions());
+  ASSERT_TRUE(server.init_status().ok());
+  ASSERT_TRUE(server.landmarks_enabled());
+  ASSERT_TRUE(server.overlay_enabled());
+  const graph::NodeId u = graph::GridGraphGenerator::NodeAt(8, 3, 3);
+  const graph::NodeId v = graph::GridGraphGenerator::NodeAt(8, 3, 4);
+  ASSERT_TRUE(server.UpdateEdgeCost(u, v, 0.01).ok());
+  EXPECT_EQ(server.ingest_stats().landmark_revalidations, 1u);
+  const graph::Graph current = WithEdgeCost(g, u, v, 0.01);
+  ExpectServedExactly(server, current, ExactVersionsFrom(current, 0));
+  ExpectServedExactly(server, current, ExactVersionsFrom(current, 63));
+}
+
+TEST(RouteServerTrafficTest, IncreaseOnTheSourceTreeNeedsNoRevalidation) {
+  const graph::Graph g = MakeGrid(8);
+  // Congest the first street of node 0's shortest-path tree: every route
+  // below it in the tree has to move.
+  auto tree = SingleSourceDijkstra(WithStoredEdgeCosts(g), 0);
+  ASSERT_TRUE(tree.ok());
+  graph::NodeId v = graph::kInvalidNode;
+  for (graph::NodeId x = 1; x < 64 && v == graph::kInvalidNode; ++x) {
+    if (tree->PathTo(x).size() == 2) v = x;
+  }
+  ASSERT_NE(v, graph::kInvalidNode);
+
+  RouteServer server(g, LandmarkOverlayOptions());
+  ASSERT_TRUE(server.init_status().ok());
+  ASSERT_TRUE(server.UpdateEdgeCost(0, v, 40.0).ok());
+  // A pure increase leaves every landmark bound admissible.
+  EXPECT_EQ(server.ingest_stats().landmark_revalidations, 0u);
+  const graph::Graph current = WithEdgeCost(g, 0, v, 40.0);
+  ExpectServedExactly(server, current, ExactVersionsFrom(current, 0));
+}
+
+TEST(RouteServerTrafficTest, AnUpdateChangesOneDirectionOnly) {
+  const graph::Graph g = MakeUniformGrid(6);
+  RouteServer server(g, LandmarkOverlayOptions());
+  ASSERT_TRUE(server.init_status().ok());
+  ASSERT_TRUE(server.UpdateEdgeCost(0, 1, 30.0).ok());
+  const graph::Graph current = WithEdgeCost(g, 0, 1, 30.0);
+  std::vector<RouteQuery> queries;
+  AddExactVersions(0, 1, &queries);
+  AddExactVersions(1, 0, &queries);
+  ExpectServedExactly(server, current, queries);
+
+  auto batch = server.ServeBatch(queries);
+  ASSERT_TRUE(batch.ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const PathResult& r = (*batch)[i].result;
+    if (queries[i].source == 1) {
+      // The reverse street keeps its cost.
+      EXPECT_EQ(r.cost, 1.0) << i;
+      EXPECT_EQ(r.path, (std::vector<graph::NodeId>{1, 0})) << i;
+    } else {
+      EXPECT_EQ(r.cost, 3.0) << i;  // around the congested street
+      EXPECT_EQ(r.path.size(), 4u) << i;
+    }
+  }
+}
+
+TEST(RouteServerTrafficTest, RestoringTheBaseCostRestoresTheBaseAnswers) {
+  const graph::Graph g = MakeGrid(8);
+  RouteServer server(g, LandmarkOverlayOptions());
+  ASSERT_TRUE(server.init_status().ok());
+  const std::vector<RouteQuery> queries = ExactVersionsFrom(g, 0);
+  auto base = server.ServeBatch(queries);
+  ASSERT_TRUE(base.ok());
+
+  // Congest the first street of the route to the far corner, then lift
+  // the congestion again.
+  const size_t far = 63 * 3;  // Dijkstra 0 -> 63
+  ASSERT_EQ(queries[far].destination, 63);
+  const std::vector<graph::NodeId>& route = (*base)[far].result.path;
+  ASSERT_GE(route.size(), 2u);
+  const graph::NodeId v = route[1];
+  const double cost = *g.EdgeCost(0, v);
+  ASSERT_TRUE(server.UpdateEdgeCost(0, v, cost + 25.0).ok());
+  auto congested = server.ServeBatch(queries);
+  ASSERT_TRUE(congested.ok());
+  EXPECT_GT((*congested)[far].result.cost, (*base)[far].result.cost);
+
+  ASSERT_TRUE(server.UpdateEdgeCost(0, v, cost).ok());
+  EXPECT_EQ(server.published_version(), 3u);
+  auto restored = server.ServeBatch(queries);
+  ASSERT_TRUE(restored.ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE((*restored)[i].status.ok()) << i;
+    EXPECT_EQ((*restored)[i].metric_version, 3u) << i;
+    EXPECT_EQ((*restored)[i].result.found, (*base)[i].result.found) << i;
+    EXPECT_EQ((*restored)[i].result.cost, (*base)[i].result.cost) << i;
+    EXPECT_EQ((*restored)[i].result.path, (*base)[i].result.path) << i;
+  }
+}
+
+TEST(RouteServerTrafficTest, NonNumericAndNegativeInfiniteCostsAreRejected) {
+  const graph::Graph g = MakeGrid(5);
+  RouteServer::Options opt;
+  opt.num_workers = 1;
+  RouteServer server(g, opt);
+  ASSERT_TRUE(server.init_status().ok());
+  const graph::Edge e0 = g.Neighbors(0)[0];
+  for (const double cost : {std::nan(""), -kInfinity}) {
+    EXPECT_TRUE(server.UpdateEdgeCost(0, e0.to, cost).IsInvalidArgument())
+        << cost;
+  }
+  EXPECT_EQ(server.published_version(), 1u);
+  EXPECT_EQ(server.ingest_stats().update_batches, 0u);
+}
+
+TEST(RouteServerTrafficTest, JammedRowDetoursInOneVersion) {
+  // Congestion along the whole bottom row, both ways and in one batch,
+  // pushes the row's end-to-end trip onto the next row.
+  const graph::Graph g = MakeUniformGrid(5);
+  RouteServer server(g, LandmarkOverlayOptions());
+  ASSERT_TRUE(server.init_status().ok());
+  std::vector<EdgeCostUpdate> jam;
+  graph::Graph current = g;
+  for (int col = 0; col + 1 < 5; ++col) {
+    const graph::NodeId a = graph::GridGraphGenerator::NodeAt(5, 0, col);
+    const graph::NodeId b = graph::GridGraphGenerator::NodeAt(5, 0, col + 1);
+    jam.push_back({a, b, 10.0});
+    jam.push_back({b, a, 10.0});
+    current = WithEdgeCost(WithEdgeCost(current, a, b, 10.0), b, a, 10.0);
+  }
+  ASSERT_TRUE(server.ApplyUpdates(jam).ok());
+  EXPECT_EQ(server.published_version(), 2u);
+
+  const auto q = graph::GridGraphGenerator::HorizontalQuery(5);
+  std::vector<RouteQuery> queries;
+  AddExactVersions(q.source, q.destination, &queries);
+  ExpectServedExactly(server, current, queries);
+  auto batch = server.ServeBatch(queries);
+  ASSERT_TRUE(batch.ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const PathResult& r = (*batch)[i].result;
+    EXPECT_EQ((*batch)[i].metric_version, 2u) << i;
+    EXPECT_GT(r.cost, 4.0) << i;  // the unjammed row costs 4
+    EXPECT_TRUE(std::any_of(r.path.begin(), r.path.end(),
+                            [](graph::NodeId n) { return n / 5 == 1; }))
+        << i;
+  }
+}
+
+TEST(RouteServerTrafficTest, ClosedStreetsDisconnectUntilReopened) {
+  // An infinite cost closes a street. With both streets into the far
+  // corner closed nothing reaches it, while its own exits stay open.
+  const graph::Graph g = MakeUniformGrid(5);
+  RouteServer server(g, LandmarkOverlayOptions());
+  ASSERT_TRUE(server.init_status().ok());
+  const graph::NodeId corner = 24;
+  const std::vector<EdgeCostUpdate> close{{19, corner, kInfinity},
+                                          {23, corner, kInfinity}};
+  ASSERT_TRUE(server.ApplyUpdates(close).ok());
+  graph::Graph current = WithEdgeCost(
+      WithEdgeCost(g, 19, corner, kInfinity), 23, corner, kInfinity);
+  std::vector<RouteQuery> to_corner;
+  AddExactVersions(0, corner, &to_corner);
+  auto closed = server.ServeBatch(to_corner);
+  ASSERT_TRUE(closed.ok());
+  for (const RouteResponse& resp : *closed) {
+    ASSERT_TRUE(resp.status.ok());
+    EXPECT_FALSE(resp.result.found);
+  }
+  ExpectServedExactly(server, current, ExactVersionsFrom(current, 0));
+  ExpectServedExactly(server, current, ExactVersionsFrom(current, corner));
+
+  // A decrease elsewhere re-validates the landmarks on a map where the
+  // corner is unreachable.
+  ASSERT_TRUE(server.UpdateEdgeCost(0, 1, 0.5).ok());
+  EXPECT_EQ(server.ingest_stats().landmark_revalidations, 1u);
+  current = WithEdgeCost(current, 0, 1, 0.5);
+  ExpectServedExactly(server, current, ExactVersionsFrom(current, 0));
+  ExpectServedExactly(server, current, ExactVersionsFrom(current, corner));
+
+  const std::vector<EdgeCostUpdate> reopen{{19, corner, 1.0},
+                                           {23, corner, 1.0}};
+  ASSERT_TRUE(server.ApplyUpdates(reopen).ok());
+  current = WithEdgeCost(WithEdgeCost(current, 19, corner, 1.0), 23, corner,
+                         1.0);
+  ExpectServedExactly(server, current, ExactVersionsFrom(current, 0));
+}
+
+/// Property: random update batches mixing decreases and increases keep
+/// Dijkstra and Versions 4 and 5 exact, batch after batch.
+class RouteServerTrafficProperty : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(RouteServerTrafficProperty, RandomBatchesKeepServedAnswersExact) {
+  graph::GridGraphGenerator::Options gopt;
+  gopt.k = 8;
+  gopt.cost_model = graph::GridCostModel::kVariance20;
+  gopt.seed = GetParam();
+  auto g = graph::GridGraphGenerator::Generate(gopt);
+  ASSERT_TRUE(g.ok());
+  RouteServer::Options opt = LandmarkOverlayOptions();
+  opt.enable_cache = true;
+  RouteServer server(*g, opt);
+  ASSERT_TRUE(server.init_status().ok());
+
+  graph::Graph current = *g;
+  Rng rng(GetParam() * 131);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<EdgeCostUpdate> batch;
+    for (int i = 0; i < 3; ++i) {
+      const auto u = static_cast<graph::NodeId>(
+          rng.UniformInt(current.num_nodes()));
+      const auto edges = current.Neighbors(u);
+      ASSERT_FALSE(edges.empty());
+      const graph::NodeId v = edges[rng.UniformInt(edges.size())].to;
+      const double factor = rng.NextDouble() < 0.5
+                                ? rng.UniformDouble(0.05, 0.9)   // decrease
+                                : rng.UniformDouble(1.2, 20.0);  // increase
+      const double cost = *current.EdgeCost(u, v) * factor;
+      batch.push_back({u, v, cost});
+      ASSERT_TRUE(current.SetEdgeCost(u, v, cost).ok());
+    }
+    ASSERT_TRUE(server.ApplyUpdates(batch).ok());
+    const auto source =
+        static_cast<graph::NodeId>(rng.UniformInt(current.num_nodes()));
+    ExpectServedExactly(server, current, ExactVersionsFrom(current, source));
+  }
+  EXPECT_EQ(server.published_version(), 5u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RouteServerTrafficProperty,
+                         ::testing::Range(uint64_t{1}, uint64_t{7}));
 
 }  // namespace
 }  // namespace atis::core
