@@ -7,11 +7,9 @@
 #include <optional>
 #include <string>
 
-#include <queue>
-#include <unordered_map>
-
 #include "core/batch_engine.h"
 #include "core/overlay.h"
+#include "graph/shortest_path.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -248,6 +246,10 @@ Result<PathResult> DbSearchEngine::AStar(NodeId source, NodeId destination,
       return Status::FailedPrecondition(
           "A* version 4 needs EnableLandmarks() first");
     }
+    if (!options_.statement_at_a_time) {
+      return ServedAStar(source, destination, *landmark_estimator_, deadline,
+                         batch);
+    }
     return BestFirstStatusAttribute(source, destination,
                                     landmark_estimator_.get(), "astar-v4",
                                     deadline, batch);
@@ -470,6 +472,102 @@ Result<PathResult> DbSearchEngine::BestFirstStatusAttribute(
   return result;
 }
 
+Result<PathResult> DbSearchEngine::ServedAStar(NodeId source,
+                                               NodeId destination,
+                                               const Estimator& estimator,
+                                               const Deadline& deadline,
+                                               BatchContext* batch) {
+  RunObserver run{"astar-v4"};
+  storage::IoMeter& meter = pool_->disk()->meter();
+  const storage::IoCounters start_io = meter.counters();
+  PhaseMeter phase(meter);
+
+  PathResult result;
+  result.optimality_guaranteed = options_.estimator_known_admissible;
+
+  // The frontier lives in the kernel's heap, not in R: no reset, no status
+  // REPLACEs, so R is only read. Labels are floats, as R's path_cost
+  // column is, and the heap orders by BetterCandidate, so every answer and
+  // counter equals the status-attribute engine's. The "statement" spans
+  // still tile the metered interval.
+  graph::Point dest_pt;
+  Status probe_status;
+  // pi(v): one metered probe of R for v's stored coordinates, when v is
+  // first reached. A failed probe is returned by the scan that made it.
+  auto potential = [&](NodeId v) {
+    auto node = store_->GetNode(v);
+    if (!node.ok()) {
+      probe_status = node.status();
+      return kInf;
+    }
+    return estimator.EstimateNodes(v, {node->second.x, node->second.y},
+                                   destination, dest_pt);
+  };
+  const size_t n = store_->num_nodes();
+  graph::BasicShortestPathSearch<float, decltype(potential)> search(
+      n, potential);
+  {
+    obs::ScopedSpan stmt("open-source", "statement");
+    ATIS_ASSIGN_OR_RETURN(auto dest_node, store_->GetNode(destination));
+    dest_pt = {dest_node.second.x, dest_node.second.y};
+    if (source < 0 || static_cast<size_t>(source) >= n) {
+      return Status::NotFound("node " + std::to_string(source) +
+                              " not in R");
+    }
+    search.Seed(source, 0.0);
+    ATIS_RETURN_NOT_OK(probe_status);
+  }
+  phase.Charge(&result.stats.breakdown.init);
+
+  std::unordered_set<storage::PageId> private_hinted;
+  std::unordered_set<storage::PageId>* hinted =
+      batch != nullptr ? batch->hinted_pages() : &private_hinted;
+  const size_t prefetch_depth = PrefetchDepth();
+  auto expand = [&](NodeId u, const auto& relax) -> Status {
+    if (deadline.expired()) {
+      return Status::DeadlineExceeded("route search deadline expired");
+    }
+    ++result.stats.iterations;
+    ++result.stats.nodes_expanded;
+    obs::ScopedSpan iteration("iteration", "iteration");
+    iteration.Tag("n", result.stats.iterations);
+    // The runners-up in the heap are the likeliest next expansions.
+    if (prefetch_depth > 0) {
+      PrefetchFrontier(search.Frontier(prefetch_depth), hinted);
+    }
+
+    obs::ScopedSpan adjacency_stmt("fetch-adjacency", "statement");
+    ATIS_ASSIGN_OR_RETURN(auto edges, FetchAdjacency(u, batch));
+    adjacency_stmt.End();
+    phase.Charge(&result.stats.breakdown.adjacency);
+
+    obs::ScopedSpan stmt("relax-neighbours", "statement");
+    stmt.Tag("edges", static_cast<uint64_t>(edges.size()));
+    for (const auto& e : edges) {
+      ++result.stats.nodes_generated;
+      if (relax(e.end, e.cost)) ++result.stats.nodes_improved;
+      ATIS_RETURN_NOT_OK(probe_status);
+    }
+    stmt.End();
+    phase.Charge(&result.stats.breakdown.relaxation);
+    return Status::OK();
+  };
+  ATIS_RETURN_NOT_OK(search.Run(expand, [&](NodeId u) {
+    result.found = u == destination;  // terminating selection
+    return result.found;
+  }));
+  result.stats.reopenings = search.reopened();
+
+  result.stats.io = meter.counters() - start_io;
+  result.stats.cost_units = result.stats.io.Cost(options_.cost_params);
+  if (result.found) {
+    result.cost = search.dist(destination);
+    result.path = search.PathTo(destination);
+  }
+  run.Finish(result);
+  return result;
+}
+
 namespace {
 
 /// How an overlay A* label reached its node (drives path splicing).
@@ -479,16 +577,6 @@ enum class OverlayArc : int8_t {
   kCross,     ///< an original cell-crossing edge
   kFinish,    ///< boundary of cell(destination) -> destination, fwd table
 };
-
-struct OverlayLabel {
-  double g = std::numeric_limits<double>::infinity();
-  NodeId pred = graph::kInvalidNode;
-  OverlayArc via = OverlayArc::kSeed;
-};
-
-/// Virtual destination of the overlay A*: reached by kFinish arcs from
-/// the destination cell's boundary. Distinct from kInvalidNode (-1).
-constexpr NodeId kOverlayTarget = -2;
 
 }  // namespace
 
@@ -575,25 +663,18 @@ Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
   //    customized shortcuts, original cross edges, and the destination
   //    cell's finishing column; the source cell's reverse column seeds
   //    the frontier. No store I/O — every arc is a table lookup.
-  std::unordered_map<NodeId, OverlayLabel> labels;
-  struct Item {
-    double f;
-    double g;
-    NodeId id;
+  //    Labels are dense: the virtual target at index 0 and store node v at
+  //    v + 1, so the target wins equal-key ties, as BetterCandidate's
+  //    smaller-id rule has always given it; `via` records the arc each
+  //    label came by.
+  constexpr NodeId kTarget = 0;
+  const auto slot = [](NodeId v) { return v + 1; };
+  auto potential = [&](NodeId slot_v) {
+    return slot_v == kTarget ? 0.0 : h(slot_v - 1);
   };
-  const auto worse = [](const Item& a, const Item& b) {
-    return BetterCandidate(b.f, b.g, b.id, a.f, a.g, a.id);
-  };
-  std::priority_queue<Item, std::vector<Item>, decltype(worse)> open(worse);
-  const auto relax = [&](NodeId v, double g, NodeId from, OverlayArc via) {
-    ++result.stats.nodes_generated;
-    OverlayLabel& lab = labels[v];
-    if (g < lab.g) {
-      if (lab.g < kInf) ++result.stats.nodes_improved;
-      lab = {g, from, via};
-      open.push({g + (v == kOverlayTarget ? 0.0 : h(v)), g, v});
-    }
-  };
+  graph::BasicShortestPathSearch<double, decltype(potential)> search(
+      topo.num_nodes() + 1, potential);
+  std::vector<OverlayArc> via(topo.num_nodes() + 1, OverlayArc::kSeed);
   {
     const OverlayTopology::Cell& cell = topo.cell(cs);
     const OverlayCustomization::CellTables& tables = cust.cell(cs);
@@ -601,36 +682,31 @@ Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
     for (size_t bi = 0; bi < cell.boundary.size(); ++bi) {
       const double w = tables.rev_dist[bi][ms];
       if (w < kInf) {
-        relax(cell.boundary[bi], w, graph::kInvalidNode, OverlayArc::kSeed);
+        ++result.stats.nodes_generated;
+        search.Seed(slot(cell.boundary[bi]), w);
       }
     }
   }
   uint64_t overlay_expansions = 0;
-  std::unordered_map<NodeId, OverlayLabel>::iterator target_hit =
-      labels.end();
+  bool target_hit = false;
   {
     obs::ScopedSpan stmt("overlay-relax", "statement");
-    std::unordered_set<NodeId> closed;
-    while (!open.empty()) {
-      const Item item = open.top();
-      open.pop();
-      if (!closed.insert(item.id).second) continue;  // stale PQ entry
-      if (item.id == kOverlayTarget) {
-        target_hit = labels.find(item.id);
-        break;  // terminating selection (not counted as an iteration)
-      }
-      // Every remaining label has f >= item.f; with an admissible h that
-      // lower-bounds its true cost, so nothing in the queue can beat the
-      // in-cell candidate: the direct route wins, stop settling.
-      if (item.f >= direct_cost) break;
+    auto expand = [&](NodeId slot_u, const auto& relax) -> Status {
       if (deadline.expired()) {
         return Status::DeadlineExceeded("route search deadline expired");
       }
       ++result.stats.iterations;
       ++result.stats.nodes_expanded;
       ++overlay_expansions;
-      const NodeId u = item.id;
-      const double gu = item.g;
+      const auto arc = [&](NodeId slot_v, double w, OverlayArc kind) {
+        ++result.stats.nodes_generated;
+        const bool reached = search.Reached(slot_v);
+        if (relax(slot_v, w)) {
+          if (reached) ++result.stats.nodes_improved;
+          via[static_cast<size_t>(slot_v)] = kind;
+        }
+      };
+      const NodeId u = slot_u - 1;
       const int32_t c = topo.CellOf(u);
       const OverlayTopology::Cell& cell = topo.cell(c);
       const OverlayCustomization::CellTables& tables = cust.cell(c);
@@ -641,31 +717,40 @@ Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
                 bj)]);
         const double w = tables.fwd_dist[bi][mj];
         if (w < kInf) {
-          relax(cell.boundary[static_cast<size_t>(bj)], gu + w, u,
-                OverlayArc::kShortcut);
+          arc(slot(cell.boundary[static_cast<size_t>(bj)]), w,
+              OverlayArc::kShortcut);
         }
       }
       for (const graph::Edge& e : cust.cross_arcs(u)) {
-        relax(e.to, gu + e.cost, u, OverlayArc::kCross);
+        arc(slot(e.to), e.cost, OverlayArc::kCross);
       }
       if (c == cd) {
         const auto md = static_cast<size_t>(topo.MemberIndexOf(destination));
         const double w = tables.fwd_dist[bi][md];
-        if (w < kInf) {
-          relax(kOverlayTarget, gu + w, u, OverlayArc::kFinish);
-        }
+        if (w < kInf) arc(kTarget, w, OverlayArc::kFinish);
       }
-    }
+      return Status::OK();
+    };
+    ATIS_RETURN_NOT_OK(search.Run(expand, [&](NodeId slot_u) {
+      if (slot_u == kTarget) {
+        target_hit = true;  // terminating selection (not an iteration)
+        return true;
+      }
+      // Every remaining label has f >= f(u); with an admissible h that
+      // lower-bounds its true cost, so nothing in the queue can beat the
+      // in-cell candidate: the direct route wins, stop settling.
+      return search.dist(slot_u) + potential(slot_u) >= direct_cost;
+    }));
     ATIS_RETURN_NOT_OK(EndStatement());
   }
+  result.stats.reopenings = search.reopened();
   phase.Charge(&result.stats.breakdown.selection);
   obs::MetricsRegistry::Default()
       .GetCounter("atis_overlay_expansions_total",
                   "Overlay boundary nodes settled by Version 5 searches")
       .Increment(overlay_expansions);
 
-  const double overlay_cost =
-      target_hit != labels.end() ? target_hit->second.g : kInf;
+  const double overlay_cost = target_hit ? search.dist(kTarget) : kInf;
   result.stats.io = meter.counters() - start_io;
   result.stats.cost_units = result.stats.io.Cost(options_.cost_params);
 
@@ -684,12 +769,10 @@ Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
   // -- Splice the overlay route back into base-graph nodes: walk the
   //    label chain target -> source, then emit each arc's intra-cell
   //    segment from the customized parent trees.
-  std::vector<NodeId> bnodes;  // boundary nodes, destination side first
-  for (NodeId at = target_hit->second.pred; at != graph::kInvalidNode;
-       at = labels.at(at).pred) {
-    bnodes.push_back(at);
+  std::vector<NodeId> bnodes;  // boundary nodes, source side first
+  for (const NodeId i : search.PathTo(kTarget)) {
+    if (i != kTarget) bnodes.push_back(i - 1);
   }
-  std::reverse(bnodes.begin(), bnodes.end());
   // Appends the intra-cell path boundary[bi] -> to (exclusive of the
   // boundary node itself) by walking cell c's forward parent tree.
   const auto append_fwd = [&](int32_t c, size_t bi,
@@ -731,8 +814,7 @@ Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
     }
   }
   for (size_t i = 1; i < bnodes.size(); ++i) {
-    const OverlayLabel& lab = labels.at(bnodes[i]);
-    switch (lab.via) {
+    switch (via[static_cast<size_t>(slot(bnodes[i]))]) {
       case OverlayArc::kShortcut: {
         const int32_t c = topo.CellOf(bnodes[i - 1]);
         ATIS_RETURN_NOT_OK(append_fwd(

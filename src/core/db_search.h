@@ -14,16 +14,23 @@
 //              node relation grown incrementally as nodes are discovered;
 //   version 2: frontierSet as R's status attribute (REPLACE), Euclidean;
 //   version 3: status attribute, Manhattan estimator;
-//   version 4: status attribute, landmark (ALT) estimator — precomputed
-//              triangle-inequality lower bounds, loaded from the store's
-//              landmarkDist relation via EnableLandmarks().
+//   version 4: landmark (ALT) estimator — precomputed triangle-inequality
+//              lower bounds, loaded from the store's landmarkDist relation
+//              via EnableLandmarks(). Statement-at-a-time, it runs on the
+//              status attribute like version 2. Served (statement_at_a_time
+//              off, as RouteServer runs it), the frontier is the in-memory
+//              kernel's heap (graph/shortest_path.h) with float labels and
+//              the same selection order: adjacency still comes from a
+//              metered FetchAdjacency per expansion and each reached node's
+//              coordinates from one GetNode, but R is never written, and
+//              answers and counters equal the status-attribute run's.
 //   version 5: partition-boundary overlay (core/overlay.h) — A* over
-//              boundary nodes only, using per-cell customized distance
-//              tables; the store is touched just for the endpoint probes
-//              (same-cell queries answer from the customized in-cell
-//              all-pairs table). Needs EnableOverlay(); uses the landmark
-//              estimator as the overlay heuristic when EnableLandmarks()
-//              was also called.
+//              boundary nodes only, on the same kernel, using per-cell
+//              customized distance tables; the store is touched just for
+//              the endpoint probes (same-cell queries answer from the
+//              customized in-cell all-pairs table). Needs EnableOverlay();
+//              uses the landmark estimator as the overlay heuristic when
+//              EnableLandmarks() was also called.
 #pragma once
 
 #include <memory>
@@ -149,6 +156,18 @@ class DbSearchEngine {
                                               std::string_view label,
                                               const Deadline& deadline,
                                               BatchContext* batch);
+
+  /// Version 4 in served mode (statement_at_a_time off): A* on the
+  /// shortest-path kernel (graph/shortest_path.h) with float labels and
+  /// the BetterCandidate order, so answers and counters equal
+  /// BestFirstStatusAttribute's. Adjacency comes from FetchAdjacency per
+  /// expansion and each reached node's coordinates from one GetNode; R is
+  /// never written.
+  Result<PathResult> ServedAStar(graph::NodeId source,
+                                 graph::NodeId destination,
+                                 const Estimator& estimator,
+                                 const Deadline& deadline,
+                                 BatchContext* batch);
 
   Result<PathResult> AStarSeparateRelation(graph::NodeId source,
                                            graph::NodeId destination,

@@ -5,10 +5,11 @@
 // queries for many travellers against one database-resident map
 // (Section 1). This module is that service's executor: N worker threads
 // share one metered DiskManager and one sharded BufferPool, and each
-// worker owns a private RelationalGraphStore replica (the search
-// algorithms write working state — status/pred/path_cost — into R, so the
-// node relation cannot be shared between in-flight queries; the map data
-// itself is identical across replicas). Queries are dispatched to whichever
+// worker owns a private RelationalGraphStore replica (Iterative, Dijkstra
+// and A* versions 1-3 write working state — status/pred/path_cost — into
+// R, so the node relation cannot be shared between in-flight queries; the
+// map data itself is identical across replicas; served A* versions 4 and
+// 5 only read R). Queries are dispatched to whichever
 // worker is free; per-query block I/O is accounted exactly via
 // IoMeter::ScopedThreadCounters even though the disk is shared.
 //

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "core/batch_engine.h"
 #include "core/landmarks.h"
 #include "core/memory_search.h"
 #include "core/overlay.h"
@@ -11,6 +12,8 @@
 #include "core/sssp.h"
 #include "graph/grid_generator.h"
 #include "graph/road_map_generator.h"
+#include "obs/trace.h"
+#include "util/random.h"
 
 namespace atis::core {
 namespace {
@@ -391,9 +394,13 @@ struct LandmarkOverlayDb {
   LandmarkOverlayDb() : pool(&disk, 512), store(&pool) {}
 
   Status Start(const graph::Graph& g, bool statement_at_a_time) {
-    ATIS_RETURN_NOT_OK(store.Load(g));
     DbSearchOptions options;
     options.statement_at_a_time = statement_at_a_time;
+    return Start(g, options);
+  }
+
+  Status Start(const graph::Graph& g, const DbSearchOptions& options) {
+    ATIS_RETURN_NOT_OK(store.Load(g));
     engine = std::make_unique<DbSearchEngine>(&store, &pool, options);
     LandmarkOptions lm;
     lm.num_landmarks = 8;
@@ -461,6 +468,146 @@ TEST(DbUnreachableTest, LandmarkVersionsGiveUpNoLaterThanV2) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Served Version 4 runs on the shortest-path kernel instead of R's status
+// attribute. Its answers and counters must equal the statement-at-a-time
+// engine's exactly, and it must never write R.
+
+storage::IoCounters Sum(const SearchStats::IoBreakdown& b) {
+  storage::IoCounters total;
+  for (const storage::IoCounters* part :
+       {&b.init, &b.selection, &b.marking, &b.adjacency, &b.relaxation,
+        &b.cleanup}) {
+    total += *part;
+  }
+  return total;
+}
+
+void ExpectSameIo(const storage::IoCounters& got,
+                  const storage::IoCounters& want, const std::string& what) {
+  EXPECT_EQ(got.blocks_read, want.blocks_read) << what;
+  EXPECT_EQ(got.blocks_written, want.blocks_written) << what;
+  EXPECT_EQ(got.relations_created, want.relations_created) << what;
+  EXPECT_EQ(got.relations_deleted, want.relations_deleted) << what;
+}
+
+void ExpectSameAnswer(const PathResult& got, const PathResult& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.found, want.found) << what;
+  EXPECT_EQ(got.cost, want.cost) << what;  // bit-identical, no epsilon
+  EXPECT_EQ(got.path, want.path) << what;
+  EXPECT_EQ(got.stats.iterations, want.stats.iterations) << what;
+  EXPECT_EQ(got.stats.nodes_generated, want.stats.nodes_generated) << what;
+  EXPECT_EQ(got.stats.nodes_improved, want.stats.nodes_improved) << what;
+  EXPECT_EQ(got.stats.reopenings, want.stats.reopenings) << what;
+}
+
+/// 200 seeded uniform pairs over the Minneapolis-like map, unroutable
+/// ones included.
+std::vector<std::pair<NodeId, NodeId>> UniformPairs(size_t num_nodes) {
+  Rng rng(17);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (int i = 0; i < 200; ++i) {
+    const auto hi = static_cast<int64_t>(num_nodes) - 1;
+    pairs.emplace_back(static_cast<NodeId>(rng.UniformInt(0, hi)),
+                       static_cast<NodeId>(rng.UniformInt(0, hi)));
+  }
+  return pairs;
+}
+
+TEST(DbServedV4Test, EqualsStatementAtATimeAndNeverWritesR) {
+  auto rm = graph::GenerateMinneapolisLike();
+  ASSERT_TRUE(rm.ok());
+  LandmarkOverlayDb served;
+  LandmarkOverlayDb paper;
+  ASSERT_TRUE(served.Start(rm->graph, /*statement_at_a_time=*/false).ok());
+  ASSERT_TRUE(paper.Start(rm->graph, /*statement_at_a_time=*/true).ok());
+
+  size_t found = 0;
+  for (const auto& [s, d] : UniformPairs(rm->graph.num_nodes())) {
+    const std::string what =
+        std::to_string(s) + "->" + std::to_string(d);
+    auto want = paper.engine->AStar(s, d, AStarVersion::kV4);
+    ASSERT_TRUE(want.ok()) << what;
+    if (want->found) ++found;
+    for (const bool batched : {false, true}) {
+      BatchContext batch(/*batch_id=*/1);
+      obs::Tracer tracer(&served.disk, &served.pool);
+      Result<PathResult> got = [&] {
+        obs::Tracer::InstallScope scope(&tracer);
+        return served.engine->AStar(s, d, AStarVersion::kV4, Deadline(),
+                                    batched ? &batch : nullptr);
+      }();
+      ASSERT_TRUE(got.ok()) << what;
+      const std::string run = what + (batched ? " batched" : "");
+      ExpectSameAnswer(*got, *want, run);
+      EXPECT_EQ(got->stats.io.blocks_written, 0u) << run;
+      ExpectSameIo(Sum(got->stats.breakdown), got->stats.io, run);
+      ExpectSameIo(obs::SumByCategory(tracer, "statement").io, got->stats.io,
+                   run);
+    }
+  }
+  // The pairs exercise both outcomes.
+  EXPECT_GT(found, 150u);
+  EXPECT_LT(found, 200u);
+}
+
+TEST(DbServedV4Test, MissingEndpointIsError) {
+  auto g = GridGraphGenerator::Generate({5, GridCostModel::kUniform});
+  ASSERT_TRUE(g.ok());
+  LandmarkOverlayDb served;
+  ASSERT_TRUE(served.Start(*g, /*statement_at_a_time=*/false).ok());
+  for (const auto& [s, d] : {std::pair<NodeId, NodeId>{0, 25}, {25, 0},
+                             {-3, 0}, {0, -3}}) {
+    EXPECT_TRUE(served.engine->AStar(s, d, AStarVersion::kV4)
+                    .status()
+                    .IsNotFound())
+        << s << "->" << d;
+  }
+}
+
+TEST(DbServedV4Test, PrefetchHintsTheHeapsBestEntriesWithoutChangingAnswers) {
+  auto rm = graph::GenerateMinneapolisLike();
+  ASSERT_TRUE(rm.ok());
+  LandmarkOverlayDb plain;
+  LandmarkOverlayDb prefetching;
+  ASSERT_TRUE(plain.Start(rm->graph, /*statement_at_a_time=*/false).ok());
+  DbSearchOptions options;
+  options.statement_at_a_time = false;
+  options.prefetch_depth = 4;
+  prefetching.pool.StartPrefetchWorkers(2);
+  ASSERT_TRUE(prefetching.Start(rm->graph, options).ok());
+
+  const uint64_t issued_before = prefetching.pool.stats().prefetch_issued;
+  for (const auto& [s, d] : UniformPairs(rm->graph.num_nodes())) {
+    auto want = plain.engine->AStar(s, d, AStarVersion::kV4);
+    auto got = prefetching.engine->AStar(s, d, AStarVersion::kV4);
+    ASSERT_TRUE(want.ok() && got.ok());
+    ExpectSameAnswer(*got, *want,
+                     std::to_string(s) + "->" + std::to_string(d));
+  }
+  EXPECT_GT(prefetching.pool.stats().prefetch_issued, issued_before);
+  prefetching.pool.StopPrefetchWorkers();
+}
+TEST(DbServedV5Test, ReopensAnImprovedBoundaryNode) {
+  // On this pair the overlay potential is inconsistent: a settled boundary
+  // node is improved later. Settling it again keeps the claimed cost equal
+  // to the returned path's; keeping it closed once claimed 22.9418 for a
+  // 22.9348 route.
+  auto rm = graph::GenerateMinneapolisLike();
+  ASSERT_TRUE(rm.ok());
+  LandmarkOverlayDb served;
+  ASSERT_TRUE(served.Start(rm->graph, /*statement_at_a_time=*/false).ok());
+  const graph::Graph rounded = WithStoredEdgeCosts(rm->graph);
+  auto r = served.engine->AStar(165, 892, AStarVersion::kV5);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->found);
+  EXPECT_GT(r->stats.reopenings, 0u);
+  const RouteEvaluation eval = EvaluateRoute(rounded, r->path);
+  ASSERT_TRUE(eval.valid);
+  EXPECT_NEAR(r->cost, eval.total_cost, 1e-9);
+  EXPECT_NEAR(r->cost, DijkstraSearch(rounded, 165, 892).cost, 1e-9);
+}
 
 // ---------------------------------------------------------------------------
 // Route evaluation of database answers: every algorithm and A* version
