@@ -1,15 +1,21 @@
-// Continent-scale serving benchmark: streaming build + sharded serving.
+// Continent-scale serving benchmark: streaming build + partitioned
+// serving through core::RouteServer.
 //
-// Pipeline under test (the PR-10 subsystem end to end):
+// Pipeline under test (the partitioned-store subsystem end to end):
 //   1. ContinentGenerator streams a multi-city map to an ATISG2 file —
 //      nothing is ever resident.
-//   2. PartitionedGraphStore::Build external-sorts the file by Hilbert
-//      key through the metered DiskManager and materialises K region
-//      stores one at a time, then customizes the boundary overlay.
-//   3. ShardedRouteServer answers random trips in stitched mode
-//      (restricted Dijkstra + in-memory overlay + restricted Dijkstra)
-//      and, as the unpartitioned baseline, in flat GlobalDijkstra mode
-//      over the same store.
+//   2. RouteServer's partitioned constructor runs
+//      PartitionedGraphStore::Build on the server's own pool: it
+//      external-sorts the file by Hilbert key through the metered
+//      DiskManager and materialises K region stores one at a time, then
+//      customizes the boundary overlay.
+//   3. The same server answers random trips as A* v5 queries, which take
+//      the stitched path (restricted Dijkstra + in-memory overlay +
+//      restricted Dijkstra), and, as the unpartitioned baseline, as
+//      Dijkstra queries, which take the flat GlobalDijkstra path over the
+//      same store. Settled-node and cross-partition figures are deltas of
+//      the server's own atis_partition_* counters; latency percentiles
+//      come from RouteResponse::latency_seconds (reported, not gated).
 //
 // Gates (checked by scripts/check_perf.py against a checked-in
 // baseline): stitched QPS floor, stitched QPS >= the flat baseline,
@@ -24,10 +30,11 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/sharded_route_server.h"
+#include "core/route_server.h"
 #include "graph/continent_generator.h"
 #include "graph/partitioned_store.h"
 #include "harness.h"
+#include "obs/metrics.h"
 
 namespace atis::bench {
 namespace {
@@ -66,49 +73,72 @@ struct ServingRun {
   size_t queries = 0;
   double qps = 0.0;
   double blocks_per_query = 0.0;
+  double latency_p50_ms = 0.0;
+  double latency_p99_ms = 0.0;
   double avg_settled_store = 0.0;
   double avg_settled_overlay = 0.0;
   double cross_fraction = 0.0;
 };
 
-ServingRun Serve(const graph::PartitionedGraphStore& store,
-                 core::ShardedRouteServer::Mode mode, size_t num_queries,
-                 uint64_t seed) {
-  core::ShardedRouteServer::Options options;
-  options.num_workers = 4;
-  options.mode = mode;
-  core::ShardedRouteServer server(&store, options);
+/// The server's atis_partition_* counters, read before and after a run.
+struct PartitionCounters {
+  uint64_t cross = 0;
+  uint64_t settled_store = 0;
+  uint64_t settled_overlay = 0;
 
+  static PartitionCounters Read() {
+    auto& reg = obs::MetricsRegistry::Default();
+    auto value = [&reg](const char* name) {
+      return reg.GetCounter(name, "").value();
+    };
+    return {value("atis_partition_cross_queries_total"),
+            value("atis_partition_settled_store_total"),
+            value("atis_partition_settled_overlay_total")};
+  }
+};
+
+/// Serves `num_queries` random trips of kind `shape` (its algorithm and
+/// version pick the stitched or the flat path) as one batch.
+ServingRun Serve(core::RouteServer& server, core::RouteQuery shape,
+                 size_t num_queries, uint64_t seed) {
   Rng rng(seed);
-  const auto n = static_cast<int64_t>(store.num_nodes());
-  std::vector<core::ShardedRouteServer::Query> queries;
+  const auto n =
+      static_cast<int64_t>(server.partitioned_store()->num_nodes());
+  std::vector<core::RouteQuery> queries;
   queries.reserve(num_queries);
   for (size_t i = 0; i < num_queries; ++i) {
-    queries.push_back(
-        {static_cast<graph::NodeId>(rng.UniformInt(0, n - 1)),
-         static_cast<graph::NodeId>(rng.UniformInt(0, n - 1))});
+    shape.source = static_cast<graph::NodeId>(rng.UniformInt(0, n - 1));
+    shape.destination = static_cast<graph::NodeId>(rng.UniformInt(0, n - 1));
+    queries.push_back(shape);
   }
+  const PartitionCounters before = PartitionCounters::Read();
   const auto t0 = std::chrono::steady_clock::now();
   auto responses = server.ServeBatch(queries);
   const double elapsed = SecondsSince(t0);
   if (!responses.ok()) Fatal(std::string(responses.status().message()));
+  const PartitionCounters after = PartitionCounters::Read();
 
   ServingRun run;
   run.queries = num_queries;
   run.qps = static_cast<double>(num_queries) / elapsed;
-  uint64_t blocks = 0, settled_store = 0, settled_overlay = 0, cross = 0;
+  uint64_t blocks = 0;
+  std::vector<double> latencies;
+  latencies.reserve(num_queries);
   for (const auto& resp : *responses) {
     if (!resp.status.ok()) Fatal(std::string(resp.status.message()));
     blocks += resp.io.blocks_read;
-    settled_store += resp.stats.settled_source + resp.stats.settled_target;
-    settled_overlay += resp.stats.settled_overlay;
-    if (resp.cross_partition) ++cross;
+    latencies.push_back(resp.latency_seconds);
   }
   const double nq = static_cast<double>(num_queries);
   run.blocks_per_query = static_cast<double>(blocks) / nq;
-  run.avg_settled_store = static_cast<double>(settled_store) / nq;
-  run.avg_settled_overlay = static_cast<double>(settled_overlay) / nq;
-  run.cross_fraction = static_cast<double>(cross) / nq;
+  run.latency_p50_ms = 1e3 * Percentile(latencies, 50);
+  run.latency_p99_ms = 1e3 * Percentile(latencies, 99);
+  run.avg_settled_store =
+      static_cast<double>(after.settled_store - before.settled_store) / nq;
+  run.avg_settled_overlay =
+      static_cast<double>(after.settled_overlay - before.settled_overlay) /
+      nq;
+  run.cross_fraction = static_cast<double>(after.cross - before.cross) / nq;
   return run;
 }
 
@@ -122,7 +152,7 @@ void Run(const std::string& json_path, bool quick) {
   map_options.city_k = quick ? 29 : 32;
 
   PrintHeader("continent",
-              std::string("streaming build + sharded serving, ") +
+              std::string("streaming build + partitioned serving, ") +
                   (quick ? "~100k nodes (--quick)" : "~1M nodes"));
 
   auto gen = graph::ContinentGenerator::Create(map_options);
@@ -139,15 +169,18 @@ void Run(const std::string& json_path, bool quick) {
   const double generate_seconds = SecondsSince(t0);
   const double rss_before_build_mb = ProcStatusMb("VmHWM:");
 
-  storage::DiskManager disk;
-  storage::BufferPool pool(&disk, quick ? 1024 : 4096, 8);
-  graph::PartitionedStoreOptions build_options;
+  core::RouteServer::Options server_options;
+  server_options.num_workers = 4;
+  server_options.pool_frames = quick ? 1024 : 4096;
+  server_options.pool_shards = 8;
   t0 = std::chrono::steady_clock::now();
-  auto store =
-      graph::PartitionedGraphStore::Build(map_path.string(), &pool,
-                                          build_options);
+  core::RouteServer server(map_path.string(), graph::PartitionedStoreOptions(),
+                           server_options);
   const double build_seconds = SecondsSince(t0);
-  if (!store.ok()) Fatal(std::string(store.status().message()));
+  if (!server.init_status().ok()) {
+    Fatal(std::string(server.init_status().message()));
+  }
+  const graph::PartitionedGraphStore& store = *server.partitioned_store();
   const double peak_rss_mb = ProcStatusMb("VmHWM:");
   const double current_rss_mb = ProcStatusMb("VmRSS:");
 
@@ -156,45 +189,53 @@ void Run(const std::string& json_path, bool quick) {
   // plus ComputeNodeOrder's key/permutation arrays. Arithmetic estimate,
   // reported for scale.
   const double materialized_estimate_mb =
-      (static_cast<double>((*store)->num_nodes()) *
+      (static_cast<double>(store.num_nodes()) *
            (sizeof(graph::Point) + 24 /* adjacency vector header */ +
             12 /* sort key + permutation entry */) +
-       static_cast<double>((*store)->num_edges()) * sizeof(graph::Edge)) /
+       static_cast<double>(store.num_edges()) * sizeof(graph::Edge)) /
       (1024.0 * 1024.0);
 
-  PrintRow("map", {std::to_string((*store)->num_nodes()) + " nodes",
-                   std::to_string((*store)->num_edges()) + " edges",
-                   std::to_string((*store)->num_partitions()) + " parts"});
+  PrintRow("map", {std::to_string(store.num_nodes()) + " nodes",
+                   std::to_string(store.num_edges()) + " edges",
+                   std::to_string(store.num_partitions()) + " parts"});
   PrintRow("build", {std::to_string(build_seconds) + "s",
                      std::to_string(peak_rss_mb) + "MB peak"});
 
   const size_t stitched_queries = quick ? 256 : 64;
   const size_t global_queries = quick ? 32 : 4;
   const ServingRun stitched =
-      Serve(**store, core::ShardedRouteServer::Mode::kStitched,
+      Serve(server,
+            {.algorithm = core::Algorithm::kAStar,
+             .version = core::AStarVersion::kV5},
             stitched_queries, kSeed + 1);
   const ServingRun global =
-      Serve(**store, core::ShardedRouteServer::Mode::kGlobalDijkstra,
+      Serve(server, {.algorithm = core::Algorithm::kDijkstra},
             global_queries, kSeed + 1);
 
   PrintRow("stitched", {std::to_string(stitched.qps) + " qps",
                         std::to_string(stitched.blocks_per_query) +
-                            " blocks/q"});
+                            " blocks/q",
+                        "p50 " + std::to_string(stitched.latency_p50_ms) +
+                            "ms",
+                        "p99 " + std::to_string(stitched.latency_p99_ms) +
+                            "ms"});
   PrintRow("flat", {std::to_string(global.qps) + " qps",
-                    std::to_string(global.blocks_per_query) + " blocks/q"});
+                    std::to_string(global.blocks_per_query) + " blocks/q",
+                    "p50 " + std::to_string(global.latency_p50_ms) + "ms",
+                    "p99 " + std::to_string(global.latency_p99_ms) + "ms"});
 
   // Exactness spot check: stitched == flat reference over the same store
   // (both accumulate in double, so agreement is to rounding noise).
   bool exact = true;
   {
     Rng rng(kSeed + 2);
-    const auto n = static_cast<int64_t>((*store)->num_nodes());
+    const auto n = static_cast<int64_t>(store.num_nodes());
     const int checks = quick ? 16 : 4;
     for (int i = 0; i < checks; ++i) {
       const auto s = static_cast<graph::NodeId>(rng.UniformInt(0, n - 1));
       const auto t = static_cast<graph::NodeId>(rng.UniformInt(0, n - 1));
-      auto a = (*store)->StitchedDistance(s, t);
-      auto b = (*store)->GlobalDijkstra(s, t);
+      auto a = store.StitchedDistance(s, t);
+      auto b = store.GlobalDijkstra(s, t);
       if (!a.ok() || !b.ok()) Fatal("exactness probe failed");
       if (a->found != b->found ||
           (a->found && std::abs(a->cost - b->cost) > 1e-9)) {
@@ -217,12 +258,12 @@ void Run(const std::string& json_path, bool quick) {
   w.Key("map").BeginObject();
   w.Field("num_cities", map_options.num_cities);
   w.Field("city_k", map_options.city_k);
-  w.Field("nodes", (*store)->num_nodes());
-  w.Field("edges", (*store)->num_edges());
-  w.Field("partitions", static_cast<uint64_t>((*store)->num_partitions()));
+  w.Field("nodes", store.num_nodes());
+  w.Field("edges", store.num_edges());
+  w.Field("partitions", static_cast<uint64_t>(store.num_partitions()));
   w.Field("boundary_nodes",
-          static_cast<uint64_t>((*store)->num_boundary_nodes()));
-  w.Field("cross_edges", static_cast<uint64_t>((*store)->num_cross_edges()));
+          static_cast<uint64_t>(store.num_boundary_nodes()));
+  w.Field("cross_edges", static_cast<uint64_t>(store.num_cross_edges()));
   w.EndObject();
   w.Key("build").BeginObject();
   w.Field("generate_seconds", generate_seconds);
@@ -237,6 +278,8 @@ void Run(const std::string& json_path, bool quick) {
     w.Field("queries", static_cast<uint64_t>(run.queries));
     w.Field("qps", run.qps);
     w.Field("blocks_per_query", run.blocks_per_query);
+    w.Field("latency_p50_ms", run.latency_p50_ms);
+    w.Field("latency_p99_ms", run.latency_p99_ms);
     w.Field("avg_settled_store", run.avg_settled_store);
     w.Field("avg_settled_overlay", run.avg_settled_overlay);
     w.Field("cross_fraction", run.cross_fraction);

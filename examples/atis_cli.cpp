@@ -38,7 +38,6 @@
 #include "core/k_shortest.h"
 #include "core/memory_search.h"
 #include "core/route_service.h"
-#include "core/sharded_route_server.h"
 #include "core/sssp.h"
 #include "graph/continent_generator.h"
 #include "graph/graph_io.h"
@@ -139,7 +138,7 @@ int Usage(const char* argv0) {
       "route builds a Hilbert-range partitioned store from the file\n"
       "(bounded memory; one 32767-node-capped region store per range)\n"
       "and answers the query exactly through the partition-boundary\n"
-      "overlay on a sharded worker pool.\n",
+      "overlay on the route server's worker pool.\n",
       argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
       argv0);
   return 2;
@@ -985,53 +984,57 @@ int CmdContinent(int argc, char** argv, const char* argv0) {
 
   if (verb == "route") {
     if (positional.size() != 3) return Usage(argv0);
-    storage::DiskManager disk;
-    storage::BufferPool pool(&disk, 4096, 8);
-    graph::PartitionedStoreOptions options;
-    options.max_partition_nodes = static_cast<size_t>(max_partition_nodes);
+    graph::PartitionedStoreOptions partitioning;
+    partitioning.max_partition_nodes =
+        static_cast<size_t>(max_partition_nodes);
+    core::RouteServer::Options server_options;
+    server_options.num_workers = static_cast<size_t>(workers);
+    server_options.pool_frames = 4096;
+    server_options.pool_shards = 8;
     const auto t0 = std::chrono::steady_clock::now();
-    auto store = graph::PartitionedGraphStore::Build(positional[0], &pool,
-                                                     options);
-    if (!store.ok()) {
-      std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
+    core::RouteServer server(positional[0], partitioning, server_options);
+    if (!server.init_status().ok()) {
+      std::fprintf(stderr, "%s\n", server.init_status().ToString().c_str());
       return 1;
     }
     const double build_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    const graph::PartitionedGraphStore& store = *server.partitioned_store();
     std::printf("built %zu partitions over %llu nodes (%zu boundary nodes, "
                 "%zu cross edges) in %.2fs\n",
-                (*store)->num_partitions(),
-                static_cast<unsigned long long>((*store)->num_nodes()),
-                (*store)->num_boundary_nodes(), (*store)->num_cross_edges(),
+                store.num_partitions(),
+                static_cast<unsigned long long>(store.num_nodes()),
+                store.num_boundary_nodes(), store.num_cross_edges(),
                 build_seconds);
 
-    core::ShardedRouteServer::Options server_options;
-    server_options.num_workers = static_cast<size_t>(workers);
-    core::ShardedRouteServer server(store->get(), server_options);
-    std::vector<core::ShardedRouteServer::Query> queries = {
-        {static_cast<graph::NodeId>(std::atoi(positional[1].c_str())),
-         static_cast<graph::NodeId>(std::atoi(positional[2].c_str()))}};
-    auto responses = server.ServeBatch(queries);
+    core::RouteQuery query;
+    query.source = static_cast<graph::NodeId>(std::atoi(positional[1].c_str()));
+    query.destination =
+        static_cast<graph::NodeId>(std::atoi(positional[2].c_str()));
+    query.algorithm = core::Algorithm::kAStar;
+    query.version = core::AStarVersion::kV5;
+    auto responses = server.ServeBatch({query});
     if (!responses.ok()) {
       std::fprintf(stderr, "%s\n", responses.status().ToString().c_str());
       return 1;
     }
-    const auto& resp = (*responses)[0];
+    const core::RouteResponse& resp = (*responses)[0];
     if (!resp.status.ok()) {
       std::fprintf(stderr, "%s\n", resp.status.ToString().c_str());
       return 1;
     }
-    if (!resp.found) {
+    if (!resp.result.found) {
       std::fprintf(stderr, "no route from %s to %s\n", positional[1].c_str(),
                    positional[2].c_str());
       return 1;
     }
-    std::printf("route cost %.4f (%s, group %d, %llu blocks, %.1fms)\n",
-                resp.cost,
-                resp.cross_partition ? "cross-partition stitch"
-                                     : "single partition",
-                resp.group,
+    const bool cross = store.PartitionOf(query.source) !=
+                       store.PartitionOf(query.destination);
+    std::printf("route cost %.4f (%s, worker %d, %llu blocks, %.1fms)\n",
+                resp.result.cost,
+                cross ? "cross-partition stitch" : "single partition",
+                resp.worker_id,
                 static_cast<unsigned long long>(resp.io.blocks_read),
                 resp.latency_seconds * 1e3);
     return 0;

@@ -42,35 +42,26 @@ const char* ServedViaName(ServedVia via) {
 RouteServer::RouteServer(const graph::Graph& g)
     : RouteServer(g, Options()) {}
 
-RouteServer::RouteServer(const graph::Graph& g, Options options) {
-  if (options.num_workers == 0) options.num_workers = 1;
-  options_ = options;
-  const size_t frames = options.pool_frames != 0
-                            ? options.pool_frames
-                            : 128 * options.num_workers;
-  const size_t shards = options.pool_shards != 0
-                            ? options.pool_shards
-                            : std::max<size_t>(4, 2 * options.num_workers);
-  disk_.SetLatencyModel(options.disk_latency);
-  pool_ = std::make_unique<storage::BufferPool>(&disk_, frames, shards);
-
-  DbSearchOptions search = options.search;
+RouteServer::RouteServer(const graph::Graph& g, Options options)
+    : options_(std::move(options)) {
+  StartPool();
+  DbSearchOptions search = options_.search;
   search.statement_at_a_time = false;  // unsafe with concurrent pinners
-  search.prefetch_depth = options.prefetch_depth;
+  search.prefetch_depth = options_.prefetch_depth;
 
   // Crash recovery: the base metric every replica loads is the caller's
   // graph, corrected by the newest checkpoint plus every committed WAL
   // frame past it — exactly the last state an updater was acknowledged.
   graph::Graph base = g;
-  if (!options.wal.dir.empty()) {
+  if (!options_.wal.dir.empty()) {
     if (init_status_ = RecoverFromWal(&base); !init_status_.ok()) return;
   }
 
   // Load one store replica per worker (sequentially; the workers are not
   // running yet). The first failure wins and the server stays inert.
   const graph::RelationalGraphStore::LoadOptions load_options{
-      options.layout};
-  for (size_t w = 0; w < options.num_workers; ++w) {
+      options_.layout};
+  for (size_t w = 0; w < options_.num_workers; ++w) {
     auto store = std::make_unique<graph::RelationalGraphStore>(pool_.get());
     if (Status st = store->Load(base, load_options); !st.ok()) {
       init_status_ = std::move(st);
@@ -80,7 +71,7 @@ RouteServer::RouteServer(const graph::Graph& g, Options options) {
         store.get(), pool_.get(), search));
     stores_.push_back(std::move(store));
   }
-  if (options.overlay_cell_order > 0) {
+  if (options_.overlay_cell_order > 0) {
     // The writer's private replica: overlay re-customization reads
     // post-update adjacency from here without touching (or waiting for)
     // any serving replica.
@@ -96,33 +87,32 @@ RouteServer::RouteServer(const graph::Graph& g, Options options) {
   // route costs what the engine would have reported); landmarks are
   // selected on it too, since that is the metric the engines accumulate.
   write_graph_ = WithStoredEdgeCosts(base);
+  auto initial = std::make_shared<MetricState>();
+  initial->snapshot = std::make_shared<const graph::Graph>(write_graph_);
 
-  std::shared_ptr<const Estimator> estimator_init;
-  std::shared_ptr<const OverlayIndex> overlay_init;
-
-  if (options.num_landmarks > 0) {
+  if (options_.num_landmarks > 0) {
     // One ALT table serves every worker: select on write_graph_,
     // persist/load it through replica 0's storage path for metered
     // accounting, and share the immutable result.
     init_status_ = [&]() -> Status {
       LandmarkOptions lm;
-      lm.num_landmarks = options.num_landmarks;
+      lm.num_landmarks = options_.num_landmarks;
       ATIS_ASSIGN_OR_RETURN(LandmarkSet selected,
                             SelectLandmarks(write_graph_, lm));
       ATIS_ASSIGN_OR_RETURN(auto table,
                             PersistAndLoadLandmarks(selected,
                                                     stores_.front().get()));
       landmark_set_ = table;  // re-validation reuses these landmark ids
-      estimator_init = MakeLandmarkEstimator(std::move(table));
+      initial->estimator = MakeLandmarkEstimator(std::move(table));
       for (auto& engine : engines_) {
-        ATIS_RETURN_NOT_OK(engine->EnableLandmarks(estimator_init));
+        ATIS_RETURN_NOT_OK(engine->EnableLandmarks(initial->estimator));
       }
       return Status::OK();
     }();
     if (!init_status_.ok()) return;
   }
 
-  if (options.overlay_cell_order > 0) {
+  if (options_.overlay_cell_order > 0) {
     // Topology once (persisted through replica 0's metered storage path),
     // then per-metric customization parallelised across the replicas —
     // each store serves a disjoint cell stripe, so the shared pool sees
@@ -131,7 +121,7 @@ RouteServer::RouteServer(const graph::Graph& g, Options options) {
       ATIS_ASSIGN_OR_RETURN(
           OverlayTopology built,
           OverlayTopology::Build(
-              base, OverlayOptions{options.overlay_cell_order}));
+              base, OverlayOptions{options_.overlay_cell_order}));
       ATIS_ASSIGN_OR_RETURN(
           auto topology,
           PersistAndLoadOverlayTopology(built, stores_.front().get(),
@@ -147,14 +137,79 @@ RouteServer::RouteServer(const graph::Graph& g, Options options) {
       for (auto& engine : engines_) {
         ATIS_RETURN_NOT_OK(engine->EnableOverlay(index));
       }
-      overlay_init = std::move(index);
+      initial->overlay = std::move(index);
       return Status::OK();
     }();
     if (!init_status_.ok()) return;
   }
 
-  if (options.enable_cache) {
-    cache_ = std::make_unique<RouteCache>(options.cache);
+  init_status_ = StartServing(std::move(initial));
+}
+
+RouteServer::RouteServer(const std::string& map_path,
+                         const graph::PartitionedStoreOptions& partitioning,
+                         Options options)
+    : options_(std::move(options)) {
+  StartPool();
+  // The partitioned store is read-only and carries its own boundary
+  // overlay: nothing for a WAL to recover, and no single-store estimator.
+  if (!options_.wal.dir.empty() || options_.num_landmarks > 0 ||
+      options_.overlay_cell_order > 0) {
+    init_status_ = Status::InvalidArgument(
+        "RouteServer: a partitioned store serves without wal.dir, "
+        "num_landmarks or overlay_cell_order");
+    return;
+  }
+  auto built =
+      graph::PartitionedGraphStore::Build(map_path, pool_.get(), partitioning);
+  if (!built.ok()) {
+    init_status_ = built.status();
+    return;
+  }
+  partitioned_ = std::move(built).value();
+
+  auto& reg = obs::MetricsRegistry::Default();
+  partition_queries_ = &reg.GetCounter(
+      "atis_partition_queries_total",
+      "Route queries served by sharded partitioned-store servers");
+  partition_cross_ = &reg.GetCounter(
+      "atis_partition_cross_queries_total",
+      "Served queries whose source and destination lie in different "
+      "partitions (stitched through the boundary overlay)");
+  partition_settled_store_ = &reg.GetCounter(
+      "atis_partition_settled_store_total",
+      "Store nodes settled by the restricted source/target phases of "
+      "stitched queries (and by flat reference Dijkstras)");
+  partition_settled_overlay_ = &reg.GetCounter(
+      "atis_partition_settled_overlay_total",
+      "Boundary-overlay nodes settled by the in-memory middle phase of "
+      "stitched queries");
+  reg.GetGauge("atis_partition_partitions",
+               "Partitions (region stores) of the served partitioned store")
+      .Set(static_cast<double>(partitioned_->num_partitions()));
+  reg.GetGauge("atis_partition_boundary_nodes",
+               "Boundary (entry/exit) nodes of the served partitioned "
+               "store's overlay")
+      .Set(static_cast<double>(partitioned_->num_boundary_nodes()));
+
+  init_status_ = StartServing(std::make_shared<MetricState>());
+}
+
+void RouteServer::StartPool() {
+  if (options_.num_workers == 0) options_.num_workers = 1;
+  const size_t frames = options_.pool_frames != 0
+                            ? options_.pool_frames
+                            : 128 * options_.num_workers;
+  const size_t shards = options_.pool_shards != 0
+                            ? options_.pool_shards
+                            : std::max<size_t>(4, 2 * options_.num_workers);
+  disk_.SetLatencyModel(options_.disk_latency);
+  pool_ = std::make_unique<storage::BufferPool>(&disk_, frames, shards);
+}
+
+Status RouteServer::StartServing(std::shared_ptr<MetricState> initial) {
+  if (options_.enable_cache) {
+    cache_ = std::make_unique<RouteCache>(options_.cache);
     auto& reg = obs::MetricsRegistry::Default();
     cache_hits_ = &reg.GetCounter("atis_route_cache_hits_total",
                                   "Route queries answered from the cache");
@@ -233,7 +288,7 @@ RouteServer::RouteServer(const graph::Graph& g, Options options) {
     snapshot_revalidations_metric_ = &reg.GetCounter(
         "atis_snapshot_landmark_revalidations_total",
         "Landmark tables recomputed because a batch lowered an edge cost");
-    if (!options.wal.dir.empty()) {
+    if (!options_.wal.dir.empty()) {
       // Recovery happened before the registry series existed; publish it
       // now so a restarted server's replay is visible process-wide.
       reg.GetCounter("atis_wal_replayed_batches_total",
@@ -254,94 +309,77 @@ RouteServer::RouteServer(const graph::Graph& g, Options options) {
   // obs configuration fails construction the same way a broken replica
   // does — a server you cannot observe as configured should not serve.
   started_ = std::chrono::steady_clock::now();
-  if (options.obs.sample_every > 0) {
-    if (options.obs.trace_dir.empty()) {
-      init_status_ = Status::InvalidArgument(
+  if (options_.obs.sample_every > 0) {
+    if (options_.obs.trace_dir.empty()) {
+      return Status::InvalidArgument(
           "RouteServer: obs.sample_every > 0 requires obs.trace_dir");
-      return;
     }
     obs::TraceRing::Options ring;
-    ring.directory = options.obs.trace_dir;
-    ring.capacity = options.obs.trace_ring_capacity;
-    auto opened = obs::TraceRing::Open(std::move(ring));
-    if (!opened.ok()) {
-      init_status_ = opened.status();
-      return;
-    }
-    trace_ring_ = std::move(opened).value();
-    sampler_ = std::make_unique<obs::TraceSampler>(options.obs.sample_every);
+    ring.directory = options_.obs.trace_dir;
+    ring.capacity = options_.obs.trace_ring_capacity;
+    ATIS_ASSIGN_OR_RETURN(trace_ring_, obs::TraceRing::Open(std::move(ring)));
+    sampler_ = std::make_unique<obs::TraceSampler>(options_.obs.sample_every);
     traces_sampled_ = &obs::MetricsRegistry::Default().GetCounter(
         "atis_server_traces_sampled_total",
         "Query span trees persisted to the trace ring (head-sampled or "
         "forced by a slow/degraded/errored query)");
   }
-  if (options.obs.slow_query_ms > 0.0) {
-    if (options.obs.slow_query_log_path.empty()) {
-      init_status_ = Status::InvalidArgument(
+  if (options_.obs.slow_query_ms > 0.0) {
+    if (options_.obs.slow_query_log_path.empty()) {
+      return Status::InvalidArgument(
           "RouteServer: obs.slow_query_ms > 0 requires "
           "obs.slow_query_log_path");
-      return;
     }
     obs::SlowQueryLog::Options log;
-    log.path = options.obs.slow_query_log_path;
-    log.threshold_ms = options.obs.slow_query_ms;
-    log.max_bytes = options.obs.slow_query_log_max_bytes;
-    auto opened = obs::SlowQueryLog::Open(std::move(log));
-    if (!opened.ok()) {
-      init_status_ = opened.status();
-      return;
-    }
-    slow_log_ = std::move(opened).value();
+    log.path = options_.obs.slow_query_log_path;
+    log.threshold_ms = options_.obs.slow_query_ms;
+    log.max_bytes = options_.obs.slow_query_log_max_bytes;
+    ATIS_ASSIGN_OR_RETURN(slow_log_, obs::SlowQueryLog::Open(std::move(log)));
     slow_queries_ = &obs::MetricsRegistry::Default().GetCounter(
         "atis_server_slow_queries_total",
         "Queries at or over the slow-query threshold");
   }
-  if (options.obs.enable_slo) {
+  if (options_.obs.enable_slo) {
     obs::SloWindows::Options slo;
-    slo.availability_target = options.obs.availability_target;
+    slo.availability_target = options_.obs.availability_target;
     slo_ = std::make_unique<obs::SloWindows>(std::move(slo));
   }
 
-  for (size_t w = 0; w < options.num_workers; ++w) {
-    breakers_.push_back(std::make_unique<CircuitBreaker>(options.breaker));
+  for (size_t w = 0; w < options_.num_workers; ++w) {
+    breakers_.push_back(std::make_unique<CircuitBreaker>(options_.breaker));
   }
-  // Version 1: the initial metric (write_graph_, built above). Every
-  // worker replica starts caught up to it.
-  {
-    auto head = std::make_shared<MetricState>();
-    head->version = 1;
-    head->snapshot = std::make_shared<const graph::Graph>(write_graph_);
-    head->overlay = overlay_init;
-    head->estimator = estimator_init;
-    head_ = std::move(head);
-  }
+  // Version 1 (MetricState's default): the initial metric. Every worker
+  // replica starts caught up to it.
+  head_ = std::move(initial);
   published_version_.store(1, std::memory_order_release);
   obs::MetricsRegistry::Default()
       .GetGauge("atis_snapshot_version",
                 "Currently published metric version (1 at construction)")
       .Set(1.0);
-  replica_version_.assign(options.num_workers, 1);
-  worker_overlay_.assign(options.num_workers, overlay_init);
-  worker_estimator_.assign(options.num_workers, estimator_init);
-  if (options.max_batch > 1) {
+  replica_version_.assign(options_.num_workers, 1);
+  worker_overlay_.assign(options_.num_workers, head_->overlay);
+  worker_estimator_.assign(options_.num_workers, head_->estimator);
+  if (options_.max_batch > 1 && head_->snapshot != nullptr) {
     regions_ = std::make_unique<RegionIndex>(*head_->snapshot,
-                                             options.batch_region_order);
+                                             options_.batch_region_order);
   }
 
   // Resilience knobs go live only after every replica (and the landmark
-  // table) loaded cleanly — construction itself never draws a fault.
-  pool_->SetRetryPolicy(options.retry);
-  disk_.SetFaultProfile(options.fault_profile);
+  // table), or the partitioned store, loaded cleanly — construction
+  // itself never draws a fault.
+  pool_->SetRetryPolicy(options_.retry);
+  disk_.SetFaultProfile(options_.fault_profile);
 
-  if (options.prefetch_depth > 0) {
+  if (options_.prefetch_depth > 0) {
     pool_->StartPrefetchWorkers(
-        options.prefetch_workers != 0 ? options.prefetch_workers : 2);
+        options_.prefetch_workers != 0 ? options_.prefetch_workers : 2);
   }
 
-  workers_.reserve(options.num_workers);
-  for (size_t w = 0; w < options.num_workers; ++w) {
+  workers_.reserve(options_.num_workers);
+  for (size_t w = 0; w < options_.num_workers; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
   }
+  return Status::OK();
 }
 
 RouteServer::~RouteServer() {
@@ -368,7 +406,7 @@ Result<std::vector<RouteResponse>> RouteServer::ServeBatch(
   size_t admitted = queries.size();
   if (options_.max_queue_depth > 0) {
     admitted = std::min(queries.size(),
-                        engines_.size() + options_.max_queue_depth);
+                        num_workers() + options_.max_queue_depth);
   }
   for (size_t i = admitted; i < queries.size(); ++i) {
     responses[i].query_index = i;
@@ -596,6 +634,35 @@ Status RouteServer::CatchUpReplica(size_t worker_id,
   return Status::OK();
 }
 
+Result<PathResult> RouteServer::RunPartitioned(const RouteQuery& q,
+                                               const Deadline& deadline) {
+  const bool stitched = q.algorithm == Algorithm::kAStar &&
+                        q.version == AStarVersion::kV5;
+  if (!stitched && q.algorithm != Algorithm::kDijkstra) {
+    return Status::InvalidArgument(
+        "a partitioned store serves A* v5 (stitched) and Dijkstra (flat) "
+        "only");
+  }
+  graph::PartitionedGraphStore::QueryStats stats;
+  auto route =
+      stitched ? partitioned_->StitchedDistance(q.source, q.destination,
+                                                &stats, deadline)
+               : partitioned_->GlobalDijkstra(q.source, q.destination,
+                                              &stats, deadline);
+  partition_queries_->Increment();
+  if (stats.cross_partition) partition_cross_->Increment();
+  partition_settled_store_->Increment(stats.settled_source +
+                                      stats.settled_target);
+  partition_settled_overlay_->Increment(stats.settled_overlay);
+  if (!route.ok()) return route.status();
+  PathResult result;
+  result.found = route->found;
+  result.cost = route->cost;
+  result.stats.nodes_expanded =
+      stats.settled_source + stats.settled_overlay + stats.settled_target;
+  return result;
+}
+
 RouteResponse RouteServer::RunCoalesced(size_t worker_id,
                                         size_t query_index,
                                         const RouteQuery& q,
@@ -659,6 +726,10 @@ Status RouteServer::UpdateEdgeCost(graph::NodeId u, graph::NodeId v,
 
 Status RouteServer::ApplyUpdates(std::span<const EdgeCostUpdate> updates) {
   ATIS_RETURN_NOT_OK(init_status_);
+  if (partitioned_ != nullptr) {
+    return Status::FailedPrecondition(
+        "RouteServer: the partitioned store takes no traffic updates");
+  }
   if (updates.empty()) return Status::OK();
 
   // Writers serialize among themselves; readers are never touched.
@@ -964,7 +1035,10 @@ bool RouteServer::ServeDegraded(const RouteQuery& q,
   // Fallback 2: exact in-memory Dijkstra on the pinned metric snapshot.
   // No storage I/O, so neither faults nor a quarantined replica can touch
   // it; Dijkstra regardless of the requested algorithm because it is
-  // optimal, estimator-free, and microseconds at ATIS map scale.
+  // optimal, estimator-free, and microseconds at ATIS map scale. The
+  // partitioned backend keeps no snapshot: a continent map is not held
+  // in memory.
+  if (pinned.snapshot == nullptr) return false;
   PathResult mem =
       DijkstraSearch(*pinned.snapshot, q.source, q.destination);
   resp->result = std::move(mem);
@@ -1064,7 +1138,7 @@ std::string RouteServer::StatuszJson() {
     queue_depth = pending_.size();
   }
   out << "{\"uptime_seconds\":" << uptime
-      << ",\"num_workers\":" << engines_.size()
+      << ",\"num_workers\":" << num_workers()
       << ",\"queue_depth\":" << queue_depth << ",\"build\":{\"layout\":\""
       << graph::StoreLayoutName(options_.layout)
       << "\",\"prefetch_depth\":" << options_.prefetch_depth
@@ -1125,6 +1199,13 @@ std::string RouteServer::StatuszJson() {
         << ",\"region_invalidations\":" << cs.region_invalidations
         << ",\"region_entries_invalidated\":"
         << cs.region_entries_invalidated << "}";
+  }
+
+  if (partitioned_ != nullptr) {
+    out << ",\"partitioned\":{\"partitions\":"
+        << partitioned_->num_partitions()
+        << ",\"boundary_nodes\":" << partitioned_->num_boundary_nodes()
+        << ",\"nodes\":" << partitioned_->num_nodes() << "}";
   }
 
   {
@@ -1320,6 +1401,7 @@ RouteResponse RouteServer::RunOne(size_t worker_id, size_t query_index,
       if (!admitted) {
         return Status::Unavailable("replica quarantined by circuit breaker");
       }
+      if (partitioned_ != nullptr) return RunPartitioned(q, deadline);
       DbSearchEngine& engine = *engines_[worker_id];
       switch (q.algorithm) {
         case Algorithm::kIterative:
@@ -1337,11 +1419,12 @@ RouteResponse RouteServer::RunOne(size_t worker_id, size_t query_index,
     } else if (r.ok()) {
       // Feed the breaker storage health only: faults extend the streak, a
       // completed search resets it, and a deadline expiry says nothing
-      // about the replica (slow != broken), so it leaves the streak alone.
+      // about the replica (slow != broken), so it leaves the streak alone;
+      // nor does a query the backend refuses (InvalidArgument).
       breaker.RecordSuccess();
     } else if (r.status().IsDeadlineExceeded()) {
       deadline_exceeded_->Increment();
-    } else {
+    } else if (!r.status().IsInvalidArgument()) {
       if (breaker.RecordFailure()) breaker_opened_->Increment();
     }
 

@@ -4,14 +4,28 @@
 // The paper frames ATIS as a shared service answering route-computation
 // queries for many travellers against one database-resident map
 // (Section 1). This module is that service's executor: N worker threads
-// share one metered DiskManager and one sharded BufferPool, and each
-// worker owns a private RelationalGraphStore replica (Iterative, Dijkstra
-// and A* versions 1-3 write working state — status/pred/path_cost — into
-// R, so the node relation cannot be shared between in-flight queries; the
-// map data itself is identical across replicas; served A* versions 4 and
-// 5 only read R). Queries are dispatched to whichever
-// worker is free; per-query block I/O is accounted exactly via
-// IoMeter::ScopedThreadCounters even though the disk is shared.
+// share one metered DiskManager and one sharded BufferPool, and serve
+// one of two graph backends:
+//
+//   * The single relational store (RouteServer(graph, options)): each
+//     worker owns a private RelationalGraphStore replica (Iterative,
+//     Dijkstra and A* versions 1-3 write working state — status/pred/
+//     path_cost — into R, so the node relation cannot be shared between
+//     in-flight queries; the map data itself is identical across
+//     replicas; served A* versions 4 and 5 only read R).
+//   * A continent map too large for one store (RouteServer(map_path,
+//     partitioning, options)): one read-only graph::PartitionedGraphStore
+//     built on the server's own pool and shared by every worker, with no
+//     replicas. A* v5 queries take the overlay-stitched path
+//     (StitchedDistance), Dijkstra queries the flat GlobalDijkstra
+//     baseline; other algorithms get InvalidArgument. The store is
+//     immutable: ApplyUpdates returns FailedPrecondition, and the
+//     degraded ladder has only its stale-cache rung.
+//
+// Queries are dispatched to whichever worker is free; per-query block I/O
+// is accounted exactly via IoMeter::ScopedThreadCounters even though the
+// disk is shared. Everything below applies to both backends unless it
+// names the replicas, the WAL or the landmark/overlay estimators.
 //
 // Workers run with statement_at_a_time off: the paper's between-statement
 // pool eviction is a single-user execution model and is meaningless (and
@@ -77,6 +91,7 @@
 #include "core/route_cache.h"
 #include "core/update_log.h"
 #include "graph/graph.h"
+#include "graph/partitioned_store.h"
 #include "graph/relational_graph.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -270,6 +285,13 @@ class RouteServer {
   /// default member initializers cannot feed a default argument of the
   /// enclosing class.)
   explicit RouteServer(const graph::Graph& g);
+  /// Streams the map file at `map_path` into a partitioned store on the
+  /// server's own pool (so pool, disk-latency, fault and retry options
+  /// apply) and starts the workers over it. wal.dir, num_landmarks and
+  /// overlay_cell_order are refused: init_status() is InvalidArgument.
+  RouteServer(const std::string& map_path,
+              const graph::PartitionedStoreOptions& partitioning,
+              Options options);
 
   RouteServer(const RouteServer&) = delete;
   RouteServer& operator=(const RouteServer&) = delete;
@@ -277,7 +299,8 @@ class RouteServer {
   /// Graceful shutdown: running queries finish, workers join.
   ~RouteServer();
 
-  /// OK when every store replica loaded; the first load error otherwise.
+  /// OK when every store replica (or the partitioned store) loaded; the
+  /// first load error otherwise.
   const Status& init_status() const { return init_status_; }
 
   /// Runs the batch across the worker pool and blocks until every query
@@ -320,6 +343,9 @@ class RouteServer {
   /// version, and every later ApplyUpdates is refused with the poison
   /// status (see write_path_status()). A restart recovers by replaying
   /// the WAL into a consistent metric.
+  ///
+  /// A partitioned server is read-only: FailedPrecondition, nothing
+  /// published.
   Status ApplyUpdates(std::span<const EdgeCostUpdate> updates);
 
   /// OK normally; the permanent refusal reason after a post-commit build
@@ -329,7 +355,7 @@ class RouteServer {
   /// Single-edge convenience wrapper over ApplyUpdates.
   Status UpdateEdgeCost(graph::NodeId u, graph::NodeId v, double cost);
 
-  size_t num_workers() const { return engines_.size(); }
+  size_t num_workers() const { return options_.num_workers; }
   storage::DiskManager& disk() { return disk_; }
   storage::BufferPool& pool() { return *pool_; }
   bool landmarks_enabled() const {
@@ -343,6 +369,10 @@ class RouteServer {
   std::shared_ptr<const OverlayIndex> overlay_index();
   /// Metric version of the served customization (0 when disabled).
   uint64_t overlay_metric_version();
+  /// The served partitioned store (null on the single-store backend).
+  const graph::PartitionedGraphStore* partitioned_store() const {
+    return partitioned_.get();
+  }
   /// Null when Options::enable_cache was false.
   RouteCache* cache() { return cache_.get(); }
   /// The circuit breaker guarding worker `w`'s replica.
@@ -350,6 +380,7 @@ class RouteServer {
   /// The currently published metric snapshot: the in-memory graph under
   /// the store's float-rounded metric that degraded answers are computed
   /// on. Immutable — updates publish a fresh one rather than mutating it.
+  /// Null on the partitioned backend.
   std::shared_ptr<const graph::Graph> snapshot();
   /// The currently published metric version (1 at construction; +1 per
   /// applied update batch). Lock-free.
@@ -434,7 +465,7 @@ class RouteServer {
   struct MetricState {
     uint64_t version = 1;
     /// The served map under the store's float-rounded metric (degraded
-    /// answers, region index lookups).
+    /// answers, region index lookups); null on the partitioned backend.
     std::shared_ptr<const graph::Graph> snapshot;
     std::shared_ptr<const OverlayIndex> overlay;      // null = V5 off
     std::shared_ptr<const Estimator> estimator;       // null = V4 off
@@ -448,6 +479,15 @@ class RouteServer {
     uint64_t version = 0;  ///< the publication that wrote this cost
   };
 
+  /// Construction's shared head: clamps options_.num_workers and builds
+  /// the disk and the buffer pool.
+  void StartPool();
+  /// Construction's shared tail, once the backend loaded: metric series,
+  /// cache, observability, breakers, metric version 1 (`initial`),
+  /// fault/retry install, prefetch and worker threads. Non-OK (and no
+  /// worker started) on a broken observability configuration.
+  Status StartServing(std::shared_ptr<MetricState> initial);
+
   void WorkerLoop(size_t worker_id);
   /// Claims a batch from the queue: a FIFO seed plus up to max_batch - 1
   /// pending queries sharing its region, optionally holding the batch
@@ -459,6 +499,10 @@ class RouteServer {
                        const RouteQuery& q, BatchContext* batch,
                        uint64_t batch_id, const MetricState& pinned,
                        const Status& replica_health);
+  /// Answers `q` on the partitioned store (stitched for A* v5, flat for
+  /// Dijkstra) and counts it in the atis_partition_* series.
+  Result<PathResult> RunPartitioned(const RouteQuery& q,
+                                    const Deadline& deadline);
   /// A singleflight follower's response: the leader's answer with the
   /// member's own accounting (zero I/O, ServedVia::kCoalesced).
   RouteResponse RunCoalesced(size_t worker_id, size_t query_index,
@@ -499,6 +543,9 @@ class RouteServer {
   std::unique_ptr<storage::BufferPool> pool_;
   std::vector<std::unique_ptr<graph::RelationalGraphStore>> stores_;
   std::vector<std::unique_ptr<DbSearchEngine>> engines_;
+  /// The partitioned backend (null on the single store, whose replicas
+  /// are stores_/engines_).
+  std::unique_ptr<graph::PartitionedGraphStore> partitioned_;
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
   std::unique_ptr<RouteCache> cache_;
   /// The published metric head. Guarded by mu_ (pointer reads/writes
@@ -557,6 +604,11 @@ class RouteServer {
   obs::Counter* batch_adjacency_fetches_ = nullptr;
   obs::Counter* batch_shared_hits_ = nullptr;
   obs::Counter* batch_coalesced_ = nullptr;
+  // atis_partition_* series (null on the single-store backend).
+  obs::Counter* partition_queries_ = nullptr;
+  obs::Counter* partition_cross_ = nullptr;
+  obs::Counter* partition_settled_store_ = nullptr;
+  obs::Counter* partition_settled_overlay_ = nullptr;
   // Per-server batching totals for /statusz (the counters above are
   // process-global and may aggregate several servers).
   std::atomic<uint64_t> batches_executed_{0};

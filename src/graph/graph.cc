@@ -51,16 +51,6 @@ double Graph::ManhattanDistance(NodeId u, NodeId v) const {
   return std::abs(a.x - b.x) + std::abs(a.y - b.y);
 }
 
-Status Graph::ScaleEdgeCosts(double factor) {
-  if (factor <= 0.0) {
-    return Status::InvalidArgument("scale factor must be positive");
-  }
-  for (auto& list : adjacency_) {
-    for (Edge& e : list) e.cost *= factor;
-  }
-  return Status::OK();
-}
-
 Status Graph::SetEdgeCost(NodeId u, NodeId v, double cost) {
   if (!HasNode(u) || !HasNode(v)) {
     return Status::InvalidArgument("unknown node");

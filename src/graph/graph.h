@@ -76,10 +76,6 @@ class Graph {
   /// Manhattan (L1) distance between two nodes' coordinates.
   double ManhattanDistance(NodeId u, NodeId v) const;
 
-  /// Multiplies every edge cost by `factor` (> 0), e.g. to turn
-  /// distances into travel times (travel time = distance / speed).
-  Status ScaleEdgeCosts(double factor);
-
   /// Replaces the cost of u -> v. NotFound when the edge is absent.
   Status SetEdgeCost(NodeId u, NodeId v, double cost);
 

@@ -60,6 +60,14 @@ double StoreCost(double cost) {
   return static_cast<double>(static_cast<float>(cost));
 }
 
+/// The per-settle deadline check every search here runs first.
+Status CheckDeadline(const Deadline& deadline) {
+  if (deadline.expired()) {
+    return Status::DeadlineExceeded("route search deadline expired");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 int PartitionedGraphStore::PartitionOf(NodeId global) const {
@@ -444,11 +452,12 @@ PartitionedGraphStore::FetchAdjacency(NodeId global) const {
 
 Result<std::vector<double>> PartitionedGraphStore::RestrictedDijkstra(
     size_t p, const std::vector<std::pair<NodeId, double>>& seeds,
-    uint64_t* settled) const {
+    uint64_t* settled, const Deadline& deadline) const {
   const Partition& part = partitions_[p];
   ShortestPathSearch search(part.local_to_global.size());
   for (const auto& [local, d] : seeds) search.Seed(local, d);
   ATIS_RETURN_NOT_OK(search.Run([&](NodeId u, const auto& relax) -> Status {
+    ATIS_RETURN_NOT_OK(CheckDeadline(deadline));
     ATIS_ASSIGN_OR_RETURN(std::vector<RelationalGraphStore::EdgeRow> rows,
                           part.store->FetchAdjacency(u));
     for (const RelationalGraphStore::EdgeRow& row : rows) {
@@ -465,7 +474,8 @@ Result<std::vector<double>> PartitionedGraphStore::RestrictedDijkstra(
 
 Result<PartitionedGraphStore::RouteCost>
 PartitionedGraphStore::StitchedDistance(NodeId source, NodeId destination,
-                                        QueryStats* stats) const {
+                                        QueryStats* stats,
+                                        const Deadline& deadline) const {
   const int ps = PartitionOf(source);
   const int pt = PartitionOf(destination);
   if (ps < 0 || pt < 0) {
@@ -481,7 +491,7 @@ PartitionedGraphStore::StitchedDistance(NodeId source, NodeId destination,
   ATIS_ASSIGN_OR_RETURN(
       std::vector<double> dist_s,
       RestrictedDijkstra(static_cast<size_t>(ps), {{local_s, 0.0}},
-                         &settled1));
+                         &settled1, deadline));
   if (stats != nullptr) stats->settled_source = settled1;
   double best = kInf;
   if (ps == pt) best = dist_s[static_cast<size_t>(local_t)];
@@ -494,11 +504,14 @@ PartitionedGraphStore::StitchedDistance(NodeId source, NodeId destination,
     overlay.Seed(overlay_index_[static_cast<size_t>(exit)],
                  dist_s[static_cast<size_t>(packed(exit) & 0xFFFF)]);
   }
-  overlay.Run([this](NodeId u, const auto& relax) {
-    for (const auto& [to, cost] : overlay_adj_[static_cast<size_t>(u)]) {
-      relax(to, cost);
-    }
-  });
+  ATIS_RETURN_NOT_OK(
+      overlay.Run([this, &deadline](NodeId u, const auto& relax) -> Status {
+        ATIS_RETURN_NOT_OK(CheckDeadline(deadline));
+        for (const auto& [to, cost] : overlay_adj_[static_cast<size_t>(u)]) {
+          relax(to, cost);
+        }
+        return Status::OK();
+      }));
   if (stats != nullptr) stats->settled_overlay = overlay.settled();
 
   // Phase 3: multi-source restricted Dijkstra in the target partition,
@@ -514,7 +527,8 @@ PartitionedGraphStore::StitchedDistance(NodeId source, NodeId destination,
     uint64_t settled3 = 0;
     ATIS_ASSIGN_OR_RETURN(
         std::vector<double> dist_t,
-        RestrictedDijkstra(static_cast<size_t>(pt), seeds, &settled3));
+        RestrictedDijkstra(static_cast<size_t>(pt), seeds, &settled3,
+                           deadline));
     if (stats != nullptr) stats->settled_target = settled3;
     best = std::min(best, dist_t[static_cast<size_t>(local_t)]);
   }
@@ -524,7 +538,8 @@ PartitionedGraphStore::StitchedDistance(NodeId source, NodeId destination,
 
 Result<PartitionedGraphStore::RouteCost>
 PartitionedGraphStore::GlobalDijkstra(NodeId source, NodeId destination,
-                                      QueryStats* stats) const {
+                                      QueryStats* stats,
+                                      const Deadline& deadline) const {
   if (PartitionOf(source) < 0 || PartitionOf(destination) < 0) {
     return Status::NotFound("query endpoint not in the partitioned store");
   }
@@ -535,7 +550,8 @@ PartitionedGraphStore::GlobalDijkstra(NodeId source, NodeId destination,
   ShortestPathSearch search(static_cast<size_t>(num_nodes_));
   search.Seed(source, 0.0);
   ATIS_RETURN_NOT_OK(search.Run(
-      [this](NodeId u, const auto& relax) -> Status {
+      [this, &deadline](NodeId u, const auto& relax) -> Status {
+        ATIS_RETURN_NOT_OK(CheckDeadline(deadline));
         ATIS_ASSIGN_OR_RETURN(std::vector<RelationalGraphStore::EdgeRow> rows,
                               FetchAdjacency(u));
         for (const RelationalGraphStore::EdgeRow& row : rows) {

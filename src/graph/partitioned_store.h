@@ -38,6 +38,7 @@
 
 #include "graph/relational_graph.h"
 #include "storage/buffer_pool.h"
+#include "util/deadline.h"
 
 namespace atis::graph {
 
@@ -96,14 +97,18 @@ class PartitionedGraphStore {
   /// Exact point-to-point cost via the three-phase overlay stitch.
   /// Phases 1 and 3 run against the partition stores (metered); phase 2
   /// is in-memory. Thread-safe: no store working-state is touched.
+  /// `deadline` is checked once per settled node (DeadlineExceeded).
   Result<RouteCost> StitchedDistance(NodeId source, NodeId destination,
-                                     QueryStats* stats = nullptr) const;
+                                     QueryStats* stats = nullptr,
+                                     const Deadline& deadline = {}) const;
 
   /// Reference path: plain Dijkstra over FetchAdjacency with in-memory
   /// labels. Exact by construction; the unpartitioned baseline the
-  /// stitched path is benchmarked against. Thread-safe.
+  /// stitched path is benchmarked against. Thread-safe. `deadline` as
+  /// for StitchedDistance.
   Result<RouteCost> GlobalDijkstra(NodeId source, NodeId destination,
-                                   QueryStats* stats = nullptr) const;
+                                   QueryStats* stats = nullptr,
+                                   const Deadline& deadline = {}) const;
 
  private:
   struct Partition {
@@ -134,10 +139,11 @@ class PartitionedGraphStore {
   /// Restricted Dijkstra inside partition p from `seeds` (local id,
   /// initial dist), over the partition store's adjacency (metered).
   /// Returns the final distance labels (owned + ghost slots; ghosts are
-  /// never expanded). `settled` counts pops.
+  /// never expanded). `settled` counts pops; `deadline` is checked per
+  /// pop.
   Result<std::vector<double>> RestrictedDijkstra(
       size_t p, const std::vector<std::pair<NodeId, double>>& seeds,
-      uint64_t* settled) const;
+      uint64_t* settled, const Deadline& deadline) const;
 
   uint64_t num_nodes_ = 0;
   uint64_t num_edges_ = 0;

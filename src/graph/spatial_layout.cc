@@ -30,6 +30,7 @@ bool StoreLayoutFromName(std::string_view name, StoreLayout* out) {
 }
 
 uint64_t HilbertIndex(uint32_t order, uint32_t x, uint32_t y) {
+  if (order == 0) return 0;  // one cell; 1u << (order - 1) would be UB
   uint64_t d = 0;
   for (uint32_t s = 1u << (order - 1); s > 0; s >>= 1) {
     const uint32_t rx = (x & s) ? 1 : 0;

@@ -82,17 +82,6 @@ TEST(GraphTest, Distances) {
   EXPECT_DOUBLE_EQ(g.ManhattanDistance(0, 1), 7.0);
 }
 
-TEST(GraphTest, ScaleEdgeCosts) {
-  Graph g;
-  g.AddNode(0, 0);
-  g.AddNode(1, 0);
-  ASSERT_TRUE(g.AddUndirectedEdge(0, 1, 2.0).ok());
-  ASSERT_TRUE(g.ScaleEdgeCosts(2.5).ok());
-  EXPECT_DOUBLE_EQ(*g.EdgeCost(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(*g.EdgeCost(1, 0), 5.0);
-  EXPECT_TRUE(g.ScaleEdgeCosts(0.0).IsInvalidArgument());
-}
-
 TEST(GraphTest, SetEdgeCost) {
   Graph g;
   g.AddNode(0, 0);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/db_search.h"
-#include "core/sharded_route_server.h"
 #include "graph/continent_generator.h"
 #include "graph/graph_io.h"
 #include "util/random.h"
@@ -18,7 +17,6 @@ namespace atis::graph {
 namespace {
 
 using core::DbSearchEngine;
-using core::ShardedRouteServer;
 using storage::BufferPool;
 using storage::DiskManager;
 
@@ -190,71 +188,6 @@ TEST_F(PartitionedStoreTest, SameNodeAndInvalidQueries) {
   EXPECT_EQ(store->StitchedDistance(-1, 0).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(store->PartitionOf(-1), -1);
-}
-
-TEST_F(PartitionedStoreTest, ShardedServerServesExactAnswers) {
-  const std::string path = WriteTestMap(4, 8, "server");
-  auto store = BuildStore(path, 100);
-  ASSERT_NE(store, nullptr);
-
-  DiskManager ref_disk;
-  BufferPool ref_pool(&ref_disk, 512);
-  RelationalGraphStore ref_store(&ref_pool);
-  ASSERT_TRUE(ref_store.LoadStreaming(path).ok());
-  DbSearchEngine ref_engine(&ref_store, &ref_pool);
-
-  ShardedRouteServer::Options options;
-  options.num_workers = 3;
-  ShardedRouteServer server(store.get(), options);
-  EXPECT_GE(server.num_groups(), 1u);
-  EXPECT_LE(server.num_groups(), 3u);
-
-  Rng rng(23);
-  const NodeId n = static_cast<NodeId>(store->num_nodes());
-  std::vector<ShardedRouteServer::Query> queries;
-  for (int i = 0; i < 32; ++i) {
-    queries.push_back({static_cast<NodeId>(rng.UniformInt(0, n - 1)),
-                       static_cast<NodeId>(rng.UniformInt(0, n - 1))});
-  }
-  auto responses = server.ServeBatch(queries);
-  ASSERT_TRUE(responses.ok());
-  ASSERT_EQ(responses->size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const auto& resp = (*responses)[i];
-    EXPECT_EQ(resp.query_index, i);
-    ASSERT_TRUE(resp.status.ok()) << resp.status.message();
-    auto ref = ref_engine.Dijkstra(queries[i].source,
-                                   queries[i].destination);
-    ASSERT_TRUE(ref.ok());
-    ASSERT_EQ(resp.found, ref->found);
-    if (ref->found) {
-      EXPECT_NEAR(resp.cost, ref->cost, RefTolerance(ref->cost));
-    }
-    EXPECT_GE(resp.group, 0);
-  }
-  EXPECT_EQ(server.queries_served(), queries.size());
-}
-
-TEST_F(PartitionedStoreTest, ShardedServerGlobalModeAndNoAffinity) {
-  const std::string path = WriteTestMap(3, 6, "modes");
-  auto store = BuildStore(path, 50);
-  ASSERT_NE(store, nullptr);
-  ShardedRouteServer::Options options;
-  options.num_workers = 2;
-  options.partition_affinity = false;
-  options.mode = ShardedRouteServer::Mode::kGlobalDijkstra;
-  ShardedRouteServer server(store.get(), options);
-  std::vector<ShardedRouteServer::Query> queries = {{0, 50}, {50, 0},
-                                                    {10, 10}};
-  auto responses = server.ServeBatch(queries);
-  ASSERT_TRUE(responses.ok());
-  for (const auto& resp : *responses) {
-    ASSERT_TRUE(resp.status.ok());
-    EXPECT_TRUE(resp.found);
-  }
-  auto ref = store->GlobalDijkstra(0, 50);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_NEAR((*responses)[0].cost, ref->cost, 1e-12);
 }
 
 TEST_F(PartitionedStoreTest, EmptyMapBuildsZeroPartitions) {

@@ -56,7 +56,7 @@ TEST(HilbertIndexTest, ConsecutiveIndicesAreGridNeighbours) {
 }
 
 TEST(HilbertIndexTest, OriginMapsToZero) {
-  for (const uint32_t order : {1u, 4u, kHilbertOrder}) {
+  for (const uint32_t order : {0u, 1u, 4u, kHilbertOrder}) {
     EXPECT_EQ(HilbertIndex(order, 0, 0), 0u);
   }
 }
