@@ -5,7 +5,9 @@
 // substrate, at sizes well beyond the paper's.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "core/advanced_search.h"
 #include "core/landmarks.h"
@@ -13,6 +15,7 @@
 #include "core/sssp.h"
 #include "graph/grid_generator.h"
 #include "graph/road_map_generator.h"
+#include "util/random.h"
 
 namespace atis {
 namespace {
@@ -106,8 +109,9 @@ void BM_RoadMap_ShortTrip(benchmark::State& state) {
 BENCHMARK(BM_RoadMap_ShortTrip);
 
 // The shortest-path kernel alone: one full SSSP tree over the road map,
-// and the 8-landmark selection (16 trees plus the seed tree) that
-// RouteServer runs at setup and, as RecomputeLandmarks, per update batch.
+// the 8-landmark selection (16 trees plus the seed tree) that RouteServer
+// runs at setup, and the column repair it runs instead per decreasing
+// update batch.
 void BM_SingleSourceDijkstra_RoadMap(benchmark::State& state) {
   const graph::RoadMap& rm = MinneapolisMap();
   for (auto _ : state) {
@@ -125,6 +129,40 @@ void BM_SelectLandmarks_RoadMap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SelectLandmarks_RoadMap);
+
+// RepairLandmarks after one live-traffic batch (bench_ingest's: 8 edges,
+// each a uniform node's uniform out-edge, cost x U[0.8, 1.2]) on the
+// 8-landmark table: the write path's per-batch landmark stage.
+void BM_RepairLandmarks_RoadMap(benchmark::State& state) {
+  const graph::RoadMap& rm = MinneapolisMap();
+  core::LandmarkOptions options;
+  options.num_landmarks = 8;
+  const core::LandmarkSet table =
+      core::SelectLandmarks(rm.graph, options).value();
+  graph::Graph g = rm.graph;
+  graph::Graph reverse = graph::ReverseOf(g);
+  std::vector<core::ChangedEdge> changed;
+  Rng rng(19);
+  while (changed.size() < 8) {
+    const auto u = static_cast<graph::NodeId>(rng.UniformInt(g.num_nodes()));
+    if (g.OutDegree(u) == 0) continue;
+    const graph::Edge e = g.Neighbors(u)[rng.UniformInt(g.OutDegree(u))];
+    if (std::ranges::any_of(changed, [&](const core::ChangedEdge& c) {
+          return c.u == u && c.v == e.to;
+        })) {
+      continue;
+    }
+    const double cost = e.cost * rng.UniformDouble(0.8, 1.2);
+    (void)g.SetEdgeCost(u, e.to, cost);
+    (void)reverse.SetEdgeCost(e.to, u, cost);
+    changed.push_back({u, e.to, e.cost});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::RepairLandmarks(table, g, reverse, changed));
+  }
+}
+BENCHMARK(BM_RepairLandmarks_RoadMap);
 
 void BM_BidirectionalDijkstra_GridDiagonal(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

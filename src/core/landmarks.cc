@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "core/sssp.h"
+#include "graph/shortest_path.h"
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 
@@ -202,28 +204,100 @@ Result<LandmarkSet> SelectLandmarks(const Graph& g,
                      std::move(dist_to));
 }
 
-Result<LandmarkSet> RecomputeLandmarks(const std::vector<NodeId>& landmarks,
-                                       const Graph& g) {
-  if (landmarks.empty()) {
-    return Status::InvalidArgument("no landmarks to recompute");
+namespace {
+
+/// One column of RepairLandmarks: `dist` holds the distances from `root`
+/// over `fwd` at the old costs of `changed` (oriented as in `fwd`, new
+/// costs in `new_cost`); `bwd` is `fwd` reversed. `mark` is all zero on
+/// entry and on return.
+std::vector<double> RepairColumn(std::vector<double> dist, NodeId root,
+                                 const Graph& fwd, const Graph& bwd,
+                                 std::span<const ChangedEdge> changed,
+                                 std::span<const double> new_cost,
+                                 std::vector<uint8_t>& mark) {
+  // 1. The nodes whose label may rise: heads of changed edges that were
+  //    tight (label(u) + cost == label(v)) under either cost, closed under
+  //    tight edges. A node reached through an unmarked tight parent edge
+  //    keeps a path of unchanged edges, so its label is still reachable.
+  std::vector<NodeId> affected;
+  const auto mark_if = [&](NodeId v, double via) {
+    const auto i = static_cast<size_t>(v);
+    if (mark[i] || v == root || dist[i] == kInf || via != dist[i]) return;
+    mark[i] = 1;
+    affected.push_back(v);
+  };
+  for (size_t k = 0; k < changed.size(); ++k) {
+    const ChangedEdge& e = changed[k];
+    const double du = dist[static_cast<size_t>(e.u)];
+    mark_if(e.v, du + e.old_cost);
+    mark_if(e.v, du + new_cost[k]);
   }
-  std::vector<std::vector<double>> dist_from;
-  dist_from.reserve(landmarks.size());
-  for (const NodeId l : landmarks) {
-    if (!g.HasNode(l)) {
-      return Status::InvalidArgument("landmark node not in graph");
+  for (size_t next = 0; next < affected.size(); ++next) {
+    const NodeId x = affected[next];
+    const double dx = dist[static_cast<size_t>(x)];
+    for (const graph::Edge& e : fwd.Neighbors(x)) mark_if(e.to, dx + e.cost);
+  }
+
+  // 2. Reset them, then offer each the best label its unaffected
+  //    in-neighbours give it. 3. Offer every changed edge's head its
+  //    new-cost label (this carries the decreases). 4. Run to exhaustion.
+  for (const NodeId x : affected) dist[static_cast<size_t>(x)] = kInf;
+  graph::ShortestPathSearch search(std::move(dist));
+  for (const NodeId x : affected) {
+    for (const graph::Edge& in : bwd.Neighbors(x)) {
+      if (!mark[static_cast<size_t>(in.to)]) {
+        search.Seed(x, search.dist(in.to) + in.cost);
+      }
     }
-    ATIS_ASSIGN_OR_RETURN(auto tree, SingleSourceDijkstra(g, l));
-    dist_from.push_back(tree.distances());
   }
-  const Graph rev = graph::ReverseOf(g);
-  std::vector<std::vector<double>> dist_to;
-  dist_to.reserve(landmarks.size());
-  for (const NodeId l : landmarks) {
-    ATIS_ASSIGN_OR_RETURN(auto tree, SingleSourceDijkstra(rev, l));
-    dist_to.push_back(tree.distances());
+  for (size_t k = 0; k < changed.size(); ++k) {
+    search.Seed(changed[k].v, search.dist(changed[k].u) + new_cost[k]);
   }
-  return LandmarkSet(landmarks, std::move(dist_from), std::move(dist_to));
+  search.Run([&fwd](NodeId u, const auto& relax) {
+    for (const graph::Edge& e : fwd.Neighbors(u)) relax(e.to, e.cost);
+  });
+  for (const NodeId x : affected) mark[static_cast<size_t>(x)] = 0;
+  return search.TakeDistances();
+}
+
+}  // namespace
+
+Result<LandmarkSet> RepairLandmarks(const LandmarkSet& set, const Graph& g,
+                                    const Graph& reverse,
+                                    std::span<const ChangedEdge> changed) {
+  if (g.num_nodes() != set.num_nodes() ||
+      reverse.num_nodes() != set.num_nodes()) {
+    return Status::InvalidArgument(
+        "landmark table and graph differ in node count");
+  }
+  // New costs once, and the same edges flipped for the backward columns
+  // (which are forward distances on the reverse graph).
+  std::vector<double> new_cost;
+  std::vector<ChangedEdge> flipped;
+  new_cost.reserve(changed.size());
+  flipped.reserve(changed.size());
+  for (const ChangedEdge& e : changed) {
+    auto cost = g.EdgeCost(e.u, e.v);
+    if (!cost.ok()) {
+      return Status::InvalidArgument("changed edge not in graph: " +
+                                     cost.status().ToString());
+    }
+    new_cost.push_back(*cost);
+    flipped.push_back({e.v, e.u, e.old_cost});
+  }
+  std::vector<uint8_t> mark(g.num_nodes(), 0);
+  std::vector<std::vector<double>> from;
+  std::vector<std::vector<double>> to;
+  from.reserve(set.num_landmarks());
+  to.reserve(set.num_landmarks());
+  for (size_t l = 0; l < set.num_landmarks(); ++l) {
+    const NodeId root = set.landmarks()[l];
+    from.push_back(RepairColumn(set.dist_from(l), root, g, reverse, changed,
+                                new_cost, mark));
+    to.push_back(RepairColumn(set.dist_to(l), root, reverse, g, flipped,
+                              new_cost, mark));
+  }
+  return LandmarkSet(set.landmarks(), std::move(from), std::move(to));
 }
 
 std::unique_ptr<Estimator> MakeLandmarkEstimator(

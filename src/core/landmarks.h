@@ -27,10 +27,16 @@
 // Traffic note: congestion only *raises* edge costs, and a lower bound for
 // the cheaper metric is still a lower bound for the dearer one, so landmark
 // tables stay admissible across congestion updates. A cost *decrease*
-// (clearing an incident) invalidates them — recompute before serving.
+// (clearing an incident) invalidates them. RepairLandmarks then brings the
+// table up to the current metric without 2k full SSSPs: per column it
+// re-labels only the nodes whose shortest paths ran through a changed edge
+// and propagates the decreases, and the result equals a from-scratch
+// table bit for bit. A caller may hold increases back until the next
+// decrease and repair them all at once (RouteServer does).
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/estimator.h"
@@ -74,6 +80,12 @@ class LandmarkSet {
   double DistTo(size_t l, graph::NodeId v) const {
     return dist_to_[l][static_cast<size_t>(v)];
   }
+  /// The whole columns: d(landmarks()[l] -> v), d(v -> landmarks()[l])
+  /// indexed by v.
+  const std::vector<double>& dist_from(size_t l) const {
+    return dist_from_[l];
+  }
+  const std::vector<double>& dist_to(size_t l) const { return dist_to_[l]; }
 
   /// The ALT lower bound on d(from -> to): max over landmarks and both
   /// triangle-inequality columns, clamped to >= 0. Returns +inf only when
@@ -102,14 +114,28 @@ class LandmarkSet {
 Result<LandmarkSet> SelectLandmarks(const graph::Graph& g,
                                     const LandmarkOptions& options = {});
 
-/// Recomputes both distance columns for an *existing* landmark selection
-/// against a new cost metric (2k Dijkstras, no re-selection). This is the
-/// revalidation hook the write path calls when a traffic update *lowers*
-/// an edge cost — the old columns stop being lower bounds, but the
-/// landmark placement itself is a topology property and stays good.
-/// Pass the same float-rounded graph the serving engines measure on.
-Result<LandmarkSet> RecomputeLandmarks(
-    const std::vector<graph::NodeId>& landmarks, const graph::Graph& g);
+/// An edge whose cost changed since a landmark table was computed: the
+/// edge u -> v and the cost the table's columns were computed at.
+struct ChangedEdge {
+  graph::NodeId u = graph::kInvalidNode;
+  graph::NodeId v = graph::kInvalidNode;
+  double old_cost = 0.0;
+};
+
+/// Repairs both distance columns of `set`, computed when each edge in
+/// `changed` cost its old_cost, to the costs those edges have in `g`
+/// (every other edge must cost what it did). `reverse` is ReverseOf(g)
+/// at the same costs. List each edge at most once. Per column: the nodes
+/// whose labels an old-cost-tight changed edge carried (closed under
+/// tight edges) are reset and re-seeded from their unaffected
+/// in-neighbours, the head of every changed edge is offered its new-cost
+/// label, and the shortest-path kernel runs to exhaustion. The result
+/// equals SSSP from scratch on `g` with ==. InvalidArgument on a graph of
+/// another size or an edge not in `g`.
+Result<LandmarkSet> RepairLandmarks(const LandmarkSet& set,
+                                    const graph::Graph& g,
+                                    const graph::Graph& reverse,
+                                    std::span<const ChangedEdge> changed);
 
 /// Copy of `g` with every edge cost rounded through the 4-byte float that
 /// RelationalGraphStore::EdgeSchema stores — the metric the database

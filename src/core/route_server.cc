@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -20,6 +21,28 @@
 #include "obs/trace_ring.h"
 
 namespace atis::core {
+
+namespace {
+
+/// The write-path stages atis_update_stage_seconds times, in run order.
+enum UpdateStage : size_t {
+  kStageWal,
+  kStageApply,
+  kStageSnapshot,
+  kStageOverlay,
+  kStageLandmarks,
+  kStagePublish,
+};
+constexpr const char* kUpdateStageNames[] = {
+    "wal", "apply", "snapshot", "overlay", "landmarks", "publish"};
+
+/// The (u << 32 | v) key of edge u -> v.
+uint64_t EdgeKey(graph::NodeId u, graph::NodeId v) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
+         static_cast<uint32_t>(v);
+}
+
+}  // namespace
 
 const char* ServedViaName(ServedVia via) {
   switch (via) {
@@ -99,11 +122,10 @@ RouteServer::RouteServer(const graph::Graph& g, Options options)
       lm.num_landmarks = options_.num_landmarks;
       ATIS_ASSIGN_OR_RETURN(LandmarkSet selected,
                             SelectLandmarks(write_graph_, lm));
-      ATIS_ASSIGN_OR_RETURN(auto table,
+      ATIS_ASSIGN_OR_RETURN(initial->landmarks,
                             PersistAndLoadLandmarks(selected,
                                                     stores_.front().get()));
-      landmark_set_ = table;  // re-validation reuses these landmark ids
-      initial->estimator = MakeLandmarkEstimator(std::move(table));
+      initial->estimator = MakeLandmarkEstimator(initial->landmarks);
       for (auto& engine : engines_) {
         ATIS_RETURN_NOT_OK(engine->EnableLandmarks(initial->estimator));
       }
@@ -287,7 +309,14 @@ Status RouteServer::StartServing(std::shared_ptr<MetricState> initial) {
         "claim");
     snapshot_revalidations_metric_ = &reg.GetCounter(
         "atis_snapshot_landmark_revalidations_total",
-        "Landmark tables recomputed because a batch lowered an edge cost");
+        "Landmark tables repaired because a batch lowered an edge cost");
+    for (const char* stage : kUpdateStageNames) {
+      update_stage_.push_back(&reg.GetHistogram(
+          "atis_update_stage_seconds",
+          "Wall time of one write-path stage of one ApplyUpdates call",
+          obs::Histogram::ExponentialBounds(1e-6, 1.0),
+          {{"stage", stage}}));
+    }
     if (!options_.wal.dir.empty()) {
       // Recovery happened before the registry series existed; publish it
       // now so a restarted server's replay is visible process-wide.
@@ -357,6 +386,7 @@ Status RouteServer::StartServing(std::shared_ptr<MetricState> initial) {
                 "Currently published metric version (1 at construction)")
       .Set(1.0);
   replica_version_.assign(options_.num_workers, 1);
+  pinned_version_.assign(options_.num_workers, 0);
   worker_overlay_.assign(options_.num_workers, head_->overlay);
   worker_estimator_.assign(options_.num_workers, head_->estimator);
   if (options_.max_batch > 1 && head_->snapshot != nullptr) {
@@ -529,6 +559,7 @@ void RouteServer::WorkerLoop(size_t worker_id) {
       // dirty edges this replica is behind on — only up to the pinned
       // version, so the replica never runs ahead of what it reports.
       pinned = head_;
+      pinned_version_[worker_id] = pinned->version;
       const uint64_t have = replica_version_[worker_id];
       if (have < pinned->version) {
         for (const auto& [key, e] : dirty_edges_) {
@@ -602,6 +633,11 @@ void RouteServer::WorkerLoop(size_t worker_id) {
         (*claimed[i].out)[claimed[i].index] = std::move(resps[i]);
         --claimed[i].call->remaining;
       }
+      // Unpin under mu_: until the writer sees the pin gone it keeps the
+      // version retired or at the head, so this is never the last
+      // reference.
+      pinned_version_[worker_id] = 0;
+      pinned.reset();
     }
     done_cv_.notify_all();
   }
@@ -612,7 +648,9 @@ Status RouteServer::CatchUpReplica(size_t worker_id,
                                    std::span<const EdgeCostUpdate> todo) {
   // Applying latest-cost-per-edge is idempotent, so a partial failure
   // here is safe: replica_version_ only advances on full success, and the
-  // next claim re-applies the whole remaining dirty set.
+  // next claim re-applies the whole remaining dirty set. The pointer swaps
+  // drop this replica's old version's overlay and estimator, which the
+  // writer still holds while replica_version_ names that version.
   for (const EdgeCostUpdate& e : todo) {
     ATIS_RETURN_NOT_OK(stores_[worker_id]->UpdateEdgeCost(e.u, e.v, e.cost));
   }
@@ -735,6 +773,7 @@ Status RouteServer::ApplyUpdates(std::span<const EdgeCostUpdate> updates) {
   // Writers serialize among themselves; readers are never touched.
   std::lock_guard<std::mutex> writer(update_mu_);
   ATIS_RETURN_NOT_OK(write_path_status_);
+  auto stage_started = std::chrono::steady_clock::now();
 
   // Validate the whole batch against the writer's view before any
   // durable or in-memory effect: an invalid batch is refused whole.
@@ -767,6 +806,7 @@ Status RouteServer::ApplyUpdates(std::span<const EdgeCostUpdate> updates) {
     wal_appends_metric_->Increment();
     wal_records_metric_->Increment(updates.size());
     wal_bytes_metric_->Increment(wal_->bytes_appended() - bytes_before);
+    ObserveStage(kStageWal, &stage_started);
   }
   last_committed_seq_ = seq;
 
@@ -780,7 +820,8 @@ Status RouteServer::ApplyUpdates(std::span<const EdgeCostUpdate> updates) {
   // keep serving the last fully-published version (still internally
   // consistent), further updates are refused with the poison status, and
   // a restart replays the WAL into a consistent metric.
-  if (Status st = PublishBatchLocked(updates, any_decrease); !st.ok()) {
+  if (Status st = PublishBatchLocked(updates, any_decrease, stage_started);
+      !st.ok()) {
     write_path_status_ = Status::Unavailable(
         "write path poisoned by a post-commit build failure: " +
         st.ToString());
@@ -796,29 +837,44 @@ Status RouteServer::ApplyUpdates(std::span<const EdgeCostUpdate> updates) {
 }
 
 Status RouteServer::PublishBatchLocked(
-    std::span<const EdgeCostUpdate> updates, bool any_decrease) {
-  // Build version N+1 off to the side: updater replica first (overlay
-  // re-customization reads adjacency from it), then the writer's graph,
-  // then one immutable snapshot copy.
-  const uint64_t new_version =
-      published_version_.load(std::memory_order_relaxed) + 1;
-  for (const EdgeCostUpdate& e : updates) {
-    if (updater_store_ != nullptr) {
-      ATIS_RETURN_NOT_OK(updater_store_->UpdateEdgeCost(e.u, e.v, e.cost));
-    }
-    ATIS_RETURN_NOT_OK(
-        write_graph_.SetEdgeCost(e.u, e.v, static_cast<float>(e.cost)));
-  }
-  auto next = std::make_shared<MetricState>();
-  next->version = new_version;
-  next->snapshot = std::make_shared<const graph::Graph>(write_graph_);
-
+    std::span<const EdgeCostUpdate> updates, bool any_decrease,
+    std::chrono::steady_clock::time_point started) {
   std::shared_ptr<const MetricState> prev;
   {
     std::lock_guard<std::mutex> lock(mu_);
     prev = head_;
   }
-  next->estimator = prev->estimator;
+  // Build version N+1 off to the side: updater replica first (overlay
+  // re-customization reads adjacency from it), then the writer's graphs
+  // and the landmark repair's pending list, then one immutable snapshot
+  // copy.
+  const uint64_t new_version =
+      published_version_.load(std::memory_order_relaxed) + 1;
+  const bool landmarks = prev->landmarks != nullptr;
+  if (landmarks && reverse_graph_.num_nodes() == 0) {
+    reverse_graph_ = graph::ReverseOf(write_graph_);
+  }
+  for (const EdgeCostUpdate& e : updates) {
+    if (updater_store_ != nullptr) {
+      ATIS_RETURN_NOT_OK(updater_store_->UpdateEdgeCost(e.u, e.v, e.cost));
+    }
+    const double cost = static_cast<float>(e.cost);
+    if (landmarks) {
+      if (landmark_pending_keys_.insert(EdgeKey(e.u, e.v)).second) {
+        ATIS_ASSIGN_OR_RETURN(const double old,
+                              write_graph_.EdgeCost(e.u, e.v));
+        landmark_pending_.push_back({e.u, e.v, old});
+      }
+      ATIS_RETURN_NOT_OK(reverse_graph_.SetEdgeCost(e.v, e.u, cost));
+    }
+    ATIS_RETURN_NOT_OK(write_graph_.SetEdgeCost(e.u, e.v, cost));
+  }
+  ObserveStage(kStageApply, &started);
+  auto next = std::make_shared<MetricState>();
+  next->version = new_version;
+  next->snapshot = std::make_shared<const graph::Graph>(write_graph_);
+  ObserveStage(kStageSnapshot, &started);
+
   if (prev->overlay != nullptr) {
     // One re-customization for the whole batch, deduplicated by cell.
     std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
@@ -835,20 +891,24 @@ Status RouteServer::PublishBatchLocked(
         OverlayIndex{prev->overlay->topology, std::move(customization)});
     overlay_cells_recustomized_.fetch_add(cells_changed,
                                           std::memory_order_relaxed);
+    ObserveStage(kStageOverlay, &started);
   }
-  if (any_decrease && landmark_set_ != nullptr) {
-    // A lowered cost breaks the ALT lower-bound proof; recompute the
-    // distance columns for the same landmark placement so Version 4
-    // stays exact under live traffic.
-    ATIS_ASSIGN_OR_RETURN(
-        LandmarkSet fresh,
-        RecomputeLandmarks(landmark_set_->landmarks(), write_graph_));
-    landmark_set_ =
-        std::make_shared<const LandmarkSet>(std::move(fresh));
-    next->estimator =
-        std::shared_ptr<const Estimator>(MakeLandmarkEstimator(landmark_set_));
+  next->landmarks = prev->landmarks;
+  next->estimator = prev->estimator;
+  if (any_decrease && landmarks) {
+    // A lowered cost breaks the ALT lower-bound proof; repair the distance
+    // columns for the same landmark placement, pending increases included,
+    // so Version 4 stays exact under live traffic.
+    ATIS_ASSIGN_OR_RETURN(LandmarkSet repaired,
+                          RepairLandmarks(*prev->landmarks, write_graph_,
+                                          reverse_graph_, landmark_pending_));
+    landmark_pending_.clear();
+    landmark_pending_keys_.clear();
+    next->landmarks = std::make_shared<const LandmarkSet>(std::move(repaired));
+    next->estimator = MakeLandmarkEstimator(next->landmarks);
     landmark_revalidations_.fetch_add(1, std::memory_order_relaxed);
     snapshot_revalidations_metric_->Increment();
+    ObserveStage(kStageLandmarks, &started);
   }
 
   // Publish: one pointer swap. Record the batch in the dirty set for
@@ -856,10 +916,7 @@ Status RouteServer::PublishBatchLocked(
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const EdgeCostUpdate& e : updates) {
-      const uint64_t key =
-          (static_cast<uint64_t>(static_cast<uint32_t>(e.u)) << 32) |
-          static_cast<uint32_t>(e.v);
-      dirty_edges_[key] = DirtyEdge{e.cost, new_version};
+      dirty_edges_[EdgeKey(e.u, e.v)] = DirtyEdge{e.cost, new_version};
     }
     uint64_t min_version = new_version;
     for (const uint64_t v : replica_version_) {
@@ -905,7 +962,40 @@ Status RouteServer::PublishBatchLocked(
   traffic_updates_applied_.fetch_add(updates.size(),
                                      std::memory_order_relaxed);
   traffic_update_batches_.fetch_add(1, std::memory_order_relaxed);
+
+  // The superseded head joins the retired list; this writer, not a
+  // worker, frees whatever no worker needs any more.
+  retired_.push_back(std::move(prev));
+  ReleaseRetiredLocked();
+  ObserveStage(kStagePublish, &started);
   return Status::OK();
+}
+
+void RouteServer::ReleaseRetiredLocked() {
+  std::vector<std::shared_ptr<const MetricState>> released;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto in_use = [&](const std::shared_ptr<const MetricState>& m) {
+      return std::ranges::find(replica_version_, m->version) !=
+                 replica_version_.end() ||
+             std::ranges::find(pinned_version_, m->version) !=
+                 pinned_version_.end();
+    };
+    const auto unused =
+        std::stable_partition(retired_.begin(), retired_.end(), in_use);
+    released.assign(std::make_move_iterator(unused),
+                    std::make_move_iterator(retired_.end()));
+    retired_.erase(unused, retired_.end());
+  }
+  // `released` frees its versions here, outside mu_.
+}
+
+void RouteServer::ObserveStage(size_t stage,
+                               std::chrono::steady_clock::time_point* since) {
+  const auto now = std::chrono::steady_clock::now();
+  update_stage_[stage]->Observe(
+      std::chrono::duration<double>(now - *since).count());
+  *since = now;
 }
 
 Status RouteServer::RecoverFromWal(graph::Graph* base) {
@@ -1083,6 +1173,11 @@ std::shared_ptr<const graph::Graph> RouteServer::snapshot() {
   return head_ != nullptr ? head_->snapshot : nullptr;
 }
 
+std::shared_ptr<const LandmarkSet> RouteServer::landmark_set() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return head_ != nullptr ? head_->landmarks : nullptr;
+}
+
 RouteServer::IngestStats RouteServer::ingest_stats() {
   IngestStats s;
   s.updates_applied =
@@ -1095,6 +1190,8 @@ RouteServer::IngestStats RouteServer::ingest_stats() {
   s.append_failures = wal_append_failures_.load(std::memory_order_relaxed);
   s.checkpoints = checkpoints_written_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> writer(update_mu_);
+  ReleaseRetiredLocked();
+  s.retained_versions = retired_.size();
   if (wal_ != nullptr) {
     s.wal_enabled = true;
     s.last_seq = last_committed_seq_;
@@ -1232,6 +1329,7 @@ std::string RouteServer::StatuszJson() {
         << ",\"updates_applied\":" << is.updates_applied
         << ",\"worker_catchups\":" << is.worker_catchups
         << ",\"landmark_revalidations\":" << is.landmark_revalidations
+        << ",\"retained_versions\":" << is.retained_versions
         << ",\"wal\":{\"enabled\":" << (is.wal_enabled ? "true" : "false");
     if (is.wal_enabled) {
       out << ",\"last_seq\":" << is.last_seq

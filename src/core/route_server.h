@@ -54,20 +54,40 @@
 // Traffic ingestion (ApplyUpdates / UpdateEdgeCost): the write path is
 // MVCC-lite. Every metric the server has ever served is an immutable
 // MetricState — version number, float-rounded graph snapshot, overlay
-// index, landmark estimator — and updates never quiesce the worker pool.
-// A writer builds version N+1 off to the side (WAL append + fsync first
-// when Options::wal.dir is set, then updater-replica apply, incremental
-// overlay re-customization deduplicated across the batch, and landmark
-// re-validation when any cost decreased), then publishes it by swapping
-// one shared_ptr under the queue mutex. Workers pin the head state when
-// they claim a batch and lazily catch their private store replica up to
-// it (applying only the per-edge dirty set they are behind on); every
-// query in the batch then runs against exactly one metric version, which
-// it reports in RouteResponse::metric_version. Cache inserts are dropped
-// when a newer version published mid-query, so a stale route can never be
-// cached past its invalidation. With a WAL directory configured the
-// server replays committed batches (and the newest checkpoint) at
-// construction, restoring the exact pre-crash metric.
+// index, landmark table and estimator — and updates never quiesce the
+// worker pool. A writer builds version N+1 off to the side (WAL append +
+// fsync first when Options::wal.dir is set, then updater-replica apply,
+// incremental overlay re-customization deduplicated across the batch, and
+// landmark revalidation when any cost decreased), then publishes it by
+// swapping one shared_ptr under the queue mutex.
+//
+// Landmark revalidation repairs the table in place of 2k SSSPs
+// (RepairLandmarks): the writer keeps a reverse copy of its metric,
+// updated edge for edge, and a pending list of the edges changed since
+// the last revalidation with the cost the table was computed at (the
+// first one, for an edge changed twice). Pure increases only extend the
+// list; the next decreasing batch repairs every pending edge at once, so
+// after each revalidation the table equals a recompute on the current
+// metric.
+//
+// Workers pin the head state when they claim a batch and lazily catch
+// their private store replica up to it: they apply only the per-edge
+// dirty set they are behind on and swap their overlay and estimator
+// pointers. Every query in the batch then runs against exactly one
+// metric version, which it reports in RouteResponse::metric_version.
+// Workers never free a version: the writer keeps each superseded
+// MetricState in a retired list and frees it, outside the queue mutex,
+// once no worker's replica is at it and no worker has it pinned — at
+// most two versions per worker. Cache inserts are dropped when a newer
+// version published mid-query, so a stale route can never be cached past
+// its invalidation. With a WAL directory configured the server replays
+// committed batches (and the newest checkpoint) at construction,
+// restoring the exact pre-crash metric.
+//
+// Each ApplyUpdates observes the wall time of every stage it runs in
+// atis_update_stage_seconds{stage=wal|apply|snapshot|overlay|landmarks|
+// publish}: wal only with a WAL, overlay only with Version 5 on,
+// landmarks only on a batch that revalidates.
 #pragma once
 
 #include <atomic>
@@ -81,6 +101,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/batch_engine.h"
@@ -99,6 +120,7 @@
 
 namespace atis::obs {
 class Counter;
+class Histogram;
 class SloWindows;
 class SlowQueryLog;
 class TraceRing;
@@ -382,6 +404,9 @@ class RouteServer {
   /// on. Immutable — updates publish a fresh one rather than mutating it.
   /// Null on the partitioned backend.
   std::shared_ptr<const graph::Graph> snapshot();
+  /// The currently published landmark table (null when Version 4 is
+  /// off). Immutable, like snapshot().
+  std::shared_ptr<const LandmarkSet> landmark_set();
   /// The currently published metric version (1 at construction; +1 per
   /// applied update batch). Lock-free.
   uint64_t published_version() const {
@@ -404,6 +429,10 @@ class RouteServer {
     uint64_t update_batches = 0;      ///< ApplyUpdates calls that published
     uint64_t worker_catchups = 0;     ///< replica catch-ups at batch claim
     uint64_t landmark_revalidations = 0;
+    /// Superseded metric versions the writer still holds because a
+    /// worker's replica is at one or a worker has one pinned (at most
+    /// 2 x num_workers). Read after releasing the ones no worker needs.
+    uint64_t retained_versions = 0;
   };
   IngestStats ingest_stats();
 
@@ -468,7 +497,8 @@ class RouteServer {
     /// answers, region index lookups); null on the partitioned backend.
     std::shared_ptr<const graph::Graph> snapshot;
     std::shared_ptr<const OverlayIndex> overlay;      // null = V5 off
-    std::shared_ptr<const Estimator> estimator;       // null = V4 off
+    std::shared_ptr<const LandmarkSet> landmarks;     // null = V4 off
+    std::shared_ptr<const Estimator> estimator;       // over landmarks
   };
   /// Latest raw cost of an edge some replica has not yet applied, keyed
   /// (u << 32 | v). Applying only the newest cost per edge is idempotent,
@@ -536,8 +566,17 @@ class RouteServer {
   /// re-customization, landmark revalidation), publishes it, and runs
   /// scoped cache invalidation. Caller holds update_mu_ and must poison
   /// the write path on failure (writer state may be half-mutated).
+  /// `started` is when the next stage began (for the stage timings).
   Status PublishBatchLocked(std::span<const EdgeCostUpdate> updates,
-                            bool any_decrease);
+                            bool any_decrease,
+                            std::chrono::steady_clock::time_point started);
+  /// Frees the retired versions no worker's replica is at and no worker
+  /// has pinned. Caller holds update_mu_ and not mu_.
+  void ReleaseRetiredLocked();
+  /// Observes the time since `*since` as update stage `stage` and moves
+  /// `*since` to now.
+  void ObserveStage(size_t stage,
+                    std::chrono::steady_clock::time_point* since);
 
   storage::DiskManager disk_;
   std::unique_ptr<storage::BufferPool> pool_;
@@ -567,8 +606,19 @@ class RouteServer {
   /// Dedicated non-serving replica the writer keeps current so overlay
   /// re-customization reads post-update adjacency (null when V5 is off).
   std::unique_ptr<graph::RelationalGraphStore> updater_store_;
-  /// The served landmark table (ids reused by re-validation; null = off).
-  std::shared_ptr<const LandmarkSet> landmark_set_;
+  /// ReverseOf(write_graph_) at the same costs, for the landmark repair's
+  /// backward columns; built at the first update when V4 is on (empty
+  /// before).
+  graph::Graph reverse_graph_;
+  /// Edges changed since the served landmark table was computed, each with
+  /// the cost it was computed at, and their (u << 32 | v) keys.
+  std::vector<ChangedEdge> landmark_pending_;
+  std::unordered_set<uint64_t> landmark_pending_keys_;
+  /// Superseded versions some worker may still use; see
+  /// ReleaseRetiredLocked.
+  std::vector<std::shared_ptr<const MetricState>> retired_;
+  /// atis_update_stage_seconds, one series per stage (UpdateStage order).
+  std::vector<obs::Histogram*> update_stage_;
   std::unique_ptr<UpdateLog> wal_;  // null when Options::wal.dir empty
   /// Non-OK after a post-commit build failure: writer-side state is
   /// half-mutated, so further updates are refused (readers keep serving
@@ -579,10 +629,12 @@ class RouteServer {
   double recovery_seconds_ = 0.0;
   UpdateLog::ReplayStats recovery_;
 
-  // Per-replica catch-up state. replica_version_ and dirty_edges_ are
-  // guarded by mu_; worker_overlay_/worker_estimator_ slots are touched
-  // only by their own worker thread after construction.
+  // Per-replica catch-up state. replica_version_, pinned_version_ (0 =
+  // none) and dirty_edges_ are guarded by mu_; worker_overlay_/
+  // worker_estimator_ slots are touched only by their own worker thread
+  // after construction.
   std::vector<uint64_t> replica_version_;
+  std::vector<uint64_t> pinned_version_;
   std::unordered_map<uint64_t, DirtyEdge> dirty_edges_;
   std::vector<std::shared_ptr<const OverlayIndex>> worker_overlay_;
   std::vector<std::shared_ptr<const Estimator>> worker_estimator_;

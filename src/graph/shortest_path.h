@@ -124,6 +124,14 @@ class BasicShortestPathSearch {
       : dist_(n, std::numeric_limits<Label>::infinity()),
         parent_(n, kInvalidNode) {}
 
+  /// Starts from existing labels (no parents, empty frontier): Seed the
+  /// nodes whose labels must propagate, then Run. Labels only fall, so
+  /// each one handed in must be at least the distance the run should find
+  /// (core/landmarks' column repair resets what may rise to +inf).
+  explicit BasicShortestPathSearch(std::vector<Label> dist)
+    requires(!kGuided)
+      : dist_(std::move(dist)), parent_(dist_.size(), kInvalidNode) {}
+
   /// Empty labels over [0, n), keyed by dist + potential.
   BasicShortestPathSearch(size_t n, Potential potential)
     requires kGuided

@@ -1,22 +1,30 @@
 // Tests for core/landmarks: farthest-point selection, triangle-inequality
-// lower bounds, persistence through the relational store, and A* Version 4
-// agreement with the geometric versions.
+// lower bounds, persistence through the relational store, A* Version 4
+// agreement with the geometric versions, and the live-traffic column
+// repair against a from-scratch recompute.
 #include "core/landmarks.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <span>
+#include <unordered_set>
+#include <vector>
 
 #include "core/db_search.h"
 #include "core/estimator.h"
 #include "core/memory_search.h"
+#include "core/route_server.h"
 #include "core/sssp.h"
+#include "core/update_log.h"
 #include "graph/grid_generator.h"
 #include "graph/relational_graph.h"
 #include "graph/road_map_generator.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "util/random.h"
 
 namespace atis::core {
 namespace {
@@ -230,6 +238,301 @@ TEST(AStarV4Test, InMemoryAStarAcceptsLandmarkEstimator) {
   EXPECT_NEAR(got.cost, want.cost, 1e-9);
   EXPECT_LE(got.stats.iterations, want.stats.iterations);
   EXPECT_TRUE(got.optimality_guaranteed);
+}
+
+// ---- Live-traffic repair (RepairLandmarks) ----
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The oracle: both columns of every landmark recomputed from scratch on
+/// `g`, 2k full SSSPs.
+LandmarkSet RecomputeLandmarks(const std::vector<NodeId>& landmarks,
+                               const graph::Graph& g) {
+  const graph::Graph rev = graph::ReverseOf(g);
+  std::vector<std::vector<double>> from;
+  std::vector<std::vector<double>> to;
+  for (const NodeId l : landmarks) {
+    auto f = SingleSourceDijkstra(g, l);
+    auto t = SingleSourceDijkstra(rev, l);
+    EXPECT_TRUE(f.ok() && t.ok());
+    from.push_back(f->distances());
+    to.push_back(t->distances());
+  }
+  return LandmarkSet(landmarks, std::move(from), std::move(to));
+}
+
+/// Every column of `got` equals the oracle's on `g` with ==. Reports the
+/// mismatch count and the first mismatch per column kind.
+void ExpectEqualsRecompute(const LandmarkSet& got, const graph::Graph& g) {
+  const LandmarkSet want = RecomputeLandmarks(got.landmarks(), g);
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  size_t mismatches = 0;
+  for (size_t l = 0; l < got.num_landmarks(); ++l) {
+    for (NodeId v = 0; v < static_cast<NodeId>(got.num_nodes()); ++v) {
+      for (const bool forward : {true, false}) {
+        const double a = forward ? got.DistFrom(l, v) : got.DistTo(l, v);
+        const double b = forward ? want.DistFrom(l, v) : want.DistTo(l, v);
+        if (a == b) continue;
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << (forward ? "dist_from" : "dist_to")
+                        << " landmark " << l << " node " << v << ": repaired "
+                        << a << ", recomputed " << b;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// A metric under update batches with its landmark table kept repaired
+/// the way RouteServer keeps it: each changed edge waits in a pending
+/// list with the cost the table was computed at (the first one, for an
+/// edge changed twice) until a revalidation repairs them all, and the
+/// result must then equal the oracle.
+class RepairDriver {
+ public:
+  RepairDriver(graph::Graph g, size_t num_landmarks)
+      : g_(std::move(g)),
+        reverse_(graph::ReverseOf(g_)),
+        table_(RecomputeLandmarks(Select(g_, num_landmarks)->landmarks(),
+                                  g_)) {}
+
+  const graph::Graph& graph() const { return g_; }
+
+  void Apply(std::span<const EdgeCostUpdate> batch, bool revalidate) {
+    for (const EdgeCostUpdate& e : batch) {
+      auto old = g_.EdgeCost(e.u, e.v);
+      ASSERT_TRUE(old.ok());
+      const uint64_t key =
+          (static_cast<uint64_t>(e.u) << 32) | static_cast<uint32_t>(e.v);
+      if (keys_.insert(key).second) pending_.push_back({e.u, e.v, *old});
+      ASSERT_TRUE(g_.SetEdgeCost(e.u, e.v, e.cost).ok());
+      ASSERT_TRUE(reverse_.SetEdgeCost(e.v, e.u, e.cost).ok());
+    }
+    if (!revalidate) return;
+    auto repaired = RepairLandmarks(table_, g_, reverse_, pending_);
+    ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+    table_ = std::move(repaired).value();
+    pending_.clear();
+    keys_.clear();
+    ExpectEqualsRecompute(table_, g_);
+  }
+
+ private:
+  graph::Graph g_;
+  graph::Graph reverse_;
+  LandmarkSet table_;
+  std::vector<ChangedEdge> pending_;
+  std::unordered_set<uint64_t> keys_;
+};
+
+/// `edges` updates, each a uniform node's uniform out-edge, its cost times
+/// U[lo, hi] (an infinite cost stays infinite).
+std::vector<EdgeCostUpdate> RandomBatch(const graph::Graph& g, Rng& rng,
+                                        size_t edges, double lo, double hi) {
+  std::vector<EdgeCostUpdate> batch;
+  while (batch.size() < edges) {
+    const auto u = static_cast<NodeId>(rng.UniformInt(g.num_nodes()));
+    const auto out = g.Neighbors(u);
+    if (out.empty()) continue;
+    const graph::Edge& e = out[rng.UniformInt(out.size())];
+    batch.push_back({u, e.to, e.cost * rng.UniformDouble(lo, hi)});
+  }
+  return batch;
+}
+
+/// The two maps every repair case runs on: the 1089-node Minneapolis-like
+/// road map with 8 landmarks and the 8x8 variance grid with 4.
+struct RepairMap {
+  const char* name;
+  graph::Graph graph;
+  size_t landmarks;
+};
+std::vector<RepairMap> RepairMaps() {
+  auto rm = graph::GenerateMinneapolisLike();
+  EXPECT_TRUE(rm.ok());
+  std::vector<RepairMap> maps;
+  maps.push_back({"minneapolis", std::move(rm->graph), 8});
+  maps.push_back({"grid8", Grid(8, GridCostModel::kVariance20), 4});
+  return maps;
+}
+
+/// Runs `rounds` batches per map and seed; `make(rng, g, round)` returns
+/// a batch and whether to revalidate after it.
+template <typename Make>
+void RunRepairSequence(int rounds, Make make) {
+  for (RepairMap& map : RepairMaps()) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(::testing::Message() << map.name << " seed " << seed);
+      RepairDriver driver(map.graph, map.landmarks);
+      Rng rng(seed);
+      for (int round = 0; round < rounds; ++round) {
+        SCOPED_TRACE(::testing::Message() << "round " << round);
+        const auto [batch, revalidate] = make(rng, driver.graph(), round);
+        driver.Apply(batch, revalidate);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(LandmarkRepairTest, DecreasesOnlyMatchRecompute) {
+  RunRepairSequence(15, [](Rng& rng, const graph::Graph& g, int) {
+    return std::pair{RandomBatch(g, rng, 8, 0.3, 0.95), true};
+  });
+}
+
+TEST(LandmarkRepairTest, IncreasesOnlyMatchRecompute) {
+  RunRepairSequence(15, [](Rng& rng, const graph::Graph& g, int) {
+    return std::pair{RandomBatch(g, rng, 8, 1.05, 5.0), true};
+  });
+}
+
+TEST(LandmarkRepairTest, IncreasesHeldUntilADecreaseMatchRecompute) {
+  // Three increase-only batches wait in the pending list; every fourth
+  // batch mixes in decreases and repairs all of them at once.
+  RunRepairSequence(24, [](Rng& rng, const graph::Graph& g, int round) {
+    if (round % 4 != 3) {
+      return std::pair{RandomBatch(g, rng, 8, 1.05, 5.0), false};
+    }
+    std::vector<EdgeCostUpdate> batch = RandomBatch(g, rng, 4, 1.05, 5.0);
+    for (const EdgeCostUpdate& e : RandomBatch(g, rng, 4, 0.3, 0.95)) {
+      batch.push_back(e);
+    }
+    return std::pair{batch, true};
+  });
+}
+
+TEST(LandmarkRepairTest, SameEdgeTwiceInOneBatchMatchesRecompute) {
+  // Each edge is set twice in its batch, in both directions of change;
+  // the pending list keeps the cost the table was computed at. Odd rounds
+  // hold their batch, so an edge may also change across batches.
+  RunRepairSequence(16, [](Rng& rng, const graph::Graph& g, int round) {
+    std::vector<EdgeCostUpdate> batch;
+    for (const EdgeCostUpdate& e : RandomBatch(g, rng, 4, 0.3, 3.0)) {
+      batch.push_back(e);
+      batch.push_back({e.u, e.v, e.cost * rng.UniformDouble(0.3, 3.0)});
+    }
+    return std::pair{batch, round % 2 == 0};
+  });
+}
+
+TEST(LandmarkRepairTest, ClosedStreetsAndReopenedStreetsMatchRecompute) {
+  for (RepairMap& map : RepairMaps()) {
+    SCOPED_TRACE(map.name);
+    RepairDriver driver(map.graph, map.landmarks);
+    Rng rng(7);
+    // Close every street into a few nodes (they become unreachable) plus
+    // random streets, then reopen them in two steps: back to their cost,
+    // then below it.
+    std::vector<EdgeCostUpdate> close;
+    std::vector<EdgeCostUpdate> reopen;
+    const graph::Graph& g = driver.graph();
+    for (const NodeId target : {NodeId{0}, NodeId{9}, NodeId{30}}) {
+      for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
+        for (const graph::Edge& e : g.Neighbors(u)) {
+          if (e.to != target) continue;
+          close.push_back({u, target, kInf});
+          reopen.push_back({u, target, e.cost});
+        }
+      }
+    }
+    for (const EdgeCostUpdate& e : RandomBatch(g, rng, 6, 1.0, 1.0)) {
+      close.push_back({e.u, e.v, kInf});
+      reopen.push_back(e);
+    }
+    driver.Apply(close, true);
+    ASSERT_FALSE(HasFailure());
+    driver.Apply(reopen, true);
+    ASSERT_FALSE(HasFailure());
+    for (EdgeCostUpdate& e : reopen) e.cost *= 0.5;
+    driver.Apply(reopen, true);
+  }
+}
+
+TEST(LandmarkRepairTest, NodesNoLandmarkReachesMatchRecompute) {
+  // The 8x8 grid plus: a source-only node (nothing reaches it), a
+  // sink-only node (it reaches nothing), an isolated node and a separate
+  // two-node street. Updates hit their edges as well as the grid's.
+  graph::Graph g = Grid(8, GridCostModel::kVariance20);
+  const NodeId source_only = g.AddNode(-1.0, -1.0);
+  const NodeId sink_only = g.AddNode(9.0, 9.0);
+  g.AddNode(20.0, 20.0);  // isolated
+  const NodeId p = g.AddNode(30.0, 30.0);
+  const NodeId q = g.AddNode(31.0, 30.0);
+  ASSERT_TRUE(g.AddEdge(source_only, 0, 2.0).ok());
+  ASSERT_TRUE(g.AddEdge(63, sink_only, 2.0).ok());
+  ASSERT_TRUE(g.AddUndirectedEdge(p, q, 1.0).ok());
+  RepairDriver driver(g, 4);
+  Rng rng(11);
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    std::vector<EdgeCostUpdate> batch =
+        RandomBatch(driver.graph(), rng, 6, 0.3, 3.0);
+    const double f = rng.UniformDouble(0.3, 3.0);
+    batch.push_back({source_only, 0, round % 3 == 1 ? kInf : 2.0 * f});
+    batch.push_back({63, sink_only, round % 3 == 2 ? kInf : 2.0 * f});
+    batch.push_back({p, q, f});
+    driver.Apply(batch, true);
+    ASSERT_FALSE(HasFailure());
+  }
+}
+
+TEST(LandmarkRepairTest, RejectsAnotherGraphOrAMissingEdge) {
+  const graph::Graph g = Grid(4, GridCostModel::kUniform);
+  const graph::Graph rev = graph::ReverseOf(g);
+  const LandmarkSet set = RecomputeLandmarks(Select(g, 2)->landmarks(), g);
+  const graph::Graph other = Grid(5, GridCostModel::kUniform);
+  EXPECT_TRUE(RepairLandmarks(set, other, graph::ReverseOf(other), {})
+                  .status()
+                  .IsInvalidArgument());
+  const std::vector<ChangedEdge> missing{{0, 15, 1.0}};  // not a street
+  EXPECT_TRUE(
+      RepairLandmarks(set, g, rev, missing).status().IsInvalidArgument());
+  auto unchanged = RepairLandmarks(set, g, rev, {});
+  ASSERT_TRUE(unchanged.ok());
+  ExpectEqualsRecompute(*unchanged, g);
+}
+
+/// The served table through RouteServer's write path: increase-only
+/// batches leave it untouched, and after each decreasing ApplyUpdates it
+/// equals the oracle on the published snapshot, pending increases and
+/// closed streets included.
+TEST(RouteServerLandmarkRepairTest, ServedTableEqualsRecomputeAfterDecreases) {
+  const graph::Graph g = Grid(8, GridCostModel::kVariance20);
+  RouteServer::Options opt;
+  opt.num_workers = 2;
+  opt.num_landmarks = 4;
+  RouteServer server(g, opt);
+  ASSERT_TRUE(server.init_status().ok());
+  Rng rng(5);
+  uint64_t revalidations = 0;
+  for (int round = 0; round < 24; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const std::shared_ptr<const graph::Graph> before = server.snapshot();
+    const std::shared_ptr<const LandmarkSet> table = server.landmark_set();
+    std::vector<EdgeCostUpdate> batch =
+        RandomBatch(*before, rng, 4, 1.05, 5.0);
+    const bool decrease = round % 3 == 2;
+    if (decrease) {
+      for (const EdgeCostUpdate& e : RandomBatch(*before, rng, 2, 0.3, 0.9)) {
+        batch.push_back(e);
+        batch.push_back({e.u, e.v, e.cost * 0.9});  // the same edge twice
+      }
+    }
+    if (round == 4) batch.push_back({3, 4, kInf});  // closed ...
+    if (round == 8) batch.push_back({3, 4, 0.5});   // ... and reopened
+    ASSERT_TRUE(server.ApplyUpdates(batch).ok());
+    const bool lowered = decrease || round == 8;
+    if (lowered) ++revalidations;
+    EXPECT_EQ(server.ingest_stats().landmark_revalidations, revalidations);
+    if (!lowered) {
+      EXPECT_EQ(server.landmark_set(), table);  // still admissible as is
+      continue;
+    }
+    ExpectEqualsRecompute(*server.landmark_set(), *server.snapshot());
+    ASSERT_FALSE(HasFailure());
+  }
 }
 
 }  // namespace

@@ -362,6 +362,7 @@ constexpr const char* kDocumentedFamilies[] = {
     "atis_snapshot_published_total",
     "atis_snapshot_version",
     "atis_snapshot_worker_catchups_total",
+    "atis_update_stage_seconds",
     "atis_wal_append_failures_total",
     "atis_wal_appends_total",
     "atis_wal_bytes_written_total",

@@ -22,6 +22,7 @@
 #include "core/sssp.h"
 #include "graph/grid_generator.h"
 #include "graph/relational_graph.h"
+#include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "util/random.h"
@@ -1197,6 +1198,125 @@ TEST_P(RouteServerTrafficProperty, RandomBatchesKeepServedAnswersExact) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouteServerTrafficProperty,
                          ::testing::Range(uint64_t{1}, uint64_t{7}));
+
+/// `n` random updates on `g`'s streets, each cost times U[lo, hi].
+std::vector<EdgeCostUpdate> RandomUpdates(const graph::Graph& g, Rng& rng,
+                                          size_t n, double lo, double hi) {
+  std::vector<EdgeCostUpdate> batch;
+  for (size_t i = 0; i < n; ++i) {
+    const auto u = static_cast<graph::NodeId>(rng.UniformInt(g.num_nodes()));
+    const graph::Edge& e = g.Neighbors(u)[rng.UniformInt(g.OutDegree(u))];
+    batch.push_back({u, e.to, e.cost * rng.UniformDouble(lo, hi)});
+  }
+  return batch;
+}
+
+/// Serves one query at a time until every worker has answered at the
+/// published version, i.e. caught its replica up and unpinned it.
+void ServeUntilEveryWorkerCaughtUp(RouteServer& server) {
+  std::set<int> caught_up;
+  for (int attempt = 0;
+       attempt < 2000 && caught_up.size() < server.num_workers(); ++attempt) {
+    auto batch = server.ServeBatch(CornerQueries(8, server.num_workers()));
+    ASSERT_TRUE(batch.ok());
+    for (const RouteResponse& resp : *batch) {
+      if (resp.metric_version == server.published_version()) {
+        caught_up.insert(resp.worker_id);
+      }
+    }
+  }
+  ASSERT_EQ(caught_up.size(), server.num_workers());
+}
+
+TEST(RouteServerTrafficTest, RetiredVersionsStayBounded) {
+  const graph::Graph g = MakeGrid(8);
+  RouteServer server(g, LandmarkOverlayOptions());
+  ASSERT_TRUE(server.init_status().ok());
+  const uint64_t bound = 2 * server.num_workers();
+  Rng rng(3);
+
+  // Idle: both replicas stay at version 1, which the writer keeps; every
+  // later version is freed as soon as it is superseded.
+  for (int i = 0; i < 200; ++i) {
+    // The writer frees a version no worker uses when it supersedes it,
+    // without waiting for a stats read.
+    const std::weak_ptr<const graph::Graph> superseded = server.snapshot();
+    ASSERT_TRUE(server.ApplyUpdates(RandomUpdates(g, rng, 2, 0.5, 2.0)).ok());
+    EXPECT_EQ(superseded.expired(), i > 0) << i;  // version 1 stays
+    ASSERT_LE(server.ingest_stats().retained_versions, bound) << i;
+  }
+  EXPECT_EQ(server.ingest_stats().retained_versions, 1u);
+  ServeUntilEveryWorkerCaughtUp(server);
+  EXPECT_EQ(server.ingest_stats().retained_versions, 0u);
+
+  // Serving while the feed runs: replicas and pins spread over versions,
+  // and the bound still holds.
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      auto batch = server.ServeBatch(CornerQueries(8, 4));
+      EXPECT_TRUE(batch.ok());
+    }
+  });
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(server.ApplyUpdates(RandomUpdates(g, rng, 2, 0.5, 2.0)).ok());
+    EXPECT_LE(server.ingest_stats().retained_versions, bound) << i;
+  }
+  stop.store(true);
+  reader.join();
+  ServeUntilEveryWorkerCaughtUp(server);
+  EXPECT_EQ(server.ingest_stats().retained_versions, 0u);
+  EXPECT_NE(server.StatuszJson().find("\"retained_versions\":0"),
+            std::string::npos);
+}
+
+TEST(RouteServerTrafficTest, UpdateStagesFitInTheCallAndLandmarksOnDecreases) {
+  const std::string dir = ::testing::TempDir() + "route_server_wal_stages";
+  std::filesystem::remove_all(dir);
+  RouteServer::Options opt = LandmarkOverlayOptions();
+  opt.wal.dir = dir;
+  const graph::Graph g = MakeGrid(8);
+  RouteServer server(g, opt);
+  ASSERT_TRUE(server.init_status().ok());
+
+  auto& reg = obs::MetricsRegistry::Default();
+  const char* const stages[] = {"wal",     "apply",     "snapshot",
+                                "overlay", "landmarks", "publish"};
+  std::vector<obs::Histogram*> hist;
+  for (const char* stage : stages) {
+    hist.push_back(&reg.GetHistogram("atis_update_stage_seconds", "", {},
+                                     {{"stage", stage}}));
+  }
+  Rng rng(9);
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const bool decrease = round % 2 == 1;
+    const std::shared_ptr<const graph::Graph> now = server.snapshot();
+    const auto batch = decrease ? RandomUpdates(*now, rng, 4, 0.3, 0.9)
+                                : RandomUpdates(*now, rng, 4, 1.2, 3.0);
+    std::vector<uint64_t> counts;
+    double stage_seconds = 0.0;
+    for (const obs::Histogram* h : hist) {
+      counts.push_back(h->count());
+      stage_seconds -= h->sum();
+    }
+    const auto started = std::chrono::steady_clock::now();
+    ASSERT_TRUE(server.ApplyUpdates(batch).ok());
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - started)
+                            .count();
+    for (size_t i = 0; i < hist.size(); ++i) {
+      stage_seconds += hist[i]->sum();
+      const uint64_t want = stages[i] == std::string("landmarks")
+                                ? (decrease ? 1u : 0u)
+                                : 1u;
+      EXPECT_EQ(hist[i]->count() - counts[i], want) << stages[i];
+    }
+    EXPECT_GT(stage_seconds, 0.0);
+    EXPECT_LE(stage_seconds, wall);
+  }
+  std::filesystem::remove_all(dir);
+}
 
 }  // namespace
 }  // namespace atis::core
