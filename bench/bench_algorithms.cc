@@ -2,11 +2,15 @@
 // algorithm implementations. The paper's metric is block I/O on a
 // database-resident graph (see the per-table benches); this binary shows
 // the same algorithmic shapes in CPU time on the plain adjacency-list
-// substrate, at sizes well beyond the paper's.
+// substrate, at sizes well beyond the paper's. The last two measure the
+// relational access paths under the paper engines in CPU time, on a store
+// the buffer pool holds whole.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <queue>
 #include <vector>
 
 #include "core/advanced_search.h"
@@ -14,7 +18,12 @@
 #include "core/memory_search.h"
 #include "core/sssp.h"
 #include "graph/grid_generator.h"
+#include "graph/relational_graph.h"
 #include "graph/road_map_generator.h"
+#include "relational/join.h"
+#include "relational/operators.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
 #include "util/random.h"
 
 namespace atis {
@@ -190,6 +199,79 @@ void BM_DuplicatePolicy_Dijkstra(benchmark::State& state) {
       core::DuplicatePolicyName(opt.duplicate_policy)));
 }
 BENCHMARK(BM_DuplicatePolicy_Dijkstra)->Arg(0)->Arg(1)->Arg(2);
+
+/// The paper's 20x20 grid loaded as (S, R) into a pool that holds it.
+struct Grid20Store {
+  Grid20Store() : pool(&disk, 256), store(&pool) {
+    (void)store.Load(GridFor(20));
+  }
+  storage::DiskManager disk;
+  storage::BufferPool pool;
+  graph::RelationalGraphStore store;
+};
+
+Grid20Store& StoreForGrid20() {
+  static Grid20Store* s = new Grid20Store;
+  return *s;
+}
+
+// The Iterative algorithm's step-6 join, C ⋈ S on begin_node, with C its
+// 13-node frontier at hop 12 from the grid corner (the mean frontier of a
+// 12-hop trip on this grid).
+void BM_NestedLoopJoin_IterativeStep6(benchmark::State& state) {
+  using graph::RelationalGraphStore;
+  Grid20Store& g20 = StoreForGrid20();
+  const graph::Graph& g = GridFor(20);
+  std::vector<int> hops(g.num_nodes(), -1);
+  std::queue<graph::NodeId> bfs;
+  hops[0] = 0;
+  bfs.push(0);
+  while (!bfs.empty()) {
+    const graph::NodeId u = bfs.front();
+    bfs.pop();
+    for (const graph::Edge& e : g.Neighbors(u)) {
+      if (hops[e.to] < 0) {
+        hops[e.to] = hops[u] + 1;
+        bfs.push(e.to);
+      }
+    }
+  }
+  relational::Relation cur("C", RelationalGraphStore::NodeSchema(),
+                           &g20.pool);
+  auto frontier = relational::SelectScan(
+      g20.store.node_relation(), [&](const relational::RowView& row) {
+        return hops[static_cast<size_t>(row.Int(0))] == 12;
+      });
+  for (const relational::MatchedTuple& m : frontier.value()) {
+    (void)cur.Insert(m.tuple);
+  }
+  const relational::Relation& s = g20.store.edge_relation();
+  for (auto _ : state) {
+    auto join = relational::Join(
+        cur, s,
+        {RelationalGraphStore::kNodeIdField, RelationalGraphStore::kBeginField},
+        relational::JoinStrategy::kNestedLoop, {}, "JOIN");
+    benchmark::DoNotOptimize(join.value()->num_tuples());
+    (void)join.value()->Clear(/*charge=*/true);
+  }
+  state.SetLabel(std::to_string(cur.num_tuples()) + " x " +
+                 std::to_string(s.num_tuples()) + " tuples");
+}
+BENCHMARK(BM_NestedLoopJoin_IterativeStep6);
+
+// Point lookups of every node id through R's ISAM index (GetNode's path).
+void BM_IsamLookupAll_R(benchmark::State& state) {
+  const relational::Relation& r = StoreForGrid20().store.node_relation();
+  const index::IsamIndex& isam = *r.isam_index();
+  const auto n = static_cast<int64_t>(r.num_tuples());
+  for (auto _ : state) {
+    for (int64_t id = 0; id < n; ++id) {
+      benchmark::DoNotOptimize(isam.LookupAll(id));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_IsamLookupAll_R);
 
 }  // namespace
 }  // namespace atis

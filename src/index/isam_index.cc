@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace atis::index {
 
@@ -41,8 +42,43 @@ void WriteInnerEntry(Page* p, size_t i, int64_t key, PageId child) {
   p->WriteAt<uint32_t>(base + 12, 0);
 }
 
+constexpr size_t kOffRunContinues = 10;
+
 uint16_t Count(const Page& p) { return p.ReadAt<uint16_t>(8); }
 void SetCount(Page* p, uint16_t c) { p->WriteAt<uint16_t>(8, c); }
+
+/// The entries of a sorted leaf whose key equals `key`, as the half-open
+/// range [first, end): a binary search for the first, then a walk.
+std::pair<size_t, size_t> RunOf(const Page& leaf, int64_t key) {
+  const size_t count = Count(leaf);
+#ifndef NDEBUG
+  for (size_t j = 1; j < count; ++j) {
+    assert(EntryKey(leaf, j - 1) <= EntryKey(leaf, j));
+  }
+#endif
+  size_t lo = 0;
+  size_t hi = count;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (EntryKey(leaf, mid) < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  size_t end = lo;
+  while (end < count && EntryKey(leaf, end) == key) ++end;
+  return {lo, end};
+}
+
+/// Whether entries of `key` may follow in the next leaf, given the leaf's
+/// run [first, end) of them: no larger key ends this leaf, and either the
+/// run reaches its end or the leaf was built with its last run spilling
+/// into the next one (that run routes here, see Build).
+bool RunContinues(const Page& leaf, size_t first, size_t end) {
+  return end == Count(leaf) &&
+         (end > first || leaf.ReadAt<uint16_t>(kOffRunContinues) != 0);
+}
 
 }  // namespace
 
@@ -79,16 +115,30 @@ Status IsamIndex::Build(std::vector<Entry> entries, double fill_fraction) {
     for (size_t j = 0; j < take; ++j) {
       WriteLeafEntry(&p, j, entries[i + j].key, entries[i + j].rid);
     }
+    p.WriteAt<uint16_t>(kOffRunContinues, 0);
     SetCount(&p, static_cast<uint16_t>(take));
+    // Entries that continue the previous leaf's last run of equal keys.
+    size_t carried = 0;
+    while (i > 0 && carried < take &&
+           entries[i + carried].key == entries[i - 1].key) {
+      ++carried;
+    }
     if (prev_leaf != kInvalidPageId) {
       ATIS_ASSIGN_OR_RETURN(PageGuard prev, pool_->FetchPage(prev_leaf));
-      prev.MutablePage().WriteAt<uint32_t>(kOffNextLeaf, guard.id());
+      Page& pp = prev.MutablePage();
+      pp.WriteAt<uint32_t>(kOffNextLeaf, guard.id());
+      if (carried > 0) pp.WriteAt<uint16_t>(kOffRunContinues, 1);
     } else {
       first_leaf_ = guard.id();
     }
     prev_leaf = guard.id();
-    level.push_back(
-        {take > 0 ? entries[i].key : INT64_MIN, guard.id()});
+    // A run routes to the leaf it starts in, so a leaf's separator is its
+    // first key of its own; a leaf holding only a run's tail gets none.
+    if (i == 0) {
+      level.push_back({take > 0 ? entries[0].key : INT64_MIN, guard.id()});
+    } else if (carried < take) {
+      level.push_back({entries[i + carried].key, guard.id()});
+    }
     i += take;
   } while (i < entries.size());
 
@@ -143,20 +193,13 @@ Result<RecordId> IsamIndex::Lookup(int64_t key) const {
 }
 
 Result<std::vector<RecordId>> IsamIndex::LookupAll(int64_t key) const {
-  ATIS_ASSIGN_OR_RETURN(PageId leaf, FindLeaf(key));
+  ATIS_ASSIGN_OR_RETURN(PageId id, FindLeaf(key));
   std::vector<RecordId> out;
-  // Duplicates can run into following leaves; walk until keys exceed `key`.
-  PageId id = leaf;
   while (id != kInvalidPageId) {
     ATIS_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(id));
     const Page& p = guard.page();
-    const uint16_t count = Count(p);
-    bool past = false;
-    for (size_t j = 0; j < count; ++j) {
-      const int64_t k = EntryKey(p, j);
-      if (k == key) out.push_back(EntryRid(p, j));
-      if (k > key) past = true;
-    }
+    const auto [first, end] = RunOf(p, key);
+    for (size_t j = first; j < end; ++j) out.push_back(EntryRid(p, j));
     // Overflow pages are unsorted: always scan the chain of this leaf.
     PageId ov = p.ReadAt<uint32_t>(kOffOverflow);
     while (ov != kInvalidPageId) {
@@ -168,10 +211,7 @@ Result<std::vector<RecordId>> IsamIndex::LookupAll(int64_t key) const {
       }
       ov = op.ReadAt<uint32_t>(kOffNextLeaf);
     }
-    if (past || count == 0) break;
-    // Continue only if this leaf's last key still equals `key`.
-    if (EntryKey(p, count - 1) > key) break;
-    if (EntryKey(p, count - 1) < key) break;
+    if (!RunContinues(p, first, end)) break;
     id = p.ReadAt<uint32_t>(kOffNextLeaf);
   }
   return out;
@@ -231,13 +271,15 @@ Status IsamIndex::Insert(int64_t key, RecordId rid) {
 }
 
 Status IsamIndex::Erase(int64_t key, RecordId rid) {
-  ATIS_ASSIGN_OR_RETURN(PageId leaf, FindLeaf(key));
-  ATIS_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(leaf));
-  {
+  ATIS_ASSIGN_OR_RETURN(PageId id, FindLeaf(key));
+  // The leaves, and in each its overflow chain, that LookupAll reads.
+  while (id != kInvalidPageId) {
+    ATIS_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(id));
     Page& p = guard.MutablePage();
     const uint16_t count = Count(p);
-    for (size_t j = 0; j < count; ++j) {
-      if (EntryKey(p, j) == key && EntryRid(p, j) == rid) {
+    const auto [first, end] = RunOf(p, key);
+    for (size_t j = first; j < end; ++j) {
+      if (EntryRid(p, j) == rid) {
         for (size_t k = j; k + 1 < count; ++k) {
           WriteLeafEntry(&p, k, EntryKey(p, k + 1), EntryRid(p, k + 1));
         }
@@ -246,23 +288,26 @@ Status IsamIndex::Erase(int64_t key, RecordId rid) {
         return Status::OK();
       }
     }
-  }
-  PageId ov = guard.page().ReadAt<uint32_t>(kOffOverflow);
-  while (ov != kInvalidPageId) {
-    ATIS_ASSIGN_OR_RETURN(PageGuard og, pool_->FetchPage(ov));
-    Page& op = og.MutablePage();
-    const uint16_t oc = Count(op);
-    for (size_t j = 0; j < oc; ++j) {
-      if (EntryKey(op, j) == key && EntryRid(op, j) == rid) {
-        if (j + 1 < oc) {
-          WriteLeafEntry(&op, j, EntryKey(op, oc - 1), EntryRid(op, oc - 1));
+    PageId ov = p.ReadAt<uint32_t>(kOffOverflow);
+    while (ov != kInvalidPageId) {
+      ATIS_ASSIGN_OR_RETURN(PageGuard og, pool_->FetchPage(ov));
+      Page& op = og.MutablePage();
+      const uint16_t oc = Count(op);
+      for (size_t j = 0; j < oc; ++j) {
+        if (EntryKey(op, j) == key && EntryRid(op, j) == rid) {
+          if (j + 1 < oc) {
+            WriteLeafEntry(&op, j, EntryKey(op, oc - 1),
+                           EntryRid(op, oc - 1));
+          }
+          SetCount(&op, static_cast<uint16_t>(oc - 1));
+          --num_entries_;
+          return Status::OK();
         }
-        SetCount(&op, static_cast<uint16_t>(oc - 1));
-        --num_entries_;
-        return Status::OK();
       }
+      ov = op.ReadAt<uint32_t>(kOffNextLeaf);
     }
-    ov = op.ReadAt<uint32_t>(kOffNextLeaf);
+    if (!RunContinues(p, first, end)) break;
+    id = p.ReadAt<uint32_t>(kOffNextLeaf);
   }
   return Status::NotFound("ISAM entry not found");
 }

@@ -3,9 +3,17 @@
 // The tree is bulk-built from sorted (key, RecordId) pairs and its inner
 // structure never changes; later inserts that do not fit in their leaf go to
 // per-leaf overflow chains (classic ISAM). A point lookup reads one block
-// per level (the paper's I_l) plus any overflow pages.
+// per level (the paper's I_l) plus any overflow pages, and binary-searches
+// the sorted leaf for its key.
+//
+// A run of equal keys that the bulk build splits across leaves is routed
+// to the leaf it starts in: a leaf's separator is its first key above the
+// previous leaf's last key, and a leaf holding only a run's tail has none.
+// Lookups walk on into the next leaf while the run can continue there.
 //
 // Leaf page:   [0..4) next leaf | [4..8) overflow page | [8..10) count
+//              [10..12) 1 if the build split this leaf's last run into the
+//              next leaf
 //              entries from byte 16, 16 B each {key i64, page u32, slot u16}
 // Inner page:  [8..10) count; entries from byte 16, 16 B each
 //              {separator key i64, child page u32} — child covers keys >= its

@@ -134,21 +134,55 @@ Tuple Concat(const Tuple& a, const Tuple& b) {
   return t;
 }
 
+/// Block nested loop, as Section 4.3's F charges it: the inner relation is
+/// scanned once per outer block, not once per outer tuple. Each outer
+/// block's tuples are hashed by join key; the inner scan collects every
+/// outer tuple's matches, which are then emitted in left-major order
+/// (outer scan order, inner scan order within each outer tuple), the
+/// order of the tuple-at-a-time loop. The result's last block stays
+/// pinned across the inner scans — F's one output buffer — so each result
+/// block is written once.
 Result<std::unique_ptr<Relation>> NestedLoopJoin(const Relation& left,
                                                  const Relation& right,
                                                  int lf, int rf,
                                                  std::string name) {
   ATIS_ASSIGN_OR_RETURN(auto out, MakeResultRelation(left, right, name));
-  for (Relation::Cursor lc = left.Scan(); lc.Valid(); lc.Next()) {
-    const Tuple lt = lc.row().Unpack();
-    const int64_t lkey = AsInt(lt[static_cast<size_t>(lf)]);
-    for (Relation::Cursor rc = right.Scan(); rc.Valid(); rc.Next()) {
+  std::vector<Tuple> block;
+  std::unordered_map<int64_t, std::vector<size_t>> block_by_key;
+  std::vector<std::vector<Tuple>> matches;
+  storage::PageGuard out_block;
+  Relation::Cursor lc = left.Scan();
+  while (lc.Valid()) {
+    block.clear();
+    block_by_key.clear();
+    for (const storage::PageId page = lc.rid().page;
+         lc.Valid() && lc.rid().page == page; lc.Next()) {
+      Tuple lt = lc.row().Unpack();
+      block_by_key[AsInt(lt[static_cast<size_t>(lf)])].push_back(
+          block.size());
+      block.push_back(std::move(lt));
+    }
+    matches.assign(block.size(), {});
+    Relation::Cursor rc = right.Scan();
+    for (; rc.Valid(); rc.Next()) {
       const RowView rt = rc.row();
-      if (rt.Int(static_cast<size_t>(rf)) == lkey) {
-        ATIS_RETURN_NOT_OK(out->Insert(Concat(lt, rt.Unpack())).status());
+      const auto it = block_by_key.find(rt.Int(static_cast<size_t>(rf)));
+      if (it == block_by_key.end()) continue;
+      const Tuple inner = rt.Unpack();
+      for (const size_t i : it->second) matches[i].push_back(inner);
+    }
+    ATIS_RETURN_NOT_OK(rc.status());
+    storage::RecordId last;
+    for (size_t i = 0; i < block.size(); ++i) {
+      for (const Tuple& inner : matches[i]) {
+        ATIS_ASSIGN_OR_RETURN(last, out->Insert(Concat(block[i], inner)));
       }
     }
+    if (last.valid()) {
+      ATIS_ASSIGN_OR_RETURN(out_block, out->pool()->FetchPage(last.page));
+    }
   }
+  ATIS_RETURN_NOT_OK(lc.status());
   return out;
 }
 

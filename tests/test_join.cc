@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace atis::relational {
 namespace {
@@ -214,6 +216,101 @@ TEST(JoinTest, MaterializedResultChargesRelationCreate) {
       Join(l, r, {"id", "key"}, JoinStrategy::kHash, CostParams{}, "J");
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(disk.meter().counters().relations_created, creates + 1);
+}
+
+// --- Block nested loop: measured I/O and output order --------------------
+
+/// Two relations of the JoinStrategyTest shape, `left_rows` and
+/// `right_rows` tuples; right keys are i / 3, so every left id below
+/// right_rows / 3 meets three inner tuples.
+struct NestedLoopFixture {
+  NestedLoopFixture(BufferPool* pool, size_t left_rows, size_t right_rows)
+      : left("L",
+             Schema({{"id", FieldType::kInt32}, {"lv", FieldType::kDouble}}),
+             pool),
+        right("R",
+              Schema({{"key", FieldType::kInt32}, {"rv", FieldType::kDouble}}),
+              pool) {
+    for (size_t i = 0; i < left_rows; ++i) {
+      EXPECT_TRUE(left.Insert(Tuple{int64_t(i), double(i)}).ok());
+    }
+    for (size_t i = 0; i < right_rows; ++i) {
+      EXPECT_TRUE(right.Insert(Tuple{int64_t(i / 3), double(i)}).ok());
+    }
+  }
+  Relation left;
+  Relation right;
+};
+
+TEST(NestedLoopJoinTest, MeasuredIoWithinPaperFormula) {
+  // Section 4.3: F = B1*t_read + (B1*B2)*t_read + B3*t_write assumes one
+  // inner scan per outer block. A 4-frame pool cannot cache the inner
+  // relation, so every rescan is metered.
+  DiskManager disk;
+  BufferPool pool(&disk, /*capacity=*/4, /*num_shards=*/1);
+  NestedLoopFixture f(&pool, 1000, 3 * 1000);
+  ASSERT_GE(f.left.num_blocks(), 4u);
+  ASSERT_GE(f.right.num_blocks(), 12u);
+  ASSERT_TRUE(pool.EvictAll().ok());
+  const storage::IoCounters before = disk.meter().counters();
+
+  auto out = Join(f.left, f.right, {"id", "key"}, JoinStrategy::kNestedLoop,
+                  CostParams{}, "J");
+  ASSERT_TRUE(out.ok());
+  ASSERT_TRUE(pool.EvictAll().ok());
+  const storage::IoCounters after = disk.meter().counters();
+
+  const uint64_t b1 = f.left.num_blocks();
+  const uint64_t b2 = f.right.num_blocks();
+  const uint64_t b3 = (*out)->num_blocks();
+  EXPECT_EQ((*out)->num_tuples(), 3 * f.left.num_tuples());
+  EXPECT_LE(after.blocks_read - before.blocks_read, b1 + b1 * b2 + b3);
+  EXPECT_EQ(after.blocks_written - before.blocks_written, b3);
+}
+
+TEST(NestedLoopJoinTest, NestedLoopOutputOrderIsLeftMajor) {
+  // Duplicate keys on both sides and a multi-block outer: the result is
+  // every outer tuple in scan order, each followed by its inner matches in
+  // inner scan order — the tuple-at-a-time loop's sequence.
+  DiskManager disk;
+  BufferPool pool(&disk, 64);
+  Relation left("L",
+                Schema({{"id", FieldType::kInt32}, {"lv", FieldType::kDouble}}),
+                &pool);
+  Relation right(
+      "R", Schema({{"key", FieldType::kInt32}, {"rv", FieldType::kDouble}}),
+      &pool);
+  std::vector<Tuple> lrows;
+  for (size_t i = 0; i < 600; ++i) {
+    lrows.push_back(Tuple{int64_t((i * 7) % 23), double(i)});
+    ASSERT_TRUE(left.Insert(lrows.back()).ok());
+  }
+  ASSERT_GE(left.num_blocks(), 2u);
+  std::vector<Tuple> rrows;
+  for (int i = 0; i < 60; ++i) {
+    rrows.push_back(Tuple{int64_t((i * 5) % 17), double(1000 + i)});
+    ASSERT_TRUE(right.Insert(rrows.back()).ok());
+  }
+
+  std::vector<std::pair<double, double>> expected;
+  for (const Tuple& l : lrows) {
+    for (const Tuple& r : rrows) {
+      if (AsInt(l[0]) == AsInt(r[0])) {
+        expected.push_back({AsDouble(l[1]), AsDouble(r[1])});
+      }
+    }
+  }
+  auto out = Join(left, right, {"id", "key"}, JoinStrategy::kNestedLoop,
+                  CostParams{}, "J");
+  ASSERT_TRUE(out.ok());
+  std::vector<std::pair<double, double>> got;
+  for (Relation::Cursor c = (*out)->Scan(); c.Valid(); c.Next()) {
+    const Tuple t = c.row().Unpack();
+    EXPECT_EQ(AsInt(t[0]), AsInt(t[2]));
+    got.push_back({AsDouble(t[1]), AsDouble(t[3])});
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(got, expected);
 }
 
 }  // namespace

@@ -73,8 +73,14 @@ TEST(RouteServerTest, ParallelAnswersMatchSequentialEngine) {
     expected.push_back(std::move(r).value());
   }
 
+  // Every query must block long enough for idle workers to wake and claim
+  // the next ones, however fast the engine: a pool smaller than the four
+  // replicas makes queries miss, and each miss sleeps 1 ms.
   RouteServer::Options opt;
   opt.num_workers = 4;
+  opt.pool_frames = 32;
+  opt.pool_shards = 1;
+  opt.disk_latency.read_micros = 1000;
   RouteServer server(g, opt);
   ASSERT_TRUE(server.init_status().ok());
   auto batch = server.ServeBatch(queries);
