@@ -338,9 +338,10 @@ CustomizationPoint RunCustomization(const Workload& w, uint32_t order) {
     std::vector<double> samples;
     for (int rep = 0; rep < kRecustomizeReps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      auto next = core::RecustomizeForEdge(**topo, *current, u, v,
-                                           &db.store(),
-                                           &out.cells_changed_same_cell);
+      const std::pair<graph::NodeId, graph::NodeId> edge{u, v};
+      auto next = core::RecustomizeForEdges(
+          **topo, *current, {&edge, 1}, &db.store(),
+          &out.cells_changed_same_cell, current->metric_version() + 1);
       if (!next.ok()) Fatal(next.status().ToString());
       samples.push_back(MsSince(t0));
       current = *next;
@@ -355,8 +356,10 @@ CustomizationPoint RunCustomization(const Workload& w, uint32_t order) {
     size_t changed = 0;
     for (int rep = 0; rep < kRecustomizeReps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      auto next = core::RecustomizeForEdge(**topo, *current, u, v,
-                                           &db.store(), &changed);
+      const std::pair<graph::NodeId, graph::NodeId> edge{u, v};
+      auto next = core::RecustomizeForEdges(**topo, *current, {&edge, 1},
+                                            &db.store(), &changed,
+                                            current->metric_version() + 1);
       if (!next.ok()) Fatal(next.status().ToString());
       samples.push_back(MsSince(t0));
       current = *next;

@@ -20,13 +20,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -54,6 +57,7 @@
 #include "obs/trace_ring.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -144,6 +148,34 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+/// Parses the whole of `text` as a T in [lo, hi] (util::ParseNumber). On
+/// failure prints "<expect>, got '<text>'" and returns false; callers then
+/// exit 2 rather than act on a guessed value.
+template <typename T>
+bool ParseNumber(std::string_view text, const char* expect, T* out,
+                 T lo = std::numeric_limits<T>::lowest(),
+                 T hi = std::numeric_limits<T>::max()) {
+  const std::optional<T> value = util::ParseNumber<T>(text, lo, hi);
+  if (!value) {
+    std::fprintf(stderr, "%s, got '%.*s'\n", expect,
+                 static_cast<int>(text.size()), text.data());
+    return false;
+  }
+  *out = *value;
+  return true;
+}
+
+/// A node id argument: a non-negative int32 (the store's id type).
+bool ParseNode(std::string_view text, graph::NodeId* out) {
+  return ParseNumber(text, "node id wants an integer >= 0", out,
+                     graph::NodeId{0});
+}
+
+/// The value of a "--name=value" flag, given its "--name=" prefix.
+std::string_view FlagValue(const std::string& arg, std::string_view prefix) {
+  return std::string_view(arg).substr(prefix.size());
+}
+
 Result<graph::Graph> Load(const std::string& path) {
   return graph::LoadGraphFile(path);
 }
@@ -179,7 +211,9 @@ int CmdGenerate(int argc, char** argv, const char* argv0) {
   }
   if (argc >= 4 && std::strcmp(argv[0], "grid") == 0) {
     graph::GridGraphGenerator::Options opt;
-    opt.k = std::atoi(argv[1]);
+    if (!ParseNumber(argv[1], "grid side k wants an integer", &opt.k)) {
+      return 2;
+    }
     const std::string model = argv[2];
     if (model == "uniform") {
       opt.cost_model = graph::GridCostModel::kUniform;
@@ -233,11 +267,15 @@ int CmdRoute(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", g.status().ToString().c_str());
     return 1;
   }
-  const auto src = static_cast<graph::NodeId>(std::atoi(argv[1]));
-  const auto dst = static_cast<graph::NodeId>(std::atoi(argv[2]));
+  graph::NodeId src = 0, dst = 0;
+  double weight = 1.0;
+  if (!ParseNode(argv[1], &src) || !ParseNode(argv[2], &dst) ||
+      (argc > 5 &&
+       !ParseNumber(argv[5], "weight wants a number >= 0", &weight, 0.0))) {
+    return 2;
+  }
   const std::string algo = argc > 3 ? argv[3] : "astar";
   const std::string est = argc > 4 ? argv[4] : "euclidean";
-  const double weight = argc > 5 ? std::atof(argv[5]) : 1.0;
 
   auto estimator = core::MakeEstimator(
       est == "manhattan" ? core::EstimatorKind::kManhattan
@@ -299,19 +337,17 @@ int CmdDbRoute(int argc, char** argv, const char* argv0) {
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_file = arg.substr(10);
     } else if (arg.rfind("--landmarks=", 0) == 0) {
-      const int k = std::atoi(arg.c_str() + 12);
-      if (k <= 0) {
-        std::fprintf(stderr, "--landmarks wants a positive count\n");
+      if (!ParseNumber(FlagValue(arg, "--landmarks="),
+                       "--landmarks wants a positive count", &num_landmarks,
+                       size_t{1})) {
         return 2;
       }
-      num_landmarks = static_cast<size_t>(k);
     } else if (arg.rfind("--cell-order=", 0) == 0) {
-      const int n = std::atoi(arg.c_str() + 13);
-      if (n <= 0) {
-        std::fprintf(stderr, "--cell-order wants a positive order\n");
+      if (!ParseNumber(FlagValue(arg, "--cell-order="),
+                       "--cell-order wants a positive order", &cell_order,
+                       uint32_t{1})) {
         return 2;
       }
-      cell_order = static_cast<uint32_t>(n);
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return Usage(argv0);
@@ -320,13 +356,15 @@ int CmdDbRoute(int argc, char** argv, const char* argv0) {
     }
   }
   if (positional.size() < 3) return Usage(argv0);
+  graph::NodeId src = 0, dst = 0;
+  if (!ParseNode(positional[1], &src) || !ParseNode(positional[2], &dst)) {
+    return 2;
+  }
   auto g = Load(positional[0]);
   if (!g.ok()) {
     std::fprintf(stderr, "%s\n", g.status().ToString().c_str());
     return 1;
   }
-  const auto src = static_cast<graph::NodeId>(std::atoi(positional[1]));
-  const auto dst = static_cast<graph::NodeId>(std::atoi(positional[2]));
   if (positional.size() > 3) algo = positional[3];
   if (algo != "dijkstra" && algo != "iterative" && algo != "astar1" &&
       algo != "astar2" && algo != "astar3" && algo != "astar4" &&
@@ -452,16 +490,18 @@ int CmdDbRoute(int argc, char** argv, const char* argv0) {
 bool ParseQueryLine(const std::string& line, size_t lineno,
                     const std::string& default_algo, core::RouteQuery* q) {
   std::istringstream in(line);
-  long src = 0, dst = 0;
+  std::string src, dst;
   std::string algo = default_algo;
   if (!(in >> src >> dst)) {
     std::fprintf(stderr, "queries line %zu: expected 'src dst [algorithm]'\n",
                  lineno);
     return false;
   }
+  if (!ParseNode(src, &q->source) || !ParseNode(dst, &q->destination)) {
+    std::fprintf(stderr, "queries line %zu: bad node id\n", lineno);
+    return false;
+  }
   in >> algo;
-  q->source = static_cast<graph::NodeId>(src);
-  q->destination = static_cast<graph::NodeId>(dst);
   if (algo == "dijkstra") {
     q->algorithm = core::Algorithm::kDijkstra;
   } else if (algo == "iterative") {
@@ -512,7 +552,11 @@ int CmdServe(int argc, char** argv, const char* argv0) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--workers=", 0) == 0) {
-      workers = static_cast<size_t>(std::atoi(arg.c_str() + 10));
+      if (!ParseNumber(FlagValue(arg, "--workers="),
+                       "--workers wants a positive count", &workers,
+                       size_t{1})) {
+        return 2;
+      }
     } else if (arg.rfind("--queries=", 0) == 0) {
       queries_file = arg.substr(10);
     } else if (arg.rfind("--json=", 0) == 0) {
@@ -520,43 +564,42 @@ int CmdServe(int argc, char** argv, const char* argv0) {
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_file = arg.substr(10);
     } else if (arg.rfind("--landmarks=", 0) == 0) {
-      const int k = std::atoi(arg.c_str() + 12);
-      if (k <= 0) {
-        std::fprintf(stderr, "--landmarks wants a positive count\n");
+      if (!ParseNumber(FlagValue(arg, "--landmarks="),
+                       "--landmarks wants a positive count", &num_landmarks,
+                       size_t{1})) {
         return 2;
       }
-      num_landmarks = static_cast<size_t>(k);
     } else if (arg == "--cache") {
       enable_cache = true;
     } else if (arg.rfind("--cache=", 0) == 0) {
-      const int cap = std::atoi(arg.c_str() + 8);
-      if (cap <= 0) {
-        std::fprintf(stderr, "--cache wants a positive capacity\n");
+      if (!ParseNumber(FlagValue(arg, "--cache="),
+                       "--cache wants a positive capacity", &cache_capacity,
+                       size_t{1})) {
         return 2;
       }
       enable_cache = true;
-      cache_capacity = static_cast<size_t>(cap);
     } else if (arg.rfind("--latency=", 0) == 0) {
-      unsigned r = 0, w = 0;
-      if (std::sscanf(arg.c_str() + 10, "%u,%u", &r, &w) != 2) {
-        std::fprintf(stderr, "--latency wants READ_US,WRITE_US\n");
+      const std::string_view value = FlagValue(arg, "--latency=");
+      const size_t comma = value.find(',');
+      const char* expect = "--latency wants READ_US,WRITE_US";
+      if (comma == std::string_view::npos ||
+          !ParseNumber(value.substr(0, comma), expect, &latency.read_micros) ||
+          !ParseNumber(value.substr(comma + 1), expect,
+                       &latency.write_micros)) {
         return 2;
       }
-      latency.read_micros = r;
-      latency.write_micros = w;
     } else if (arg.rfind("--fault-rate=", 0) == 0) {
-      fault_rate = std::atof(arg.c_str() + 13);
-      if (fault_rate < 0.0 || fault_rate >= 1.0) {
-        std::fprintf(stderr, "--fault-rate wants a probability in [0,1)\n");
+      if (!ParseNumber(FlagValue(arg, "--fault-rate="),
+                       "--fault-rate wants a probability in [0,1)",
+                       &fault_rate, 0.0, std::nextafter(1.0, 0.0))) {
         return 2;
       }
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      const int ms = std::atoi(arg.c_str() + 14);
-      if (ms <= 0) {
-        std::fprintf(stderr, "--deadline-ms wants a positive count\n");
+      if (!ParseNumber(FlagValue(arg, "--deadline-ms="),
+                       "--deadline-ms wants a positive count", &deadline_ms,
+                       uint64_t{1})) {
         return 2;
       }
-      deadline_ms = static_cast<uint64_t>(ms);
     } else if (arg == "--degraded") {
       degraded = true;
     } else if (arg.rfind("--layout=", 0) == 0) {
@@ -566,81 +609,73 @@ int CmdServe(int argc, char** argv, const char* argv0) {
       }
       layout_flag = true;
     } else if (arg.rfind("--prefetch-depth=", 0) == 0) {
-      const int k = std::atoi(arg.c_str() + 17);
-      if (k < 0) {
-        std::fprintf(stderr, "--prefetch-depth wants a count >= 0\n");
+      if (!ParseNumber(FlagValue(arg, "--prefetch-depth="),
+                       "--prefetch-depth wants a count >= 0",
+                       &prefetch_depth)) {
         return 2;
       }
-      prefetch_depth = static_cast<size_t>(k);
     } else if (arg.rfind("--obs-port=", 0) == 0) {
-      const int p = std::atoi(arg.c_str() + 11);
-      if (p < 0 || p > 65535) {
-        std::fprintf(stderr, "--obs-port wants a port in [0, 65535]\n");
+      if (!ParseNumber(FlagValue(arg, "--obs-port="),
+                       "--obs-port wants a port in [0, 65535]", &obs_port, 0,
+                       65535)) {
         return 2;
       }
-      obs_port = p;
     } else if (arg.rfind("--sample-every=", 0) == 0) {
-      const long n = std::atol(arg.c_str() + 15);
-      if (n <= 0) {
-        std::fprintf(stderr, "--sample-every wants a positive N\n");
+      if (!ParseNumber(FlagValue(arg, "--sample-every="),
+                       "--sample-every wants a positive N", &sample_every,
+                       uint64_t{1})) {
         return 2;
       }
-      sample_every = static_cast<uint64_t>(n);
     } else if (arg.rfind("--trace-dir=", 0) == 0) {
       trace_dir = arg.substr(12);
     } else if (arg.rfind("--slow-query-ms=", 0) == 0) {
-      slow_query_ms = std::atof(arg.c_str() + 16);
-      if (slow_query_ms <= 0.0) {
-        std::fprintf(stderr, "--slow-query-ms wants a positive threshold\n");
+      if (!ParseNumber(FlagValue(arg, "--slow-query-ms="),
+                       "--slow-query-ms wants a positive threshold",
+                       &slow_query_ms, std::numeric_limits<double>::min())) {
         return 2;
       }
     } else if (arg.rfind("--slow-query-log=", 0) == 0) {
       slow_query_log = arg.substr(17);
     } else if (arg.rfind("--repeat=", 0) == 0) {
-      const int n = std::atoi(arg.c_str() + 9);
-      if (n <= 0) {
-        std::fprintf(stderr, "--repeat wants a positive count\n");
+      if (!ParseNumber(FlagValue(arg, "--repeat="),
+                       "--repeat wants a positive count", &repeat,
+                       size_t{1})) {
         return 2;
       }
-      repeat = static_cast<size_t>(n);
     } else if (arg.rfind("--max-batch=", 0) == 0) {
-      const int n = std::atoi(arg.c_str() + 12);
-      if (n <= 0) {
-        std::fprintf(stderr, "--max-batch wants a positive count\n");
+      if (!ParseNumber(FlagValue(arg, "--max-batch="),
+                       "--max-batch wants a positive count", &max_batch,
+                       size_t{1})) {
         return 2;
       }
-      max_batch = static_cast<size_t>(n);
     } else if (arg.rfind("--batch-window-us=", 0) == 0) {
-      const long n = std::atol(arg.c_str() + 18);
-      if (n < 0) {
-        std::fprintf(stderr, "--batch-window-us wants a count >= 0\n");
+      if (!ParseNumber(FlagValue(arg, "--batch-window-us="),
+                       "--batch-window-us wants a count >= 0",
+                       &batch_window_us)) {
         return 2;
       }
-      batch_window_us = static_cast<uint64_t>(n);
     } else if (arg.rfind("--algorithm=", 0) == 0) {
       default_algo = arg.substr(12);
     } else if (arg.rfind("--cell-order=", 0) == 0) {
-      const int n = std::atoi(arg.c_str() + 13);
-      if (n <= 0) {
-        std::fprintf(stderr, "--cell-order wants a positive order\n");
+      if (!ParseNumber(FlagValue(arg, "--cell-order="),
+                       "--cell-order wants a positive order", &cell_order,
+                       uint32_t{1})) {
         return 2;
       }
-      cell_order = static_cast<uint32_t>(n);
     } else if (arg.rfind("--wal-dir=", 0) == 0) {
       wal_dir = arg.substr(10);
     } else if (arg.rfind("--update-rate=", 0) == 0) {
-      update_rate = std::atof(arg.c_str() + 14);
-      if (update_rate < 0.0) {
-        std::fprintf(stderr, "--update-rate wants a rate >= 0\n");
+      if (!ParseNumber(FlagValue(arg, "--update-rate="),
+                       "--update-rate wants a rate >= 0", &update_rate,
+                       0.0)) {
         return 2;
       }
     } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      const long n = std::atol(arg.c_str() + 19);
-      if (n < 0) {
-        std::fprintf(stderr, "--checkpoint-every wants a count >= 0\n");
+      if (!ParseNumber(FlagValue(arg, "--checkpoint-every="),
+                       "--checkpoint-every wants a count >= 0",
+                       &checkpoint_every)) {
         return 2;
       }
-      checkpoint_every = static_cast<uint64_t>(n);
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return Usage(argv0);
@@ -891,13 +926,13 @@ int CmdServe(int argc, char** argv, const char* argv0) {
 }
 
 int CmdSvg(char** argv) {
+  graph::NodeId src = 0, dst = 0;
+  if (!ParseNode(argv[1], &src) || !ParseNode(argv[2], &dst)) return 2;
   auto g = Load(argv[0]);
   if (!g.ok()) {
     std::fprintf(stderr, "%s\n", g.status().ToString().c_str());
     return 1;
   }
-  const auto src = static_cast<graph::NodeId>(std::atoi(argv[1]));
-  const auto dst = static_cast<graph::NodeId>(std::atoi(argv[2]));
   const auto r = core::DijkstraSearch(*g, src, dst);
   if (!r.found) {
     std::fprintf(stderr, "no route from %d to %d\n", src, dst);
@@ -913,14 +948,17 @@ int CmdSvg(char** argv) {
 }
 
 int CmdAlternates(char** argv) {
+  graph::NodeId src = 0, dst = 0;
+  size_t k = 0;
+  if (!ParseNode(argv[1], &src) || !ParseNode(argv[2], &dst) ||
+      !ParseNumber(argv[3], "k wants a positive count", &k, size_t{1})) {
+    return 2;
+  }
   auto g = Load(argv[0]);
   if (!g.ok()) {
     std::fprintf(stderr, "%s\n", g.status().ToString().c_str());
     return 1;
   }
-  const auto src = static_cast<graph::NodeId>(std::atoi(argv[1]));
-  const auto dst = static_cast<graph::NodeId>(std::atoi(argv[2]));
-  const auto k = static_cast<size_t>(std::atoi(argv[3]));
   auto routes = core::KShortestPaths(*g, src, dst, k);
   if (!routes.ok()) {
     std::fprintf(stderr, "%s\n", routes.status().ToString().c_str());
@@ -937,22 +975,29 @@ int CmdContinent(int argc, char** argv, const char* argv0) {
   if (argc < 2) return Usage(argv0);
   const std::string verb = argv[0];
   std::vector<std::string> positional;
-  long cities = 9, city_k = 18, seed = 1993;
-  long max_partition_nodes = 24000, workers = 4;
+  int cities = 9, city_k = 18;
+  uint64_t seed = 1993;
+  size_t max_partition_nodes = 24000, workers = 4;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto flag_value = [&arg](const char* name, long* out) {
-      const std::string prefix = std::string(name) + "=";
-      if (arg.rfind(prefix, 0) != 0) return false;
-      *out = std::atol(arg.c_str() + prefix.size());
-      return true;
+    // 1 when `arg` is --name=<value in [lo, max]>, -1 when the value is
+    // bad, 0 when `arg` is another flag.
+    auto flag = [&arg](std::string_view prefix, const char* expect,
+                       auto* out, auto lo) {
+      if (arg.rfind(prefix, 0) != 0) return 0;
+      return ParseNumber(FlagValue(arg, prefix), expect, out, lo) ? 1 : -1;
     };
-    if (flag_value("--cities", &cities) || flag_value("--city-k", &city_k) ||
-        flag_value("--seed", &seed) ||
-        flag_value("--max-partition-nodes", &max_partition_nodes) ||
-        flag_value("--workers", &workers)) {
-      continue;
-    }
+    const int matched =
+        flag("--cities=", "--cities wants a positive count", &cities, 1) +
+        flag("--city-k=", "--city-k wants a positive side", &city_k, 1) +
+        flag("--seed=", "--seed wants an integer >= 0", &seed, uint64_t{0}) +
+        flag("--max-partition-nodes=",
+             "--max-partition-nodes wants a positive count",
+             &max_partition_nodes, size_t{1}) +
+        flag("--workers=", "--workers wants a positive count", &workers,
+             size_t{1});
+    if (matched < 0) return 2;
+    if (matched > 0) continue;
     if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return Usage(argv0);
@@ -963,9 +1008,9 @@ int CmdContinent(int argc, char** argv, const char* argv0) {
   if (verb == "generate") {
     if (positional.size() != 1) return Usage(argv0);
     graph::ContinentOptions options;
-    options.num_cities = static_cast<int>(cities);
-    options.city_k = static_cast<int>(city_k);
-    options.seed = static_cast<uint64_t>(seed);
+    options.num_cities = cities;
+    options.city_k = city_k;
+    options.seed = seed;
     auto gen = graph::ContinentGenerator::Create(options);
     if (!gen.ok()) {
       std::fprintf(stderr, "%s\n", gen.status().ToString().c_str());
@@ -975,7 +1020,7 @@ int CmdContinent(int argc, char** argv, const char* argv0) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s (%llu nodes, %llu directed edges, %ld cities)\n",
+    std::printf("wrote %s (%llu nodes, %llu directed edges, %d cities)\n",
                 positional[0].c_str(),
                 static_cast<unsigned long long>(gen->num_nodes()),
                 static_cast<unsigned long long>(gen->CountEdges()), cities);
@@ -984,11 +1029,17 @@ int CmdContinent(int argc, char** argv, const char* argv0) {
 
   if (verb == "route") {
     if (positional.size() != 3) return Usage(argv0);
+    core::RouteQuery query;
+    if (!ParseNode(positional[1], &query.source) ||
+        !ParseNode(positional[2], &query.destination)) {
+      return 2;
+    }
+    query.algorithm = core::Algorithm::kAStar;
+    query.version = core::AStarVersion::kV5;
     graph::PartitionedStoreOptions partitioning;
-    partitioning.max_partition_nodes =
-        static_cast<size_t>(max_partition_nodes);
+    partitioning.max_partition_nodes = max_partition_nodes;
     core::RouteServer::Options server_options;
-    server_options.num_workers = static_cast<size_t>(workers);
+    server_options.num_workers = workers;
     server_options.pool_frames = 4096;
     server_options.pool_shards = 8;
     const auto t0 = std::chrono::steady_clock::now();
@@ -1008,12 +1059,6 @@ int CmdContinent(int argc, char** argv, const char* argv0) {
                 store.num_boundary_nodes(), store.num_cross_edges(),
                 build_seconds);
 
-    core::RouteQuery query;
-    query.source = static_cast<graph::NodeId>(std::atoi(positional[1].c_str()));
-    query.destination =
-        static_cast<graph::NodeId>(std::atoi(positional[2].c_str()));
-    query.algorithm = core::Algorithm::kAStar;
-    query.version = core::AStarVersion::kV5;
     auto responses = server.ServeBatch({query});
     if (!responses.ok()) {
       std::fprintf(stderr, "%s\n", responses.status().ToString().c_str());

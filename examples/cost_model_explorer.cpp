@@ -5,20 +5,23 @@
 //
 //   $ ./examples/cost_model_explorer [grid-side]
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "core/db_search.h"
 #include "costmodel/optimizer_sim.h"
 #include "graph/grid_generator.h"
+#include "util/parse_number.h"
 
 int main(int argc, char** argv) {
   using namespace atis;
 
-  const int k = argc > 1 ? std::atoi(argv[1]) : 20;
-  if (k < 4 || k > 60) {
+  const std::optional<int> side =
+      argc > 1 ? util::ParseNumber<int>(argv[1], 4, 60) : 20;
+  if (!side) {
     std::fprintf(stderr, "usage: %s [grid-side in 4..60]\n", argv[0]);
     return 1;
   }
+  const int k = *side;
 
   graph::GridGraphGenerator::Options gopt;
   gopt.k = k;

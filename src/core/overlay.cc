@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #include "graph/shortest_path.h"
 #include "graph/spatial_layout.h"
 #include "obs/metrics.h"
-#include "util/atomic_file.h"
 
 namespace atis::core {
 
@@ -346,68 +343,6 @@ OverlayTopology::ToShortcutRows() const {
   return rows;
 }
 
-Status OverlayTopology::SaveToFile(const std::string& path) const {
-  std::ostringstream out;
-  out << "ATISO1\n";
-  out << "cell_order " << cell_order_ << "\n";
-  out << "nodes " << cell_of_.size() << "\n";
-  for (NodeId u = 0; u < static_cast<NodeId>(cell_of_.size()); ++u) {
-    out << CellOf(u) << ' ' << (IsBoundary(u) ? 1 : 0) << "\n";
-  }
-  const auto links = ToShortcutRows();
-  out << "shortcuts " << links.size() << "\n";
-  for (const auto& link : links) {
-    out << link.cell << ' ' << link.from << ' ' << link.to << "\n";
-  }
-  return WriteFileAtomic(path, out.str());
-}
-
-Result<OverlayTopology> OverlayTopology::LoadFromFile(
-    const std::string& path, const Graph& g) {
-  std::ifstream in(path);
-  if (!in) return Status::Unavailable("cannot open " + path);
-  std::string magic;
-  in >> magic;
-  if (magic != "ATISO1") {
-    return Status::InvalidArgument(path + " is not an ATISO1 overlay file");
-  }
-  std::string tag;
-  uint32_t cell_order = 0;
-  size_t n = 0;
-  if (!(in >> tag >> cell_order) || tag != "cell_order" ||
-      cell_order > kMaxCellOrder) {
-    return Status::InvalidArgument("bad ATISO1 cell_order header");
-  }
-  if (!(in >> tag >> n) || tag != "nodes" || n != g.num_nodes()) {
-    return Status::InvalidArgument(
-        "ATISO1 node count does not match the graph");
-  }
-  std::vector<RelationalGraphStore::OverlayCellRow> cells;
-  cells.reserve(n);
-  for (size_t u = 0; u < n; ++u) {
-    int32_t cell = 0;
-    int flag = 0;
-    if (!(in >> cell >> flag)) {
-      return Status::InvalidArgument("truncated ATISO1 cell table");
-    }
-    cells.push_back({static_cast<NodeId>(u), cell, flag != 0});
-  }
-  size_t num_links = 0;
-  if (!(in >> tag >> num_links) || tag != "shortcuts") {
-    return Status::InvalidArgument("bad ATISO1 shortcuts header");
-  }
-  std::vector<RelationalGraphStore::OverlayShortcutRow> links;
-  links.reserve(num_links);
-  for (size_t i = 0; i < num_links; ++i) {
-    RelationalGraphStore::OverlayShortcutRow link;
-    if (!(in >> link.cell >> link.from >> link.to)) {
-      return Status::InvalidArgument("truncated ATISO1 shortcut table");
-    }
-    links.push_back(link);
-  }
-  return FromRows(cells, links, g, cell_order);
-}
-
 Result<std::shared_ptr<const OverlayCustomization>> CustomizeOverlay(
     const OverlayTopology& topology,
     std::span<RelationalGraphStore* const> stores,
@@ -465,55 +400,6 @@ Result<std::shared_ptr<const OverlayCustomization>> CustomizeOverlay(
                                     started)
           .count();
   PublishCustomizationMetrics(seconds, metric_version, num_cells);
-  return std::shared_ptr<const OverlayCustomization>(std::move(custom));
-}
-
-Result<std::shared_ptr<const OverlayCustomization>> RecustomizeForEdge(
-    const OverlayTopology& topology, const OverlayCustomization& previous,
-    NodeId u, NodeId v, RelationalGraphStore* store,
-    size_t* cells_changed) {
-  if (u < 0 || static_cast<size_t>(u) >= topology.num_nodes() || v < 0 ||
-      static_cast<size_t>(v) >= topology.num_nodes()) {
-    return Status::InvalidArgument("edge endpoints outside the overlay");
-  }
-  const auto started = std::chrono::steady_clock::now();
-  auto custom = std::make_shared<OverlayCustomization>();
-  custom->metric_version_ = previous.metric_version_ + 1;
-  custom->cells_ = previous.cells_;  // shared: copy-on-write per cell
-  custom->cross_ = previous.cross_;
-  size_t changed = 0;
-  if (topology.CellOf(u) == topology.CellOf(v)) {
-    // Same-cell edge: the cell's restricted shortest paths may all have
-    // moved; recompute its tables (and, incidentally, its members' cross
-    // arcs — unchanged, but they ride along with the adjacency fetch).
-    const int32_t c = topology.CellOf(u);
-    ATIS_ASSIGN_OR_RETURN(CellCustomization cc,
-                          CustomizeCell(topology, c, store));
-    custom->cells_[static_cast<size_t>(c)] = std::make_shared<const
-        OverlayCustomization::CellTables>(std::move(cc.tables));
-    for (auto& [node, arcs] : cc.cross) {
-      custom->cross_[static_cast<size_t>(node)] = std::move(arcs);
-    }
-    changed = 1;
-  } else {
-    // Cross-cell edge: only u's cross arcs carry the edge; no cell's
-    // intra-cell tables are touched. Re-read u's adjacency so the patched
-    // arc is exactly the store's float-rounded cost.
-    ATIS_ASSIGN_OR_RETURN(auto edges, store->FetchAdjacency(u));
-    std::vector<graph::Edge> cross;
-    for (const auto& e : edges) {
-      if (topology.CellOf(e.end) != topology.CellOf(u)) {
-        cross.push_back({e.end, e.cost});
-      }
-    }
-    custom->cross_[static_cast<size_t>(u)] = std::move(cross);
-  }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-  PublishCustomizationMetrics(seconds, custom->metric_version_, changed);
-  if (cells_changed != nullptr) *cells_changed = changed;
   return std::shared_ptr<const OverlayCustomization>(std::move(custom));
 }
 

@@ -10,7 +10,7 @@
 //     record which boundary pairs of each cell are connected by an
 //     intra-cell path. Reachability is metric-independent, so this
 //     persists as two relations (OC, OS) through the metered storage
-//     layer and as an ATISO1 text file — paid once per map.
+//     layer — paid once per map.
 //
 //   Customization phase (per metric): per cell, run restricted Dijkstras
 //     from each member over the cell's intra-cell graph — boundary-rooted
@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -100,12 +99,6 @@ class OverlayTopology {
       const;
   std::vector<graph::RelationalGraphStore::OverlayShortcutRow>
   ToShortcutRows() const;
-
-  /// ATISO1 text round trip, so topology preprocessing is paid once per
-  /// map file rather than once per process.
-  Status SaveToFile(const std::string& path) const;
-  static Result<OverlayTopology> LoadFromFile(const std::string& path,
-                                              const graph::Graph& g);
 
   uint32_t cell_order() const { return cell_order_; }
   size_t num_nodes() const { return cell_of_.size(); }
@@ -193,10 +186,6 @@ class OverlayCustomization {
   CustomizeOverlay(const OverlayTopology&,
                    std::span<graph::RelationalGraphStore* const>, uint64_t);
   friend Result<std::shared_ptr<const OverlayCustomization>>
-  RecustomizeForEdge(const OverlayTopology&, const OverlayCustomization&,
-                     graph::NodeId, graph::NodeId,
-                     graph::RelationalGraphStore*, size_t*);
-  friend Result<std::shared_ptr<const OverlayCustomization>>
   RecustomizeForEdges(
       const OverlayTopology&, const OverlayCustomization&,
       std::span<const std::pair<graph::NodeId, graph::NodeId>>,
@@ -217,16 +206,6 @@ Result<std::shared_ptr<const OverlayCustomization>> CustomizeOverlay(
     const OverlayTopology& topology,
     std::span<graph::RelationalGraphStore* const> stores,
     uint64_t metric_version);
-
-/// Incremental re-customization after UpdateEdgeCost(u, v): a same-cell
-/// edge recomputes cell(u)'s tables (and its members' cross arcs) from
-/// the store; a cross-cell edge re-reads only u's adjacency to patch its
-/// cross arcs. Untouched cells share the previous tables. *cells_changed
-/// reports 1 or 0 accordingly.
-Result<std::shared_ptr<const OverlayCustomization>> RecustomizeForEdge(
-    const OverlayTopology& topology, const OverlayCustomization& previous,
-    graph::NodeId u, graph::NodeId v,
-    graph::RelationalGraphStore* store, size_t* cells_changed);
 
 /// Batched re-customization for a whole update batch in one shot: the
 /// affected cells are deduplicated first, so a hundred updates inside one

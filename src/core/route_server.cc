@@ -24,6 +24,10 @@ namespace atis::core {
 
 namespace {
 
+/// Background prefetch fill threads the shared pool runs when
+/// prefetch_depth > 0.
+constexpr size_t kPrefetchFillThreads = 2;
+
 /// The write-path stages atis_update_stage_seconds times, in run order.
 enum UpdateStage : size_t {
   kStageWal,
@@ -345,7 +349,6 @@ Status RouteServer::StartServing(std::shared_ptr<MetricState> initial) {
     }
     obs::TraceRing::Options ring;
     ring.directory = options_.obs.trace_dir;
-    ring.capacity = options_.obs.trace_ring_capacity;
     ATIS_ASSIGN_OR_RETURN(trace_ring_, obs::TraceRing::Open(std::move(ring)));
     sampler_ = std::make_unique<obs::TraceSampler>(options_.obs.sample_every);
     traces_sampled_ = &obs::MetricsRegistry::Default().GetCounter(
@@ -362,16 +365,13 @@ Status RouteServer::StartServing(std::shared_ptr<MetricState> initial) {
     obs::SlowQueryLog::Options log;
     log.path = options_.obs.slow_query_log_path;
     log.threshold_ms = options_.obs.slow_query_ms;
-    log.max_bytes = options_.obs.slow_query_log_max_bytes;
     ATIS_ASSIGN_OR_RETURN(slow_log_, obs::SlowQueryLog::Open(std::move(log)));
     slow_queries_ = &obs::MetricsRegistry::Default().GetCounter(
         "atis_server_slow_queries_total",
         "Queries at or over the slow-query threshold");
   }
   if (options_.obs.enable_slo) {
-    obs::SloWindows::Options slo;
-    slo.availability_target = options_.obs.availability_target;
-    slo_ = std::make_unique<obs::SloWindows>(std::move(slo));
+    slo_ = std::make_unique<obs::SloWindows>();
   }
 
   for (size_t w = 0; w < options_.num_workers; ++w) {
@@ -401,8 +401,7 @@ Status RouteServer::StartServing(std::shared_ptr<MetricState> initial) {
   disk_.SetFaultProfile(options_.fault_profile);
 
   if (options_.prefetch_depth > 0) {
-    pool_->StartPrefetchWorkers(
-        options_.prefetch_workers != 0 ? options_.prefetch_workers : 2);
+    pool_->StartPrefetchWorkers(kPrefetchFillThreads);
   }
 
   workers_.reserve(options_.num_workers);

@@ -198,11 +198,8 @@ class RouteServer {
     graph::StoreLayout layout = graph::StoreLayout::kRowOrder;
     /// Frontier prefetch depth for every engine (top-k frontier nodes
     /// whose adjacency pages are hinted each iteration; 0 = off). When
-    /// > 0 the shared pool runs background prefetch workers.
+    /// > 0 the shared pool runs two background prefetch fill threads.
     size_t prefetch_depth = 0;
-    /// Background prefetch fill threads; 0 = 2. Read only when
-    /// prefetch_depth > 0.
-    size_t prefetch_workers = 0;
     /// Landmarks for A* Version 4. 0 disables; > 0 selects this many
     /// landmarks on the float-rounded map, persists the table through the
     /// storage layer once, and enables kV4 queries on every worker.
@@ -284,18 +281,14 @@ class RouteServer {
       /// Directory for the bounded on-disk trace ring. Required when
       /// sample_every > 0.
       std::string trace_dir;
-      size_t trace_ring_capacity = 32;
       /// Queries at or above this latency go to the slow-query log and
       /// force-persist their trace. 0 disables the slow-query log.
       double slow_query_ms = 0.0;
       /// JSONL slow-query log path. Required when slow_query_ms > 0.
       std::string slow_query_log_path;
-      size_t slow_query_log_max_bytes = 1 << 20;
       /// Keep rolling 10s/1m/5m SLO windows (QPS, percentiles,
       /// availability, burn rate) and publish them as gauges.
       bool enable_slo = false;
-      /// Availability objective for the burn-rate gauges.
-      double availability_target = 0.999;
     };
     ObsOptions obs;
   };

@@ -39,16 +39,6 @@ Result<ShortestPathTree> SingleSourceDijkstra(const Graph& g,
                           search.TakeParents());
 }
 
-Result<std::vector<std::vector<double>>> AllPairsDistances(const Graph& g) {
-  std::vector<std::vector<double>> out;
-  out.reserve(g.num_nodes());
-  for (NodeId s = 0; s < static_cast<NodeId>(g.num_nodes()); ++s) {
-    ATIS_ASSIGN_OR_RETURN(ShortestPathTree tree, SingleSourceDijkstra(g, s));
-    out.push_back(tree.distances());
-  }
-  return out;
-}
-
 Result<double> GraphDiameter(const Graph& g) {
   double diameter = 0.0;
   for (NodeId s = 0; s < static_cast<NodeId>(g.num_nodes()); ++s) {

@@ -1,11 +1,11 @@
-// Single-source and all-pair shortest paths.
+// Single-source shortest paths and the graph's cost diameter.
 //
-// The paper frames single-pair computation against these two broader
-// classes: all-pair path computation (transitive closure) and
-// single-source computation (partial transitive closure). This module
-// provides both as first-class library operations — they back route
-// evaluation over many destinations, estimator admissibility analysis,
-// and the reference oracles in tests.
+// The paper frames single-pair computation against two broader classes:
+// all-pair path computation (transitive closure) and single-source
+// computation (partial transitive closure). This module provides the
+// single-source run as a library operation — it backs route evaluation
+// over many destinations, estimator admissibility analysis, the
+// diameter `atis_cli info` reports, and the reference oracles in tests.
 #pragma once
 
 #include <limits>
@@ -53,12 +53,6 @@ class ShortestPathTree {
 /// InvalidArgument on an unknown source.
 Result<ShortestPathTree> SingleSourceDijkstra(const graph::Graph& g,
                                               graph::NodeId source);
-
-/// All-pair shortest path distances via repeated single-source runs
-/// (the transitive-closure class). Row s, column v = dist(s, v).
-/// Intended for analysis on paper-scale graphs (O(n * m log n)).
-Result<std::vector<std::vector<double>>> AllPairsDistances(
-    const graph::Graph& g);
 
 /// Largest finite pairwise distance (the graph's cost diameter), ignoring
 /// unreachable pairs. Zero for an empty graph.

@@ -4,18 +4,6 @@
 
 namespace atis::graph {
 
-std::string_view GridCostModelName(GridCostModel m) {
-  switch (m) {
-    case GridCostModel::kUniform:
-      return "uniform";
-    case GridCostModel::kVariance20:
-      return "20% variance";
-    case GridCostModel::kSkewed:
-      return "skewed";
-  }
-  return "?";
-}
-
 Result<Graph> GridGraphGenerator::Generate(const Options& options) {
   const int k = options.k;
   if (k < 2) {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "graph/graph.h"
 #include "util/random.h"
@@ -23,8 +22,6 @@ enum class GridCostModel {
   kVariance20,
   kSkewed,
 };
-
-std::string_view GridCostModelName(GridCostModel m);
 
 /// The paper's benchmark query pairs on a k x k grid. The source is always
 /// the origin corner; "horizontal" is the linearly opposite corner of the

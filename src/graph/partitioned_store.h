@@ -132,9 +132,6 @@ class PartitionedGraphStore {
   uint32_t packed(NodeId global) const {
     return global_map_[static_cast<size_t>(global)];
   }
-  NodeId LocalToGlobal(size_t p, NodeId local) const {
-    return partitions_[p].local_to_global[static_cast<size_t>(local)];
-  }
 
   /// Restricted Dijkstra inside partition p from `seeds` (local id,
   /// initial dist), over the partition store's adjacency (metered).

@@ -1,5 +1,4 @@
-// Spatial hash grid for nearest-neighbor and radius queries over planar
-// points.
+// Spatial hash grid for nearest-neighbor queries over planar points.
 //
 // Map generation repeatedly asks "which node is closest to (x, y)?" —
 // landmark placement, gateway selection, cluster stitching. A linear scan
@@ -38,29 +37,6 @@ class SpatialHashGrid {
   /// The inserted point nearest to (x, y); ties break toward the smaller
   /// node id (deterministic). kInvalidNode when the grid is empty.
   NodeId Nearest(double x, double y) const;
-
-  /// Calls `fn(id, px, py)` for every inserted point within `radius` of
-  /// (x, y), in unspecified order.
-  template <typename Fn>
-  void ForEachInRadius(double x, double y, double radius, Fn&& fn) const {
-    if (size_ == 0 || radius < 0.0) return;
-    const int64_t cx_lo = CellCoord(x - radius);
-    const int64_t cx_hi = CellCoord(x + radius);
-    const int64_t cy_lo = CellCoord(y - radius);
-    const int64_t cy_hi = CellCoord(y + radius);
-    const double r2 = radius * radius;
-    for (int64_t cy = cy_lo; cy <= cy_hi; ++cy) {
-      for (int64_t cx = cx_lo; cx <= cx_hi; ++cx) {
-        const auto it = cells_.find(Pack(cx, cy));
-        if (it == cells_.end()) continue;
-        for (const Entry& e : it->second) {
-          const double dx = e.x - x;
-          const double dy = e.y - y;
-          if (dx * dx + dy * dy <= r2) fn(e.id, e.x, e.y);
-        }
-      }
-    }
-  }
 
  private:
   struct Entry {

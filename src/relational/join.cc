@@ -263,6 +263,23 @@ Result<std::unique_ptr<Relation>> SortMergeJoinImpl(
   return out;
 }
 
+/// RETRIEVE via index: the tuples of `rel` whose `field` equals `key`,
+/// all read before the caller writes any result row.
+Result<std::vector<Tuple>> IndexMatches(const Relation& rel,
+                                        std::string_view field, int64_t key) {
+  obs::ScopedSpan span("select-index", "operator");
+  span.Tag("relation", rel.name());
+  ATIS_ASSIGN_OR_RETURN(const auto rids, rel.IndexLookup(field, key));
+  std::vector<Tuple> out;
+  out.reserve(rids.size());
+  for (const storage::RecordId rid : rids) {
+    ATIS_RETURN_NOT_OK(rel.Read(
+        rid, [&](const RowView& row) { out.push_back(row.Unpack()); }));
+  }
+  span.Tag("matched", static_cast<uint64_t>(out.size()));
+  return out;
+}
+
 Result<std::unique_ptr<Relation>> PrimaryKeyJoinImpl(const Relation& left,
                                                      const Relation& right,
                                                      int lf,
@@ -272,12 +289,12 @@ Result<std::unique_ptr<Relation>> PrimaryKeyJoinImpl(const Relation& left,
   for (Relation::Cursor lc = left.Scan(); lc.Valid(); lc.Next()) {
     const RowView lrow = lc.row();
     ATIS_ASSIGN_OR_RETURN(
-        auto matches,
-        SelectIndex(right, rfield, lrow.Int(static_cast<size_t>(lf))));
+        const auto matches,
+        IndexMatches(right, rfield, lrow.Int(static_cast<size_t>(lf))));
     if (matches.empty()) continue;
     const Tuple lt = lrow.Unpack();
-    for (const MatchedTuple& m : matches) {
-      ATIS_RETURN_NOT_OK(out->Insert(Concat(lt, m.tuple)).status());
+    for (const Tuple& rt : matches) {
+      ATIS_RETURN_NOT_OK(out->Insert(Concat(lt, rt)).status());
     }
   }
   return out;

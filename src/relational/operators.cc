@@ -21,24 +21,6 @@ Result<std::vector<MatchedTuple>> SelectScan(const Relation& rel,
   return out;
 }
 
-Result<std::vector<MatchedTuple>> SelectIndex(const Relation& rel,
-                                              std::string_view field,
-                                              int64_t key,
-                                              const Predicate& pred) {
-  obs::ScopedSpan span("select-index", "operator");
-  span.Tag("relation", rel.name());
-  ATIS_ASSIGN_OR_RETURN(auto rids, rel.IndexLookup(field, key));
-  std::vector<MatchedTuple> out;
-  out.reserve(rids.size());
-  for (const storage::RecordId rid : rids) {
-    ATIS_RETURN_NOT_OK(rel.Read(rid, [&](const RowView& row) {
-      if (!pred || pred(row)) out.push_back({rid, row.Unpack()});
-    }));
-  }
-  span.Tag("matched", static_cast<uint64_t>(out.size()));
-  return out;
-}
-
 namespace {
 
 /// Record ids of the rows satisfying `pred`, in scan order.
@@ -72,45 +54,6 @@ Status Append(Relation* rel, const Tuple& tuple) {
   obs::ScopedSpan span("append", "operator");
   span.Tag("relation", rel->name());
   return rel->Insert(tuple).status();
-}
-
-Result<size_t> DeleteWhere(Relation* rel, const Predicate& pred) {
-  obs::ScopedSpan span("delete", "operator");
-  span.Tag("relation", rel->name());
-  ATIS_ASSIGN_OR_RETURN(const auto victims, MatchingRids(*rel, pred));
-  for (const storage::RecordId rid : victims) {
-    ATIS_RETURN_NOT_OK(rel->Delete(rid));
-  }
-  span.Tag("deleted", static_cast<uint64_t>(victims.size()));
-  return victims.size();
-}
-
-Result<size_t> CountWhere(const Relation& rel, const Predicate& pred) {
-  ATIS_ASSIGN_OR_RETURN(const auto matches, MatchingRids(rel, pred));
-  return matches.size();
-}
-
-Result<std::optional<MatchedTuple>> MinBy(
-    const Relation& rel, const Predicate& pred,
-    const std::function<double(const RowView&)>& key) {
-  std::optional<storage::RecordId> best;
-  std::vector<uint8_t> best_row;  // the packed winner, unpacked at the end
-  double best_key = 0.0;
-  Relation::Cursor c = rel.Scan();
-  for (; c.Valid(); c.Next()) {
-    const RowView row = c.row();
-    if (pred && !pred(row)) continue;
-    const double k = key(row);
-    if (!best || k < best_key) {
-      best = c.rid();
-      best_row.assign(row.bytes().begin(), row.bytes().end());
-      best_key = k;
-    }
-  }
-  ATIS_RETURN_NOT_OK(c.status());
-  if (!best) return std::optional<MatchedTuple>{};
-  return std::optional<MatchedTuple>(
-      MatchedTuple{*best, rel.schema().Unpack(best_row.data())});
 }
 
 }  // namespace atis::relational

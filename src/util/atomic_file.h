@@ -7,7 +7,7 @@
 // survives power loss, not just process death (checkpoint writers rely
 // on this before truncating the WAL frames a checkpoint supersedes).
 // Every persistent-format writer in the repo (ATISG1/ATISG2 graph files,
-// ATISO1 overlay files, WAL checkpoints) funnels through here.
+// WAL checkpoints) funnels through here.
 #pragma once
 
 #include <string>

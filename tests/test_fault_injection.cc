@@ -1,6 +1,6 @@
 // Failure-injection tests: a disk that starts erroring mid-run must
 // surface Status errors through every layer — buffer pool, heap file,
-// indexes, QUEL executor, landmark preprocessing, and the
+// indexes, relational operators, landmark preprocessing, and the
 // database-resident search engine — without crashing, and the stack must
 // work again once the fault clears.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "graph/grid_generator.h"
 #include "index/hash_index.h"
 #include "index/isam_index.h"
-#include "quel/executor.h"
 #include "relational/operators.h"
 #include "relational/relation.h"
 #include "storage/buffer_pool.h"
@@ -163,7 +162,7 @@ TEST(FaultInjectionTest, HeapFileScanAndGetSurviveFaults) {
   EXPECT_EQ(visited, rids.size());
 }
 
-TEST(FaultInjectionTest, QuelExecutorSurfacesStorageErrors) {
+TEST(FaultInjectionTest, SelectScanSurfacesStorageErrors) {
   DiskManager dm;
   BufferPool pool(&dm, 4);
   Relation nodes("nodes", Schema({{"id", FieldType::kInt32},
@@ -172,21 +171,20 @@ TEST(FaultInjectionTest, QuelExecutorSurfacesStorageErrors) {
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE(nodes.Insert(Tuple{int64_t{i}, 1.5 * i}).ok());
   }
-  quel::QuelSession session;
-  session.RegisterRelation("nodes", &nodes);
-  ASSERT_TRUE(session.Execute("RANGE OF n IS nodes").ok());
   ASSERT_TRUE(pool.EvictAll().ok());
 
   dm.FailAfter(1);
-  auto r = session.Execute("RETRIEVE (n.id) WHERE n.cost > 100");
+  auto r = relational::SelectScan(
+      nodes, [](const relational::RowView& t) { return t.Double(1) > 100; });
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
 
   dm.ClearFaultInjection();
   ASSERT_TRUE(pool.EvictAll().ok());
-  auto ok = session.Execute("RETRIEVE (n.id) WHERE n.id < 10");
+  auto ok = relational::SelectScan(
+      nodes, [](const relational::RowView& t) { return t.Int(0) < 10; });
   ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->rows.size(), 10u);
+  EXPECT_EQ(ok->size(), 10u);
 }
 
 TEST(FaultInjectionTest, IsamAndHashLookupsSurfaceErrors) {

@@ -126,6 +126,57 @@ TEST(JoinTest, UnknownFieldRejected) {
                   .IsInvalidArgument());
 }
 
+TEST(JoinTest, PrimaryKeyJoinOverIsamIndexMatchesNestedLoop) {
+  // The inner lookup goes through whichever index covers the join field:
+  // the ISAM index (the paper's node-relation shape) as well as the hash.
+  DiskManager disk;
+  BufferPool pool(&disk, 64);
+  Relation l("L", Schema({{"id", FieldType::kInt32}}), &pool);
+  Relation r("R", Schema({{"key", FieldType::kInt32},
+                          {"rv", FieldType::kDouble}}),
+             &pool);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(l.Insert(Tuple{int64_t{(i * 7) % 50}}).ok());
+  }
+  for (int i = 0; i < 60; i += 2) {
+    ASSERT_TRUE(r.Insert(Tuple{int64_t{i}, double(i) / 4}).ok());
+    if (i % 10 == 0) {
+      ASSERT_TRUE(r.Insert(Tuple{int64_t{i}, -double(i)}).ok());
+    }
+  }
+  ASSERT_TRUE(r.BuildIsamIndex("key").ok());
+  ASSERT_EQ(r.hash_index(), nullptr);
+  auto pk = Join(l, r, {"id", "key"}, JoinStrategy::kPrimaryKey,
+                 CostParams{}, "PK");
+  ASSERT_TRUE(pk.ok()) << pk.status().ToString();
+  auto nl = Join(l, r, {"id", "key"}, JoinStrategy::kNestedLoop,
+                 CostParams{}, "NL");
+  ASSERT_TRUE(nl.ok());
+  std::multiset<std::pair<int64_t, double>> want, got;
+  for (Relation::Cursor c = (*nl)->Scan(); c.Valid(); c.Next()) {
+    want.insert({c.row().Int(0), c.row().Double(2)});
+  }
+  for (Relation::Cursor c = (*pk)->Scan(); c.Valid(); c.Next()) {
+    got.insert({c.row().Int(0), c.row().Double(2)});
+  }
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(got, want);
+}
+
+TEST(JoinTest, PrimaryKeyJoinWithoutAnInnerIndexIsRejected) {
+  DiskManager disk;
+  BufferPool pool(&disk, 64);
+  Relation l("L", Schema({{"id", FieldType::kInt32}}), &pool);
+  Relation r("R", Schema({{"key", FieldType::kInt32}}), &pool);
+  ASSERT_TRUE(l.Insert(Tuple{int64_t{1}}).ok());
+  ASSERT_TRUE(r.Insert(Tuple{int64_t{1}}).ok());
+  EXPECT_EQ(Join(l, r, {"id", "key"}, JoinStrategy::kPrimaryKey,
+                 CostParams{}, "J")
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(JoinOptimizerTest, NestedLoopFormulaMatchesPaper) {
   // Section 4.3: F = B1*t_read + (B1*B2)*t_read + B3*t_write.
   CostParams p;

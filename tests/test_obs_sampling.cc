@@ -154,7 +154,6 @@ core::RouteServer::Options ObsServerOptions(const std::string& tmp) {
   opt.obs.sample_every = 2;
   // One level under TempDir: TraceRing::Open mkdirs a single level.
   opt.obs.trace_dir = tmp + "/atis_obs_server_traces";
-  opt.obs.trace_ring_capacity = 8;
   // Threshold far below any real query latency: every query is "slow",
   // so the log and the ring must see all of them.
   opt.obs.slow_query_ms = 1e-4;

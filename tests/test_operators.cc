@@ -38,19 +38,6 @@ TEST_F(OperatorsTest, SelectScanPredicate) {
   EXPECT_EQ(evens->size(), 10u);
 }
 
-TEST_F(OperatorsTest, SelectIndexWithFilter) {
-  ASSERT_TRUE(rel_.CreateHashIndex("id", 4).ok());
-  auto hit = SelectIndex(rel_, "id", 7);
-  ASSERT_TRUE(hit.ok());
-  ASSERT_EQ(hit->size(), 1u);
-  EXPECT_DOUBLE_EQ(AsDouble((*hit)[0].tuple[1]), 10.5);
-  auto filtered = SelectIndex(rel_, "id", 7, [](const RowView& t) {
-    return t.Double(1) > 100.0;
-  });
-  ASSERT_TRUE(filtered.ok());
-  EXPECT_TRUE(filtered->empty());
-}
-
 TEST_F(OperatorsTest, ReplaceUpdatesMatching) {
   auto n = Replace(
       &rel_, [](const RowView& t) { return t.Int(0) < 5; },
@@ -76,73 +63,73 @@ TEST_F(OperatorsTest, AppendInserts) {
   EXPECT_EQ(rel_.num_tuples(), 21u);
 }
 
-TEST_F(OperatorsTest, DeleteWhereRemovesMatching) {
-  auto n = DeleteWhere(&rel_, [](const RowView& t) {
-    return t.Int(0) >= 15;
+TEST_F(OperatorsTest, SelectScanOnEmptyRelationMatchesNothing) {
+  Relation empty("e", Schema({{"id", FieldType::kInt32}}), &pool_);
+  auto all = SelectScan(empty, {});
+  ASSERT_TRUE(all.ok());
+  EXPECT_TRUE(all->empty());
+}
+
+TEST_F(OperatorsTest, SelectScanRecordIdsReadBackTheirTuples) {
+  auto odds = SelectScan(rel_, [](const RowView& t) {
+    return t.Int(0) % 2 == 1;
   });
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 5u);
-  EXPECT_EQ(rel_.num_tuples(), 15u);
+  ASSERT_TRUE(odds.ok());
+  ASSERT_EQ(odds->size(), 10u);
+  for (const MatchedTuple& m : *odds) {
+    EXPECT_EQ(AsInt(m.tuple[0]) % 2, 1);
+    auto stored = rel_.Get(m.rid);
+    ASSERT_TRUE(stored.ok());
+    EXPECT_EQ(AsInt((*stored)[0]), AsInt(m.tuple[0]));
+    EXPECT_EQ(AsDouble((*stored)[1]), AsDouble(m.tuple[1]));
+  }
 }
 
-TEST_F(OperatorsTest, CountWhere) {
-  auto n = CountWhere(rel_, [](const RowView& t) {
-    return t.Int(0) % 3 == 0;
+TEST_F(OperatorsTest, ReplaceWhoseUpdateStillMatchesAppliesOnce) {
+  // Every row keeps satisfying the predicate after its update; the
+  // two-phase REPLACE must still rewrite each row exactly once.
+  auto n = Replace(
+      &rel_, [](const RowView& t) { return t.Double(1) >= 0.0; },
+      [](RowWriter& t) { t.SetDouble(1, t.Double(1) + 100.0); });
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 20u);
+  auto all = SelectScan(rel_, {});
+  ASSERT_TRUE(all.ok());
+  for (const MatchedTuple& m : *all) {
+    EXPECT_EQ(AsDouble(m.tuple[1]), double(AsInt(m.tuple[0])) * 1.5 + 100.0)
+        << "id " << AsInt(m.tuple[0]);
+  }
+}
+
+TEST_F(OperatorsTest, ReplaceLeavesOtherFieldsAndRowsUntouched) {
+  auto n = Replace(
+      &rel_, [](const RowView& t) { return t.Int(0) == 7; },
+      [](RowWriter& t) { t.SetDouble(1, 0.5); });
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 1u);
+  auto all = SelectScan(rel_, {});
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 20u);
+  for (const MatchedTuple& m : *all) {
+    const int64_t id = AsInt(m.tuple[0]);
+    EXPECT_EQ(AsDouble(m.tuple[1]), id == 7 ? 0.5 : double(id) * 1.5)
+        << "id " << id;
+  }
+}
+
+TEST_F(OperatorsTest, AppendedTupleIsSeenByLaterStatements) {
+  ASSERT_TRUE(Append(&rel_, Tuple{int64_t{99}, 2.25}).ok());
+  auto found = SelectScan(rel_, [](const RowView& t) {
+    return t.Int(0) == 99;
   });
+  ASSERT_TRUE(found.ok());
+  ASSERT_EQ(found->size(), 1u);
+  EXPECT_EQ(AsDouble((*found)[0].tuple[1]), 2.25);
+  auto n = Replace(
+      &rel_, [](const RowView& t) { return t.Int(0) == 99; },
+      [](RowWriter& t) { t.SetDouble(1, -2.25); });
   ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 7u);  // 0,3,6,9,12,15,18
-}
-
-TEST_F(OperatorsTest, MinByFindsMinimum) {
-  auto m = MinBy(rel_, {}, [](const RowView& t) { return -t.Double(1); });
-  ASSERT_TRUE(m.ok());
-  ASSERT_TRUE(m->has_value());
-  EXPECT_EQ(AsInt((**m).tuple[0]), 19);  // max v => min of -v
-}
-
-TEST_F(OperatorsTest, MinByWithPredicate) {
-  auto m = MinBy(
-      rel_, [](const RowView& t) { return t.Int(0) > 10; },
-      [](const RowView& t) { return t.Double(1); });
-  ASSERT_TRUE(m.ok());
-  ASSERT_TRUE(m->has_value());
-  EXPECT_EQ(AsInt((**m).tuple[0]), 11);
-}
-
-TEST_F(OperatorsTest, MinByEmptyMatchIsNullopt) {
-  auto m = MinBy(
-      rel_, [](const RowView&) { return false; },
-      [](const RowView&) { return 0.0; });
-  ASSERT_TRUE(m.ok());
-  EXPECT_FALSE(m->has_value());
-}
-
-TEST_F(OperatorsTest, MinByBreaksTiesByScanOrder) {
-  Relation ties("ties", Schema({{"id", FieldType::kInt32}}), &pool_);
-  ASSERT_TRUE(ties.Insert(Tuple{int64_t{10}}).ok());
-  ASSERT_TRUE(ties.Insert(Tuple{int64_t{20}}).ok());
-  auto m = MinBy(ties, {}, [](const RowView&) { return 1.0; });
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(AsInt((**m).tuple[0]), 10);
-}
-
-TEST_F(OperatorsTest, ExecutionContextEvictsBetweenStatements) {
-  ExecutionContext ctx(&pool_, /*statement_at_a_time=*/true);
-  ASSERT_TRUE(SelectScan(rel_, {}).ok());
-  ASSERT_TRUE(ctx.EndStatement().ok());
-  const uint64_t reads = disk_.meter().counters().blocks_read;
-  ASSERT_TRUE(SelectScan(rel_, {}).ok());
-  // The rescan after eviction must hit the disk again.
-  EXPECT_GT(disk_.meter().counters().blocks_read, reads);
-}
-
-TEST_F(OperatorsTest, ExecutionContextCachedModeAvoidsRereads) {
-  ExecutionContext ctx(&pool_, /*statement_at_a_time=*/false);
-  ASSERT_TRUE(SelectScan(rel_, {}).ok());
-  ASSERT_TRUE(ctx.EndStatement().ok());
-  const uint64_t reads = disk_.meter().counters().blocks_read;
-  ASSERT_TRUE(SelectScan(rel_, {}).ok());
-  EXPECT_EQ(disk_.meter().counters().blocks_read, reads);
+  EXPECT_EQ(*n, 1u);
 }
 
 }  // namespace

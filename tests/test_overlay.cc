@@ -1,8 +1,8 @@
 // Tests for core/overlay: Hilbert-cell partition invariants, boundary
-// derivation, shortcut reachability, OC/OS row and ATISO1 file round
-// trips, per-metric customization against a reference restricted
-// Dijkstra, incremental re-customization, and A* Version 5 exactness
-// against the in-memory Dijkstra ground truth.
+// derivation, shortcut reachability, OC/OS row round trips, per-metric
+// customization against a reference restricted Dijkstra, incremental
+// re-customization, and A* Version 5 exactness against the in-memory
+// Dijkstra ground truth.
 //
 // Ground truth is always core::DijkstraSearch over WithStoredEdgeCosts(g):
 // the store rounds each cost to float at persistence time, so comparing
@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <queue>
@@ -234,25 +233,6 @@ TEST(OverlayRowsTest, FromRowsRejectsCorruption) {
           .ok());
 }
 
-TEST(OverlayFileTest, AtisO1SaveLoadRoundTrips) {
-  const graph::Graph g = Grid(6, GridCostModel::kSkewed);
-  const OverlayTopology topo = BuildTopology(g, 2);
-  const std::string path =
-      ::testing::TempDir() + "/overlay_roundtrip.atiso1";
-  ASSERT_TRUE(topo.SaveToFile(path).ok());
-  auto back = OverlayTopology::LoadFromFile(path, g);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->cell_order(), topo.cell_order());
-  EXPECT_EQ(back->num_cells(), topo.num_cells());
-  EXPECT_EQ(back->num_boundary_nodes(), topo.num_boundary_nodes());
-  EXPECT_EQ(back->num_shortcuts(), topo.num_shortcuts());
-  for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
-    EXPECT_EQ(back->CellOf(u), topo.CellOf(u));
-  }
-  std::remove(path.c_str());
-  EXPECT_FALSE(OverlayTopology::LoadFromFile(path, g).ok());  // gone
-}
-
 TEST(OverlayPersistTest, PersistAndLoadRoundTripsThroughStore) {
   const graph::Graph g = Grid(8, GridCostModel::kVariance20);
   storage::DiskManager disk;
@@ -379,9 +359,10 @@ TEST_F(OverlayCustomizationTest, IncrementalEqualsFullRecustomization) {
     ASSERT_TRUE(store_->UpdateEdgeCost(u, v, new_cost).ok());
 
     size_t cells_changed = 99;
-    auto incr =
-        RecustomizeForEdge(*topo_, *cust_, u, v, store_.get(),
-                           &cells_changed);
+    const std::pair<NodeId, NodeId> edge{u, v};
+    auto incr = RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, store_.get(),
+                                    &cells_changed,
+                                    cust_->metric_version() + 1);
     ASSERT_TRUE(incr.ok()) << incr.status().ToString();
     EXPECT_EQ(cells_changed, want_changed) << u << "->" << v;
 
@@ -706,8 +687,10 @@ TEST_P(OverlayRecustomizeProperty, ChainedEdgeChangesMatchFullCustomization) {
     ASSERT_TRUE(g_.SetEdgeCost(u, v, cost).ok());
 
     size_t cells_changed = 99;
-    auto incr = RecustomizeForEdge(*topo_, *cust_, u, v, store_.get(),
-                                   &cells_changed);
+    const std::pair<NodeId, NodeId> edge{u, v};
+    auto incr = RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, store_.get(),
+                                    &cells_changed,
+                                    cust_->metric_version() + 1);
     ASSERT_TRUE(incr.ok()) << incr.status().ToString();
     EXPECT_EQ(cells_changed, topo_->CellOf(u) == topo_->CellOf(v) ? 1u : 0u);
     graph::RelationalGraphStore* stores[] = {store_.get()};
@@ -805,14 +788,69 @@ TEST_F(OverlayCustomizationTest, BatchRebuildsEachTouchedCellOnce) {
   ExpectSameCustomization(*topo_, **incr, **full);
 }
 
+TEST_F(OverlayCustomizationTest, CrossCellEdgeUpdateRereadsOnlyTheTail) {
+  SetUpWith(Grid(10, GridCostModel::kVariance20), 2);
+  NodeId u = graph::kInvalidNode, v = graph::kInvalidNode;
+  for (NodeId n = 0; n < static_cast<NodeId>(g_.num_nodes()) &&
+                     u == graph::kInvalidNode;
+       ++n) {
+    for (const graph::Edge& e : g_.Neighbors(n)) {
+      if (topo_->CellOf(n) != topo_->CellOf(e.to)) {
+        u = n, v = e.to;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(u, graph::kInvalidNode);
+  ASSERT_TRUE(store_->UpdateEdgeCost(u, v, 42.0).ok());
+
+  // A one-element batch: no cell tables change, only u's cross arcs.
+  const std::pair<NodeId, NodeId> edge{u, v};
+  size_t cells_changed = 99;
+  auto incr = RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, store_.get(),
+                                  &cells_changed,
+                                  cust_->metric_version() + 1);
+  ASSERT_TRUE(incr.ok()) << incr.status().ToString();
+  EXPECT_EQ(cells_changed, 0u);
+  EXPECT_EQ((*incr)->metric_version(), cust_->metric_version() + 1);
+  for (int32_t c = 0; c < static_cast<int32_t>(topo_->num_cells()); ++c) {
+    EXPECT_EQ(&(*incr)->cell(c), &cust_->cell(c)) << "cell " << c;
+  }
+  const auto& arcs = (*incr)->cross_arcs(u);
+  const auto it = std::find_if(arcs.begin(), arcs.end(),
+                               [v](const graph::Edge& e) { return e.to == v; });
+  ASSERT_NE(it, arcs.end());
+  EXPECT_EQ(it->cost, 42.0);
+  graph::RelationalGraphStore* stores[] = {store_.get()};
+  auto full = CustomizeOverlay(*topo_, stores, cust_->metric_version() + 1);
+  ASSERT_TRUE(full.ok());
+  ExpectSameCustomization(*topo_, **incr, **full);
+}
+
+TEST_F(OverlayCustomizationTest, EmptyBatchSharesEveryTableAtTheNewVersion) {
+  SetUpWith(Grid(6, GridCostModel::kSkewed), 1);
+  size_t cells_changed = 99;
+  auto next = RecustomizeForEdges(
+      *topo_, *cust_, std::span<const std::pair<NodeId, NodeId>>{},
+      store_.get(), &cells_changed, /*metric_version=*/5);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(cells_changed, 0u);
+  EXPECT_EQ((*next)->metric_version(), 5u);
+  for (int32_t c = 0; c < static_cast<int32_t>(topo_->num_cells()); ++c) {
+    EXPECT_EQ(&(*next)->cell(c), &cust_->cell(c)) << "cell " << c;
+  }
+  ExpectSameCustomization(*topo_, **next, *cust_);
+}
+
 TEST_F(OverlayCustomizationTest, EdgesOutsideTheOverlayAreRejected) {
   SetUpWith(Grid(4, GridCostModel::kUniform), 1);
   size_t cells_changed = 0;
   for (const auto& [u, v] : {std::pair<NodeId, NodeId>{0, 999},
                              std::pair<NodeId, NodeId>{999, 0},
                              std::pair<NodeId, NodeId>{-1, 0}}) {
-    EXPECT_TRUE(RecustomizeForEdge(*topo_, *cust_, u, v, store_.get(),
-                                   &cells_changed)
+    const std::pair<NodeId, NodeId> edge{u, v};
+    EXPECT_TRUE(RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, store_.get(),
+                                    &cells_changed, 2)
                     .status()
                     .IsInvalidArgument())
         << u << "->" << v;

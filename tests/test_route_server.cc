@@ -372,7 +372,6 @@ TEST(RouteServerLayoutTest, HilbertWithPrefetchMatchesPaperModeServer) {
   clustered.num_workers = 4;
   clustered.layout = graph::StoreLayout::kHilbert;
   clustered.prefetch_depth = 8;
-  clustered.prefetch_workers = 2;
   RouteServer server(g, clustered);
   ASSERT_TRUE(server.init_status().ok());
   auto batch = server.ServeBatch(queries);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/memory_search.h"
 #include "graph/grid_generator.h"
@@ -75,32 +77,61 @@ TEST(SsspTest, PathToReconstructsValidRoutes) {
   }
 }
 
-TEST(SsspTest, AllPairsSymmetricOnUndirectedGraph) {
+TEST(SsspTest, DistancesSymmetricOnUndirectedGraph) {
   auto g = GridGraphGenerator::Generate({5, GridCostModel::kVariance20});
   ASSERT_TRUE(g.ok());
-  auto all = AllPairsDistances(*g);
-  ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all->size(), 25u);
-  for (size_t s = 0; s < 25; ++s) {
-    for (size_t d = 0; d < 25; ++d) {
-      EXPECT_NEAR((*all)[s][d], (*all)[d][s], 1e-12);
+  std::vector<ShortestPathTree> trees;
+  for (NodeId s = 0; s < 25; ++s) {
+    auto tree = SingleSourceDijkstra(*g, s);
+    ASSERT_TRUE(tree.ok());
+    trees.push_back(std::move(tree).value());
+  }
+  for (NodeId s = 0; s < 25; ++s) {
+    EXPECT_EQ(trees[s].Distance(s), 0.0);
+    for (NodeId d = 0; d < 25; ++d) {
+      EXPECT_NEAR(trees[s].Distance(d), trees[d].Distance(s), 1e-12)
+          << s << "<->" << d;
     }
   }
-  EXPECT_EQ((*all)[3][3], 0.0);
 }
 
-TEST(SsspTest, AllPairsTriangleInequality) {
-  auto g = GridGraphGenerator::Generate({5, GridCostModel::kVariance20});
+TEST(SsspTest, TreeDistancesSatisfyEveryEdgeConstraint) {
+  // Bellman's optimality condition: no edge can shorten a settled
+  // distance, d(v) <= d(u) + c(u, v), and every non-source node is
+  // reached through a tight edge from its predecessor on PathTo.
+  auto g = GridGraphGenerator::Generate({7, GridCostModel::kSkewed});
   ASSERT_TRUE(g.ok());
-  auto all = AllPairsDistances(*g);
-  ASSERT_TRUE(all.ok());
-  Rng rng(3);
-  for (int trial = 0; trial < 200; ++trial) {
-    const size_t a = rng.UniformInt(uint64_t{25});
-    const size_t b = rng.UniformInt(uint64_t{25});
-    const size_t c = rng.UniformInt(uint64_t{25});
-    EXPECT_LE((*all)[a][c], (*all)[a][b] + (*all)[b][c] + 1e-12);
+  for (NodeId s : {NodeId{0}, NodeId{24}, NodeId{48}}) {
+    auto tree = SingleSourceDijkstra(*g, s);
+    ASSERT_TRUE(tree.ok());
+    for (NodeId u = 0; u < 49; ++u) {
+      for (const graph::Edge& e : g->Neighbors(u)) {
+        EXPECT_LE(tree->Distance(e.to), tree->Distance(u) + e.cost + 1e-12)
+            << s << ": " << u << "->" << e.to;
+      }
+      if (u == s) continue;
+      const auto path = tree->PathTo(u);
+      ASSERT_GE(path.size(), 2u);
+      const NodeId pred = path[path.size() - 2];
+      EXPECT_NEAR(tree->Distance(u),
+                  tree->Distance(pred) + *g->EdgeCost(pred, u), 1e-12);
+    }
   }
+}
+
+TEST(SsspTest, DiameterIsTheLargestTreeDistance) {
+  auto g = GridGraphGenerator::Generate({6, GridCostModel::kVariance20});
+  ASSERT_TRUE(g.ok());
+  double want = 0.0;
+  for (NodeId s = 0; s < 36; ++s) {
+    auto tree = SingleSourceDijkstra(*g, s);
+    ASSERT_TRUE(tree.ok());
+    for (NodeId d = 0; d < 36; ++d) want = std::max(want, tree->Distance(d));
+  }
+  auto diameter = GraphDiameter(*g);
+  ASSERT_TRUE(diameter.ok());
+  EXPECT_DOUBLE_EQ(*diameter, want);
+  EXPECT_GT(want, 0.0);
 }
 
 TEST(SsspTest, DiameterOfUniformGrid) {
