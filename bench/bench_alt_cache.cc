@@ -7,23 +7,24 @@
 // workload (its bounds are admissible under any cost model), match
 // Version 2 wherever Euclidean is admissible, and cut iterations and
 // block I/O — the acceptance floor is a >= 20% iteration reduction with
-// fewer blocks on at least one workload.
+// fewer blocks on at least one workload (a gate).
 //
 // Part 2 — serving-path cache: a 4-worker RouteServer answers the same
 // batch uncached vs. with the epoch-invalidated route cache warm. Warm
-// answers must be bit-identical and at least 2x the uncached QPS; a
-// traffic update must drop every cached entry (zero hits on the next
-// batch).
+// answers must be bit-identical and at least 2x the uncached QPS (a
+// gate); a traffic update must drop every cached entry (zero hits on the
+// next batch).
 //
-// Emits BENCH_alt_cache.json (override the path with argv[1]).
+// Emits BENCH_alt_cache.json (override the path with a positional
+// argument).
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 
 #include "core/landmarks.h"
 #include "core/route_server.h"
 #include "graph/road_map_generator.h"
 #include "harness.h"
-#include "util/random.h"
 
 namespace atis::bench {
 namespace {
@@ -37,39 +38,9 @@ constexpr uint32_t kReadMicros = 175;
 constexpr uint32_t kWriteMicros = 250;
 constexpr size_t kQueriesPerBatch = 64;
 
-[[noreturn]] void Fatal(const std::string& message) {
-  std::fprintf(stderr, "fatal: %s\n", message.c_str());
-  std::abort();
-}
-
-struct Trip {
-  std::string name;
-  graph::NodeId source = 0;
-  graph::NodeId destination = 0;
-};
-
-struct Workload {
-  std::string name;
-  graph::Graph graph;
-  std::vector<Trip> trips;
-  /// Euclidean mix-in scale for the ALT estimator; 1.0 only where edge
-  /// costs dominate geometric distance (so the mix stays admissible).
-  double euclidean_scale = 0.0;
-  /// Whether plain Euclidean (Version 2) is admissible here — only then
-  /// is v4-vs-v2 cost parity a theorem rather than a coincidence.
-  bool euclidean_admissible = false;
-};
-
-struct VersionCell {
-  uint64_t iterations = 0;
-  uint64_t blocks = 0;  // blocks_read + blocks_written
-  double cost_units = 0.0;
-  double path_cost = 0.0;
-};
-
 struct TripResult {
   Trip trip;
-  VersionCell v2, v3, v4;
+  Cell v2, v3, v4;
   double optimal_cost = 0.0;  // database-resident Dijkstra
 };
 
@@ -85,15 +56,6 @@ struct WorkloadResult {
   double iter_reduction_v4_vs_v2 = 0.0;
 };
 
-VersionCell ToVersionCell(const core::PathResult& r) {
-  VersionCell c;
-  c.iterations = r.stats.iterations;
-  c.blocks = r.stats.io.blocks_read + r.stats.io.blocks_written;
-  c.cost_units = r.stats.cost_units;
-  c.path_cost = r.cost;
-  return c;
-}
-
 WorkloadResult RunWorkload(const Workload& w) {
   WorkloadResult out;
   out.name = w.name;
@@ -105,24 +67,17 @@ WorkloadResult RunWorkload(const Workload& w) {
   // persistence + reload go through the storage layer.
   core::LandmarkOptions lm;
   lm.num_landmarks = kNumLandmarks;
-  auto set = core::SelectLandmarks(core::WithStoredEdgeCosts(w.graph), lm);
-  if (!set.ok()) Fatal(set.status().ToString());
+  const core::LandmarkSet set = ValueOrDie(
+      core::SelectLandmarks(core::WithStoredEdgeCosts(w.graph), lm));
   const storage::IoCounters io_before = db.disk().meter().counters();
   const auto pp_started = std::chrono::steady_clock::now();
-  auto table = core::PersistAndLoadLandmarks(*set, &db.store());
-  if (!table.ok()) Fatal(table.status().ToString());
-  out.preprocess_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    pp_started)
-          .count();
+  auto table = ValueOrDie(core::PersistAndLoadLandmarks(set, &db.store()));
+  out.preprocess_seconds = SecondsSince(pp_started);
   const storage::IoCounters io_delta =
       db.disk().meter().counters() - io_before;
   out.preprocess_blocks = io_delta.blocks_read + io_delta.blocks_written;
-  if (auto st = db.engine().EnableLandmarks(core::MakeLandmarkEstimator(
-          std::move(table).value(), w.euclidean_scale));
-      !st.ok()) {
-    Fatal(st.ToString());
-  }
+  CheckOk(db.engine().EnableLandmarks(
+      core::MakeLandmarkEstimator(std::move(table), w.euclidean_scale)));
 
   for (const Trip& trip : w.trips) {
     TripResult tr;
@@ -139,7 +94,7 @@ WorkloadResult RunWorkload(const Workload& w) {
       if (!r.ok() || !(*r).found) {
         Fatal(w.name + " trip " + trip.name + ": A* failed");
       }
-      const VersionCell cell = ToVersionCell(*r);
+      const Cell cell = ToCell(*r);
       if (v == core::AStarVersion::kV2) tr.v2 = cell;
       if (v == core::AStarVersion::kV3) tr.v3 = cell;
       if (v == core::AStarVersion::kV4) tr.v4 = cell;
@@ -148,8 +103,9 @@ WorkloadResult RunWorkload(const Workload& w) {
     if (std::abs(tr.v4.path_cost - tr.optimal_cost) > 1e-9) {
       Fatal(w.name + " trip " + trip.name + ": v4 cost diverges from optimal");
     }
-    // Where Euclidean is admissible too, v2 parity is required.
-    if (w.euclidean_admissible &&
+    // Where Euclidean is admissible too (the workloads that mix it into
+    // ALT), v2 parity is required.
+    if (w.euclidean_scale > 0.0 &&
         std::abs(tr.v4.path_cost - tr.v2.path_cost) > 1e-9) {
       Fatal(w.name + " trip " + trip.name + ": v4 cost diverges from v2");
     }
@@ -167,17 +123,6 @@ WorkloadResult RunWorkload(const Workload& w) {
           : 1.0 - static_cast<double>(out.iters_v4) /
                       static_cast<double>(out.iters_v2);
   return out;
-}
-
-std::vector<Trip> GridTrips(int k) {
-  const auto n = static_cast<graph::NodeId>(k * k);
-  return {
-      {"corner_diag", 0, static_cast<graph::NodeId>(n - 1)},
-      {"anti_diag", static_cast<graph::NodeId>(k - 1),
-       static_cast<graph::NodeId>(n - k)},
-      {"mid_to_corner", static_cast<graph::NodeId>(n / 2 + k / 2),
-       static_cast<graph::NodeId>(n - 1)},
-  };
 }
 
 void PrintWorkload(const WorkloadResult& r) {
@@ -223,21 +168,6 @@ struct CacheResult {
   uint64_t post_update_hits = 0;  // must be 0: no stale route served
 };
 
-std::vector<core::RouteQuery> MakeQueries(const graph::Graph& g, size_t n) {
-  Rng rng(kSeed);
-  std::vector<core::RouteQuery> queries;
-  queries.reserve(n);
-  while (queries.size() < n) {
-    core::RouteQuery q;
-    q.source = static_cast<graph::NodeId>(rng.UniformInt(g.num_nodes()));
-    q.destination = static_cast<graph::NodeId>(rng.UniformInt(g.num_nodes()));
-    if (q.source == q.destination) continue;
-    if (!core::DijkstraSearch(g, q.source, q.destination).found) continue;
-    queries.push_back(q);
-  }
-  return queries;
-}
-
 core::RouteServer::Options ServerOptions(bool enable_cache) {
   core::RouteServer::Options opt;
   opt.num_workers = kCacheWorkers;
@@ -248,71 +178,39 @@ core::RouteServer::Options ServerOptions(bool enable_cache) {
   return opt;
 }
 
-std::vector<core::RouteResponse> Serve(
-    core::RouteServer& server, const std::vector<core::RouteQuery>& queries,
-    double* qps) {
-  const auto started = std::chrono::steady_clock::now();
-  auto batch = server.ServeBatch(queries);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-  if (!batch.ok()) Fatal(batch.status().ToString());
-  for (const core::RouteResponse& r : *batch) {
-    if (!r.status.ok() || !r.result.found) {
-      Fatal("serve: query " + std::to_string(r.query_index) + " failed");
-    }
-  }
-  if (qps != nullptr) {
-    *qps = static_cast<double>(queries.size()) / elapsed;
-  }
-  return std::move(batch).value();
-}
-
 CacheResult RunCacheBenchmark(const graph::Graph& g) {
   const std::vector<core::RouteQuery> queries =
-      MakeQueries(g, kQueriesPerBatch);
+      MakeQueries(g, kQueriesPerBatch, kSeed);
   CacheResult out;
 
   // Baseline: no cache, warm pools (one unmeasured batch first).
-  core::RouteServer uncached(g, ServerOptions(false));
-  if (!uncached.init_status().ok()) {
-    Fatal(uncached.init_status().ToString());
-  }
-  Serve(uncached, queries, nullptr);
-  const std::vector<core::RouteResponse> reference =
-      Serve(uncached, queries, &out.qps_uncached);
+  const auto uncached = StartServer(g, ServerOptions(false));
+  Serve(*uncached, queries);
+  const ServedBatch reference = Serve(*uncached, queries);
+  out.qps_uncached = reference.qps;
 
   // Cached server: first batch fills the cache, second is all hits.
-  core::RouteServer cached(g, ServerOptions(true));
-  if (!cached.init_status().ok()) Fatal(cached.init_status().ToString());
-  Serve(cached, queries, nullptr);
-  const std::vector<core::RouteResponse> warm =
-      Serve(cached, queries, &out.qps_warm);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (warm[i].cache_hit) ++out.warm_batch_hits;
-    // Bit-identical: the cache replays exactly what the engine computed.
-    if (warm[i].result.cost != reference[i].result.cost ||
-        warm[i].result.path != reference[i].result.path) {
-      Fatal("cached answer " + std::to_string(i) +
-            " differs from uncached answer");
-    }
+  const auto cached = StartServer(g, ServerOptions(true));
+  Serve(*cached, queries);
+  const ServedBatch warm = Serve(*cached, queries);
+  out.qps_warm = warm.qps;
+  for (const core::RouteResponse& r : warm.responses) {
+    if (r.cache_hit) ++out.warm_batch_hits;
   }
+  // Bit-identical: the cache replays exactly what the engine computed.
+  CheckSameRoutes(reference.responses, warm.responses, "warm cache");
   out.speedup = out.qps_warm / out.qps_uncached;
 
   // Traffic update: congest the first edge of the first query's source.
   const graph::NodeId u = queries.front().source;
   const graph::Edge e = *g.Neighbors(u).begin();
-  if (auto st = cached.UpdateEdgeCost(u, e.to, e.cost * 3.0); !st.ok()) {
-    Fatal(st.ToString());
-  }
-  const std::vector<core::RouteResponse> after =
-      Serve(cached, queries, nullptr);
-  for (const core::RouteResponse& r : after) {
+  CheckOk(cached->UpdateEdgeCost(u, e.to, e.cost * 3.0));
+  const ServedBatch after = Serve(*cached, queries);
+  for (const core::RouteResponse& r : after.responses) {
     if (r.cache_hit) ++out.post_update_hits;
   }
 
-  const core::RouteCache::Stats stats = cached.cache()->stats();
+  const core::RouteCache::Stats stats = cached->cache()->stats();
   out.hits = stats.hits;
   out.misses = stats.misses;
   out.stale_evictions = stats.stale_evictions;
@@ -321,8 +219,9 @@ CacheResult RunCacheBenchmark(const graph::Graph& g) {
 
 // -- Emission ---------------------------------------------------------------
 
-void EmitJson(const std::vector<WorkloadResult>& workloads,
-              const CacheResult& cache, const std::string& path) {
+int EmitJson(const std::vector<WorkloadResult>& workloads,
+             const CacheResult& cache, const std::vector<Gate>& gates,
+             const std::string& path) {
   JsonWriter w;
   BeginBenchJson(w, "alt_cache");
   w.Field("seed", kSeed);
@@ -371,10 +270,10 @@ void EmitJson(const std::vector<WorkloadResult>& workloads,
   w.Field("misses_total", cache.misses);
   w.Field("stale_evictions_total", cache.stale_evictions);
   w.EndObject();
-  FinishBenchFile(w, path);
+  return FinishBenchFile(w, path, gates);
 }
 
-void Run(const std::string& json_path) {
+int Run(const std::string& json_path) {
   PrintHeader("ALT estimator (A* Version 4) + route cache",
               "Versions 2/3/4 on the paper grids and the Minneapolis-like "
               "road map:\nidentical optimal costs, fewer iterations and "
@@ -382,31 +281,8 @@ void Run(const std::string& json_path) {
               "throughput vs. uncached serving at 4\nworkers, with "
               "epoch-invalidation on a traffic update.");
 
-  std::vector<Workload> workloads;
-  for (const int k : {10, 20, 30}) {
-    workloads.push_back({"grid" + std::to_string(k) + "_uniform",
-                         MakeGrid(k, graph::GridCostModel::kUniform),
-                         GridTrips(k), /*euclidean_scale=*/1.0,
-                         /*euclidean_admissible=*/true});
-    workloads.push_back({"grid" + std::to_string(k) + "_variance20",
-                         MakeGrid(k, graph::GridCostModel::kVariance20),
-                         GridTrips(k), /*euclidean_scale=*/1.0,
-                         /*euclidean_admissible=*/true});
-    workloads.push_back({"grid" + std::to_string(k) + "_skewed",
-                         MakeGrid(k, graph::GridCostModel::kSkewed),
-                         GridTrips(k), /*euclidean_scale=*/0.0,
-                         /*euclidean_admissible=*/false});
-  }
-  auto rm_or = graph::GenerateMinneapolisLike();
-  if (!rm_or.ok()) Fatal(rm_or.status().ToString());
-  const graph::RoadMap rm = std::move(rm_or).value();
-  workloads.push_back({"minneapolis_like", rm.graph,
-                       {{"A_to_B", rm.a, rm.b},
-                        {"C_to_D", rm.c, rm.d},
-                        {"E_to_F", rm.e, rm.f},
-                        {"G_to_D", rm.g, rm.d}},
-                       /*euclidean_scale=*/1.0,
-                       /*euclidean_admissible=*/true});
+  const std::vector<Workload> workloads =
+      PaperWorkloads(ValueOrDie(graph::GenerateMinneapolisLike()));
 
   std::vector<WorkloadResult> results;
   double best_reduction = 0.0;
@@ -420,21 +296,18 @@ void Run(const std::string& json_path) {
     }
     results.push_back(std::move(r));
   }
-  const bool alt_pass = best_reduction >= 0.20 && best_has_fewer_blocks;
-  std::printf("\nbest v4-vs-v2 iteration reduction: %.1f%% with %s blocks "
-              "(acceptance floor: 20%% and fewer blocks) — %s\n",
+  std::printf("\nbest v4-vs-v2 iteration reduction: %.1f%% with %s blocks\n",
               100.0 * best_reduction,
-              best_has_fewer_blocks ? "fewer" : "NOT fewer",
-              alt_pass ? "PASS" : "FAIL");
+              best_has_fewer_blocks ? "fewer" : "NOT fewer");
 
   const CacheResult cache =
       RunCacheBenchmark(MakeGrid(30, graph::GridCostModel::kUniform));
   std::printf("\nroute cache at %zu workers: uncached %.1f q/s, warm "
-              "cached %.1f q/s (%.2fx; acceptance floor: 2.00x) — %s\n"
+              "cached %.1f q/s (%.2fx)\n"
               "warm-batch hits %llu/%zu; hits after traffic update: %llu "
               "(must be 0)\n",
               kCacheWorkers, cache.qps_uncached, cache.qps_warm,
-              cache.speedup, cache.speedup >= 2.0 ? "PASS" : "FAIL",
+              cache.speedup,
               static_cast<unsigned long long>(cache.warm_batch_hits),
               kQueriesPerBatch,
               static_cast<unsigned long long>(cache.post_update_hits));
@@ -442,13 +315,26 @@ void Run(const std::string& json_path) {
     Fatal("stale route served after a traffic update");
   }
 
-  EmitJson(results, cache, json_path);
+  // Acceptance: on its best workload ALT settles >= 20% fewer
+  // iterations than Version 2 and reads fewer blocks; the warm cache
+  // serves >= 2x the uncached QPS.
+  const std::vector<Gate> gates = {
+      {"best_iteration_reduction_v4_vs_v2", best_reduction, Better::kHigher,
+       0.20, /*relative=*/false},
+      {"best_reduction_reads_fewer_blocks",
+       best_has_fewer_blocks ? 1.0 : 0.0, Better::kHigher, 1.0,
+       /*relative=*/false},
+      {"cache_speedup_warm_over_uncached", cache.speedup, Better::kHigher,
+       2.0, /*relative=*/false},
+  };
+  return EmitJson(results, cache, gates, json_path);
 }
 
 }  // namespace
 }  // namespace atis::bench
 
 int main(int argc, char** argv) {
-  atis::bench::Run(argc > 1 ? argv[1] : "BENCH_alt_cache.json");
-  return 0;
+  const std::string json_path =
+      atis::bench::ParseBenchArgs(argc, argv, "alt_cache", {});
+  return atis::bench::Run(json_path);
 }

@@ -9,9 +9,11 @@
 // worker serves every configuration so the batch size is the only moving
 // part; answers are checked bit-identical against the unbatched run.
 //
-// Acceptance (ISSUE 7): on the skewed minneapolis workload, max_batch = 8
-// must read >= 30% fewer blocks per query than max_batch = 1 with QPS no
-// worse. Emits BENCH_batching.json (path override: argv[1]).
+// Gates: on the skewed minneapolis workload, max_batch = 8 must read
+// >= 30% fewer blocks per query than max_batch = 1 with QPS no worse;
+// every configuration's QPS and blocks/query are held to the baseline.
+// Emits BENCH_batching.json (override the path with a positional
+// argument).
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -61,12 +63,7 @@ struct Params {
 
 struct ConfigResult {
   size_t max_batch = 0;
-  double elapsed_seconds = 0.0;
-  double qps = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  uint64_t blocks_read = 0;
-  double blocks_per_query = 0.0;
+  ServedBatch batch;
   // Batching internals over the measured batch (0 when max_batch == 1).
   uint64_t batches = 0;
   double avg_occupancy = 0.0;
@@ -76,29 +73,10 @@ struct ConfigResult {
   uint64_t coalesced = 0;
 };
 
-std::vector<core::RouteQuery> MakeUniformQueries(const graph::Graph& g,
-                                                 size_t n) {
-  Rng rng(kSeed);
-  std::vector<core::RouteQuery> queries;
-  queries.reserve(n);
-  while (queries.size() < n) {
-    core::RouteQuery q;
-    q.source = static_cast<graph::NodeId>(rng.UniformInt(g.num_nodes()));
-    q.destination =
-        static_cast<graph::NodeId>(rng.UniformInt(g.num_nodes()));
-    if (q.source == q.destination) continue;
-    if (!core::DijkstraSearch(g, q.source, q.destination).found) continue;
-    queries.push_back(q);
-  }
-  return queries;
-}
-
 /// Serves `queries` once unmeasured (timing warm-up; the 32-frame pool
-/// stays effectively cold regardless) and once measured. Answers land in
-/// `results` for the cross-config parity check.
+/// stays effectively cold regardless) and once measured.
 ConfigResult RunConfig(const graph::Graph& g, size_t max_batch,
-                       const std::vector<core::RouteQuery>& queries,
-                       std::vector<core::PathResult>& results) {
+                       const std::vector<core::RouteQuery>& queries) {
   core::RouteServer::Options opt;
   opt.num_workers = 1;
   opt.pool_frames = kPoolFrames;
@@ -106,73 +84,32 @@ ConfigResult RunConfig(const graph::Graph& g, size_t max_batch,
   opt.disk_latency.write_micros = kWriteMicros;
   opt.max_batch = max_batch;
   opt.batch_region_order = kRegionOrder;
-  core::RouteServer server(g, opt);
-  if (!server.init_status().ok()) {
-    std::fprintf(stderr, "fatal: server init failed: %s\n",
-                 server.init_status().ToString().c_str());
-    std::abort();
-  }
+  const auto server = StartServer(g, opt);
 
-  auto serve = [&] {
-    auto r = server.ServeBatch(queries);
-    if (!r.ok()) {
-      std::fprintf(stderr, "fatal: batch failed: %s\n",
-                   r.status().ToString().c_str());
-      std::abort();
-    }
-    return std::move(r).value();
-  };
-
-  serve();  // warm-up
-  const uint64_t batches0 = server.batches_executed();
-  const uint64_t members0 = server.batch_members_executed();
-  const uint64_t fetches0 = server.batch_adjacency_fetches();
-  const uint64_t shared0 = server.batch_shared_hits();
-  const uint64_t coalesced0 = server.batch_coalesced_served();
-  const auto started = std::chrono::steady_clock::now();
-  const std::vector<core::RouteResponse> responses = serve();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
+  Serve(*server, queries);  // warm-up
+  const uint64_t batches0 = server->batches_executed();
+  const uint64_t members0 = server->batch_members_executed();
+  const uint64_t fetches0 = server->batch_adjacency_fetches();
+  const uint64_t shared0 = server->batch_shared_hits();
+  const uint64_t coalesced0 = server->batch_coalesced_served();
 
   ConfigResult out;
   out.max_batch = max_batch;
-  out.elapsed_seconds = elapsed;
-  out.qps = static_cast<double>(queries.size()) / elapsed;
-  out.batches = server.batches_executed() - batches0;
-  const uint64_t members = server.batch_members_executed() - members0;
+  out.batch = Serve(*server, queries);
+  out.batches = server->batches_executed() - batches0;
+  const uint64_t members = server->batch_members_executed() - members0;
   out.avg_occupancy =
       out.batches == 0 ? 0.0
                        : static_cast<double>(members) /
                              static_cast<double>(out.batches);
-  out.adjacency_fetches = server.batch_adjacency_fetches() - fetches0;
-  out.shared_adjacency_hits = server.batch_shared_hits() - shared0;
+  out.adjacency_fetches = server->batch_adjacency_fetches() - fetches0;
+  out.shared_adjacency_hits = server->batch_shared_hits() - shared0;
   const uint64_t lookups = out.adjacency_fetches + out.shared_adjacency_hits;
   out.shared_hit_ratio =
       lookups == 0 ? 0.0
                    : static_cast<double>(out.shared_adjacency_hits) /
                          static_cast<double>(lookups);
-  out.coalesced = server.batch_coalesced_served() - coalesced0;
-
-  std::vector<double> latencies;
-  latencies.reserve(responses.size());
-  results.clear();
-  for (const core::RouteResponse& resp : responses) {
-    if (!resp.status.ok() || !resp.result.found) {
-      std::fprintf(stderr, "fatal: query %zu failed: %s\n", resp.query_index,
-                   resp.status.ToString().c_str());
-      std::abort();
-    }
-    latencies.push_back(resp.latency_seconds);
-    results.push_back(resp.result);
-    out.blocks_read += resp.io.blocks_read;
-  }
-  out.blocks_per_query =
-      static_cast<double>(out.blocks_read) /
-      static_cast<double>(queries.size());
-  out.p50_ms = 1e3 * Percentile(latencies, 50);
-  out.p95_ms = 1e3 * Percentile(latencies, 95);
+  out.coalesced = server->batch_coalesced_served() - coalesced0;
   return out;
 }
 
@@ -195,30 +132,15 @@ WorkloadRun RunWorkload(const std::string& map_name, const graph::Graph& g,
   const std::vector<core::RouteQuery> queries =
       skew ? MakeSkewedQueries(g, params.queries, kSeed, kZipfS,
                                kRegionOrder)
-           : MakeUniformQueries(g, params.queries);
+           : MakeQueries(g, params.queries, kSeed);
 
-  std::vector<core::PathResult> baseline;
   for (size_t mb : params.batch_sizes) {
-    std::vector<core::PathResult> results;
-    ConfigResult r = RunConfig(g, mb, queries, results);
-    if (mb == 1) {
-      baseline = results;
-    } else {
-      // Bit-identical parity: batching must not change a single answer —
-      // exact cost equality and the same node sequence, no tolerance.
-      for (size_t i = 0; i < results.size(); ++i) {
-        if (results[i].cost != baseline[i].cost ||
-            results[i].path != baseline[i].path) {
-          std::fprintf(stderr,
-                       "fatal: %s/%s query %zu: batch %zu diverged from "
-                       "the unbatched answer (cost %.17g vs %.17g)\n",
-                       run.map.c_str(), run.workload.c_str(), i, mb,
-                       results[i].cost, baseline[i].cost);
-          std::abort();
-        }
-      }
-    }
-    run.configs.push_back(r);
+    run.configs.push_back(RunConfig(g, mb, queries));
+    // Bit-identical parity: batching must not change a single answer.
+    CheckSameRoutes(run.configs.front().batch.responses,
+                    run.configs.back().batch.responses,
+                    run.map + "/" + run.workload + " at batch " +
+                        std::to_string(mb));
   }
   return run;
 }
@@ -230,10 +152,10 @@ void PrintWorkload(const WorkloadRun& run) {
                          "occupancy", "shared hits", "coalesced"});
   for (const ConfigResult& r : run.configs) {
     char qps[32], bpq[32], p50[32], p95[32], occ[32], shared[48], co[32];
-    std::snprintf(qps, sizeof(qps), "%.1f", r.qps);
-    std::snprintf(bpq, sizeof(bpq), "%.1f", r.blocks_per_query);
-    std::snprintf(p50, sizeof(p50), "%.2f", r.p50_ms);
-    std::snprintf(p95, sizeof(p95), "%.2f", r.p95_ms);
+    std::snprintf(qps, sizeof(qps), "%.1f", r.batch.qps);
+    std::snprintf(bpq, sizeof(bpq), "%.1f", r.batch.blocks_per_query);
+    std::snprintf(p50, sizeof(p50), "%.2f", r.batch.p50_ms);
+    std::snprintf(p95, sizeof(p95), "%.2f", r.batch.p95_ms);
     std::snprintf(occ, sizeof(occ), "%.2f", r.avg_occupancy);
     std::snprintf(shared, sizeof(shared), "%llu (%.0f%%)",
                   static_cast<unsigned long long>(r.shared_adjacency_hits),
@@ -252,9 +174,8 @@ const ConfigResult* FindConfig(const WorkloadRun& run, size_t mb) {
   return nullptr;
 }
 
-void EmitJson(const std::vector<WorkloadRun>& runs, const Params& params,
-              bool accept_pass, double accept_reduction,
-              const std::string& path) {
+int EmitJson(const std::vector<WorkloadRun>& runs, const Params& params,
+             const std::string& path) {
   JsonWriter w;
   BeginBenchJson(w, "batching");
   w.Field("seed", kSeed);
@@ -278,12 +199,12 @@ void EmitJson(const std::vector<WorkloadRun>& runs, const Params& params,
     for (const ConfigResult& r : run.configs) {
       w.BeginObject();
       w.Field("max_batch", r.max_batch);
-      w.Field("qps", r.qps);
-      w.Field("blocks_per_query", r.blocks_per_query);
-      w.Field("blocks_read", r.blocks_read);
-      w.Field("p50_ms", r.p50_ms);
-      w.Field("p95_ms", r.p95_ms);
-      w.Field("elapsed_seconds", r.elapsed_seconds);
+      w.Field("qps", r.batch.qps);
+      w.Field("blocks_per_query", r.batch.blocks_per_query);
+      w.Field("blocks_read", r.batch.blocks_read);
+      w.Field("p50_ms", r.batch.p50_ms);
+      w.Field("p95_ms", r.batch.p95_ms);
+      w.Field("elapsed_seconds", r.batch.elapsed_seconds);
       w.Field("batches", r.batches);
       w.Field("avg_occupancy", r.avg_occupancy);
       w.Field("adjacency_fetches", r.adjacency_fetches);
@@ -296,16 +217,39 @@ void EmitJson(const std::vector<WorkloadRun>& runs, const Params& params,
     w.EndObject();
   }
   w.EndArray();
-  w.Key("acceptance").BeginObject();
-  w.Field("map", "minneapolis_like");
-  w.Field("workload", "skewed_zipf");
-  w.Field("blocks_reduction_at_batch8", accept_reduction);
-  w.Field("pass", accept_pass);
-  w.EndObject();
-  FinishBenchFile(w, path);
+
+  std::vector<Gate> gates;
+  for (const WorkloadRun& run : runs) {
+    for (const ConfigResult& r : run.configs) {
+      const std::string prefix = run.map + "/" + run.workload + "/batch" +
+                                 std::to_string(r.max_batch) + "/";
+      gates.push_back({prefix + "qps", r.batch.qps, Better::kHigher,
+                       std::nullopt, /*relative=*/true});
+      gates.push_back({prefix + "blocks_per_query", r.batch.blocks_per_query,
+                       Better::kLower, std::nullopt, /*relative=*/true});
+    }
+    // Acceptance: on skewed minneapolis, batch 8 reads >= 30% fewer
+    // blocks/query than batch 1 with QPS no worse.
+    const ConfigResult* b1 = FindConfig(run, 1);
+    const ConfigResult* b8 = FindConfig(run, 8);
+    if (run.map == "minneapolis_like" && run.workload == "skewed_zipf" &&
+        b1 != nullptr && b8 != nullptr) {
+      const std::string prefix = run.map + "/" + run.workload + "/";
+      gates.push_back(
+          {prefix + "blocks_reduction_batch8_vs_batch1",
+           1.0 - b8->batch.blocks_per_query / b1->batch.blocks_per_query,
+           Better::kHigher, 0.30, /*relative=*/false});
+      gates.push_back({prefix + "qps_ratio_batch8_over_batch1",
+                       b8->batch.qps / b1->batch.qps, Better::kHigher, 1.0,
+                       /*relative=*/false});
+    }
+  }
+  return FinishBenchFile(w, path, gates);
 }
 
-void Run(const std::string& json_path, bool quick) {
+
+
+int Run(const std::string& json_path, bool quick) {
   const Params params = Params::ForMode(quick);
   PrintHeader("Batching: shared-frontier adjacency scans",
               "QPS and blocks read per query vs max_batch; one worker, a "
@@ -315,12 +259,7 @@ void Run(const std::string& json_path, bool quick) {
               "for every configuration.");
 
   std::vector<WorkloadRun> runs;
-  auto rm_or = graph::GenerateMinneapolisLike();
-  if (!rm_or.ok()) {
-    std::fprintf(stderr, "fatal: %s\n", rm_or.status().ToString().c_str());
-    std::abort();
-  }
-  const graph::RoadMap rm = std::move(rm_or).value();
+  const graph::RoadMap rm = ValueOrDie(graph::GenerateMinneapolisLike());
   for (bool skew : params.skews) {
     runs.push_back(RunWorkload("minneapolis_like", rm.graph, skew, params));
   }
@@ -333,27 +272,7 @@ void Run(const std::string& json_path, bool quick) {
   }
 
   for (const WorkloadRun& run : runs) PrintWorkload(run);
-
-  // Acceptance: skewed minneapolis, batch 8 vs batch 1.
-  bool pass = false;
-  double reduction = 0.0;
-  for (const WorkloadRun& run : runs) {
-    if (run.map != "minneapolis_like" || run.workload != "skewed_zipf") {
-      continue;
-    }
-    const ConfigResult* b1 = FindConfig(run, 1);
-    const ConfigResult* b8 = FindConfig(run, 8);
-    if (b1 == nullptr || b8 == nullptr) break;
-    reduction = 1.0 - b8->blocks_per_query / b1->blocks_per_query;
-    pass = reduction >= 0.30 && b8->qps >= b1->qps;
-    std::printf("\nacceptance (minneapolis_like / skewed_zipf): batch 8 "
-                "reads %.1f%% fewer\nblocks/query than batch 1 (floor: "
-                "30%%), QPS %.1f vs %.1f — %s\n",
-                100.0 * reduction, b8->qps, b1->qps,
-                pass ? "PASS" : "FAIL");
-  }
-
-  EmitJson(runs, params, pass, reduction, json_path);
+  return EmitJson(runs, params, json_path);
 }
 
 }  // namespace
@@ -361,15 +280,7 @@ void Run(const std::string& json_path, bool quick) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string json_path = "BENCH_batching.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else {
-      json_path = arg;
-    }
-  }
-  atis::bench::Run(json_path, quick);
-  return 0;
+  const std::string json_path = atis::bench::ParseBenchArgs(
+      argc, argv, "batching", {{"--quick", &quick}});
+  return atis::bench::Run(json_path, quick);
 }

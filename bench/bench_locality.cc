@@ -28,9 +28,10 @@
 // and iteration count across all four configurations — layout and
 // prefetch are physical knobs and must not change a single answer.
 //
-// Emits BENCH_locality.json (override the path with a positional
-// argument); --quick shrinks trips and drops the simulated latency for CI
-// smoke runs.
+// Gate: Hilbert clustering + prefetch cut A* v2's distinct block reads
+// on the road map by >= 25%. Emits BENCH_locality.json (override the
+// path with a positional argument); --quick shrinks trips and drops the
+// simulated latency for CI smoke runs.
 #include <chrono>
 #include <cstdio>
 #include <iterator>
@@ -54,17 +55,6 @@ constexpr size_t kPrefetchWorkers = 2;
 // bench_throughput) so prefetch overlap is visible in wall time.
 constexpr uint32_t kReadMicros = 175;
 constexpr uint32_t kWriteMicros = 250;
-
-[[noreturn]] void Fatal(const std::string& message) {
-  std::fprintf(stderr, "fatal: %s\n", message.c_str());
-  std::abort();
-}
-
-struct Trip {
-  std::string name;
-  graph::NodeId source = 0;
-  graph::NodeId destination = 0;
-};
 
 struct AlgoSpec {
   const char* name;
@@ -137,10 +127,7 @@ void MeasureTrip(DbInstance& db, const AlgoSpec& algo, const Trip& trip,
       algo.algorithm == core::Algorithm::kDijkstra
           ? db.engine().Dijkstra(trip.source, trip.destination)
           : db.engine().AStar(trip.source, trip.destination, algo.version);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
+  const double elapsed = SecondsSince(started);
   if (!r.ok() || !(*r).found) {
     Fatal(std::string(algo.name) + " trip " + trip.name +
           ": no route: " + r.status().ToString());
@@ -150,9 +137,7 @@ void MeasureTrip(DbInstance& db, const AlgoSpec& algo, const Trip& trip,
   // unconsumed prefetched frame as wasted and re-colds the pool, and its
   // dirty writebacks charge the trip's REPLACE traffic to blocks_written.
   db.pool().WaitForPrefetchIdle();
-  if (const Status st = db.pool().EvictAll(); !st.ok()) {
-    Fatal("EvictAll: " + st.ToString());
-  }
+  CheckOk(db.pool().EvictAll());
   const storage::IoCounters delta = db.disk().meter().counters() - before;
   const storage::BufferPoolStats ps = db.pool().stats();
 
@@ -170,7 +155,8 @@ void MeasureTrip(DbInstance& db, const AlgoSpec& algo, const Trip& trip,
 }
 
 MapRun RunMap(const std::string& name, const graph::Graph& g,
-              const std::vector<Trip>& trips, bool quick) {
+              std::vector<Trip> trips, bool quick) {
+  if (quick) trips.resize(1);
   MapRun run;
   run.name = name;
   run.nodes = g.num_nodes();
@@ -195,18 +181,12 @@ MapRun RunMap(const std::string& name, const graph::Graph& g,
     // Version 4 preprocessing, outside every measurement window.
     core::LandmarkOptions lm;
     lm.num_landmarks = kNumLandmarks;
-    auto set = core::SelectLandmarks(core::WithStoredEdgeCosts(g), lm);
-    if (!set.ok()) Fatal(set.status().ToString());
-    auto table = core::PersistAndLoadLandmarks(*set, &db.store());
-    if (!table.ok()) Fatal(table.status().ToString());
-    if (auto st = db.engine().EnableLandmarks(core::MakeLandmarkEstimator(
-            std::move(table).value(), /*euclidean_scale=*/1.0));
-        !st.ok()) {
-      Fatal(st.ToString());
-    }
-    if (const Status st = db.pool().EvictAll(); !st.ok()) {
-      Fatal("EvictAll: " + st.ToString());
-    }
+    const core::LandmarkSet set = ValueOrDie(
+        core::SelectLandmarks(core::WithStoredEdgeCosts(g), lm));
+    CheckOk(db.engine().EnableLandmarks(core::MakeLandmarkEstimator(
+        ValueOrDie(core::PersistAndLoadLandmarks(set, &db.store())),
+        /*euclidean_scale=*/1.0)));
+    CheckOk(db.pool().EvictAll());
 
     for (size_t a = 0; a < std::size(kAlgos); ++a) {
       ConfigResult result;
@@ -237,19 +217,6 @@ MapRun RunMap(const std::string& name, const graph::Graph& g,
     }
   }
   return run;
-}
-
-std::vector<Trip> GridTrips(int k, bool quick) {
-  const auto n = static_cast<graph::NodeId>(k * k);
-  std::vector<Trip> trips = {
-      {"corner_diag", 0, static_cast<graph::NodeId>(n - 1)},
-      {"anti_diag", static_cast<graph::NodeId>(k - 1),
-       static_cast<graph::NodeId>(n - k)},
-      {"mid_to_corner", static_cast<graph::NodeId>(n / 2 + k / 2),
-       static_cast<graph::NodeId>(n - 1)},
-  };
-  if (quick) trips.resize(1);
-  return trips;
 }
 
 void PrintMap(const MapRun& run) {
@@ -294,8 +261,8 @@ double Reduction(const AlgoResult& algo, graph::StoreLayout layout,
                    static_cast<double>(base->blocks_read);
 }
 
-void EmitJson(const std::vector<MapRun>& runs, bool quick, double reduction,
-              const std::string& path) {
+int EmitJson(const std::vector<MapRun>& runs, bool quick, double reduction,
+             const std::string& path) {
   JsonWriter w;
   BeginBenchJson(w, "locality");
   w.Field("seed", kSeed);
@@ -341,18 +308,13 @@ void EmitJson(const std::vector<MapRun>& runs, bool quick, double reduction,
     w.EndObject();
   }
   w.EndArray();
-  w.Key("acceptance").BeginObject();
-  w.Field("metric",
-          "distinct block reads, astar_v2 on minneapolis_like, "
-          "hilbert+prefetch vs roworder");
-  w.Field("reduction", reduction);
-  w.Field("floor", 0.25);
-  w.Field("pass", reduction >= 0.25);
-  w.EndObject();
-  FinishBenchFile(w, path);
+  return FinishBenchFile(
+      w, path,
+      {{"minneapolis_like/astar_v2/block_reduction_hilbert_pf_vs_roworder",
+        reduction, Better::kHigher, 0.25, /*relative=*/false}});
 }
 
-void Run(const std::string& json_path, bool quick) {
+int Run(const std::string& json_path, bool quick) {
   PrintHeader("Physical locality: layout x prefetch x algorithm",
               "Distinct block reads (cold pool, every block a first touch) "
               "and wall time\nfor row-order vs Hilbert-clustered heap "
@@ -363,17 +325,10 @@ void Run(const std::string& json_path, bool quick) {
   std::vector<MapRun> runs;
   runs.push_back(RunMap("grid30_uniform",
                         MakeGrid(30, graph::GridCostModel::kUniform),
-                        GridTrips(30, quick), quick));
-
-  auto rm_or = graph::GenerateMinneapolisLike();
-  if (!rm_or.ok()) Fatal(rm_or.status().ToString());
-  const graph::RoadMap rm = std::move(rm_or).value();
-  std::vector<Trip> road_trips = {{"A_to_B", rm.a, rm.b},
-                                  {"C_to_D", rm.c, rm.d},
-                                  {"E_to_F", rm.e, rm.f},
-                                  {"G_to_D", rm.g, rm.d}};
-  if (quick) road_trips.resize(1);
-  runs.push_back(RunMap("minneapolis_like", rm.graph, road_trips, quick));
+                        GridTrips(30), quick));
+  const graph::RoadMap rm = ValueOrDie(graph::GenerateMinneapolisLike());
+  runs.push_back(
+      RunMap("minneapolis_like", rm.graph, RoadMapTrips(rm), quick));
 
   for (const MapRun& run : runs) PrintMap(run);
 
@@ -382,13 +337,7 @@ void Run(const std::string& json_path, bool quick) {
   const double reduction =
       Reduction(runs.back().algos[1], graph::StoreLayout::kHilbert,
                 kPrefetchDepth);
-  std::printf("\ndistinct-block reduction, astar_v2 on minneapolis_like, "
-              "hilbert+pf%zu vs roworder: %.1f%% (acceptance floor: 25%%) "
-              "— %s\n",
-              kPrefetchDepth, 100.0 * reduction,
-              reduction >= 0.25 ? "PASS" : "FAIL");
-
-  EmitJson(runs, quick, reduction, json_path);
+  return EmitJson(runs, quick, reduction, json_path);
 }
 
 }  // namespace
@@ -396,15 +345,7 @@ void Run(const std::string& json_path, bool quick) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string json_path = "BENCH_locality.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else {
-      json_path = arg;
-    }
-  }
-  atis::bench::Run(json_path, quick);
-  return 0;
+  const std::string json_path = atis::bench::ParseBenchArgs(
+      argc, argv, "locality", {{"--quick", &quick}});
+  return atis::bench::Run(json_path, quick);
 }

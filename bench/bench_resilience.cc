@@ -15,22 +15,20 @@
 // served-via breakdown (engine / stale cache / snapshot / failed), p50/p99
 // latency, retry amplification ((blocks_read + read_retries) /
 // blocks_read), and the number of injected faults. Emits
-// BENCH_resilience.json (override the path with argv[1]).
+// BENCH_resilience.json (override the path with a positional argument).
 //
-// Acceptance: >= 99% availability at a 1% transient fault rate with a
-// 250 ms deadline on grid30.
+// Gate: >= 99% availability at a 1% transient fault rate with a 250 ms
+// deadline on grid30.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "core/memory_search.h"
 #include "core/route_server.h"
 #include "graph/road_map_generator.h"
 #include "harness.h"
 #include "obs/slo.h"
-#include "util/random.h"
 
 namespace atis::bench {
 namespace {
@@ -76,22 +74,6 @@ struct ConfigResult {
   obs::SloWindows::Window windowed;
 };
 
-std::vector<core::RouteQuery> MakeQueries(const graph::Graph& g, size_t n) {
-  Rng rng(kSeed);
-  std::vector<core::RouteQuery> queries;
-  queries.reserve(n);
-  while (queries.size() < n) {
-    core::RouteQuery q;
-    q.source = static_cast<graph::NodeId>(rng.UniformInt(g.num_nodes()));
-    q.destination = static_cast<graph::NodeId>(rng.UniformInt(g.num_nodes()));
-    if (q.source == q.destination) continue;
-    // Keep only answerable pairs (road maps have unreachable ones).
-    if (!core::DijkstraSearch(g, q.source, q.destination).found) continue;
-    queries.push_back(q);  // A* v3: the paper's headline algorithm
-  }
-  return queries;
-}
-
 /// The first edge of `g`, used as the traffic-update target that bumps the
 /// cache epoch between the warm-up and the measured batch.
 struct EdgeRef {
@@ -104,8 +86,7 @@ EdgeRef FirstEdge(const graph::Graph& g) {
     const auto nbrs = g.Neighbors(u);
     if (!nbrs.empty()) return {u, nbrs[0].to, nbrs[0].cost};
   }
-  std::fprintf(stderr, "fatal: graph has no edges\n");
-  std::abort();
+  Fatal("graph has no edges");
 }
 
 ConfigResult RunConfig(const graph::Graph& g, const ChaosConfig& chaos,
@@ -119,34 +100,16 @@ ConfigResult RunConfig(const graph::Graph& g, const ChaosConfig& chaos,
   opt.retry.max_attempts = kRetryAttempts;
   opt.retry.initial_backoff_micros = kRetryBackoffMicros;
   opt.obs.enable_slo = true;  // windowed availability joins the report
-  core::RouteServer server(g, opt);
-  if (!server.init_status().ok()) {
-    std::fprintf(stderr, "fatal: server init failed: %s\n",
-                 server.init_status().ToString().c_str());
-    std::abort();
-  }
-
-  auto serve = [&] {
-    auto r = server.ServeBatch(queries);
-    if (!r.ok()) {
-      std::fprintf(stderr, "fatal: batch failed: %s\n",
-                   r.status().ToString().c_str());
-      std::abort();
-    }
-    return std::move(r).value();
-  };
+  const auto server_owner = StartServer(g, opt);
+  core::RouteServer& server = *server_owner;
 
   // Healthy warm-up: populates the route cache with every answer.
-  serve();
+  Serve(server, queries, Expect::kAnything);
   // Traffic update: mild congestion on one edge bumps the cache epoch, so
   // the measured batch cannot be served from fresh hits — only recomputed
   // under chaos, or salvaged as flagged-stale entries.
   const EdgeRef e = FirstEdge(g);
-  if (const Status st = server.UpdateEdgeCost(e.u, e.v, e.cost * 1.05);
-      !st.ok()) {
-    std::fprintf(stderr, "fatal: %s\n", st.ToString().c_str());
-    std::abort();
-  }
+  CheckOk(server.UpdateEdgeCost(e.u, e.v, e.cost * 1.05));
   // Chaos on: installed only now, so warm-up and construction were clean.
   storage::FaultProfile profile;
   profile.seed = kSeed;
@@ -158,14 +121,12 @@ ConfigResult RunConfig(const graph::Graph& g, const ChaosConfig& chaos,
   const uint64_t reads_before = server.disk().meter().counters().blocks_read;
   const uint64_t retries_before = server.pool().stats().read_retries;
   const uint64_t faults_before = server.disk().faults_injected();
-  const std::vector<core::RouteResponse> responses = serve();
+  const ServedBatch served = Serve(server, queries, Expect::kAnything);
+  const std::vector<core::RouteResponse>& responses = served.responses;
 
   ConfigResult out;
   out.chaos = chaos;
-  std::vector<double> latencies;
-  latencies.reserve(responses.size());
   for (const core::RouteResponse& resp : responses) {
-    latencies.push_back(resp.latency_seconds);
     if (!resp.status.ok()) {
       ++out.failed;
       continue;
@@ -192,8 +153,8 @@ ConfigResult RunConfig(const graph::Graph& g, const ChaosConfig& chaos,
   }
   out.availability =
       static_cast<double>(responses.size() - out.failed) / responses.size();
-  out.p50_ms = 1e3 * Percentile(latencies, 50);
-  out.p99_ms = 1e3 * Percentile(latencies, 99);
+  out.p50_ms = served.p50_ms;
+  out.p99_ms = served.p99_ms;
   const uint64_t reads =
       server.disk().meter().counters().blocks_read - reads_before;
   out.read_retries = server.pool().stats().read_retries - retries_before;
@@ -221,7 +182,7 @@ MapRun RunMap(const std::string& name, const graph::Graph& g) {
   run.nodes = g.num_nodes();
   run.edges = g.num_edges();
   const std::vector<core::RouteQuery> queries =
-      MakeQueries(g, kQueriesPerBatch);
+      MakeQueries(g, kQueriesPerBatch, kSeed);
   for (const ChaosConfig& chaos : kConfigs) {
     run.configs.push_back(RunConfig(g, chaos, queries));
   }
@@ -250,7 +211,7 @@ void PrintMap(const MapRun& run) {
   }
 }
 
-void EmitJson(const std::vector<MapRun>& runs, const std::string& path) {
+int EmitJson(const std::vector<MapRun>& runs, const std::string& path) {
   JsonWriter w;
   BeginBenchJson(w, "resilience");
   w.Field("seed", kSeed);
@@ -302,10 +263,15 @@ void EmitJson(const std::vector<MapRun>& runs, const std::string& path) {
     w.EndObject();
   }
   w.EndArray();
-  FinishBenchFile(w, path);
+  // Acceptance: grid30, 1% transient faults, no spikes (kConfigs[1]).
+  return FinishBenchFile(
+      w, path,
+      {{"grid30_uniform/availability_at_1pct_faults",
+        runs.front().configs[1].availability, Better::kHigher, 0.99,
+        /*relative=*/false}});
 }
 
-void Run(const std::string& json_path) {
+int Run(const std::string& json_path) {
   PrintHeader("Resilience: route serving under storage chaos",
               "Seeded fault injection on the shared disk: transient faults "
               "absorbed by\nbounded retries, latency spikes bounded by "
@@ -317,30 +283,19 @@ void Run(const std::string& json_path) {
   std::vector<MapRun> runs;
   runs.push_back(RunMap("grid30_uniform",
                         MakeGrid(30, graph::GridCostModel::kUniform)));
-  auto rm_or = graph::GenerateMinneapolisLike();
-  if (!rm_or.ok()) {
-    std::fprintf(stderr, "fatal: %s\n", rm_or.status().ToString().c_str());
-    std::abort();
-  }
-  const graph::RoadMap rm = std::move(rm_or).value();
+  const graph::RoadMap rm = ValueOrDie(graph::GenerateMinneapolisLike());
   runs.push_back(RunMap("minneapolis_like", rm.graph));
 
   for (const MapRun& run : runs) PrintMap(run);
 
-  // Acceptance: grid30, 1% transient faults, no spikes (kConfigs[1]).
-  const double avail = runs.front().configs[1].availability;
-  std::printf("\navailability on grid30 at 1%% transient faults, %llu ms "
-              "deadline: %.2f%% (acceptance floor: 99%%) — %s\n",
-              static_cast<unsigned long long>(kDeadlineMs), 100 * avail,
-              avail >= 0.99 ? "PASS" : "FAIL");
-
-  EmitJson(runs, json_path);
+  return EmitJson(runs, json_path);
 }
 
 }  // namespace
 }  // namespace atis::bench
 
 int main(int argc, char** argv) {
-  atis::bench::Run(argc > 1 ? argv[1] : "BENCH_resilience.json");
-  return 0;
+  const std::string json_path =
+      atis::bench::ParseBenchArgs(argc, argv, "resilience", {});
+  return atis::bench::Run(json_path);
 }

@@ -11,12 +11,13 @@
 // budget so the per-query miss traffic is comparable across worker counts.
 //
 // Besides the human-readable table this emits BENCH_throughput.json
-// (override the path with argv[1]) for machine consumption. Every
-// configuration is checked for result parity against the 1-worker run:
-// concurrency must not change a single path cost.
+// (override the path with a positional argument) for machine
+// consumption. Every configuration is checked for result parity against
+// the 1-worker run: concurrency must not change a single answer. Gates:
+// every configuration's QPS, held to the baseline, and a >= 2x 4-worker
+// speedup on grid30.
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <thread>
 
 #include "core/route_server.h"
@@ -24,7 +25,6 @@
 #include "harness.h"
 #include "obs/http_exporter.h"
 #include "obs/trace_ring.h"
-#include "util/random.h"
 
 namespace atis::bench {
 namespace {
@@ -79,40 +79,18 @@ constexpr uint64_t kObsSampleEvery = 64;
 
 struct ConfigResult {
   size_t workers = 0;
-  double elapsed_seconds = 0.0;
-  double qps = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
+  ServedBatch batch;
   double speedup = 1.0;  // qps / single-worker qps
-  uint64_t blocks_read = 0;
   // --obs mode only: scraper + sampling activity during the measured batch.
   uint64_t scrapes = 0;
   uint64_t traces_appended = 0;
 };
 
-std::vector<core::RouteQuery> MakeQueries(const graph::Graph& g, size_t n) {
-  Rng rng(kSeed);
-  std::vector<core::RouteQuery> queries;
-  queries.reserve(n);
-  while (queries.size() < n) {
-    core::RouteQuery q;
-    q.source = static_cast<graph::NodeId>(rng.UniformInt(g.num_nodes()));
-    q.destination = static_cast<graph::NodeId>(rng.UniformInt(g.num_nodes()));
-    if (q.source == q.destination) continue;
-    // Road maps have unreachable pairs (lakes, one-way streets); keep only
-    // answerable queries, checked with the cheap in-memory Dijkstra.
-    if (!core::DijkstraSearch(g, q.source, q.destination).found) continue;
-    queries.push_back(q);  // A* v3: the paper's headline algorithm
-  }
-  return queries;
-}
-
 /// Serves `queries` with `workers` workers and measures one batch (after
-/// one unmeasured warm-up batch). Path costs land in `costs`.
+/// one unmeasured warm-up batch).
 ConfigResult RunConfig(const graph::Graph& g, size_t workers,
                        const std::vector<core::RouteQuery>& queries,
-                       std::vector<double>& costs, bool obs) {
+                       bool obs) {
   core::RouteServer::Options opt;
   opt.num_workers = workers;
   opt.pool_frames = kFramesPerWorker * workers;
@@ -123,12 +101,7 @@ ConfigResult RunConfig(const graph::Graph& g, size_t workers,
     opt.obs.trace_dir = "bench-traces";
     opt.obs.enable_slo = true;
   }
-  core::RouteServer server(g, opt);
-  if (!server.init_status().ok()) {
-    std::fprintf(stderr, "fatal: server init failed: %s\n",
-                 server.init_status().ToString().c_str());
-    std::abort();
-  }
+  const auto server = StartServer(g, opt);
 
   // In --obs mode a live exporter serves the registry and a scraper
   // thread polls it throughout — contention with a real Prometheus
@@ -139,15 +112,9 @@ ConfigResult RunConfig(const graph::Graph& g, size_t workers,
   std::atomic<uint64_t> scrapes{0};
   if (obs) {
     obs::HttpExporter::Options eopt;
-    eopt.statusz = [&server] { return server.StatuszJson(); };
-    eopt.refresh = [&server] { server.RefreshObsGauges(); };
-    auto started = obs::HttpExporter::Start(std::move(eopt));
-    if (!started.ok()) {
-      std::fprintf(stderr, "fatal: exporter failed: %s\n",
-                   started.status().ToString().c_str());
-      std::abort();
-    }
-    exporter = std::move(started).value();
+    eopt.statusz = [&server] { return server->StatuszJson(); };
+    eopt.refresh = [&server] { server->RefreshObsGauges(); };
+    exporter = ValueOrDie(obs::HttpExporter::Start(std::move(eopt)));
     scraper = std::thread([&, port = exporter->port()] {
       while (!stop_scraper.load(std::memory_order_relaxed)) {
         const bool ok = obs::HttpGet("127.0.0.1", port, "/metrics").ok() &&
@@ -158,51 +125,17 @@ ConfigResult RunConfig(const graph::Graph& g, size_t workers,
     });
   }
 
-  auto serve = [&] {
-    auto r = server.ServeBatch(queries);
-    if (!r.ok()) {
-      std::fprintf(stderr, "fatal: batch failed: %s\n",
-                   r.status().ToString().c_str());
-      std::abort();
-    }
-    return std::move(r).value();
-  };
-
-  serve();  // warm-up: pools populated, first-touch effects off the clock
-  const auto started = std::chrono::steady_clock::now();
-  const std::vector<core::RouteResponse> responses = serve();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-
+  Serve(*server, queries);  // warm-up: pools populated, first-touch off
   ConfigResult out;
+  out.workers = workers;
+  out.batch = Serve(*server, queries);
   if (obs) {
     stop_scraper.store(true, std::memory_order_relaxed);
     scraper.join();
     exporter->Stop();
     out.scrapes = scrapes.load(std::memory_order_relaxed);
-    out.traces_appended = server.trace_ring()->appended();
+    out.traces_appended = server->trace_ring()->appended();
   }
-  out.workers = workers;
-  out.elapsed_seconds = elapsed;
-  out.qps = static_cast<double>(queries.size()) / elapsed;
-  std::vector<double> latencies;
-  latencies.reserve(responses.size());
-  costs.clear();
-  for (const core::RouteResponse& resp : responses) {
-    if (!resp.status.ok() || !resp.result.found) {
-      std::fprintf(stderr, "fatal: query %zu failed: %s\n", resp.query_index,
-                   resp.status.ToString().c_str());
-      std::abort();
-    }
-    latencies.push_back(resp.latency_seconds);
-    costs.push_back(resp.result.cost);
-    out.blocks_read += resp.io.blocks_read;
-  }
-  out.p50_ms = 1e3 * Percentile(latencies, 50);
-  out.p95_ms = 1e3 * Percentile(latencies, 95);
-  out.p99_ms = 1e3 * Percentile(latencies, 99);
   return out;
 }
 
@@ -223,30 +156,16 @@ MapRun RunMap(const std::string& name, const graph::Graph& g,
   const std::vector<core::RouteQuery> queries =
       params.skew ? MakeSkewedQueries(g, params.queries_per_batch, kSeed,
                                       kZipfS, kRegionOrder)
-                  : MakeQueries(g, params.queries_per_batch);
-  std::vector<double> baseline_costs;
+                  : MakeQueries(g, params.queries_per_batch, kSeed);
   for (size_t workers : params.worker_counts) {
-    std::vector<double> costs;
-    ConfigResult r = RunConfig(g, workers, queries, costs, params.obs);
-    if (workers == 1) {
-      baseline_costs = costs;
-    } else {
-      // Parity: concurrency must not change any answer.
-      for (size_t i = 0; i < costs.size(); ++i) {
-        if (std::abs(costs[i] - baseline_costs[i]) > 1e-9) {
-          std::fprintf(stderr,
-                       "fatal: %s query %zu: cost %f at %zu workers vs %f "
-                       "at 1 worker\n",
-                       name.c_str(), i, costs[i], workers,
-                       baseline_costs[i]);
-          std::abort();
-        }
-      }
-    }
-    run.configs.push_back(r);
+    run.configs.push_back(RunConfig(g, workers, queries, params.obs));
+    // Parity: concurrency must not change any answer.
+    CheckSameRoutes(run.configs.front().batch.responses,
+                    run.configs.back().batch.responses,
+                    name + " at " + std::to_string(workers) + " workers");
   }
-  const double base_qps = run.configs.front().qps;
-  for (ConfigResult& r : run.configs) r.speedup = r.qps / base_qps;
+  const double base_qps = run.configs.front().batch.qps;
+  for (ConfigResult& r : run.configs) r.speedup = r.batch.qps / base_qps;
   return run;
 }
 
@@ -259,13 +178,13 @@ void PrintMap(const MapRun& run, const Params& params) {
                        "blocks read"});
   for (const ConfigResult& r : run.configs) {
     char qps[32], sp[32], p50[32], p95[32], p99[32], blocks[32];
-    std::snprintf(qps, sizeof(qps), "%.1f", r.qps);
+    std::snprintf(qps, sizeof(qps), "%.1f", r.batch.qps);
     std::snprintf(sp, sizeof(sp), "%.2fx", r.speedup);
-    std::snprintf(p50, sizeof(p50), "%.2f", r.p50_ms);
-    std::snprintf(p95, sizeof(p95), "%.2f", r.p95_ms);
-    std::snprintf(p99, sizeof(p99), "%.2f", r.p99_ms);
+    std::snprintf(p50, sizeof(p50), "%.2f", r.batch.p50_ms);
+    std::snprintf(p95, sizeof(p95), "%.2f", r.batch.p95_ms);
+    std::snprintf(p99, sizeof(p99), "%.2f", r.batch.p99_ms);
     std::snprintf(blocks, sizeof(blocks), "%llu",
-                  static_cast<unsigned long long>(r.blocks_read));
+                  static_cast<unsigned long long>(r.batch.blocks_read));
     PrintRow(std::to_string(r.workers), {qps, sp, p50, p95, p99, blocks});
   }
   if (params.obs) {
@@ -278,8 +197,8 @@ void PrintMap(const MapRun& run, const Params& params) {
   }
 }
 
-void EmitJson(const std::vector<MapRun>& runs, const Params& params,
-              const std::string& path) {
+int EmitJson(const std::vector<MapRun>& runs, const Params& params,
+             const std::string& path) {
   JsonWriter w;
   BeginBenchJson(w, "throughput");
   w.Field("seed", kSeed);
@@ -307,13 +226,13 @@ void EmitJson(const std::vector<MapRun>& runs, const Params& params,
     for (const ConfigResult& r : run.configs) {
       w.BeginObject();
       w.Field("workers", r.workers);
-      w.Field("qps", r.qps);
+      w.Field("qps", r.batch.qps);
       w.Field("speedup_vs_1_worker", r.speedup);
-      w.Field("p50_ms", r.p50_ms);
-      w.Field("p95_ms", r.p95_ms);
-      w.Field("p99_ms", r.p99_ms);
-      w.Field("elapsed_seconds", r.elapsed_seconds);
-      w.Field("blocks_read", r.blocks_read);
+      w.Field("p50_ms", r.batch.p50_ms);
+      w.Field("p95_ms", r.batch.p95_ms);
+      w.Field("p99_ms", r.batch.p99_ms);
+      w.Field("elapsed_seconds", r.batch.elapsed_seconds);
+      w.Field("blocks_read", r.batch.blocks_read);
       if (params.obs) {
         w.Field("scrapes", r.scrapes);
         w.Field("traces_appended", r.traces_appended);
@@ -324,10 +243,25 @@ void EmitJson(const std::vector<MapRun>& runs, const Params& params,
     w.EndObject();
   }
   w.EndArray();
-  FinishBenchFile(w, path);
+  std::vector<Gate> gates;
+  for (const MapRun& run : runs) {
+    for (const ConfigResult& r : run.configs) {
+      gates.push_back({run.name + "/" + std::to_string(r.workers) + "w/qps",
+                       r.batch.qps, Better::kHigher, std::nullopt,
+                       /*relative=*/true});
+    }
+  }
+  // Acceptance: overlapped block waits give >= 2x at 4 workers on grid30.
+  for (const ConfigResult& r : runs.front().configs) {
+    if (r.workers == 4) {
+      gates.push_back({runs.front().name + "/speedup_4w", r.speedup,
+                       Better::kHigher, 2.0, /*relative=*/false});
+    }
+  }
+  return FinishBenchFile(w, path, gates);
 }
 
-void Run(const std::string& json_path, bool quick, bool obs, bool skew) {
+int Run(const std::string& json_path, bool quick, bool obs, bool skew) {
   const Params params = Params::ForMode(quick, obs, skew);
   PrintHeader("Throughput: concurrent route serving",
               "QPS and latency percentiles vs worker count; shared sharded "
@@ -352,25 +286,12 @@ void Run(const std::string& json_path, bool quick, bool obs, bool skew) {
                         MakeGrid(30, graph::GridCostModel::kUniform),
                         params));
 
-  auto rm_or = graph::GenerateMinneapolisLike();
-  if (!rm_or.ok()) {
-    std::fprintf(stderr, "fatal: %s\n", rm_or.status().ToString().c_str());
-    std::abort();
-  }
-  const graph::RoadMap rm = std::move(rm_or).value();
+  const graph::RoadMap rm = ValueOrDie(graph::GenerateMinneapolisLike());
   runs.push_back(RunMap("minneapolis_like", rm.graph, params));
 
   for (const MapRun& run : runs) PrintMap(run, params);
 
-  for (size_t i = 0; i < params.worker_counts.size(); ++i) {
-    if (params.worker_counts[i] != 4) continue;
-    const double grid_speedup_4w = runs.front().configs[i].speedup;
-    std::printf("\n4-worker speedup on grid30: %.2fx (acceptance floor: "
-                "2.00x) — %s\n",
-                grid_speedup_4w, grid_speedup_4w >= 2.0 ? "PASS" : "FAIL");
-  }
-
-  EmitJson(runs, params, json_path);
+  return EmitJson(runs, params, json_path);
 }
 
 }  // namespace
@@ -380,19 +301,8 @@ int main(int argc, char** argv) {
   bool quick = false;
   bool obs = false;
   bool skew = false;
-  std::string json_path = "BENCH_throughput.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--obs") {
-      obs = true;
-    } else if (arg == "--skew") {
-      skew = true;
-    } else {
-      json_path = arg;
-    }
-  }
-  atis::bench::Run(json_path, quick, obs, skew);
-  return 0;
+  const std::string json_path = atis::bench::ParseBenchArgs(
+      argc, argv, "throughput",
+      {{"--quick", &quick}, {"--obs", &obs}, {"--skew", &skew}});
+  return atis::bench::Run(json_path, quick, obs, skew);
 }

@@ -1,43 +1,28 @@
 #!/usr/bin/env python3
-"""Perf smoke gate: compare a benchmark run against a checked-in baseline.
+"""Perf smoke gate: hold a benchmark run to its declared gates and to a
+checked-in baseline.
 
 Usage: check_perf.py MEASURED.json BASELINE.json [--tolerance 0.30]
 
-Understands five BENCH_*.json shapes (all quick mode in CI):
+Every BENCH_*.json carries a "gates" list; each gate is
+{"name", "value", "better": "higher"|"lower", "limit"?, "relative"}.
+Each gate of the measured run is judged by the rule the baseline's gate
+of the same name declares (the checked-in baseline pins every rule; a
+gate the baseline lacks is judged by its own declaration):
 
-- throughput: every (map, workers) configuration in the baseline must
-  reach at least (1 - tolerance) x the baseline QPS.
-- batching: every (map, workload, max_batch) configuration must hold the
-  same QPS floor, and blocks/query must not grow past
-  (1 + tolerance) x the baseline — the shared-read savings are the whole
-  point of batching, so losing them is a regression even if QPS holds.
-- overlay: the "gates" object must clear absolute floors — Version 5
-  must beat Version 4 by >= 10x on both settled iterations and blocks
-  read on the minneapolis-like map, and a single-edge re-customization
-  must finish in <= 100 ms. The ratios are deterministic counter
-  quotients (not timings), so they are additionally held to
-  (1 - tolerance) x the baseline's ratios to catch slow erosion that
-  still clears the floor.
-- ingest: the "gates" object must clear the durable-write-path
-  acceptance — >= 500 committed updates/sec during the co-run, co-run
-  QPS >= 80% of the quiet baseline, response staleness p99 <= 4 metric
-  versions, and crash recovery <= 1000 ms. updates_per_sec is
-  additionally held to (1 - tolerance) x the baseline to catch commit
-  throughput eroding while still clearing the absolute floor.
-- continent: the "gates" object must show the partitioned store still
-  beating the flat single-pass baseline (stitched/flat QPS ratio >= 1.0
-  and >= (1 - tolerance) x baseline), stitched QPS and blocks/query
-  within tolerance of the baseline, the streaming build's peak RSS under
-  an absolute ceiling (quick runs only; the ~1M-node full run is gated
-  against its own baseline relatively), and the stitched-vs-flat
-  exactness spot check passing.
+- "limit" is an absolute floor (better = higher) or ceiling (lower);
+- a "relative" gate must also reach (1 - tolerance) x the baseline's
+  value (higher), or stay within (1 + tolerance) x it (lower). With a
+  limit as well, the stricter threshold holds.
 
-Measured and baseline must be emissions of the same benchmark. The
-workloads are dominated by the benchmarks' simulated per-block device
-latency (deterministic sleeps), not host CPU, which is what makes a
-checked-in baseline meaningful across machines.
+A gate the baseline declares but the measured run lacks fails. The bench
+decides which gates exist and how each is judged (a quick-only ceiling,
+say); this script knows no benchmark by name. The serving benches'
+timings are dominated by their simulated per-block device latency
+(deterministic sleeps), not host CPU, which is what makes a checked-in
+baseline meaningful across machines.
 
-Exit code 0 when every configuration passes, 1 otherwise.
+Exit code 0 when every gate passes, 1 otherwise.
 """
 
 import argparse
@@ -48,208 +33,26 @@ import sys
 def load(path):
     with open(path) as f:
         doc = json.load(f)
-    bench = doc.get("benchmark")
-    if bench == "throughput":
-        configs = {}
-        for m in doc.get("maps", []):
-            for c in m.get("configs", []):
-                configs[(m["name"], c["workers"])] = {"qps": c["qps"]}
-        return doc, configs
-    if bench == "batching":
-        configs = {}
-        for r in doc.get("runs", []):
-            for c in r.get("configs", []):
-                key = (r["map"], r["workload"], c["max_batch"])
-                configs[key] = {"qps": c["qps"],
-                                "blocks_per_query": c["blocks_per_query"]}
-        return doc, configs
-    if bench in ("overlay", "ingest", "continent"):
-        return doc, doc.get("gates", {})
-    sys.exit(f"{path}: unsupported benchmark ({bench!r})")
+    gates = doc.get("gates")
+    if not isinstance(gates, list):
+        sys.exit(f"{path}: no \"gates\" list (a BENCH file older than "
+                 "schema_version 3?)")
+    return doc, {g["name"]: g for g in gates}
 
 
-# Absolute floors for the overlay gates: the whole point of Version 5 is
-# an order-of-magnitude query win plus fast metric customization, so
-# these do not scale with the baseline.
-OVERLAY_RATIO_FLOOR = 10.0
-OVERLAY_RECUSTOMIZE_CEIL_MS = 100.0
-
-
-def check_overlay(measured, baseline, tolerance):
-    failed = False
-    for name in ("minneapolis_iter_ratio_v4_over_v5",
-                 "minneapolis_block_ratio_v4_over_v5"):
-        got = measured.get(name)
-        if got is None:
-            print(f"FAIL {name}: missing from measured run")
-            failed = True
-            continue
-        floor = OVERLAY_RATIO_FLOOR
-        if name in baseline:
-            floor = max(floor, baseline[name] * (1.0 - tolerance))
-        ok = got >= floor
-        print(f"{'ok' if ok else 'FAIL':4} {name}: {got:.1f}x "
-              f"(floor {floor:.1f}x, baseline "
-              f"{baseline.get(name, float('nan')):.1f}x)")
-        failed = failed or not ok
-    got = measured.get("recustomize_single_edge_ms")
-    if got is None:
-        print("FAIL recustomize_single_edge_ms: missing from measured run")
-        failed = True
-    else:
-        ok = got <= OVERLAY_RECUSTOMIZE_CEIL_MS
-        print(f"{'ok' if ok else 'FAIL':4} recustomize_single_edge_ms: "
-              f"{got:.3f}ms (ceiling {OVERLAY_RECUSTOMIZE_CEIL_MS:.0f}ms)")
-        failed = failed or not ok
-    return failed
-
-
-# Absolute gates for the durable write path: the acceptance criteria of
-# the ingestion subsystem, not relative to any baseline.
-INGEST_UPDATES_PER_SEC_FLOOR = 500.0
-INGEST_QPS_RATIO_FLOOR = 0.8
-INGEST_STALENESS_P99_CEIL = 4
-INGEST_RECOVERY_CEIL_MS = 1000.0
-
-
-def check_ingest(measured, baseline, tolerance):
-    failed = False
-
-    got = measured.get("updates_per_sec")
-    if got is None:
-        print("FAIL updates_per_sec: missing from measured run")
-        failed = True
-    else:
-        floor = INGEST_UPDATES_PER_SEC_FLOOR
-        if "updates_per_sec" in baseline:
-            floor = max(floor, baseline["updates_per_sec"] * (1.0 - tolerance))
-        ok = got >= floor
-        print(f"{'ok' if ok else 'FAIL':4} updates_per_sec: {got:.0f} "
-              f"(floor {floor:.0f}, baseline "
-              f"{baseline.get('updates_per_sec', float('nan')):.0f})")
-        failed = failed or not ok
-
-    got = measured.get("qps_corun_ratio")
-    if got is None:
-        print("FAIL qps_corun_ratio: missing from measured run")
-        failed = True
-    else:
-        ok = got >= INGEST_QPS_RATIO_FLOOR
-        print(f"{'ok' if ok else 'FAIL':4} qps_corun_ratio: {got:.2f} "
-              f"(floor {INGEST_QPS_RATIO_FLOOR:.2f})")
-        failed = failed or not ok
-
-    got = measured.get("staleness_p99_versions")
-    if got is None:
-        print("FAIL staleness_p99_versions: missing from measured run")
-        failed = True
-    else:
-        ok = got <= INGEST_STALENESS_P99_CEIL
-        print(f"{'ok' if ok else 'FAIL':4} staleness_p99_versions: {got} "
-              f"(ceiling {INGEST_STALENESS_P99_CEIL})")
-        failed = failed or not ok
-
-    got = measured.get("recovery_ms")
-    if got is None:
-        print("FAIL recovery_ms: missing from measured run")
-        failed = True
-    else:
-        ok = got <= INGEST_RECOVERY_CEIL_MS
-        print(f"{'ok' if ok else 'FAIL':4} recovery_ms: {got:.1f}ms "
-              f"(ceiling {INGEST_RECOVERY_CEIL_MS:.0f}ms)")
-        failed = failed or not ok
-
-    return failed
-
-
-# Absolute gates for continent-scale serving. The QPS ratio is the
-# subsystem's reason to exist: stitched serving must never lose to the
-# flat single-store Dijkstra it replaces. The RSS ceiling bounds the
-# streaming build on the ~100k-node quick map (the full ~1M map is gated
-# relatively against its own baseline; most of the RSS is the RAM-backed
-# DiskManager holding the store's own pages, which scales with the map).
-CONTINENT_QPS_RATIO_FLOOR = 1.0
-CONTINENT_QUICK_PEAK_RSS_CEIL_MB = 256.0
-
-
-def check_continent(mdoc, measured, baseline, tolerance):
-    failed = False
-
-    got = measured.get("qps_ratio_stitched_over_flat")
-    if got is None:
-        print("FAIL qps_ratio_stitched_over_flat: missing from measured run")
-        failed = True
-    else:
-        floor = CONTINENT_QPS_RATIO_FLOOR
-        base = baseline.get("qps_ratio_stitched_over_flat")
-        if base is not None:
-            floor = max(floor, base * (1.0 - tolerance))
-        ok = got >= floor
-        print(f"{'ok' if ok else 'FAIL':4} qps_ratio_stitched_over_flat: "
-              f"{got:.2f}x (floor {floor:.2f}x, baseline "
-              f"{base if base is not None else float('nan'):.2f}x)")
-        failed = failed or not ok
-
-    got = measured.get("stitched_qps")
-    if got is None:
-        print("FAIL stitched_qps: missing from measured run")
-        failed = True
-    elif "stitched_qps" in baseline:
-        floor = baseline["stitched_qps"] * (1.0 - tolerance)
-        ok = got >= floor
-        print(f"{'ok' if ok else 'FAIL':4} stitched_qps: {got:.1f} "
-              f"(floor {floor:.1f}, baseline {baseline['stitched_qps']:.1f})")
-        failed = failed or not ok
-
-    got = measured.get("blocks_per_query")
-    if got is None:
-        print("FAIL blocks_per_query: missing from measured run")
-        failed = True
-    elif "blocks_per_query" in baseline:
-        ceil = baseline["blocks_per_query"] * (1.0 + tolerance)
-        ok = got <= ceil
-        print(f"{'ok' if ok else 'FAIL':4} blocks_per_query: {got:.1f} "
-              f"(ceiling {ceil:.1f}, baseline "
-              f"{baseline['blocks_per_query']:.1f})")
-        failed = failed or not ok
-
-    got = measured.get("peak_rss_mb")
-    if got is None:
-        print("FAIL peak_rss_mb: missing from measured run")
-        failed = True
-    elif got == 0.0:
-        # /proc/self/status unavailable (non-Linux host): nothing to gate.
-        print("ok   peak_rss_mb: unavailable on this host, skipped")
-    else:
-        ceil = None
-        if mdoc.get("quick"):
-            ceil = CONTINENT_QUICK_PEAK_RSS_CEIL_MB
-        if baseline.get("peak_rss_mb"):
-            base_ceil = baseline["peak_rss_mb"] * (1.0 + tolerance)
-            ceil = base_ceil if ceil is None else min(ceil, base_ceil)
-        if ceil is None:
-            print(f"ok   peak_rss_mb: {got:.1f}MB (no ceiling applicable)")
-        else:
-            ok = got <= ceil
-            print(f"{'ok' if ok else 'FAIL':4} peak_rss_mb: {got:.1f}MB "
-                  f"(ceiling {ceil:.1f}MB)")
-            failed = failed or not ok
-
-    got = measured.get("exact")
-    if got is not True:
-        print(f"FAIL exact: {got!r} — stitched answers diverged from the "
-              "flat reference")
-        failed = True
-    else:
-        print("ok   exact: stitched == flat on every spot-checked pair")
-
-    return failed
-
-
-def describe(key):
-    if len(key) == 2:  # throughput
-        return f"{key[0]} @ {key[1]}w"
-    return f"{key[0]}/{key[1]} @ batch {key[2]}"
+def threshold(rule, base, tolerance):
+    """The value a gate judged by `rule` must reach (higher) or stay
+    within (lower); None when nothing bounds it."""
+    higher = rule["better"] == "higher"
+    bounds = []
+    if "limit" in rule:
+        bounds.append(rule["limit"])
+    if rule.get("relative") and base is not None:
+        scale = 1.0 - tolerance if higher else 1.0 + tolerance
+        bounds.append(base["value"] * scale)
+    if not bounds:
+        return None
+    return max(bounds) if higher else min(bounds)
 
 
 def main():
@@ -268,68 +71,33 @@ def main():
     print(f"measured: {args.measured} (git {mdoc.get('git_commit', '?')})")
     print(f"baseline: {args.baseline} (git {bdoc.get('git_commit', '?')})")
 
-    if mdoc.get("benchmark") == "overlay":
-        failed = check_overlay(measured, baseline, args.tolerance)
-        if failed:
-            print("\noverlay gate failed — Version 5 must keep its "
-                  "order-of-magnitude win over Version 4 and its fast "
-                  "re-customization; if the map or partition changed "
-                  "intentionally, regenerate the baseline with: "
-                  "bench_overlay <baseline-path> --quick")
-            return 1
-        print("\nperf smoke passed")
-        return 0
-
-    if mdoc.get("benchmark") == "ingest":
-        failed = check_ingest(measured, baseline, args.tolerance)
-        if failed:
-            print("\ningest gate failed — the durable write path must "
-                  "keep its commit throughput, serving interference, "
-                  "staleness and recovery-time acceptance; if the "
-                  "workload changed intentionally, regenerate the "
-                  "baseline with: bench_ingest <baseline-path> --quick")
-            return 1
-        print("\nperf smoke passed")
-        return 0
-
-    if mdoc.get("benchmark") == "continent":
-        failed = check_continent(mdoc, measured, baseline, args.tolerance)
-        if failed:
-            print("\ncontinent gate failed — stitched serving must stay "
-                  "exact, beat the flat baseline, and the streaming build "
-                  "must hold its memory envelope; if the map changed "
-                  "intentionally, regenerate the baseline with: "
-                  "bench_continent <baseline-path> --quick")
-            return 1
-        print("\nperf smoke passed")
-        return 0
-
     failed = False
-    for key, base in sorted(baseline.items()):
-        got = measured.get(key)
-        if got is None:
-            print(f"FAIL {describe(key)}: missing from measured run")
-            failed = True
-            continue
-        qps_floor = base["qps"] * (1.0 - args.tolerance)
-        ok = got["qps"] >= qps_floor
-        line = (f"{describe(key)}: {got['qps']:.1f} qps vs baseline "
-                f"{base['qps']:.1f} (floor {qps_floor:.1f})")
-        if "blocks_per_query" in base:
-            bpq_ceil = base["blocks_per_query"] * (1.0 + args.tolerance)
-            ok = ok and got["blocks_per_query"] <= bpq_ceil
-            line += (f", {got['blocks_per_query']:.1f} blocks/query vs "
-                     f"{base['blocks_per_query']:.1f} "
-                     f"(ceiling {bpq_ceil:.1f})")
-        print(f"{'ok' if ok else 'FAIL':4} {line}")
-        if not ok:
-            failed = True
+    for name, gate in measured.items():
+        base = baseline.get(name)
+        rule = base if base is not None else gate
+        bound = threshold(rule, base, args.tolerance)
+        value = gate["value"]
+        if bound is None:
+            ok = True
+            verdict = "no threshold"
+        elif rule["better"] == "higher":
+            ok = value >= bound
+            verdict = f"floor {bound:.6g}"
+        else:
+            ok = value <= bound
+            verdict = f"ceiling {bound:.6g}"
+        if base is not None:
+            verdict += f", baseline {base['value']:.6g}"
+        print(f"{'ok' if ok else 'FAIL':4} {name}: {value:.6g} ({verdict})")
+        failed = failed or not ok
+    for name in sorted(baseline.keys() - measured.keys()):
+        print(f"FAIL {name}: missing from measured run")
+        failed = True
 
     if failed:
-        bench = bdoc.get("benchmark")
-        print(f"\nregression beyond {100 * args.tolerance:.0f}% tolerance "
-              "— if the slowdown is intentional, regenerate the baseline "
-              f"with: bench_{bench} <baseline-path> --quick")
+        print(f"\ngate failed (tolerance {100 * args.tolerance:.0f}%) — if "
+              "the change is intentional, regenerate the baseline with: "
+              f"bench_{bdoc.get('benchmark')} <baseline-path> --quick")
         return 1
     print("\nperf smoke passed")
     return 0

@@ -14,9 +14,6 @@ constexpr char kHeaderMagic[8] = {'A', 'T', 'I', 'S', 'W', '1', '\n', '\0'};
 constexpr uint32_t kFrameMagic = 0x31574141u;  // "AAW1"
 constexpr size_t kRecordBytes = 4 + 4 + 8;
 constexpr size_t kFrameOverhead = 4 + 8 + 4 + 4;  // magic+seq+count+crc
-/// Sanity bound on a frame's record count: anything larger is a corrupt
-/// length field, not a plausible batch.
-constexpr uint32_t kMaxRecordsPerFrame = 1u << 24;
 
 void PutU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof v);
@@ -81,7 +78,7 @@ Scan ScanLog(const std::string& data, uint64_t after_seq,
     if (GetU32(p) != kFrameMagic) break;
     const uint64_t seq = GetU64(p + 4);
     const uint32_t count = GetU32(p + 12);
-    if (count > kMaxRecordsPerFrame) break;
+    if (count > UpdateLog::kMaxRecordsPerFrame) break;
     const size_t body = static_cast<size_t>(count) * kRecordBytes;
     if (data.size() - at < kFrameOverhead + body) break;  // torn records
     const uint32_t stored_crc = GetU32(p + 16 + body);
@@ -179,6 +176,12 @@ Status UpdateLog::Append(std::span<const EdgeCostUpdate> updates,
   ATIS_RETURN_NOT_OK(poisoned_);
   if (seq <= last_seq_) {
     return Status::InvalidArgument("WAL sequence numbers must increase");
+  }
+  if (updates.size() > kMaxRecordsPerFrame) {
+    return Status::InvalidArgument(
+        "WAL batch of " + std::to_string(updates.size()) +
+        " updates exceeds the frame limit of " +
+        std::to_string(kMaxRecordsPerFrame) + " records");
   }
   const std::string frame = EncodeFrame(updates, seq);
   ATIS_RETURN_NOT_OK(file_->Append(frame.data(), frame.size()));

@@ -6,11 +6,6 @@
 
 namespace atis::storage {
 
-namespace {
-constexpr size_t kMaxRecordSize =
-    kPageSize - 8 /*header*/ - 4 /*one slot*/;
-}  // namespace
-
 Result<PageId> HeapFile::AllocateDataPage() {
   ATIS_ASSIGN_OR_RETURN(PageGuard guard, pool_->NewPage());
   Page& p = guard.MutablePage();
@@ -31,7 +26,9 @@ Result<RecordId> HeapFile::Insert(std::span<const uint8_t> record) {
   if (record.size() > kMaxRecordSize) {
     return Status::InvalidArgument("record of " +
                                    std::to_string(record.size()) +
-                                   " bytes exceeds page capacity");
+                                   " bytes exceeds page capacity of " +
+                                   std::to_string(kMaxRecordSize) +
+                                   " bytes");
   }
   const size_t need = record.size() + kSlotSize;
   // First-fit over the in-memory free-space map (catalog metadata: no I/O).

@@ -38,7 +38,12 @@ class HeapFile {
   HeapFile(const HeapFile&) = delete;
   HeapFile& operator=(const HeapFile&) = delete;
 
-  /// Appends a record. Record size must fit on one page.
+  /// Largest record one page holds: the page minus its 8-byte header and
+  /// one 4-byte slot.
+  static constexpr size_t kMaxRecordSize = kPageSize - 8 - 4;
+
+  /// Appends a record of at most kMaxRecordSize bytes (InvalidArgument
+  /// otherwise).
   Result<RecordId> Insert(std::span<const uint8_t> record);
 
   /// Calls `visit` with the record's payload on its pinned page — no copy.

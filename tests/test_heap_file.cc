@@ -81,8 +81,17 @@ TEST_F(HeapFileTest, UpdateSameSizeInPlace) {
 }
 
 TEST_F(HeapFileTest, RecordTooLargeRejected) {
-  const std::string huge(kPageSize, 'x');
-  EXPECT_TRUE(file_.Insert(Bytes(huge)).status().IsInvalidArgument());
+  ASSERT_EQ(HeapFile::kMaxRecordSize, 4084u);
+  const std::string largest(HeapFile::kMaxRecordSize, 'x');
+  auto rid = file_.Insert(Bytes(largest));
+  ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+  EXPECT_EQ(*ReadStr(file_, *rid), largest);
+
+  const std::string one_over(HeapFile::kMaxRecordSize + 1, 'x');
+  const Status st = file_.Insert(Bytes(one_over)).status();
+  EXPECT_TRUE(st.IsInvalidArgument());
+  EXPECT_NE(st.ToString().find("4084"), std::string::npos) << st.ToString();
+  EXPECT_EQ(file_.num_records(), 1u);
 }
 
 TEST_F(HeapFileTest, SpillsToMultiplePages) {

@@ -320,6 +320,31 @@ TEST(UpdateLogTest, FailedCommitLeavesTheLogUnchanged) {
   EXPECT_EQ((*log)->last_seq(), 1u);
 }
 
+// Replay reads a record count above kMaxRecordsPerFrame as a torn tail,
+// so a frame that large would be acknowledged and then truncated (with
+// every frame after it) by the next Open. Append must refuse it first.
+TEST(UpdateLogTest, OversizedBatchIsRefusedBeforeWriting) {
+  const std::string path = TempPath("wal_oversized_batch.atisw");
+  fs::remove(path);
+  auto log = UpdateLog::Open({.path = path});
+  ASSERT_TRUE(log.ok());
+  ASSERT_TRUE((*log)->Append(Batch(1, 2), 1).ok());
+  const uint64_t size_before = fs::file_size(path);
+
+  ASSERT_EQ(UpdateLog::kMaxRecordsPerFrame, 16777216u);
+  const std::vector<EdgeCostUpdate> oversized(
+      UpdateLog::kMaxRecordsPerFrame + 1, EdgeCostUpdate{0, 1, 1.0});
+  const Status st = (*log)->Append(oversized, 2);
+  EXPECT_TRUE(st.IsInvalidArgument());
+  EXPECT_NE(st.ToString().find("16777216"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(fs::file_size(path), size_before);
+  EXPECT_EQ((*log)->last_seq(), 1u);
+
+  EXPECT_TRUE((*log)->Append(Batch(5, 3), 2).ok());
+  EXPECT_EQ((*log)->last_seq(), 2u);
+}
+
 // The nastiest durable fault: a commit's fsync fails AND the rollback
 // truncate fails, leaving a CRC-valid never-acknowledged ghost frame in
 // the file. The log must poison itself — if a retry could reuse the
