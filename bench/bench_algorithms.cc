@@ -24,6 +24,7 @@
 #include "relational/operators.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "storage/heap_file.h"
 #include "util/random.h"
 
 namespace atis {
@@ -238,12 +239,16 @@ void BM_NestedLoopJoin_IterativeStep6(benchmark::State& state) {
   }
   relational::Relation cur("C", RelationalGraphStore::NodeSchema(),
                            &g20.pool);
-  auto frontier = relational::SelectScan(
-      g20.store.node_relation(), [&](const relational::RowView& row) {
+  std::vector<uint8_t> frontier;
+  (void)relational::SelectScan(
+      g20.store.node_relation(),
+      [&](const relational::RowView& row) {
         return hops[static_cast<size_t>(row.Int(0))] == 12;
-      });
-  for (const relational::MatchedTuple& m : frontier.value()) {
-    (void)cur.Insert(m.tuple);
+      },
+      &frontier);
+  const size_t row_size = cur.schema().tuple_size();
+  for (size_t at = 0; at < frontier.size(); at += row_size) {
+    (void)cur.InsertPacked({frontier.data() + at, row_size});
   }
   const relational::Relation& s = g20.store.edge_relation();
   for (auto _ : state) {
@@ -272,6 +277,42 @@ void BM_IsamLookupAll_R(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_IsamLookupAll_R);
+
+// GetNode of every node id: the ISAM descent plus the row read on its page,
+// the probe the paper engines make per relaxed edge.
+void BM_GetNode_R(benchmark::State& state) {
+  const graph::RelationalGraphStore& store = StoreForGrid20().store;
+  const auto n = static_cast<graph::NodeId>(store.num_nodes());
+  for (auto _ : state) {
+    for (graph::NodeId id = 0; id < n; ++id) {
+      benchmark::DoNotOptimize(store.GetNode(id));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_GetNode_R);
+
+// Fills one heap-file page with 25-byte rows (the Iterative join's row: an
+// R row's 13 packed bytes and an S row's 12), 140 of them with their 4-byte
+// slots, then drops the file: a join-result page's insert cost.
+void BM_HeapFileInsert_FillPage(benchmark::State& state) {
+  storage::DiskManager disk;
+  storage::BufferPool pool(&disk, 8);
+  storage::HeapFile file(&pool);
+  const std::vector<uint8_t> row(25, 0x5a);
+  size_t rows = 0;
+  for (auto _ : state) {
+    rows = 0;
+    while (file.num_pages() < 2) {
+      benchmark::DoNotOptimize(file.Insert(row));
+      ++rows;
+    }
+    (void)file.Clear();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+  state.SetLabel(std::to_string(rows - 1) + " rows per page");
+}
+BENCHMARK(BM_HeapFileInsert_FillPage);
 
 }  // namespace
 }  // namespace atis

@@ -8,18 +8,17 @@
 
 namespace atis::core {
 
-Result<std::vector<graph::RelationalGraphStore::EdgeRow>>
+Result<const std::vector<graph::RelationalGraphStore::EdgeRow>*>
 BatchContext::FetchAdjacency(const graph::RelationalGraphStore& store,
                              graph::NodeId u) {
   auto it = adjacency_.find(u);
   if (it != adjacency_.end()) {
     ++stats_.shared_adjacency_hits;
-    return it->second;
+    return &it->second;
   }
   ATIS_ASSIGN_OR_RETURN(auto edges, store.FetchAdjacency(u));
   ++stats_.adjacency_fetches;
-  adjacency_.emplace(u, edges);
-  return edges;
+  return &adjacency_.emplace(u, std::move(edges)).first->second;
 }
 
 RegionIndex::RegionIndex(const graph::Graph& g, uint32_t order)

@@ -53,9 +53,11 @@ class BatchContext {
   BatchContext& operator=(const BatchContext&) = delete;
 
   /// The batch-shared equivalent of store.FetchAdjacency(u): first call
-  /// per node fetches and caches (metered), later calls are free.
-  Result<std::vector<graph::RelationalGraphStore::EdgeRow>> FetchAdjacency(
-      const graph::RelationalGraphStore& store, graph::NodeId u);
+  /// per node fetches and caches (metered), later calls are free. The
+  /// list stays in the batch's cache, valid for the context's lifetime;
+  /// nothing is copied out.
+  Result<const std::vector<graph::RelationalGraphStore::EdgeRow>*>
+  FetchAdjacency(const graph::RelationalGraphStore& store, graph::NodeId u);
 
   /// The batch-wide pages-already-hinted set member searches dedupe their
   /// prefetch hints through (in place of the per-run private set).

@@ -34,7 +34,9 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <unordered_set>
+#include <vector>
 
 #include "core/estimator.h"
 #include "core/search_types.h"
@@ -186,10 +188,12 @@ class DbSearchEngine {
                                    BatchContext* batch);
 
   /// The adjacency of `u`: through `batch`'s shared cache when non-null,
-  /// else a private store fetch. Either way the blocks actually read are
-  /// metered on the calling thread.
-  Result<std::vector<graph::RelationalGraphStore::EdgeRow>> FetchAdjacency(
-      graph::NodeId u, BatchContext* batch);
+  /// else a private store fetch into `own`. Either way the blocks actually
+  /// read are metered on the calling thread. The span is valid until the
+  /// next fetch into `own` (or the batch's end).
+  Result<std::span<const graph::RelationalGraphStore::EdgeRow>>
+  FetchAdjacency(graph::NodeId u, BatchContext* batch,
+                 std::vector<graph::RelationalGraphStore::EdgeRow>* own);
 
   /// Follows R.pred from the destination. Charged reads, but performed
   /// after the run's stats snapshot (route assembly, not route search).

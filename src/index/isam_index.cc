@@ -187,19 +187,29 @@ Result<PageId> IsamIndex::FindLeaf(int64_t key) const {
 }
 
 Result<RecordId> IsamIndex::Lookup(int64_t key) const {
-  ATIS_ASSIGN_OR_RETURN(auto all, LookupAll(key));
-  if (all.empty()) return Status::NotFound("key not in ISAM index");
-  return all.front();
+  RecordId first;
+  ATIS_RETURN_NOT_OK(VisitMatches(key, [&](RecordId rid) {
+    if (!first.valid()) first = rid;
+  }));
+  if (!first.valid()) return Status::NotFound("key not in ISAM index");
+  return first;
 }
 
 Result<std::vector<RecordId>> IsamIndex::LookupAll(int64_t key) const {
-  ATIS_ASSIGN_OR_RETURN(PageId id, FindLeaf(key));
   std::vector<RecordId> out;
+  ATIS_RETURN_NOT_OK(
+      VisitMatches(key, [&](RecordId rid) { out.push_back(rid); }));
+  return out;
+}
+
+Status IsamIndex::VisitMatches(int64_t key,
+                               FunctionRef<void(RecordId)> visit) const {
+  ATIS_ASSIGN_OR_RETURN(PageId id, FindLeaf(key));
   while (id != kInvalidPageId) {
     ATIS_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(id));
     const Page& p = guard.page();
     const auto [first, end] = RunOf(p, key);
-    for (size_t j = first; j < end; ++j) out.push_back(EntryRid(p, j));
+    for (size_t j = first; j < end; ++j) visit(EntryRid(p, j));
     // Overflow pages are unsorted: always scan the chain of this leaf.
     PageId ov = p.ReadAt<uint32_t>(kOffOverflow);
     while (ov != kInvalidPageId) {
@@ -207,14 +217,14 @@ Result<std::vector<RecordId>> IsamIndex::LookupAll(int64_t key) const {
       const Page& op = og.page();
       const uint16_t oc = Count(op);
       for (size_t j = 0; j < oc; ++j) {
-        if (EntryKey(op, j) == key) out.push_back(EntryRid(op, j));
+        if (EntryKey(op, j) == key) visit(EntryRid(op, j));
       }
       ov = op.ReadAt<uint32_t>(kOffNextLeaf);
     }
     if (!RunContinues(p, first, end)) break;
     id = p.ReadAt<uint32_t>(kOffNextLeaf);
   }
-  return out;
+  return Status::OK();
 }
 
 Status IsamIndex::Insert(int64_t key, RecordId rid) {

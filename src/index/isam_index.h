@@ -25,6 +25,7 @@
 
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
+#include "util/function_ref.h"
 #include "util/status.h"
 
 namespace atis::index {
@@ -46,7 +47,8 @@ class IsamIndex {
   /// `fill_fraction` in (0,1] leaves slack in each leaf for later inserts.
   Status Build(std::vector<Entry> entries, double fill_fraction = 1.0);
 
-  /// Finds the first entry with exactly `key`. NotFound if absent.
+  /// Finds the first entry with exactly `key`, reading the same pages as
+  /// LookupAll but without collecting the rest. NotFound if absent.
   Result<storage::RecordId> Lookup(int64_t key) const;
 
   /// Finds all entries with exactly `key`.
@@ -77,6 +79,9 @@ class IsamIndex {
       (storage::kPageSize - kEntriesStart) / kEntrySize;
 
   Result<storage::PageId> FindLeaf(int64_t key) const;
+  /// Calls `visit` with each entry of `key`, in LookupAll's order.
+  Status VisitMatches(int64_t key,
+                      FunctionRef<void(storage::RecordId)> visit) const;
 
   storage::BufferPool* pool_;
   storage::PageId root_ = storage::kInvalidPageId;

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -148,13 +149,14 @@ class Tracer {
 };
 
 /// Span guard for instrumented code. Inactive (all methods no-ops) when no
-/// tracer is installed on the thread at construction time.
+/// tracer is installed on the thread at construction time; an inactive
+/// span allocates nothing and formats no tag.
 class ScopedSpan {
  public:
-  ScopedSpan(std::string name, std::string category) {
+  ScopedSpan(std::string_view name, std::string_view category) {
     tracer_ = Tracer::Current();
     if (tracer_ != nullptr) {
-      span_ = tracer_->BeginSpan(std::move(name), std::move(category));
+      span_ = tracer_->BeginSpan(std::string(name), std::string(category));
     }
   }
   ~ScopedSpan() { End(); }
@@ -164,11 +166,11 @@ class ScopedSpan {
 
   bool active() const { return span_ != nullptr; }
 
-  void Tag(std::string key, std::string value) {
-    if (span_ != nullptr) span_->Tag(std::move(key), std::move(value));
+  void Tag(std::string_view key, std::string_view value) {
+    if (span_ != nullptr) span_->Tag(std::string(key), std::string(value));
   }
-  void Tag(std::string key, uint64_t value) {
-    Tag(std::move(key), std::to_string(value));
+  void Tag(std::string_view key, uint64_t value) {
+    if (span_ != nullptr) span_->Tag(std::string(key), std::to_string(value));
   }
 
   /// Ends the span early (also done by the destructor).

@@ -18,10 +18,11 @@ class RunCursor {
   int64_t key() const {
     return cursor_.row().Int(static_cast<size_t>(key_field_));
   }
-  Tuple Take() {
-    Tuple t = cursor_.row().Unpack();
+  /// Copies the current row into `row` and steps past it.
+  void Take(std::vector<uint8_t>* row) {
+    const std::span<const uint8_t> bytes = cursor_.row().bytes();
+    row->assign(bytes.begin(), bytes.end());
     cursor_.Next();
-    return t;
   }
 
  private:
@@ -53,7 +54,11 @@ Result<std::unique_ptr<Relation>> ExternalSort(
   SortMetrics local;
   // -- Pass 0: run formation.
   std::vector<std::unique_ptr<Relation>> runs;
-  std::vector<std::pair<int64_t, Tuple>> buffer;
+  // The run being formed: packed rows in `rows`, and per row its key and
+  // byte offset there, sorted before the run is written.
+  const size_t width = input.schema().tuple_size();
+  std::vector<uint8_t> rows;
+  std::vector<std::pair<int64_t, size_t>> buffer;
   buffer.reserve(run_capacity);
   auto flush_run = [&]() -> Status {
     if (buffer.empty()) return Status::OK();
@@ -63,17 +68,20 @@ Result<std::unique_ptr<Relation>> ExternalSort(
     auto run = std::make_unique<Relation>(
         result_name + ".run" + std::to_string(runs.size()),
         input.schema(), input.pool(), /*charge_create=*/true);
-    for (auto& [k, t] : buffer) {
+    for (const auto& [k, at] : buffer) {
       (void)k;
-      ATIS_RETURN_NOT_OK(run->Insert(t).status());
+      ATIS_RETURN_NOT_OK(
+          run->InsertPacked({rows.data() + at, width}).status());
     }
     buffer.clear();
+    rows.clear();
     runs.push_back(std::move(run));
     return Status::OK();
   };
   for (Relation::Cursor c = input.Scan(); c.Valid(); c.Next()) {
     const RowView row = c.row();
-    buffer.emplace_back(row.Int(static_cast<size_t>(key)), row.Unpack());
+    buffer.emplace_back(row.Int(static_cast<size_t>(key)), rows.size());
+    rows.insert(rows.end(), row.bytes().begin(), row.bytes().end());
     if (buffer.size() >= run_capacity) {
       ATIS_RETURN_NOT_OK(flush_run());
     }
@@ -103,6 +111,7 @@ Result<std::unique_ptr<Relation>> ExternalSort(
           input.schema(), input.pool(), /*charge_create=*/true);
       std::vector<RunCursor> cursors;
       cursors.reserve(end - group);
+      std::vector<uint8_t> row;
       for (size_t i = group; i < end; ++i) {
         cursors.emplace_back(runs[i].get(), key);
       }
@@ -114,7 +123,8 @@ Result<std::unique_ptr<Relation>> ExternalSort(
           if (!pick || cursors[i].key() < cursors[*pick].key()) pick = i;
         }
         if (!pick) break;
-        ATIS_RETURN_NOT_OK(merged->Insert(cursors[*pick].Take()).status());
+        cursors[*pick].Take(&row);
+        ATIS_RETURN_NOT_OK(merged->InsertPacked(row).status());
       }
       for (size_t i = group; i < end; ++i) {
         ATIS_RETURN_NOT_OK(runs[i]->Clear(/*charge=*/true));

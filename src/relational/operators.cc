@@ -4,28 +4,31 @@
 
 namespace atis::relational {
 
-Result<std::vector<MatchedTuple>> SelectScan(const Relation& rel,
-                                             const Predicate& pred) {
+Result<size_t> SelectScan(const Relation& rel, Predicate pred,
+                          std::vector<uint8_t>* out) {
   obs::ScopedSpan span("select-scan", "operator");
   span.Tag("relation", rel.name());
-  std::vector<MatchedTuple> out;
+  size_t matched = 0;
   Relation::Cursor c = rel.Scan();
   for (; c.Valid(); c.Next()) {
     const RowView row = c.row();
-    if (!pred || pred(row)) out.push_back({c.rid(), row.Unpack()});
+    if (pred && !pred(row)) continue;
+    const std::span<const uint8_t> bytes = row.bytes();
+    out->insert(out->end(), bytes.begin(), bytes.end());
+    ++matched;
   }
   // A scan cut short by a storage fault must fail the statement, not
   // return a silently-partial result set.
   ATIS_RETURN_NOT_OK(c.status());
-  span.Tag("matched", static_cast<uint64_t>(out.size()));
-  return out;
+  span.Tag("matched", static_cast<uint64_t>(matched));
+  return matched;
 }
 
 namespace {
 
 /// Record ids of the rows satisfying `pred`, in scan order.
 Result<std::vector<storage::RecordId>> MatchingRids(const Relation& rel,
-                                                    const Predicate& pred) {
+                                                    Predicate pred) {
   std::vector<storage::RecordId> rids;
   Relation::Cursor c = rel.Scan();
   for (; c.Valid(); c.Next()) {
@@ -37,8 +40,7 @@ Result<std::vector<storage::RecordId>> MatchingRids(const Relation& rel,
 
 }  // namespace
 
-Result<size_t> Replace(Relation* rel, const Predicate& pred,
-                       const Updater& update) {
+Result<size_t> Replace(Relation* rel, Predicate pred, Updater update) {
   obs::ScopedSpan span("replace", "operator");
   span.Tag("relation", rel->name());
   // Two-phase: match first, then write. A single-pass scan-and-update is
@@ -50,10 +52,10 @@ Result<size_t> Replace(Relation* rel, const Predicate& pred,
   return matches.size();
 }
 
-Status Append(Relation* rel, const Tuple& tuple) {
+Status Append(Relation* rel, std::span<const uint8_t> row) {
   obs::ScopedSpan span("append", "operator");
   span.Tag("relation", rel->name());
-  return rel->Insert(tuple).status();
+  return rel->InsertPacked(row).status();
 }
 
 }  // namespace atis::relational

@@ -16,6 +16,9 @@
 #include "core/route_server.h"
 #include "graph/grid_generator.h"
 #include "graph/road_map_generator.h"
+#include "graph/relational_graph.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
 #include "util/random.h"
 
 namespace atis::core {
@@ -238,6 +241,80 @@ TEST(BatchIoTest, BatchingSharesReadsAndKeepsPerQueryIoExact) {
   const storage::IoCounters a0 = unbatched.disk().meter().counters();
   EXPECT_LT(after.blocks_read - before.blocks_read,
             a0.blocks_read - b0.blocks_read);
+}
+
+TEST(BatchIoTest, SharedAdjacencyIsServedInPlaceAndCounted) {
+  const graph::Graph g = MakeGrid(10);
+  storage::DiskManager disk;
+  storage::BufferPool pool(&disk, 16);
+  graph::RelationalGraphStore store(&pool);
+  ASSERT_TRUE(store.Load(g).ok());
+  BatchContext ctx(7);
+  auto first = ctx.FetchAdjacency(store, 11);
+  ASSERT_TRUE(first.ok());
+  auto direct = store.FetchAdjacency(11);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_EQ((*first)->size(), direct->size());
+  for (size_t i = 0; i < direct->size(); ++i) {
+    EXPECT_EQ((**first)[i].end, (*direct)[i].end);
+    EXPECT_EQ((**first)[i].cost, (*direct)[i].cost);
+  }
+  const uint64_t reads = disk.meter().counters().blocks_read;
+  auto again = ctx.FetchAdjacency(store, 11);
+  ASSERT_TRUE(again.ok());
+  // The same cached list, not a copy, and no block read for it.
+  EXPECT_EQ(*again, *first);
+  EXPECT_EQ(disk.meter().counters().blocks_read, reads);
+  EXPECT_EQ(ctx.stats().adjacency_fetches, 1u);
+  EXPECT_EQ(ctx.stats().shared_adjacency_hits, 1u);
+}
+
+// A batch of one shares nothing, so it must cost what an unbatched query
+// costs: the same answer and the same blocks, bit for bit, while the batch
+// counters still count it.
+TEST(BatchIoTest, OneMemberBatchesMatchUnbatchedRunsAndAreCounted) {
+  const graph::Graph g = MakeGrid(20);
+  std::vector<RouteQuery> queries =
+      SeededQueries(g, 6, Algorithm::kDijkstra, AStarVersion::kV3);
+  for (const AStarVersion v :
+       {AStarVersion::kV1, AStarVersion::kV2, AStarVersion::kV3,
+        AStarVersion::kV4}) {
+    const std::vector<RouteQuery> more =
+        SeededQueries(g, 6, Algorithm::kAStar, v);
+    queries.insert(queries.end(), more.begin(), more.end());
+  }
+  RouteServer::Options opt;
+  opt.num_workers = 1;
+  opt.pool_frames = 8;
+  opt.num_landmarks = 4;
+  opt.enable_cache = false;
+  opt.max_batch = 1;
+  RouteServer unbatched(g, opt);
+  ASSERT_TRUE(unbatched.init_status().ok());
+  opt.max_batch = 8;
+  RouteServer batched(g, opt);
+  ASSERT_TRUE(batched.init_status().ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    // Submitted alone, each query is its own batch.
+    auto want = unbatched.ServeBatch({queries[i]});
+    auto got = batched.ServeBatch({queries[i]});
+    ASSERT_TRUE(want.ok() && got.ok());
+    const RouteResponse& w = want->front();
+    const RouteResponse& r = got->front();
+    ASSERT_TRUE(w.status.ok() && r.status.ok()) << "query " << i;
+    EXPECT_NE(r.batch_id, 0u) << "query " << i;
+    EXPECT_EQ(r.result.found, w.result.found) << "query " << i;
+    EXPECT_EQ(r.result.cost, w.result.cost) << "query " << i;
+    EXPECT_EQ(r.result.path, w.result.path) << "query " << i;
+    EXPECT_EQ(r.io.blocks_read, w.io.blocks_read) << "query " << i;
+    EXPECT_EQ(r.io.blocks_written, w.io.blocks_written) << "query " << i;
+    EXPECT_EQ(r.result.stats.iterations, w.result.stats.iterations)
+        << "query " << i;
+  }
+  EXPECT_EQ(batched.batches_executed(), queries.size());
+  EXPECT_EQ(batched.batch_members_executed(), queries.size());
+  EXPECT_GT(batched.batch_adjacency_fetches(), 0u);
+  EXPECT_EQ(unbatched.batches_executed(), 0u);
 }
 
 // -- Coalescing -------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/random.h"
+#include "tuple_rows.h"
 
 namespace atis::relational {
 namespace {
@@ -22,7 +23,7 @@ class ExternalSortTest : public ::testing::Test {
   void FillRandom(int n, uint64_t seed = 7) {
     Rng rng(seed);
     for (int i = 0; i < n; ++i) {
-      ASSERT_TRUE(rel_.Insert(Tuple{static_cast<int64_t>(
+      ASSERT_TRUE(InsertTuple(&rel_, Tuple{static_cast<int64_t>(
                                         rng.UniformInt(uint64_t{1000})),
                                     double(i)})
                       .ok());
@@ -96,7 +97,7 @@ TEST_F(ExternalSortTest, StableForEqualKeys) {
   // Equal keys keep insertion order (payload ascending).
   for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE(
-        rel_.Insert(Tuple{int64_t{i % 3}, double(i)}).ok());
+        InsertTuple(&rel_, Tuple{int64_t{i % 3}, double(i)}).ok());
   }
   auto out = ExternalSort(rel_, "key", "out");
   ASSERT_TRUE(out.ok());
@@ -123,7 +124,7 @@ TEST_F(ExternalSortTest, ChargesRealBlockIoUnderMemoryPressure) {
   Rng rng(7);
   for (int i = 0; i < 10000; ++i) {
     ASSERT_TRUE(
-        rel.Insert(Tuple{static_cast<int64_t>(rng.UniformInt(uint64_t{1000})),
+        InsertTuple(&rel, Tuple{static_cast<int64_t>(rng.UniformInt(uint64_t{1000})),
                          double(i)})
             .ok());
   }

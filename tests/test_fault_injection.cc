@@ -19,6 +19,7 @@
 #include "relational/relation.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
+#include "tuple_rows.h"
 
 namespace atis {
 namespace {
@@ -90,7 +91,7 @@ TEST(FaultInjectionTest, RelationSurfacesErrorsOnScanAndInsert) {
   BufferPool pool(&dm, 4);
   Relation rel("t", Schema({{"id", FieldType::kInt32}}), &pool);
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(rel.Insert(Tuple{int64_t{i}}).ok());
+    ASSERT_TRUE(InsertTuple(&rel, Tuple{int64_t{i}}).ok());
   }
   ASSERT_TRUE(pool.EvictAll().ok());
   dm.FailAfter(1);
@@ -110,7 +111,7 @@ TEST(FaultInjectionTest, InPlaceReplaceSurfacesErrorAndLeaksNoPin) {
   Relation rel("t", Schema({{"id", FieldType::kInt32}}), &pool);
   ASSERT_TRUE(rel.CreateHashIndex("id", 8).ok());
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(rel.Insert(Tuple{int64_t{i}}).ok());
+    ASSERT_TRUE(InsertTuple(&rel, Tuple{int64_t{i}}).ok());
   }
   ASSERT_GE(rel.num_blocks(), 3u);
   ASSERT_TRUE(pool.EvictAll().ok());
@@ -169,22 +170,26 @@ TEST(FaultInjectionTest, SelectScanSurfacesStorageErrors) {
                                   {"cost", FieldType::kFloat}}),
                  &pool);
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(nodes.Insert(Tuple{int64_t{i}, 1.5 * i}).ok());
+    ASSERT_TRUE(InsertTuple(&nodes, Tuple{int64_t{i}, 1.5 * i}).ok());
   }
   ASSERT_TRUE(pool.EvictAll().ok());
 
   dm.FailAfter(1);
+  std::vector<uint8_t> rows;
   auto r = relational::SelectScan(
-      nodes, [](const relational::RowView& t) { return t.Double(1) > 100; });
+      nodes, [](const relational::RowView& t) { return t.Double(1) > 100; },
+      &rows);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
 
   dm.ClearFaultInjection();
   ASSERT_TRUE(pool.EvictAll().ok());
+  rows.clear();
   auto ok = relational::SelectScan(
-      nodes, [](const relational::RowView& t) { return t.Int(0) < 10; });
+      nodes, [](const relational::RowView& t) { return t.Int(0) < 10; },
+      &rows);
   ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->size(), 10u);
+  EXPECT_EQ(*ok, 10u);
 }
 
 TEST(FaultInjectionTest, IsamAndHashLookupsSurfaceErrors) {
