@@ -25,13 +25,6 @@ TEST(FieldTypeTest, IntegerClassification) {
   EXPECT_FALSE(IsIntegerType(FieldType::kDouble));
 }
 
-TEST(ValueTest, AsIntAndAsDouble) {
-  EXPECT_EQ(AsInt(Value{int64_t{5}}), 5);
-  EXPECT_EQ(AsInt(Value{3.9}), 3);
-  EXPECT_DOUBLE_EQ(AsDouble(Value{int64_t{5}}), 5.0);
-  EXPECT_DOUBLE_EQ(AsDouble(Value{2.5}), 2.5);
-}
-
 Schema TestSchema() {
   return Schema({{"a", FieldType::kInt16},
                  {"b", FieldType::kInt32},
@@ -60,21 +53,23 @@ TEST(SchemaTest, FieldIndexByName) {
 
 TEST(SchemaTest, PackUnpackRoundTrip) {
   const Schema s = TestSchema();
-  const Tuple t{int64_t{-7}, int64_t{100000}, 1.5, -2.25, int64_t{12}};
-  std::vector<uint8_t> buf(s.tuple_size());
-  ASSERT_TRUE(s.Pack(t, buf.data()).ok());
-  const Tuple back = s.Unpack(buf.data());
-  EXPECT_EQ(AsInt(back[0]), -7);
-  EXPECT_EQ(AsInt(back[1]), 100000);
-  EXPECT_DOUBLE_EQ(AsDouble(back[2]), 1.5);
-  EXPECT_DOUBLE_EQ(AsDouble(back[3]), -2.25);
-  EXPECT_EQ(AsInt(back[4]), 12);
-}
-
-TEST(SchemaTest, ArityMismatchRejected) {
-  const Schema s = TestSchema();
-  std::vector<uint8_t> buf(s.tuple_size());
-  EXPECT_TRUE(s.Pack(Tuple{int64_t{1}}, buf.data()).IsInvalidArgument());
+  std::vector<uint8_t> buf(s.tuple_size(), 0);
+  s.WriteInt(buf.data(), 0, -7);
+  s.WriteInt(buf.data(), 1, 100000);
+  s.WriteDouble(buf.data(), 2, 1.5);
+  s.WriteDouble(buf.data(), 3, -2.25);
+  s.WriteInt(buf.data(), 4, 12);
+  EXPECT_EQ(s.ReadInt(buf.data(), 0), -7);
+  EXPECT_EQ(s.ReadInt(buf.data(), 1), 100000);
+  EXPECT_DOUBLE_EQ(s.ReadDouble(buf.data(), 2), 1.5);
+  EXPECT_DOUBLE_EQ(s.ReadDouble(buf.data(), 3), -2.25);
+  EXPECT_EQ(s.ReadInt(buf.data(), 4), 12);
+  // Cross-type access converts: an integer written to a float field reads
+  // back as that number, a double written to an integer field truncates.
+  s.WriteInt(buf.data(), 2, 3);
+  EXPECT_DOUBLE_EQ(s.ReadDouble(buf.data(), 2), 3.0);
+  s.WriteDouble(buf.data(), 1, 3.9);
+  EXPECT_EQ(s.ReadInt(buf.data(), 1), 3);
 }
 
 TEST(SchemaTest, TupleSizeOverridePads) {
@@ -101,20 +96,28 @@ TEST(SchemaTest, EdgeSchemaBlockingFactorMatchesPaper) {
 TEST(SchemaTest, FloatInfinityRoundTrips) {
   Schema s({{"c", FieldType::kFloat}});
   std::vector<uint8_t> buf(s.tuple_size());
-  ASSERT_TRUE(
-      s.Pack(Tuple{std::numeric_limits<double>::infinity()}, buf.data())
-          .ok());
-  const Tuple back = s.Unpack(buf.data());
-  EXPECT_TRUE(std::isinf(AsDouble(back[0])));
+  s.WriteDouble(buf.data(), 0, std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isinf(s.ReadDouble(buf.data(), 0)));
 }
 
 TEST(SchemaTest, NarrowIntBoundaries) {
   Schema s({{"i8", FieldType::kInt8}, {"i16", FieldType::kInt16}});
   std::vector<uint8_t> buf(s.tuple_size());
-  ASSERT_TRUE(s.Pack(Tuple{int64_t{-128}, int64_t{32767}}, buf.data()).ok());
-  const Tuple back = s.Unpack(buf.data());
-  EXPECT_EQ(AsInt(back[0]), -128);
-  EXPECT_EQ(AsInt(back[1]), 32767);
+  s.WriteInt(buf.data(), 0, -128);
+  s.WriteInt(buf.data(), 1, 32767);
+  EXPECT_EQ(s.ReadInt(buf.data(), 0), -128);
+  EXPECT_EQ(s.ReadInt(buf.data(), 1), 32767);
+}
+
+TEST(SchemaTest, PackedSizeExcludesPadding) {
+  Schema padded({{"a", FieldType::kInt16}, {"b", FieldType::kFloat}}, 16);
+  EXPECT_EQ(padded.packed_size(), 6u);
+  EXPECT_EQ(padded.tuple_size(), 16u);
+  // A join row is both sides' packed fields, back to back.
+  Schema j = JoinSchema(padded, padded, "L", "R");
+  EXPECT_EQ(j.tuple_size(), 12u);
+  EXPECT_EQ(j.packed_size(), 12u);
+  EXPECT_EQ(j.FieldOffset(2), padded.packed_size());
 }
 
 TEST(SchemaTest, SameLayoutComparesTypesAndSize) {
