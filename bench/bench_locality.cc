@@ -1,37 +1,31 @@
-// Physical-locality benchmark: store layout x frontier prefetch x
-// algorithm.
+// Physical-locality benchmark: store layout x algorithm.
 //
 // The paper counts block accesses as the cost of database-resident path
 // computation but takes the physical layout of the node/edge relations as
-// given (insertion order). This benchmark measures the two layers this
-// repo adds underneath the cost model:
-//
-//   - spatial clustering: RelationalGraphStore loaded with
-//     StoreLayout::kHilbert packs spatially-near tuples into the same
-//     slotted pages, so a search whose frontier is a compact region reads
-//     fewer *distinct* blocks than under the paper's row order;
-//   - asynchronous prefetch: the engine hints the adjacency pages of the
-//     top-k frontier nodes to the buffer pool's background workers, which
-//     overlaps upcoming block reads with foreground work (it cannot reduce
-//     the distinct-block count — it moves reads off the query's critical
-//     path, which shows up as wall time under simulated device latency).
+// given (insertion order). This benchmark measures the spatial clustering
+// this repo adds underneath the cost model: RelationalGraphStore loaded
+// with StoreLayout::kHilbert packs spatially-near tuples into the same
+// slotted pages, so a search whose frontier is a compact region reads
+// fewer *distinct* blocks than under the paper's row order.
 //
 // Method: every trip runs against a cold pool large enough to hold the
 // whole working set, so each physical block is read at most once and the
-// metered disk's blocks_read delta *is* the distinct-block count (prefetch
-// reads land on worker threads, hence the global disk counters rather than
-// the per-run thread-local ones). All configurations run with
-// statement_at_a_time off — prefetched frames keep a transient pin that
-// the paper-mode between-statement EvictAll cannot tolerate, and the
-// comparison must hold the execution model fixed. Result parity is
-// enforced: every (algorithm, trip) must return the identical path cost
-// and iteration count across all four configurations — layout and
-// prefetch are physical knobs and must not change a single answer.
+// metered disk's blocks_read delta *is* the distinct-block count. The
+// delta is taken on the disk's meter around the search and the EvictAll
+// that re-colds the pool, so the trip's dirty write-backs (flushed by
+// that EvictAll, after the engine returned) count in blocks_written.
+// Both layouts run with statement_at_a_time off, the served execution
+// model: the paper-mode EvictAll between statements would re-read a
+// block once per statement touching it, and the count would stop being
+// a distinct-block count. Result parity is enforced: every (algorithm,
+// trip) must return the identical path cost and iteration count under
+// both layouts — layout is a physical knob and must not change a single
+// answer.
 //
-// Gate: Hilbert clustering + prefetch cut A* v2's distinct block reads
-// on the road map by >= 25%. Emits BENCH_locality.json (override the
-// path with a positional argument); --quick shrinks trips and drops the
-// simulated latency for CI smoke runs.
+// Gate: Hilbert clustering cuts A* v2's distinct block reads on the road
+// map by >= 25%. Emits BENCH_locality.json (override the path with a
+// positional argument); --quick shrinks trips and drops the simulated
+// latency for CI smoke runs.
 #include <chrono>
 #include <cstdio>
 #include <iterator>
@@ -49,10 +43,8 @@ constexpr uint64_t kSeed = 1993;  // the repo-wide experiment seed
 // blocks touched.
 constexpr size_t kPoolFrames = 1024;
 constexpr size_t kNumLandmarks = 8;
-constexpr size_t kPrefetchDepth = 8;
-constexpr size_t kPrefetchWorkers = 2;
 // Simulated device latency (Table 4A's read:write ratio, same scale as
-// bench_throughput) so prefetch overlap is visible in wall time.
+// bench_throughput), so the block reads a layout saves show in wall time.
 constexpr uint32_t kReadMicros = 175;
 constexpr uint32_t kWriteMicros = 250;
 
@@ -68,38 +60,19 @@ constexpr AlgoSpec kAlgos[] = {
     {"astar_v4", core::Algorithm::kAStar, core::AStarVersion::kV4},
 };
 
-struct LayoutConfig {
-  graph::StoreLayout layout = graph::StoreLayout::kRowOrder;
-  size_t prefetch_depth = 0;
-};
+/// The first layout is the baseline the others are compared against.
+constexpr graph::StoreLayout kLayouts[] = {graph::StoreLayout::kRowOrder,
+                                           graph::StoreLayout::kHilbert};
 
-constexpr LayoutConfig kConfigs[] = {
-    {graph::StoreLayout::kRowOrder, 0},
-    {graph::StoreLayout::kRowOrder, kPrefetchDepth},
-    {graph::StoreLayout::kHilbert, 0},
-    {graph::StoreLayout::kHilbert, kPrefetchDepth},
-};
-
-std::string ConfigName(const LayoutConfig& c) {
-  std::string name = graph::StoreLayoutName(c.layout);
-  name += c.prefetch_depth > 0
-              ? " +pf" + std::to_string(c.prefetch_depth)
-              : " pf-off";
-  return name;
-}
-
-/// One (algorithm, configuration) cell, summed over the map's trips.
+/// One (algorithm, layout) cell, summed over the map's trips.
 struct ConfigResult {
-  LayoutConfig config;
+  graph::StoreLayout layout = graph::StoreLayout::kRowOrder;
   uint64_t blocks_read = 0;  // distinct blocks (cold pool, no re-reads)
   uint64_t blocks_written = 0;
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t prefetch_filled = 0;
-  uint64_t prefetch_useful = 0;
-  uint64_t prefetch_wasted = 0;
   uint64_t iterations = 0;
-  double elapsed_ms = 0.0;  // foreground wall time (excl. trailing fills)
+  double elapsed_ms = 0.0;  // search wall time (excl. the trailing EvictAll)
   std::vector<double> path_costs;      // per trip, for parity checks
   std::vector<uint64_t> trip_iters;    // per trip, for parity checks
 };
@@ -132,11 +105,8 @@ void MeasureTrip(DbInstance& db, const AlgoSpec& algo, const Trip& trip,
     Fatal(std::string(algo.name) + " trip " + trip.name +
           ": no route: " + r.status().ToString());
   }
-  // Trailing prefetch reads belong to this trip's block count (they were
-  // its hints) but not to its latency; the EvictAll both attributes every
-  // unconsumed prefetched frame as wasted and re-colds the pool, and its
-  // dirty writebacks charge the trip's REPLACE traffic to blocks_written.
-  db.pool().WaitForPrefetchIdle();
+  // The EvictAll re-colds the pool, and its dirty write-backs charge the
+  // trip's REPLACE traffic to blocks_written.
   CheckOk(db.pool().EvictAll());
   const storage::IoCounters delta = db.disk().meter().counters() - before;
   const storage::BufferPoolStats ps = db.pool().stats();
@@ -145,9 +115,6 @@ void MeasureTrip(DbInstance& db, const AlgoSpec& algo, const Trip& trip,
   out.blocks_written += delta.blocks_written;
   out.hits += ps.hits;
   out.misses += ps.misses;
-  out.prefetch_filled += ps.prefetch_filled;
-  out.prefetch_useful += ps.prefetch_useful;
-  out.prefetch_wasted += ps.prefetch_wasted;
   out.iterations += r->stats.iterations;
   out.elapsed_ms += 1e3 * elapsed;
   out.path_costs.push_back(r->cost);
@@ -165,13 +132,11 @@ MapRun RunMap(const std::string& name, const graph::Graph& g,
     run.algos.push_back({algo.name, {}});
   }
 
-  for (const LayoutConfig& config : kConfigs) {
+  for (const graph::StoreLayout layout : kLayouts) {
     DbInstance::Options opt;
     opt.search.statement_at_a_time = false;  // see file comment
-    opt.search.prefetch_depth = config.prefetch_depth;
     opt.pool_frames = kPoolFrames;
-    opt.layout = config.layout;
-    opt.prefetch_workers = config.prefetch_depth > 0 ? kPrefetchWorkers : 0;
+    opt.layout = layout;
     if (!quick) {
       opt.disk_latency.read_micros = kReadMicros;
       opt.disk_latency.write_micros = kWriteMicros;
@@ -190,7 +155,7 @@ MapRun RunMap(const std::string& name, const graph::Graph& g,
 
     for (size_t a = 0; a < std::size(kAlgos); ++a) {
       ConfigResult result;
-      result.config = config;
+      result.layout = layout;
       for (const Trip& trip : trips) {
         MeasureTrip(db, kAlgos[a], trip, result);
       }
@@ -199,7 +164,7 @@ MapRun RunMap(const std::string& name, const graph::Graph& g,
   }
 
   // Parity: physical knobs must not change a single answer. Path costs
-  // and iteration counts are bit-identical across all configurations.
+  // and iteration counts are bit-identical across both layouts.
   for (const AlgoResult& algo : run.algos) {
     const ConfigResult& base = algo.configs.front();
     for (const ConfigResult& other : algo.configs) {
@@ -207,7 +172,7 @@ MapRun RunMap(const std::string& name, const graph::Graph& g,
         if (other.path_costs[t] != base.path_costs[t] ||
             other.trip_iters[t] != base.trip_iters[t]) {
           Fatal(name + " " + algo.name + " trip " + trips[t].name + " [" +
-                ConfigName(other.config) + "]: cost " +
+                graph::StoreLayoutName(other.layout) + "]: cost " +
                 std::to_string(other.path_costs[t]) + " iters " +
                 std::to_string(other.trip_iters[t]) + " vs baseline cost " +
                 std::to_string(base.path_costs[t]) + " iters " +
@@ -224,41 +189,29 @@ void PrintMap(const MapRun& run) {
               run.edges);
   for (const AlgoResult& algo : run.algos) {
     std::printf("  %s\n", algo.name.c_str());
-    PrintRow("  config", {"blocks read", "written", "fg miss", "pf useful",
-                          "pf wasted", "iters", "ms"});
+    PrintRow("  layout", {"blocks read", "written", "misses", "iters", "ms"});
     for (const ConfigResult& r : algo.configs) {
       char ms[32];
       std::snprintf(ms, sizeof(ms), "%.1f", r.elapsed_ms);
-      PrintRow("  " + ConfigName(r.config),
+      PrintRow("  " + std::string(graph::StoreLayoutName(r.layout)),
                {std::to_string(r.blocks_read),
                 std::to_string(r.blocks_written), std::to_string(r.misses),
-                std::to_string(r.prefetch_useful),
-                std::to_string(r.prefetch_wasted),
                 std::to_string(r.iterations), ms});
     }
   }
 }
 
-/// blocks_read of (layout, depth) relative to the row-order/no-prefetch
-/// baseline for one algorithm; negative when the config reads *more*.
-double Reduction(const AlgoResult& algo, graph::StoreLayout layout,
-                 size_t depth) {
-  const ConfigResult* base = nullptr;
-  const ConfigResult* probe = nullptr;
+/// blocks_read of `layout` relative to the row-order baseline for one
+/// algorithm; negative when the layout reads *more*.
+double Reduction(const AlgoResult& algo, graph::StoreLayout layout) {
+  const ConfigResult& base = algo.configs.front();
   for (const ConfigResult& r : algo.configs) {
-    if (r.config.layout == graph::StoreLayout::kRowOrder &&
-        r.config.prefetch_depth == 0) {
-      base = &r;
-    }
-    if (r.config.layout == layout && r.config.prefetch_depth == depth) {
-      probe = &r;
+    if (r.layout == layout && base.blocks_read > 0) {
+      return 1.0 - static_cast<double>(r.blocks_read) /
+                       static_cast<double>(base.blocks_read);
     }
   }
-  if (base == nullptr || probe == nullptr || base->blocks_read == 0) {
-    Fatal("reduction: missing configuration");
-  }
-  return 1.0 - static_cast<double>(probe->blocks_read) /
-                   static_cast<double>(base->blocks_read);
+  Fatal("reduction: missing layout");
 }
 
 int EmitJson(const std::vector<MapRun>& runs, bool quick, double reduction,
@@ -269,8 +222,6 @@ int EmitJson(const std::vector<MapRun>& runs, bool quick, double reduction,
   w.Field("quick", quick);
   w.Field("pool_frames", kPoolFrames);
   w.Field("num_landmarks", kNumLandmarks);
-  w.Field("prefetch_depth", kPrefetchDepth);
-  w.Field("prefetch_workers", kPrefetchWorkers);
   w.Key("disk_latency_micros").BeginObject();
   w.Field("read", quick ? uint64_t{0} : uint64_t{kReadMicros});
   w.Field("write", quick ? uint64_t{0} : uint64_t{kWriteMicros});
@@ -288,15 +239,11 @@ int EmitJson(const std::vector<MapRun>& runs, bool quick, double reduction,
       w.Key("configs").BeginArray();
       for (const ConfigResult& r : algo.configs) {
         w.BeginObject();
-        w.Field("layout", graph::StoreLayoutName(r.config.layout));
-        w.Field("prefetch_depth", r.config.prefetch_depth);
+        w.Field("layout", graph::StoreLayoutName(r.layout));
         w.Field("blocks_read", r.blocks_read);
         w.Field("blocks_written", r.blocks_written);
         w.Field("hits", r.hits);
         w.Field("misses", r.misses);
-        w.Field("prefetch_filled", r.prefetch_filled);
-        w.Field("prefetch_useful", r.prefetch_useful);
-        w.Field("prefetch_wasted", r.prefetch_wasted);
         w.Field("iterations", r.iterations);
         w.Field("elapsed_ms", r.elapsed_ms);
         w.EndObject();
@@ -310,17 +257,16 @@ int EmitJson(const std::vector<MapRun>& runs, bool quick, double reduction,
   w.EndArray();
   return FinishBenchFile(
       w, path,
-      {{"minneapolis_like/astar_v2/block_reduction_hilbert_pf_vs_roworder",
+      {{"minneapolis_like/astar_v2/block_reduction_hilbert_vs_roworder",
         reduction, Better::kHigher, 0.25, /*relative=*/false}});
 }
 
 int Run(const std::string& json_path, bool quick) {
-  PrintHeader("Physical locality: layout x prefetch x algorithm",
+  PrintHeader("Physical locality: layout x algorithm",
               "Distinct block reads (cold pool, every block a first touch) "
               "and wall time\nfor row-order vs Hilbert-clustered heap "
-              "files, with and without frontier\nprefetch. Answers are "
-              "checked bit-identical across all configurations —\nlayout "
-              "and prefetch are physical knobs only.");
+              "files. Answers are checked\nbit-identical across both "
+              "layouts — layout is a physical knob only.");
 
   std::vector<MapRun> runs;
   runs.push_back(RunMap("grid30_uniform",
@@ -332,11 +278,10 @@ int Run(const std::string& json_path, bool quick) {
 
   for (const MapRun& run : runs) PrintMap(run);
 
-  // Acceptance: clustering + prefetch must cut the distinct-block count
-  // for the paper's Euclidean A* on the road map by >= 25%.
+  // Acceptance: clustering must cut the distinct-block count for the
+  // paper's Euclidean A* on the road map by >= 25%.
   const double reduction =
-      Reduction(runs.back().algos[1], graph::StoreLayout::kHilbert,
-                kPrefetchDepth);
+      Reduction(runs.back().algos[1], graph::StoreLayout::kHilbert);
   return EmitJson(runs, quick, reduction, json_path);
 }
 

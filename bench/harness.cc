@@ -34,9 +34,6 @@ DbInstance::DbInstance(const graph::Graph& g, const Options& options) {
   engine_ =
       std::make_unique<core::DbSearchEngine>(store_.get(), pool_.get(),
                                              options.search);
-  if (options.prefetch_workers > 0) {
-    pool_->StartPrefetchWorkers(options.prefetch_workers);
-  }
 }
 
 DbInstance::DbInstance(const graph::Graph& g, core::DbSearchOptions options,

@@ -39,9 +39,6 @@ class DbInstance {
     size_t pool_frames = 64;
     /// Physical order of the store's heap files (graph/spatial_layout.h).
     graph::StoreLayout layout = graph::StoreLayout::kRowOrder;
-    /// > 0 starts this many background prefetch workers on the pool;
-    /// search.prefetch_depth decides whether the engine hints them.
-    size_t prefetch_workers = 0;
     /// Simulated device latency on the metered disk (off by default).
     storage::DiskLatencyModel disk_latency;
   };

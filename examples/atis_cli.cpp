@@ -79,11 +79,11 @@ int Usage(const char* argv0) {
       "  %s serve <file> --queries=FILE [--workers=N]"
       " [--latency=READ_US,WRITE_US] [--landmarks=K] [--cache[=CAPACITY]]"
       " [--fault-rate=P] [--deadline-ms=MS] [--degraded]"
-      " [--layout=roworder|hilbert] [--prefetch-depth=K]"
+      " [--layout=roworder|hilbert]"
       " [--algorithm=ALGO] [--cell-order=N]"
       " [--obs-port=P] [--sample-every=N] [--trace-dir=DIR]"
       " [--slow-query-ms=MS] [--slow-query-log=FILE] [--repeat=N]"
-      " [--max-batch=N] [--batch-window-us=N]"
+      " [--max-batch=N]"
       " [--json=FILE] [--metrics=FILE]\n"
       "  %s alternates <file> <src> <dst> <k>\n"
       "  %s svg <file> <src> <dst> <out.svg>\n"
@@ -109,9 +109,7 @@ int Usage(const char* argv0) {
       "instead of failing.\n"
       "serve locality: --layout picks the physical store layout (default:\n"
       "the layout recorded in an ATISG2 file, else roworder; hilbert\n"
-      "clusters spatially-near tuples into shared blocks),\n"
-      "--prefetch-depth=K prefetches adjacency pages of the top-K\n"
-      "frontier nodes on background workers (0 = off).\n"
+      "clusters spatially-near tuples into shared blocks).\n"
       "serve observability: --obs-port=P serves /metrics, /metrics.json,\n"
       "/healthz and /statusz on 127.0.0.1:P while the batch runs (P=0\n"
       "binds an ephemeral port, printed on startup), --sample-every=N\n"
@@ -127,9 +125,8 @@ int Usage(const char* argv0) {
       "re-customize only the touched cell.\n"
       "serve batching: --max-batch=N groups up to N queued queries whose\n"
       "sources share a map region into one batch (shared adjacency scans,\n"
-      "merged prefetch hints, coalesced duplicates; answers stay\n"
-      "bit-identical), --batch-window-us=N holds an underfull batch open\n"
-      "that long for late same-region arrivals (default 0: never wait).\n"
+      "coalesced duplicates; answers stay bit-identical). A batch takes\n"
+      "only the queries already queued; it never waits for more.\n"
       "serve durability: --wal-dir=DIR write-ahead-logs every cost update\n"
       "(fsync at commit) and replays checkpoint + log on restart, so a\n"
       "crash loses no acknowledged update; --checkpoint-every=N rolls the\n"
@@ -530,7 +527,6 @@ int CmdServe(int argc, char** argv, const char* argv0) {
   bool degraded = false;
   double fault_rate = 0.0;
   uint64_t deadline_ms = 0;
-  size_t prefetch_depth = 0;
   bool layout_flag = false;
   graph::StoreLayout layout = graph::StoreLayout::kRowOrder;
   int obs_port = -1;  // -1 = no exporter; 0 = ephemeral
@@ -540,7 +536,6 @@ int CmdServe(int argc, char** argv, const char* argv0) {
   std::string slow_query_log = "slow_queries.jsonl";
   size_t repeat = 1;
   size_t max_batch = 1;
-  uint64_t batch_window_us = 0;
   uint32_t cell_order = 0;  // 0 = no overlay unless astar5 queries demand it
   std::string wal_dir;          // empty = durability off
   double update_rate = 0.0;     // synthetic edge-cost updates per second
@@ -608,12 +603,6 @@ int CmdServe(int argc, char** argv, const char* argv0) {
         return 2;
       }
       layout_flag = true;
-    } else if (arg.rfind("--prefetch-depth=", 0) == 0) {
-      if (!ParseNumber(FlagValue(arg, "--prefetch-depth="),
-                       "--prefetch-depth wants a count >= 0",
-                       &prefetch_depth)) {
-        return 2;
-      }
     } else if (arg.rfind("--obs-port=", 0) == 0) {
       if (!ParseNumber(FlagValue(arg, "--obs-port="),
                        "--obs-port wants a port in [0, 65535]", &obs_port, 0,
@@ -646,12 +635,6 @@ int CmdServe(int argc, char** argv, const char* argv0) {
       if (!ParseNumber(FlagValue(arg, "--max-batch="),
                        "--max-batch wants a positive count", &max_batch,
                        size_t{1})) {
-        return 2;
-      }
-    } else if (arg.rfind("--batch-window-us=", 0) == 0) {
-      if (!ParseNumber(FlagValue(arg, "--batch-window-us="),
-                       "--batch-window-us wants a count >= 0",
-                       &batch_window_us)) {
         return 2;
       }
     } else if (arg.rfind("--algorithm=", 0) == 0) {
@@ -732,10 +715,8 @@ int CmdServe(int argc, char** argv, const char* argv0) {
   opt.default_deadline_ms = deadline_ms;
   opt.enable_degraded = degraded;
   opt.layout = layout;
-  opt.prefetch_depth = prefetch_depth;
   opt.overlay_cell_order = cell_order;
   opt.max_batch = max_batch;
-  opt.batch_window_us = batch_window_us;
   opt.wal.dir = wal_dir;
   opt.wal.checkpoint_every = checkpoint_every;
   if (fault_rate > 0.0) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """atis_cli number parsing: a malformed or out-of-range number is a usage
 error (exit 2), never silently read as 0, truncated at trailing junk, or
-wrapped into a different node id.
+wrapped into a different node id. A flag the CLI no longer has is an
+unknown flag, also a usage error.
 
 Usage: check_cli_numbers.py PATH/TO/atis_cli
 
@@ -47,6 +48,10 @@ def main(argv: list[str]) -> int:
             ["serve", grid, f"--queries={good_queries}", "--latency=-5,3"],
             ["serve", grid, f"--queries={good_queries}", "--fault-rate=1"],
             ["serve", grid, f"--queries={wrapped_queries}"],
+            # Removed flags are unknown flags now.
+            ["serve", grid, f"--queries={good_queries}", "--prefetch-depth=8"],
+            ["serve", grid, f"--queries={good_queries}",
+             "--batch-window-us=200"],
             ["generate", "grid", "10x", "variance", grid],
             ["continent", "route", grid, "0", "99", "--workers=2x"],
         ]

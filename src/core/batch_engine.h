@@ -4,7 +4,7 @@
 //
 // At serving scale, concurrent queries against the same map region re-read
 // the same adjacency pages; one search at a time shares only the buffer
-// pool. A BatchContext amortises that cost inside a batch three ways:
+// pool. A BatchContext amortises that cost inside a batch two ways:
 //
 //   1. Shared adjacency scans — the first member search to expand node u
 //      performs the metered FetchAdjacency (charged, as always, to that
@@ -13,10 +13,7 @@
 //      S is read-only during serving (traffic updates are serialised
 //      against batches), so the cached rows are exactly what a private
 //      fetch would return — results stay bit-identical to serial runs.
-//   2. Merged prefetch hints — member searches share one pages-hinted set,
-//      so the batch's combined top-k frontier reaches the background
-//      prefetcher once per page per batch instead of once per query.
-//   3. Request coalescing (singleflight) — members with an identical
+//   2. Request coalescing (singleflight) — members with an identical
 //      (source, destination, algorithm, version) key share a single
 //      computation: the first occurrence runs, the rest copy its answer
 //      (the route-cache epoch cannot change mid-batch, so key equality
@@ -29,13 +26,11 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/db_search.h"
 #include "graph/graph.h"
 #include "graph/relational_graph.h"
-#include "storage/page.h"
 
 namespace atis::core {
 
@@ -59,10 +54,6 @@ class BatchContext {
   Result<const std::vector<graph::RelationalGraphStore::EdgeRow>*>
   FetchAdjacency(const graph::RelationalGraphStore& store, graph::NodeId u);
 
-  /// The batch-wide pages-already-hinted set member searches dedupe their
-  /// prefetch hints through (in place of the per-run private set).
-  std::unordered_set<storage::PageId>* hinted_pages() { return &hinted_; }
-
   uint64_t batch_id() const { return batch_id_; }
   const Stats& stats() const { return stats_; }
 
@@ -72,7 +63,6 @@ class BatchContext {
   std::unordered_map<graph::NodeId,
                      std::vector<graph::RelationalGraphStore::EdgeRow>>
       adjacency_;
-  std::unordered_set<storage::PageId> hinted_;
 };
 
 /// Region-affinity key for batch formation: the coarse Hilbert cell (a

@@ -43,13 +43,15 @@ std::array<uint8_t, 16> PackNode(const relational::Schema& schema,
 }
 
 /// Accumulates per-statement I/O deltas into SearchStats::IoBreakdown
-/// buckets (sum of buckets == total metered I/O of the run).
+/// buckets (sum of buckets == total metered I/O of the run). Reads the
+/// calling thread's counters, so a served run is charged only its own
+/// blocks.
 class PhaseMeter {
  public:
   explicit PhaseMeter(storage::IoMeter& meter)
-      : meter_(meter), last_(meter.counters()) {}
+      : meter_(meter), last_(meter.ThreadCounters()) {}
   void Charge(storage::IoCounters* bucket) {
-    const storage::IoCounters now = meter_.counters();
+    const storage::IoCounters now = meter_.ThreadCounters();
     *bucket += now - last_;
     last_ = now;
   }
@@ -111,42 +113,6 @@ bool BetterCandidate(double f_a, double g_a, NodeId a, double f_b,
   return a < b;
 }
 
-/// Bounded best-first list of frontier candidates observed during a
-/// select-min scan; ranked by BetterCandidate. Used to pick the top-k
-/// nodes whose adjacency pages are worth prefetching: after the best node
-/// is expanded, the runners-up are the likeliest next expansions.
-class TopKFrontier {
- public:
-  explicit TopKFrontier(size_t k) : k_(k) {}
-
-  void Offer(double f, double g, NodeId id) {
-    if (k_ == 0) return;
-    auto pos = std::find_if(
-        entries_.begin(), entries_.end(), [&](const Entry& e) {
-          return BetterCandidate(f, g, id, e.f, e.g, e.id);
-        });
-    if (pos == entries_.end() && entries_.size() >= k_) return;
-    entries_.insert(pos, Entry{f, g, id});
-    if (entries_.size() > k_) entries_.pop_back();
-  }
-
-  std::vector<NodeId> ids() const {
-    std::vector<NodeId> out;
-    out.reserve(entries_.size());
-    for (const Entry& e : entries_) out.push_back(e.id);
-    return out;
-  }
-
- private:
-  struct Entry {
-    double f;
-    double g;
-    NodeId id;
-  };
-  size_t k_;
-  std::vector<Entry> entries_;  // sorted best-first, size <= k_
-};
-
 }  // namespace
 
 std::string_view AStarVersionName(AStarVersion v) {
@@ -173,26 +139,6 @@ DbSearchEngine::DbSearchEngine(RelationalGraphStore* store,
 Status DbSearchEngine::EndStatement() {
   if (options_.statement_at_a_time) return pool_->EvictAll();
   return Status::OK();
-}
-
-size_t DbSearchEngine::PrefetchDepth() const {
-  if (options_.prefetch_depth == 0 || options_.statement_at_a_time ||
-      !pool_->prefetch_workers_running()) {
-    return 0;
-  }
-  return options_.prefetch_depth;
-}
-
-void DbSearchEngine::PrefetchFrontier(
-    const std::vector<NodeId>& frontier,
-    std::unordered_set<storage::PageId>* hinted) {
-  std::vector<storage::PageId> pages;
-  for (const NodeId u : frontier) {
-    for (const storage::PageId id : store_->AdjacencyPageIds(u)) {
-      if (hinted->insert(id).second) pages.push_back(id);
-    }
-  }
-  if (!pages.empty()) pool_->Prefetch(pages);
 }
 
 Result<std::vector<NodeId>> DbSearchEngine::ReconstructFromStore(
@@ -323,7 +269,7 @@ Result<PathResult> DbSearchEngine::BestFirstStatusAttribute(
   const bool allow_reopen = estimator != nullptr;  // A* yes, Dijkstra no
   RunObserver run{std::string(label)};
   storage::IoMeter& meter = pool_->disk()->meter();
-  const storage::IoCounters start_io = meter.counters();
+  const storage::IoCounters start_io = meter.ThreadCounters();
   PhaseMeter phase(meter);
 
   PathResult result;
@@ -331,9 +277,9 @@ Result<PathResult> DbSearchEngine::BestFirstStatusAttribute(
       (estimator == nullptr) || options_.estimator_known_admissible;
 
   // The "statement" spans below tile the metered interval exactly: every
-  // block access between start_io and the final counters() read happens
-  // inside one of them, so statement-level trace deltas sum to the run's
-  // IoCounters (asserted by test_io_breakdown.cc).
+  // block access between start_io and the final ThreadCounters() read
+  // happens inside one of them, so statement-level trace deltas sum to the
+  // run's IoCounters (asserted by test_io_breakdown.cc).
 
   // -- Initialisation (cost-model steps 1-4): reset R's working fields and
   //    open the source with path cost 0.
@@ -362,11 +308,6 @@ Result<PathResult> DbSearchEngine::BestFirstStatusAttribute(
                                           destination, dest_pt);
   };
 
-  // Pages hinted this run — batch-wide when executing under a
-  // BatchContext, so sibling searches don't re-hint each other's pages.
-  std::unordered_set<storage::PageId> private_hinted;
-  std::unordered_set<storage::PageId>* hinted =
-      batch != nullptr ? batch->hinted_pages() : &private_hinted;
   std::vector<RelationalGraphStore::EdgeRow> own_edges;  // unbatched fetches
   while (true) {
     if (deadline.expired()) {
@@ -376,13 +317,9 @@ Result<PathResult> DbSearchEngine::BestFirstStatusAttribute(
     iteration.Tag("n", result.stats.iterations + 1);
 
     // -- Statement: select u from frontierSet with minimum
-    //    C(s,u) [+ f(u,d)] — a scan of R over status = open. The scan
-    //    doubles as the prefetch ranking pass: the top-k open nodes are
-    //    the likeliest next expansions, so their adjacency pages are
-    //    hinted to the background workers once we commit to expanding.
+    //    C(s,u) [+ f(u,d)] — a scan of R over status = open.
     std::optional<std::pair<RecordId, NodeRow>> best;
     double best_f = kInf;
-    TopKFrontier topk(PrefetchDepth());
     {
       obs::ScopedSpan stmt("select-min", "statement");
       // Only open rows are decoded: the status byte is tested in place.
@@ -395,7 +332,6 @@ Result<PathResult> DbSearchEngine::BestFirstStatusAttribute(
         }
         const NodeRow row = RelationalGraphStore::NodeFromRow(view);
         const double f = row.path_cost + h(row);
-        topk.Offer(f, row.path_cost, row.id);
         // f is +inf only when a landmark proves the row cannot reach the
         // destination: never select it. An admissible search always has a
         // finite-f row open until the destination is selected, so this
@@ -422,8 +358,6 @@ Result<PathResult> DbSearchEngine::BestFirstStatusAttribute(
       result.cost = best->second.path_cost;
       break;
     }
-
-    PrefetchFrontier(topk.ids(), hinted);
 
     // -- Statement: move u out of the frontier (REPLACE status=current).
     NodeRow u = best->second;
@@ -480,7 +414,7 @@ Result<PathResult> DbSearchEngine::BestFirstStatusAttribute(
     phase.Charge(&result.stats.breakdown.marking);
   }
 
-  result.stats.io = meter.counters() - start_io;
+  result.stats.io = meter.ThreadCounters() - start_io;
   result.stats.cost_units = result.stats.io.Cost(options_.cost_params);
   if (result.found) {
     ATIS_ASSIGN_OR_RETURN(result.path,
@@ -497,7 +431,7 @@ Result<PathResult> DbSearchEngine::ServedAStar(NodeId source,
                                                BatchContext* batch) {
   RunObserver run{"astar-v4"};
   storage::IoMeter& meter = pool_->disk()->meter();
-  const storage::IoCounters start_io = meter.counters();
+  const storage::IoCounters start_io = meter.ThreadCounters();
   PhaseMeter phase(meter);
 
   PathResult result;
@@ -537,10 +471,6 @@ Result<PathResult> DbSearchEngine::ServedAStar(NodeId source,
   }
   phase.Charge(&result.stats.breakdown.init);
 
-  std::unordered_set<storage::PageId> private_hinted;
-  std::unordered_set<storage::PageId>* hinted =
-      batch != nullptr ? batch->hinted_pages() : &private_hinted;
-  const size_t prefetch_depth = PrefetchDepth();
   std::vector<RelationalGraphStore::EdgeRow> own_edges;  // unbatched fetches
   auto expand = [&](NodeId u, const auto& relax) -> Status {
     if (deadline.expired()) {
@@ -550,11 +480,6 @@ Result<PathResult> DbSearchEngine::ServedAStar(NodeId source,
     ++result.stats.nodes_expanded;
     obs::ScopedSpan iteration("iteration", "iteration");
     iteration.Tag("n", result.stats.iterations);
-    // The runners-up in the heap are the likeliest next expansions.
-    if (prefetch_depth > 0) {
-      PrefetchFrontier(search.Frontier(prefetch_depth), hinted);
-    }
-
     obs::ScopedSpan adjacency_stmt("fetch-adjacency", "statement");
     ATIS_ASSIGN_OR_RETURN(const auto edges,
                           FetchAdjacency(u, batch, &own_edges));
@@ -578,7 +503,7 @@ Result<PathResult> DbSearchEngine::ServedAStar(NodeId source,
   }));
   result.stats.reopenings = search.reopened();
 
-  result.stats.io = meter.counters() - start_io;
+  result.stats.io = meter.ThreadCounters() - start_io;
   result.stats.cost_units = result.stats.io.Cost(options_.cost_params);
   if (result.found) {
     result.cost = search.dist(destination);
@@ -611,7 +536,7 @@ Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
   const OverlayCustomization& cust = *overlay_->customization;
   RunObserver run{"astar-v5"};
   storage::IoMeter& meter = pool_->disk()->meter();
-  const storage::IoCounters start_io = meter.counters();
+  const storage::IoCounters start_io = meter.ThreadCounters();
   PhaseMeter phase(meter);
 
   PathResult result;
@@ -636,7 +561,7 @@ Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
     result.found = true;
     result.cost = 0.0;
     result.path = {source};
-    result.stats.io = meter.counters() - start_io;
+    result.stats.io = meter.ThreadCounters() - start_io;
     result.stats.cost_units = result.stats.io.Cost(options_.cost_params);
     run.Finish(result);
     return result;
@@ -771,7 +696,7 @@ Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
       .Increment(overlay_expansions);
 
   const double overlay_cost = target_hit ? search.dist(kTarget) : kInf;
-  result.stats.io = meter.counters() - start_io;
+  result.stats.io = meter.ThreadCounters() - start_io;
   result.stats.cost_units = result.stats.io.Cost(options_.cost_params);
 
   if (direct_cost <= overlay_cost && direct_cost < kInf) {
@@ -862,15 +787,15 @@ Result<PathResult> DbSearchEngine::AStarSeparateRelation(
     std::string_view label, const Deadline& deadline, BatchContext* batch) {
   RunObserver run{std::string(label)};
   storage::IoMeter& meter = pool_->disk()->meter();
-  const storage::IoCounters start_io = meter.counters();
+  const storage::IoCounters start_io = meter.ThreadCounters();
   PhaseMeter phase(meter);
 
   PathResult result;
   result.optimality_guaranteed = options_.estimator_known_admissible;
 
   // As in BestFirstStatusAttribute, the "statement" spans tile the metered
-  // interval [start_io, final counters() read] exactly; here that interval
-  // also covers reconstruction and temporary-relation cleanup.
+  // interval [start_io, final ThreadCounters() read] exactly; here that
+  // interval also covers reconstruction and temporary-relation cleanup.
 
   // Version 1 grows a private resultant relation R1 (same schema as R)
   // incrementally and keeps the frontier in a separate relation F. Both
@@ -945,11 +870,6 @@ Result<PathResult> DbSearchEngine::AStarSeparateRelation(
     });
   };
 
-  // Pages hinted this run (batch-wide under a BatchContext, as in
-  // BestFirstStatusAttribute).
-  std::unordered_set<storage::PageId> private_hinted;
-  std::unordered_set<storage::PageId>* hinted =
-      batch != nullptr ? batch->hinted_pages() : &private_hinted;
   std::vector<RelationalGraphStore::EdgeRow> own_edges;  // unbatched fetches
   while (true) {
     if (deadline.expired()) {
@@ -958,8 +878,7 @@ Result<PathResult> DbSearchEngine::AStarSeparateRelation(
     obs::ScopedSpan iteration("iteration", "iteration");
     iteration.Tag("n", result.stats.iterations + 1);
 
-    // -- Statement: scan F for the minimum f entry (and the prefetch
-    //    top-k, as in BestFirstStatusAttribute).
+    // -- Statement: scan F for the minimum f entry.
     struct FrontierEntry {
       RecordId rid;
       NodeId id;
@@ -967,7 +886,6 @@ Result<PathResult> DbSearchEngine::AStarSeparateRelation(
       double f;
     };
     std::optional<FrontierEntry> best;
-    TopKFrontier topk(PrefetchDepth());
     {
       obs::ScopedSpan stmt("select-min", "statement");
       Relation::Cursor c = frontier.Scan();
@@ -975,7 +893,6 @@ Result<PathResult> DbSearchEngine::AStarSeparateRelation(
         const RowView row = c.row();
         const FrontierEntry e{c.rid(), static_cast<NodeId>(row.Int(kFId)),
                               row.Double(kFG), row.Double(kFF)};
-        topk.Offer(e.f, e.g, e.id);
         if (!best || BetterCandidate(e.f, e.g, e.id, best->f, best->g,
                                      best->id)) {
           best = e;
@@ -989,7 +906,6 @@ Result<PathResult> DbSearchEngine::AStarSeparateRelation(
 
     const NodeId uid = best->id;
     const double ug = best->g;
-    PrefetchFrontier(topk.ids(), hinted);
 
     // -- Statement: DELETE the selected tuple from F.
     {
@@ -1138,7 +1054,7 @@ Result<PathResult> DbSearchEngine::AStarSeparateRelation(
   cleanup_stmt.End();
   phase.Charge(&result.stats.breakdown.cleanup);
 
-  result.stats.io = meter.counters() - start_io;
+  result.stats.io = meter.ThreadCounters() - start_io;
   result.stats.cost_units = result.stats.io.Cost(options_.cost_params);
   result.path = std::move(path);
   run.Finish(result);
@@ -1154,7 +1070,7 @@ Result<PathResult> DbSearchEngine::Iterative(NodeId source,
   (void)batch;
   RunObserver run("iterative");
   storage::IoMeter& meter = pool_->disk()->meter();
-  const storage::IoCounters start_io = meter.counters();
+  const storage::IoCounters start_io = meter.ThreadCounters();
   PhaseMeter phase(meter);
 
   PathResult result;
@@ -1316,7 +1232,7 @@ Result<PathResult> DbSearchEngine::Iterative(NodeId source,
   ATIS_ASSIGN_OR_RETURN(auto dest, store_->GetNode(destination));
   probe_stmt.End();
   phase.Charge(&result.stats.breakdown.cleanup);
-  result.stats.io = meter.counters() - start_io;
+  result.stats.io = meter.ThreadCounters() - start_io;
   result.stats.cost_units = result.stats.io.Cost(options_.cost_params);
   if (dest.second.path_cost != kInf) {
     result.found = true;

@@ -35,7 +35,6 @@
 
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "core/estimator.h"
@@ -73,13 +72,6 @@ struct DbSearchOptions {
   storage::CostParams cost_params;
   /// Propagated to PathResult::optimality_guaranteed for A*.
   bool estimator_known_admissible = true;
-  /// Number of best-ranked frontier nodes whose S adjacency pages are
-  /// hinted to BufferPool::Prefetch after each frontier scan (0 = off).
-  /// Effective only when the pool's prefetch workers are running and
-  /// `statement_at_a_time` is false: a prefetch keeps its frame pinned
-  /// while the read is in flight, which the paper-mode EvictAll between
-  /// statements cannot tolerate, so hints are suppressed in that mode.
-  size_t prefetch_depth = 0;
 };
 
 class DbSearchEngine {
@@ -96,8 +88,8 @@ class DbSearchEngine {
   /// next run begins with its own ResetSearchState).
   ///
   /// All entry points also take an optional BatchContext: when non-null,
-  /// per-node adjacency fetches and prefetch hints route through the
-  /// batch's shared caches (core/batch_engine.h). Results are identical
+  /// per-node adjacency fetches route through the batch's shared
+  /// adjacency cache (core/batch_engine.h). Results are identical
   /// to a `batch == nullptr` run — only the block I/O charged to this
   /// query shrinks when an earlier batch member already fetched a node.
   /// The Iterative algorithm reaches neighbours through a relational join
@@ -201,18 +193,6 @@ class DbSearchEngine {
       graph::NodeId source, graph::NodeId destination);
 
   Status EndStatement();
-
-  /// Effective prefetch depth for this run (0 when suppressed).
-  size_t PrefetchDepth() const;
-  /// Hints the adjacency pages of `frontier` (best-first ranked node ids)
-  /// to the pool's background workers. `hinted` is the run's
-  /// pages-already-hinted set: each page is enqueued at most once per
-  /// search, so steady frontiers don't re-queue the same ids every
-  /// iteration. Under a BatchContext the set is batch-wide, so the
-  /// members' merged frontier reaches the prefetcher once per page per
-  /// batch. Advisory; never fails.
-  void PrefetchFrontier(const std::vector<graph::NodeId>& frontier,
-                        std::unordered_set<storage::PageId>* hinted);
 
   graph::RelationalGraphStore* store_;
   storage::BufferPool* pool_;

@@ -24,10 +24,6 @@ namespace atis::core {
 
 namespace {
 
-/// Background prefetch fill threads the shared pool runs when
-/// prefetch_depth > 0.
-constexpr size_t kPrefetchFillThreads = 2;
-
 /// The write-path stages atis_update_stage_seconds times, in run order.
 enum UpdateStage : size_t {
   kStageWal,
@@ -74,7 +70,6 @@ RouteServer::RouteServer(const graph::Graph& g, Options options)
   StartPool();
   DbSearchOptions search = options_.search;
   search.statement_at_a_time = false;  // unsafe with concurrent pinners
-  search.prefetch_depth = options_.prefetch_depth;
 
   // Crash recovery: the base metric every replica loads is the caller's
   // graph, corrected by the newest checkpoint plus every committed WAL
@@ -400,10 +395,6 @@ Status RouteServer::StartServing(std::shared_ptr<MetricState> initial) {
   pool_->SetRetryPolicy(options_.retry);
   disk_.SetFaultProfile(options_.fault_profile);
 
-  if (options_.prefetch_depth > 0) {
-    pool_->StartPrefetchWorkers(kPrefetchFillThreads);
-  }
-
   workers_.reserve(options_.num_workers);
   for (size_t w = 0; w < options_.num_workers; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
@@ -458,7 +449,6 @@ Result<std::vector<RouteResponse>> RouteServer::ServeBatch(
   // this stack frame; workers hold pointers to it only while the frame is
   // pinned here.
   ServeCall call;
-  const auto enqueued = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(mu_);
     call.remaining = admitted;
@@ -469,7 +459,6 @@ Result<std::vector<RouteResponse>> RouteServer::ServeBatch(
       item.index = i;
       item.region =
           regions_ != nullptr ? regions_->RegionOf(queries[i].source) : 0;
-      item.enqueued = enqueued;
       item.call = &call;
       pending_.push_back(item);
     }
@@ -496,33 +485,13 @@ bool RouteServer::ClaimBatch(std::unique_lock<std::mutex>& lock,
   pending_.pop_front();
   const uint64_t region = claimed->front().region;
   const size_t max_batch = std::max<size_t>(1, options_.max_batch);
-  auto claim_matching = [&] {
-    for (auto it = pending_.begin();
-         it != pending_.end() && claimed->size() < max_batch;) {
-      if (it->region == region) {
-        claimed->push_back(*it);
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-  claim_matching();
-
-  // Underfull batch: optionally hold it open for late same-region
-  // arrivals, bounded by the seed's enqueue time plus the window. Other
-  // workers keep draining other regions meanwhile.
-  if (claimed->size() < max_batch && options_.batch_window_us > 0) {
-    const auto hold_until =
-        claimed->front().enqueued +
-        std::chrono::microseconds(options_.batch_window_us);
-    while (claimed->size() < max_batch && !stop_) {
-      if (work_cv_.wait_until(lock, hold_until) ==
-          std::cv_status::timeout) {
-        claim_matching();
-        break;
-      }
-      claim_matching();
+  for (auto it = pending_.begin();
+       it != pending_.end() && claimed->size() < max_batch;) {
+    if (it->region == region) {
+      claimed->push_back(*it);
+      it = pending_.erase(it);
+    } else {
+      ++it;
     }
   }
 
@@ -1237,8 +1206,7 @@ std::string RouteServer::StatuszJson() {
       << ",\"num_workers\":" << num_workers()
       << ",\"queue_depth\":" << queue_depth << ",\"build\":{\"layout\":\""
       << graph::StoreLayoutName(options_.layout)
-      << "\",\"prefetch_depth\":" << options_.prefetch_depth
-      << ",\"num_landmarks\":" << options_.num_landmarks
+      << "\",\"num_landmarks\":" << options_.num_landmarks
       << ",\"default_deadline_ms\":" << options_.default_deadline_ms
       << ",\"degraded_enabled\":"
       << (options_.enable_degraded ? "true" : "false") << "}";
@@ -1254,7 +1222,6 @@ std::string RouteServer::StatuszJson() {
     out << ",\"batching\":{\"enabled\":"
         << (options_.max_batch > 1 ? "true" : "false")
         << ",\"max_batch\":" << options_.max_batch
-        << ",\"window_us\":" << options_.batch_window_us
         << ",\"region_order\":" << options_.batch_region_order
         << ",\"batches\":" << batches << ",\"members\":" << members
         << ",\"avg_occupancy\":"
@@ -1354,12 +1321,7 @@ std::string RouteServer::StatuszJson() {
               ? static_cast<double>(ps.hits) / static_cast<double>(accesses)
               : 0.0)
       << ",\"evictions\":" << ps.evictions
-      << ",\"read_retries\":" << ps.read_retries
-      << ",\"prefetch\":{\"issued\":" << ps.prefetch_issued
-      << ",\"filled\":" << ps.prefetch_filled
-      << ",\"useful\":" << ps.prefetch_useful
-      << ",\"wasted\":" << ps.prefetch_wasted
-      << ",\"dropped\":" << ps.prefetch_dropped << "}}";
+      << ",\"read_retries\":" << ps.read_retries << "}";
 
   if (trace_ring_) {
     out << ",\"traces\":{\"directory\":\""

@@ -46,10 +46,9 @@
 // max_batch - 1 queued queries whose sources share a coarse Hilbert
 // region, and runs them back-to-back through a shared BatchContext
 // (core/batch_engine.h) — one metered adjacency fetch per expanded node
-// feeds every member, prefetch hints dedupe batch-wide, and identical
-// (source, destination, algorithm, version) members coalesce into a
-// single computation. Answers are bit-identical to serial execution; only
-// the block I/O per query shrinks.
+// feeds every member, and identical (source, destination, algorithm,
+// version) members coalesce into a single computation. Answers are
+// bit-identical to serial execution; only the block I/O per query shrinks.
 //
 // Traffic ingestion (ApplyUpdates / UpdateEdgeCost): the write path is
 // MVCC-lite. Every metric the server has ever served is an immutable
@@ -196,10 +195,6 @@ class RouteServer {
     /// spatially-near tuples into shared blocks (fewer distinct block
     /// reads per query); kRowOrder is the paper's layout.
     graph::StoreLayout layout = graph::StoreLayout::kRowOrder;
-    /// Frontier prefetch depth for every engine (top-k frontier nodes
-    /// whose adjacency pages are hinted each iteration; 0 = off). When
-    /// > 0 the shared pool runs two background prefetch fill threads.
-    size_t prefetch_depth = 0;
     /// Landmarks for A* Version 4. 0 disables; > 0 selects this many
     /// landmarks on the float-rounded map, persists the table through the
     /// storage layer once, and enables kV4 queries on every worker.
@@ -237,16 +232,11 @@ class RouteServer {
     /// Batched execution: a worker claims up to this many queued queries
     /// sharing a region (see batch_region_order) and runs them as one
     /// batch through a shared BatchContext — one metered adjacency fetch
-    /// per expanded node feeds every member, prefetch hints dedupe
-    /// batch-wide, and identical queries coalesce into one computation.
+    /// per expanded node feeds every member, and identical queries
+    /// coalesce into one computation.
     /// Results stay bit-identical to serial execution; only per-query I/O
     /// shrinks. 1 (default) = unbatched, the pre-batching serving path.
     size_t max_batch = 1;
-    /// How long a worker holds an underfull batch open waiting for more
-    /// same-region arrivals, measured from the seed query's enqueue time.
-    /// 0 (default) = never wait: queries already queued still batch
-    /// together, but nothing is delayed for future arrivals.
-    uint64_t batch_window_us = 0;
     /// Region-affinity granularity: queries are grouped by the Hilbert
     /// cell of their source on a 2^order x 2^order grid over the map's
     /// bounding box. Read only when max_batch > 1.
@@ -461,7 +451,7 @@ class RouteServer {
 
   /// Per-worker serving state as a JSON object: breaker state and
   /// transition counts, queue depth, cache hit/stale rates, degraded
-  /// serving counters, buffer-pool and prefetch stats, SLO windows,
+  /// serving counters, buffer-pool stats, SLO windows,
   /// uptime, and build/layout info. This is the /statusz body.
   std::string StatuszJson();
 
@@ -477,7 +467,6 @@ class RouteServer {
     std::vector<RouteResponse>* out = nullptr;
     size_t index = 0;      ///< position within the dispatcher's call
     uint64_t region = 0;   ///< batch-formation affinity key
-    std::chrono::steady_clock::time_point enqueued;
     ServeCall* call = nullptr;
   };
 
@@ -507,15 +496,14 @@ class RouteServer {
   void StartPool();
   /// Construction's shared tail, once the backend loaded: metric series,
   /// cache, observability, breakers, metric version 1 (`initial`),
-  /// fault/retry install, prefetch and worker threads. Non-OK (and no
+  /// fault/retry install and worker threads. Non-OK (and no
   /// worker started) on a broken observability configuration.
   Status StartServing(std::shared_ptr<MetricState> initial);
 
   void WorkerLoop(size_t worker_id);
   /// Claims a batch from the queue: a FIFO seed plus up to max_batch - 1
-  /// pending queries sharing its region, optionally holding the batch
-  /// open batch_window_us for late same-region arrivals. Returns false on
-  /// shutdown. `lock` must hold mu_.
+  /// pending queries sharing its region; it never waits for later
+  /// arrivals. Returns false on shutdown. `lock` must hold mu_.
   bool ClaimBatch(std::unique_lock<std::mutex>& lock,
                   std::vector<WorkItem>* claimed, uint64_t* batch_id);
   RouteResponse RunOne(size_t worker_id, size_t query_index,

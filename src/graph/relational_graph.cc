@@ -179,19 +179,13 @@ Status RelationalGraphStore::Load(const Graph& g,
   // Edge tuples are grouped by begin node in the same physical order;
   // within a node the g.Neighbors order is preserved, so per-key hash
   // chains — and hence FetchAdjacency results — match across layouts.
-  adjacency_pages_.assign(g.num_nodes(), {});
   adjacency_rids_.assign(g.num_nodes(), {});
   for (const NodeId u : order) {
-    std::vector<storage::PageId>& pages =
-        adjacency_pages_[static_cast<size_t>(u)];
     std::vector<storage::RecordId>& rids =
         adjacency_rids_[static_cast<size_t>(u)];
     for (const Edge& e : g.Neighbors(u)) {
       ATIS_ASSIGN_OR_RETURN(storage::RecordId rid,
                             InsertEdge(EdgeRow{u, e.to, e.cost}));
-      if (pages.empty() || pages.back() != rid.page) {
-        pages.push_back(rid.page);
-      }
       rids.push_back(rid);
     }
   }
@@ -285,7 +279,6 @@ Status RelationalGraphStore::LoadStreaming(const std::string& path,
         e.cost}));
   }
   ATIS_RETURN_NOT_OK(edge_sorter.Finish());
-  adjacency_pages_.assign(static_cast<size_t>(n), {});
   adjacency_rids_.assign(static_cast<size_t>(n), {});
   {
     EdgeSpillRecord rec{};
@@ -294,11 +287,6 @@ Status RelationalGraphStore::LoadStreaming(const std::string& path,
       if (!more) break;
       ATIS_ASSIGN_OR_RETURN(storage::RecordId rid,
                             InsertEdge(EdgeRow{rec.u, rec.v, rec.cost}));
-      std::vector<storage::PageId>& pages =
-          adjacency_pages_[static_cast<size_t>(rec.u)];
-      if (pages.empty() || pages.back() != rid.page) {
-        pages.push_back(rid.page);
-      }
       adjacency_rids_[static_cast<size_t>(rec.u)].push_back(rid);
     }
   }
@@ -308,15 +296,6 @@ Status RelationalGraphStore::LoadStreaming(const std::string& path,
   layout_ = options.layout;
   loaded_ = true;
   return Status::OK();
-}
-
-const std::vector<storage::PageId>& RelationalGraphStore::AdjacencyPageIds(
-    NodeId u) const {
-  static const std::vector<storage::PageId> kEmpty;
-  if (u < 0 || static_cast<size_t>(u) >= adjacency_pages_.size()) {
-    return kEmpty;
-  }
-  return adjacency_pages_[static_cast<size_t>(u)];
 }
 
 Result<std::vector<RelationalGraphStore::EdgeRow>>

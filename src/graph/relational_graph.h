@@ -130,12 +130,6 @@ class RelationalGraphStore {
   /// The physical layout this store was loaded with.
   StoreLayout layout() const { return layout_; }
 
-  /// Heap-file pages of S holding u's adjacency tuples, from the in-memory
-  /// directory built at load time (no metered I/O — this is metadata, like
-  /// HeapFile's own page table). Empty for nodes without out-edges.
-  /// Record pages are stable: UpdateEdgeCost rewrites tuples in place.
-  const std::vector<storage::PageId>& AdjacencyPageIds(NodeId u) const;
-
   relational::Relation& edge_relation() { return s_; }
   const relational::Relation& edge_relation() const { return s_; }
   relational::Relation& node_relation() { return r_; }
@@ -253,8 +247,6 @@ class RelationalGraphStore {
   std::unique_ptr<relational::Relation> overlay_shortcuts_;  ///< OS
   bool loaded_ = false;
   StoreLayout layout_ = StoreLayout::kRowOrder;
-  /// adjacency_pages_[u] = deduplicated S pages of u's edge tuples.
-  std::vector<std::vector<storage::PageId>> adjacency_pages_;
   /// adjacency_rids_[u] = u's edge tuples in insertion order — the
   /// clustered access path FetchAdjacency uses under kHilbert. Stable for
   /// the store's lifetime (S tuples are updated in place, never moved).

@@ -76,10 +76,7 @@ class BasicShortestPathSearch {
   using Entry = std::conditional_t<kGuided, GuidedEntry,
                                    std::pair<double, NodeId>>;
   using Order = std::conditional_t<kGuided, SettlesLater, std::greater<>>;
-  /// The frontier; its container is exposed for Frontier()'s walk.
-  struct Heap : std::priority_queue<Entry, std::vector<Entry>, Order> {
-    using std::priority_queue<Entry, std::vector<Entry>, Order>::c;
-  };
+  using Heap = std::priority_queue<Entry, std::vector<Entry>, Order>;
 
  public:
   /// Handed to the adjacency callable: relax(v, cost) offers dist(u) +
@@ -211,39 +208,6 @@ class BasicShortestPathSearch {
   {
     while (!heap_.empty() && IsStale(heap_.top())) heap_.pop();
     return heap_.empty() ? kInf : heap_.top().first;
-  }
-
-  /// Up to k distinct open nodes, in the order they would settle next if
-  /// no label changed: a best-first walk of the heap's tree (a child never
-  /// settles before its parent), so it reads O(k) entries plus stale ones.
-  std::vector<NodeId> Frontier(size_t k) const {
-    std::vector<NodeId> out;
-    const std::vector<Entry>& c = heap_.c;
-    const auto later = [&c](size_t a, size_t b) {
-      return Order()(c[a], c[b]);
-    };
-    std::vector<size_t> walk;
-    if (!c.empty()) walk.push_back(0);
-    while (!walk.empty() && out.size() < k) {
-      std::pop_heap(walk.begin(), walk.end(), later);
-      const size_t i = walk.back();
-      walk.pop_back();
-      if constexpr (kGuided) {
-        if (c[i].key == kInf) continue;  // never settles, nor do children
-      }
-      const NodeId id = IdOf(c[i]);
-      if (!IsStale(c[i]) &&
-          std::find(out.begin(), out.end(), id) == out.end()) {
-        out.push_back(id);
-      }
-      for (const size_t child : {2 * i + 1, 2 * i + 2}) {
-        if (child < c.size()) {
-          walk.push_back(child);
-          std::push_heap(walk.begin(), walk.end(), later);
-        }
-      }
-    }
-    return out;
   }
 
   double dist(NodeId u) const { return dist_[static_cast<size_t>(u)]; }

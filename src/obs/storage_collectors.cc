@@ -44,30 +44,6 @@ void RegisterStorageCollectors(MetricsRegistry& registry,
     r.GetCounter("atis_buffer_retries_exhausted_total",
                  "Miss fills that failed after the full retry budget")
         .Set(bp.retries_exhausted);
-    r.GetCounter("atis_prefetch_issued_total",
-                 "Prefetch hints accepted into the background queue")
-        .Set(bp.prefetch_issued);
-    r.GetCounter("atis_prefetch_dropped_total",
-                 "Prefetch hints dropped without a disk read")
-        .Set(bp.prefetch_dropped);
-    r.GetCounter("atis_prefetch_filled_total",
-                 "Pages read into frames by the prefetch workers")
-        .Set(bp.prefetch_filled);
-    r.GetCounter("atis_prefetch_useful_total",
-                 "Prefetched frames later consumed by a foreground fetch")
-        .Set(bp.prefetch_useful);
-    r.GetCounter("atis_prefetch_wasted_total",
-                 "Prefetched frames evicted before any foreground fetch")
-        .Set(bp.prefetch_wasted);
-    r.GetCounter("atis_prefetch_errors_total",
-                 "Prefetch fills failed by disk faults")
-        .Set(bp.prefetch_errors);
-    const uint64_t attributed = bp.prefetch_useful + bp.prefetch_wasted;
-    r.GetGauge("atis_prefetch_hit_ratio",
-               "useful / (useful + wasted) prefetched frames")
-        .Set(attributed > 0 ? static_cast<double>(bp.prefetch_useful) /
-                                  static_cast<double>(attributed)
-                            : 0.0);
     const uint64_t accesses = bp.hits + bp.misses;
     r.GetGauge("atis_buffer_hit_ratio",
                "hits / (hits + misses) since pool creation")

@@ -94,7 +94,6 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity, size_t num_shards)
 }
 
 BufferPool::~BufferPool() {
-  StopPrefetchWorkers();
   // Best effort: persist dirty pages. Errors are ignored in a destructor.
   (void)FlushAll();
 }
@@ -117,7 +116,6 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
       if (pins >= 0) {
         if (f.id.load(std::memory_order_relaxed) == id) {
           shard.hits.fetch_add(1, std::memory_order_relaxed);
-          NotePrefetchConsumed(f);
           return PageGuard(this, id, &f.page, idx);
         }
         f.pins.fetch_sub(1, std::memory_order_release);  // ABA: undo
@@ -144,7 +142,6 @@ Result<PageGuard> BufferPool::FetchPageSlow(Shard& shard, PageId id) {
       // busy, so a plain increment pins it.
       f.pins.fetch_add(1, std::memory_order_acquire);
       shard.hits.fetch_add(1, std::memory_order_relaxed);
-      NotePrefetchConsumed(f);
       return PageGuard(this, id, &f.page, idx);
     }
 
@@ -156,7 +153,6 @@ Result<PageGuard> BufferPool::FetchPageSlow(Shard& shard, PageId id) {
     // the victim page reads it straight from disk, and that read must
     // observe this write-back (the latch orders them).
     Result<uint32_t> victim = ClaimVictim(shard);
-    if (WaitForPrefetchFill(shard, lock, victim)) continue;
     shard.misses.fetch_add(1, std::memory_order_relaxed);
     if (!victim.ok()) return victim.status();
     const uint32_t fill = victim.value();
@@ -184,25 +180,11 @@ Result<PageGuard> BufferPool::FetchPageSlow(Shard& shard, PageId id) {
   }
 }
 
-bool BufferPool::WaitForPrefetchFill(Shard& shard,
-                                     std::unique_lock<std::mutex>& lock,
-                                     const Result<uint32_t>& claim) {
-  if (claim.ok() || claim.status().code() != StatusCode::kResourceExhausted ||
-      shard.prefetch_fills == 0) {
-    return false;
-  }
-  ++shard.waiting_misses;
-  shard.io_cv.wait(lock);
-  --shard.waiting_misses;
-  return true;
-}
-
 Result<PageGuard> BufferPool::NewPage() {
   const PageId id = disk_->AllocatePage();
   Shard& shard = ShardFor(id);
-  std::unique_lock<std::mutex> lock(shard.mu);
+  std::lock_guard<std::mutex> lock(shard.mu);
   Result<uint32_t> victim = ClaimVictim(shard);
-  while (WaitForPrefetchFill(shard, lock, victim)) victim = ClaimVictim(shard);
   if (!victim.ok()) return victim.status();
   const uint32_t idx = victim.value();
   Frame& f = shard.frames[idx];
@@ -276,7 +258,6 @@ Status BufferPool::EvictAll() {
         }
         shard.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
       }
-      NotePrefetchDiscarded(f);
       Unmap(f);
       shard.free_frames.push_back(static_cast<uint32_t>(i));
       f.pins.store(0, std::memory_order_release);
@@ -297,7 +278,6 @@ Status BufferPool::DeletePage(PageId id) {
         return Status::FailedPrecondition("DeletePage on pinned page " +
                                           std::to_string(id));
       }
-      NotePrefetchDiscarded(f);
       Unmap(f);
       shard.free_frames.push_back(idx);
       f.pins.store(0, std::memory_order_release);
@@ -334,12 +314,6 @@ BufferPoolStats BufferPool::stats() const {
   }
   s.read_retries = read_retries_.load(std::memory_order_relaxed);
   s.retries_exhausted = retries_exhausted_.load(std::memory_order_relaxed);
-  s.prefetch_issued = prefetch_issued_.load(std::memory_order_relaxed);
-  s.prefetch_dropped = prefetch_dropped_.load(std::memory_order_relaxed);
-  s.prefetch_filled = prefetch_filled_.load(std::memory_order_relaxed);
-  s.prefetch_useful = prefetch_useful_.load(std::memory_order_relaxed);
-  s.prefetch_wasted = prefetch_wasted_.load(std::memory_order_relaxed);
-  s.prefetch_errors = prefetch_errors_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -354,12 +328,6 @@ void BufferPool::ResetStats() {
   }
   read_retries_.store(0, std::memory_order_relaxed);
   retries_exhausted_.store(0, std::memory_order_relaxed);
-  prefetch_issued_.store(0, std::memory_order_relaxed);
-  prefetch_dropped_.store(0, std::memory_order_relaxed);
-  prefetch_filled_.store(0, std::memory_order_relaxed);
-  prefetch_useful_.store(0, std::memory_order_relaxed);
-  prefetch_wasted_.store(0, std::memory_order_relaxed);
-  prefetch_errors_.store(0, std::memory_order_relaxed);
 }
 
 Status BufferPool::ReadWithRetry(PageId id, Page* dest) {
@@ -463,165 +431,11 @@ Result<uint32_t> BufferPool::ClaimVictim(Shard& shard) {
       }
       shard.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
     }
-    NotePrefetchDiscarded(f);
     Unmap(f);
     shard.evictions.fetch_add(1, std::memory_order_relaxed);
     return best;
   }
   return Status::ResourceExhausted("buffer pool: all frames of shard pinned");
-}
-
-void BufferPool::StartPrefetchWorkers(size_t num_workers) {
-  if (num_workers == 0) num_workers = 1;
-  std::lock_guard<std::mutex> lock(prefetch_state_.mu);
-  if (!prefetch_state_.workers.empty()) return;
-  prefetch_state_.stop = false;
-  prefetch_state_.workers.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    prefetch_state_.workers.emplace_back([this] { PrefetchWorkerLoop(); });
-  }
-  prefetch_running_.store(true, std::memory_order_release);
-}
-
-void BufferPool::StopPrefetchWorkers() {
-  std::vector<std::thread> workers;
-  {
-    std::lock_guard<std::mutex> lock(prefetch_state_.mu);
-    if (prefetch_state_.workers.empty()) return;
-    prefetch_running_.store(false, std::memory_order_release);
-    prefetch_state_.stop = true;
-    // Pending hints die with the pool of workers.
-    prefetch_dropped_.fetch_add(prefetch_state_.queue.size(),
-                                std::memory_order_relaxed);
-    prefetch_state_.queue.clear();
-    prefetch_state_.queued.clear();
-    workers.swap(prefetch_state_.workers);
-    prefetch_state_.cv.notify_all();
-  }
-  for (std::thread& t : workers) t.join();
-  std::lock_guard<std::mutex> lock(prefetch_state_.mu);
-  prefetch_state_.stop = false;
-  prefetch_state_.idle_cv.notify_all();
-}
-
-size_t BufferPool::Prefetch(std::span<const PageId> ids) {
-  if (!prefetch_running_.load(std::memory_order_acquire)) {
-    prefetch_dropped_.fetch_add(ids.size(), std::memory_order_relaxed);
-    return 0;
-  }
-  size_t accepted = 0;
-  size_t dropped = 0;
-  {
-    std::lock_guard<std::mutex> lock(prefetch_state_.mu);
-    if (prefetch_state_.stop || prefetch_state_.workers.empty()) {
-      prefetch_dropped_.fetch_add(ids.size(), std::memory_order_relaxed);
-      return 0;
-    }
-    for (const PageId id : ids) {
-      if (id == kInvalidPageId ||
-          prefetch_state_.queue.size() >= kPrefetchQueueCapacity ||
-          !prefetch_state_.queued.insert(id).second) {
-        ++dropped;
-        continue;
-      }
-      prefetch_state_.queue.push_back(id);
-      ++accepted;
-    }
-    if (accepted > 0) {
-      if (accepted == 1) {
-        prefetch_state_.cv.notify_one();
-      } else {
-        prefetch_state_.cv.notify_all();
-      }
-    }
-  }
-  if (accepted > 0) {
-    prefetch_issued_.fetch_add(accepted, std::memory_order_relaxed);
-  }
-  if (dropped > 0) {
-    prefetch_dropped_.fetch_add(dropped, std::memory_order_relaxed);
-  }
-  return accepted;
-}
-
-void BufferPool::WaitForPrefetchIdle() {
-  std::unique_lock<std::mutex> lock(prefetch_state_.mu);
-  prefetch_state_.idle_cv.wait(lock, [this] {
-    return prefetch_state_.workers.empty() ||
-           (prefetch_state_.queue.empty() && prefetch_state_.in_flight == 0);
-  });
-}
-
-void BufferPool::PrefetchWorkerLoop() {
-  for (;;) {
-    PageId id = kInvalidPageId;
-    {
-      std::unique_lock<std::mutex> lock(prefetch_state_.mu);
-      prefetch_state_.cv.wait(lock, [this] {
-        return prefetch_state_.stop || !prefetch_state_.queue.empty();
-      });
-      if (prefetch_state_.stop) return;
-      id = prefetch_state_.queue.front();
-      prefetch_state_.queue.pop_front();
-      prefetch_state_.queued.erase(id);
-      ++prefetch_state_.in_flight;
-    }
-    PrefetchFill(id);
-    {
-      std::lock_guard<std::mutex> lock(prefetch_state_.mu);
-      --prefetch_state_.in_flight;
-      if (prefetch_state_.queue.empty() && prefetch_state_.in_flight == 0) {
-        prefetch_state_.idle_cv.notify_all();
-      }
-    }
-  }
-}
-
-void BufferPool::PrefetchFill(PageId id) {
-  Shard& shard = ShardFor(id);
-  std::unique_lock<std::mutex> lock(shard.mu);
-  // Already resident or being filled (by a foreground miss or another
-  // worker): the hint is satisfied by residency, nothing to do.
-  if (table_.Get(id) != kNoFrame) return;
-  // Advisory hints are droppable, never an error the caller sees: drop
-  // this one when a foreground miss is waiting for the shard's next free
-  // frame, when every frame is pinned, or when the victim write-back fails.
-  Result<uint32_t> victim =
-      shard.waiting_misses > 0
-          ? Status::ResourceExhausted("a foreground miss is waiting")
-          : ClaimVictim(shard);
-  if (!victim.ok()) {
-    prefetch_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const uint32_t idx = victim.value();
-  Frame& f = shard.frames[idx];
-  Map(f, idx, id);
-  f.io_in_progress = true;  // the frame stays busy only while in flight
-  ++shard.prefetch_fills;
-
-  lock.unlock();
-  Status io = ReadWithRetry(id, &f.page);
-  lock.lock();
-
-  f.io_in_progress = false;
-  --shard.prefetch_fills;
-  if (!io.ok()) {
-    // Roll back exactly like a failed foreground fill; waiters re-probe,
-    // find no mapping, and become the loader themselves.
-    Unmap(f);
-    shard.free_frames.push_back(idx);
-    f.pins.store(0, std::memory_order_release);
-    prefetch_errors_.fetch_add(1, std::memory_order_relaxed);
-    shard.io_cv.notify_all();
-    return;
-  }
-  f.prefetched.store(true, std::memory_order_relaxed);
-  f.stamp.store(shard.clock.fetch_add(1, std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-  f.pins.store(0, std::memory_order_release);
-  prefetch_filled_.fetch_add(1, std::memory_order_relaxed);
-  shard.io_cv.notify_all();
 }
 
 }  // namespace atis::storage

@@ -40,10 +40,9 @@
 // few instructions; a latch holder whose CAS loses to one looks again.
 //
 // LRU by unpin stamps. Unpin stores a tick of the shard's clock in
-// `frame.stamp` before its release-decrement of `pins`, and a prefetch fill
-// stamps its frame when the read completes. The victim is the unpinned
-// resident frame with the smallest stamp; free frames are used first. A
-// list LRU moves a frame to its front at exactly these two events and
+// `frame.stamp` before its release-decrement of `pins`. The victim is the
+// unpinned resident frame with the smallest stamp; free frames are used
+// first. A list LRU moves a frame to its front at exactly this event and
 // removes it while pinned, so in a single-threaded run (the paper's
 // statement-at-a-time mode and every unit test) the hit, miss, victim and
 // dirty write-back sequence is the list LRU's, tick for tick. Under
@@ -53,12 +52,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <span>
-#include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "storage/disk_manager.h"
@@ -106,14 +101,8 @@ class PageGuard {
   uint32_t frame_ = 0;
 };
 
-/// Statistics for cache behaviour analysis.
-///
-/// Prefetch accounting: a prefetch fill is not a fetch, so it counts
-/// neither hit nor miss and the `hits + misses == fetches` invariant is
-/// unchanged. A prefetched frame's fate is attributed exactly once: the
-/// first foreground fetch that lands on it counts `prefetch_useful` (and a
-/// regular hit); a prefetched frame evicted or deleted before any
-/// foreground fetch counts `prefetch_wasted`.
+/// Statistics for cache behaviour analysis. Every FetchPage counts exactly
+/// one hit or one miss.
 struct BufferPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -123,19 +112,6 @@ struct BufferPoolStats {
   uint64_t read_retries = 0;
   /// Miss fills that still failed after exhausting the retry budget.
   uint64_t retries_exhausted = 0;
-  /// Prefetch hints accepted into the background queue.
-  uint64_t prefetch_issued = 0;
-  /// Hints dropped without a disk read: workers stopped, queue full,
-  /// duplicate of a queued hint, or no evictable frame when scheduled.
-  uint64_t prefetch_dropped = 0;
-  /// Pages actually read into frames by the prefetch workers.
-  uint64_t prefetch_filled = 0;
-  /// Prefetched frames later consumed by a foreground fetch.
-  uint64_t prefetch_useful = 0;
-  /// Prefetched frames evicted/deleted before any foreground fetch.
-  uint64_t prefetch_wasted = 0;
-  /// Prefetch fills that failed (after any retries); the hint is dropped.
-  uint64_t prefetch_errors = 0;
 };
 
 /// Bounded retry with exponential backoff for miss fills. Only transient
@@ -206,39 +182,6 @@ class BufferPool {
   void SetRetryPolicy(RetryPolicy policy) { retry_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_; }
 
-  // --- Asynchronous prefetch -----------------------------------------
-  //
-  // Hints are advisory: Prefetch() never blocks on I/O and never fails.
-  // Background workers fill hinted pages through the same per-frame
-  // io_in_progress / per-shard io_cv protocol as foreground miss fills,
-  // so a foreground FetchPage racing an in-flight prefetch of the same
-  // page waits for that one read instead of issuing a second — I/O is
-  // metered exactly once, at the disk, on whichever thread performs the
-  // read. Prefetch reads respect the DiskManager FaultProfile and the
-  // pool's RetryPolicy; a failed prefetch rolls its frame back exactly
-  // like a failed miss fill and only costs a `prefetch_errors` tick.
-  //
-  // Prefetch keeps a frame pinned only while its read is in flight, so it
-  // is incompatible with the paper's statement-at-a-time EvictAll()
-  // discipline (EvictAll fails on pinned frames); it is a server-mode
-  // feature and is off unless StartPrefetchWorkers() is called.
-
-  /// Starts `num_workers` background fill threads (no-op if running).
-  void StartPrefetchWorkers(size_t num_workers = 2);
-  /// Stops and joins the workers; pending hints are dropped. Safe to call
-  /// when not running. Also called by the destructor.
-  void StopPrefetchWorkers();
-  bool prefetch_workers_running() const {
-    return prefetch_running_.load(std::memory_order_acquire);
-  }
-  /// Enqueues page hints; already-cached, in-flight and duplicate-queued
-  /// pages are skipped. Returns the number of hints accepted. Never
-  /// blocks on I/O.
-  size_t Prefetch(std::span<const PageId> ids);
-  /// Blocks until the hint queue is drained and no fill is in flight.
-  /// Test/benchmark helper; returns immediately when workers are stopped.
-  void WaitForPrefetchIdle();
-
  private:
   friend class PageGuard;
 
@@ -252,16 +195,12 @@ class BufferPool {
   struct alignas(64) Frame {
     std::atomic<PageId> id{kInvalidPageId};
     std::atomic<int32_t> pins{0};
-    /// Shard clock tick of the last unpin (or prefetch fill); the smallest
+    /// Shard clock tick of the last unpin; the smallest
     /// stamp among unpinned resident frames is the LRU victim.
     std::atomic<uint64_t> stamp{0};
     std::atomic<bool> dirty{false};
-    /// Set when a background prefetch filled this frame and no foreground
-    /// fetch has consumed it yet; drives useful/wasted attribution. Cleared
-    /// by exchange, so each fill is attributed exactly once.
-    std::atomic<bool> prefetched{false};
-    /// Set (under the shard latch) while a miss or prefetch is filling this
-    /// frame from disk *outside* the latch; the frame is kBusy meanwhile.
+    /// Set (under the shard latch) while a miss is filling this frame from
+    /// disk *outside* the latch; the frame is kBusy meanwhile.
     /// Slow-path fetchers of the same page wait on the shard's `io_cv`.
     bool io_in_progress = false;
     alignas(64) Page page;
@@ -275,10 +214,6 @@ class BufferPool {
     std::unique_ptr<Frame[]> frames;
     size_t num_frames;
     std::vector<uint32_t> free_frames;  // guarded by mu
-    /// Prefetch fills in flight and foreground misses waiting for one to
-    /// free a frame; both guarded by mu.
-    size_t prefetch_fills = 0;
-    size_t waiting_misses = 0;
     /// Touched by every unpin and hit; kept off the latch's cache line.
     alignas(64) std::atomic<uint64_t> clock{0};
     std::atomic<uint64_t> hits{0};
@@ -340,67 +275,18 @@ class BufferPool {
     f.id.store(id, std::memory_order_relaxed);
     table_.Set(id, idx);
   }
-  /// When `claim` failed only because prefetch fills hold the shard's
-  /// frames, waits (on io_cv, releasing `lock`) for one to finish and
-  /// returns true: the caller retries. Prefetch never fails a foreground
-  /// fetch.
-  static bool WaitForPrefetchFill(Shard& shard,
-                                  std::unique_lock<std::mutex>& lock,
-                                  const Result<uint32_t>& claim);
-
   /// Reads `id` into *dest honouring retry_: re-issues the read after a
   /// transient fault, with exponential backoff, up to max_attempts. Called
   /// with no shard latch held (the fill slot is already claimed).
   Status ReadWithRetry(PageId id, Page* dest);
-
-  /// Clears a frame's `prefetched` flag, attributing the outcome.
-  void NotePrefetchConsumed(Frame& f) {
-    if (f.prefetched.load(std::memory_order_relaxed) &&
-        f.prefetched.exchange(false, std::memory_order_relaxed)) {
-      prefetch_useful_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  void NotePrefetchDiscarded(Frame& f) {
-    if (f.prefetched.exchange(false, std::memory_order_relaxed)) {
-      prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  void PrefetchWorkerLoop();
-  /// Fills one hinted page (worker thread). Skips resident/in-flight
-  /// pages; drops the hint when the shard has no evictable frame or a
-  /// foreground miss is waiting for one.
-  void PrefetchFill(PageId id);
 
   DiskManager* disk_;
   size_t capacity_;
   RetryPolicy retry_;
   std::atomic<uint64_t> read_retries_{0};
   std::atomic<uint64_t> retries_exhausted_{0};
-  std::atomic<uint64_t> prefetch_issued_{0};
-  std::atomic<uint64_t> prefetch_dropped_{0};
-  std::atomic<uint64_t> prefetch_filled_{0};
-  std::atomic<uint64_t> prefetch_useful_{0};
-  std::atomic<uint64_t> prefetch_wasted_{0};
-  std::atomic<uint64_t> prefetch_errors_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   PageTable table_;
-
-  /// Hint queue + worker pool. `mu` orders queue/in-flight/stop state;
-  /// `cv` wakes workers, `idle_cv` wakes WaitForPrefetchIdle.
-  struct PrefetchState {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::condition_variable idle_cv;
-    std::deque<PageId> queue;
-    std::unordered_set<PageId> queued;  // dedup of `queue`
-    size_t in_flight = 0;
-    bool stop = false;
-    std::vector<std::thread> workers;
-  };
-  static constexpr size_t kPrefetchQueueCapacity = 256;
-  PrefetchState prefetch_state_;
-  std::atomic<bool> prefetch_running_{false};
 };
 
 }  // namespace atis::storage

@@ -117,6 +117,15 @@ class IoMeter {
     return c;
   }
 
+  /// The calling thread's counters: its ScopedThreadCounters sink when
+  /// one is installed (a served query's own blocks, however many workers
+  /// share the disk), else counters(). Per-run deltas read this, so a
+  /// run with no sink (the paper benches) sees the shared meter as before.
+  IoCounters ThreadCounters() const {
+    return internal::t_io_sink != nullptr ? *internal::t_io_sink
+                                          : counters();
+  }
+
   void Reset() {
     blocks_read_.store(0, std::memory_order_relaxed);
     blocks_written_.store(0, std::memory_order_relaxed);

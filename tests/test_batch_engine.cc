@@ -381,17 +381,16 @@ TEST(BatchCoalescingTest, CoalescedFollowersDoNotDoubleCountTheCache) {
 
 // -- Mixed-load stress (TSan target) ----------------------------------------
 
-// Concurrent dispatchers, multiple workers, batching with a hold-open
-// window, faults, tight deadlines, degraded fallbacks and coalescible
-// duplicates all at once: every query must still get exactly one answer
-// and per-call responses must stay positionally aligned.
+// Concurrent dispatchers, multiple workers, batching, faults, tight
+// deadlines, degraded fallbacks and coalescible duplicates all at once:
+// every query must still get exactly one answer and per-call responses
+// must stay positionally aligned.
 TEST(BatchStressTest, MixedLoadWithFaultsAndDeadlinesStaysCoherent) {
   const graph::Graph g = MakeGrid(12);
   RouteServer::Options opt;
   opt.num_workers = 4;
   opt.pool_frames = 16;  // real disk traffic so faults actually fire
   opt.max_batch = 4;
-  opt.batch_window_us = 200;
   opt.enable_degraded = true;
   opt.enable_cache = true;
   opt.fault_profile.seed = 1993;

@@ -293,6 +293,10 @@ TEST(FaultInjectionTest, RetryBudgetExhaustionPropagatesUnavailable) {
   EXPECT_EQ(fetched.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(pool.stats().read_retries, 2u);  // attempts 2 and 3
   EXPECT_EQ(pool.stats().retries_exhausted, 1u);
+  // ResetStats clears the pool-wide retry counters with the shard ones.
+  pool.ResetStats();
+  EXPECT_EQ(pool.stats().read_retries, 0u);
+  EXPECT_EQ(pool.stats().retries_exhausted, 0u);
 }
 
 TEST(FaultInjectionTest, PermanentFaultsAreNeverRetried) {

@@ -1,9 +1,10 @@
-// Cross-layout parity: the physical store layout (and frontier prefetch)
-// are performance knobs only — every algorithm must return bit-identical
-// answers (path, cost, iteration count) whether the heap files are in the
-// paper's row order or Hilbert-clustered, with prefetch on or off. This
-// is the correctness half of bench_locality's contract, run over the
-// paper's grid family and the Minneapolis-like road map.
+// Cross-layout parity: the physical store layout is a performance knob
+// only — every algorithm must return bit-identical answers (path, cost,
+// iteration count) whether the heap files are in the paper's row order or
+// Hilbert-clustered, run statement at a time or served (pool kept warm
+// between statements). This is the correctness half of bench_locality's
+// contract, run over the paper's grid family and the Minneapolis-like
+// road map.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -31,19 +32,15 @@ struct TripSpec {
   NodeId destination;
 };
 
-/// One store + engine, layout- and prefetch-configurable, with the ALT
-/// landmark table installed so Version 4 runs too.
+/// One store + engine, layout- and execution-mode-configurable, with the
+/// ALT landmark table installed so Version 4 runs too.
 struct LayoutFixture {
   LayoutFixture(const graph::Graph& g, StoreLayout layout,
-                size_t prefetch_depth)
+                bool statement_at_a_time)
       : pool(&disk, 256), store(&pool) {
     EXPECT_TRUE(store.Load(g, {layout}).ok());
     DbSearchOptions options;
-    if (prefetch_depth > 0) {
-      options.statement_at_a_time = false;
-      options.prefetch_depth = prefetch_depth;
-      pool.StartPrefetchWorkers(2);
-    }
+    options.statement_at_a_time = statement_at_a_time;
     engine = std::make_unique<DbSearchEngine>(&store, &pool, options);
     LandmarkOptions lm;
     lm.num_landmarks = 4;
@@ -96,15 +93,16 @@ const char* AlgorithmLabel(int algo) {
 void ExpectParity(const graph::Graph& g, const std::vector<TripSpec>& trips,
                   int min_algo) {
   // Reference: the paper-mode store (row order, statement-at-a-time).
-  LayoutFixture reference(g, StoreLayout::kRowOrder, /*prefetch_depth=*/0);
-  // Probes: the three non-default physical configurations.
-  LayoutFixture hilbert(g, StoreLayout::kHilbert, /*prefetch_depth=*/0);
-  LayoutFixture hilbert_pf(g, StoreLayout::kHilbert, /*prefetch_depth=*/4);
-  LayoutFixture roworder_pf(g, StoreLayout::kRowOrder, /*prefetch_depth=*/4);
+  LayoutFixture reference(g, StoreLayout::kRowOrder,
+                          /*statement_at_a_time=*/true);
+  // Probes: Hilbert in the paper's execution model and in the served one.
+  LayoutFixture hilbert(g, StoreLayout::kHilbert,
+                        /*statement_at_a_time=*/true);
+  LayoutFixture hilbert_served(g, StoreLayout::kHilbert,
+                               /*statement_at_a_time=*/false);
   const std::pair<const char*, LayoutFixture*> probes[] = {
       {"hilbert", &hilbert},
-      {"hilbert+prefetch", &hilbert_pf},
-      {"roworder+prefetch", &roworder_pf},
+      {"hilbert served", &hilbert_served},
   };
 
   for (const TripSpec& trip : trips) {

@@ -323,13 +323,6 @@ constexpr const char* kDocumentedFamilies[] = {
     "atis_partition_queries_total",
     "atis_partition_settled_overlay_total",
     "atis_partition_settled_store_total",
-    "atis_prefetch_dropped_total",
-    "atis_prefetch_errors_total",
-    "atis_prefetch_filled_total",
-    "atis_prefetch_hit_ratio",
-    "atis_prefetch_issued_total",
-    "atis_prefetch_useful_total",
-    "atis_prefetch_wasted_total",
     "atis_query_latency_seconds",
     "atis_relations_created_total",
     "atis_relations_deleted_total",

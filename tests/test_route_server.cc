@@ -126,6 +126,35 @@ TEST(RouteServerTest, PerQueryIoSumsToSharedDiskDelta) {
   EXPECT_EQ(writes, after.blocks_written - before.blocks_written);
 }
 
+TEST(RouteServerTest, PerQueryStatsCountOnlyTheQuerysOwnBlocks) {
+  // Four workers missing a small pool with 1 ms reads: queries overlap,
+  // so a count taken on the shared meter would include other workers'
+  // blocks. A run's SearchStats read the worker's own counters instead,
+  // which resp.io (the whole query, reconstruction included) covers.
+  const graph::Graph g = MakeGrid(12);
+  RouteServer::Options opt;
+  opt.num_workers = 4;
+  opt.pool_frames = 32;
+  opt.pool_shards = 1;
+  opt.disk_latency.read_micros = 1000;
+  RouteServer server(g, opt);
+  ASSERT_TRUE(server.init_status().ok());
+  auto batch = server.ServeBatch(CornerQueries(12, 24));
+  ASSERT_TRUE(batch.ok());
+
+  uint64_t search_reads = 0;
+  for (size_t i = 0; i < batch->size(); ++i) {
+    const RouteResponse& resp = (*batch)[i];
+    ASSERT_TRUE(resp.status.ok()) << "query " << i;
+    EXPECT_LE(resp.result.stats.io.blocks_read, resp.io.blocks_read)
+        << "query " << i;
+    EXPECT_LE(resp.result.stats.io.blocks_written, resp.io.blocks_written)
+        << "query " << i;
+    search_reads += resp.result.stats.io.blocks_read;
+  }
+  EXPECT_GT(search_reads, 0u);
+}
+
 TEST(RouteServerTest, BadQueryFailsAloneNotTheBatch) {
   const graph::Graph g = MakeGrid(6);
   RouteServer::Options opt;
@@ -353,11 +382,9 @@ TEST(RouteServerLandmarkTest, Version4WithoutLandmarksFailsPerQuery) {
   EXPECT_FALSE(batch->front().status.ok());
 }
 
-TEST(RouteServerLayoutTest, HilbertWithPrefetchMatchesPaperModeServer) {
-  // Physical knobs only: a Hilbert-clustered pool with background
-  // prefetch workers under concurrent load must answer every query
-  // exactly like the paper-mode server. (Under -DATIS_SANITIZE=thread
-  // this also races the prefetch fills against four serving workers.)
+TEST(RouteServerLayoutTest, HilbertMatchesPaperModeServer) {
+  // A physical knob only: a Hilbert-clustered store under concurrent load
+  // must answer every query exactly like the paper-mode server.
   const graph::Graph g = MakeGrid(12);
   const std::vector<RouteQuery> queries = CornerQueries(12, 24);
 
@@ -371,13 +398,11 @@ TEST(RouteServerLayoutTest, HilbertWithPrefetchMatchesPaperModeServer) {
   RouteServer::Options clustered;
   clustered.num_workers = 4;
   clustered.layout = graph::StoreLayout::kHilbert;
-  clustered.prefetch_depth = 8;
   RouteServer server(g, clustered);
   ASSERT_TRUE(server.init_status().ok());
   auto batch = server.ServeBatch(queries);
   ASSERT_TRUE(batch.ok());
-  // Repeat the batch so prefetched frames from the first pass are either
-  // consumed or recycled while new hints stream in.
+  // Repeat the batch, so the second pass runs against a warm pool.
   auto repeat = server.ServeBatch(queries);
   ASSERT_TRUE(repeat.ok());
 
@@ -392,8 +417,6 @@ TEST(RouteServerLayoutTest, HilbertWithPrefetchMatchesPaperModeServer) {
                 (*expected)[i].result.stats.iterations);
     }
   }
-  // The hints must actually reach the pool under serving load.
-  EXPECT_GT(server.pool().stats().prefetch_issued, 0u);
 }
 
 TEST(RouteServerOverlayTest, Version5MatchesDijkstraAcrossThePool) {

@@ -587,33 +587,6 @@ TEST(ShortestPathPotentialTest, InfiniteKeysAreNeverSettled) {
   search.Seed(6, 0.0);
   EXPECT_EQ(search.Step(ArcsOf(g)), kInvalidNode);
   EXPECT_EQ(search.settled(), 0u);
-  EXPECT_TRUE(search.Frontier(4).empty());
-}
-
-TEST(ShortestPathPotentialTest, FrontierListsTheNextSettlesInOrder) {
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed);
-    const size_t n = 40;
-    std::vector<double> table(n);
-    for (double& p : table) p = static_cast<double>(rng.UniformInt(0, 3));
-    size_t calls = 0;
-    BasicShortestPathSearch<double, TablePotential> search(
-        n, TablePotential{&table, &calls});
-    // Seed every node twice, the second time lower for some, so the heap
-    // holds stale entries too.
-    for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-      search.Seed(v, static_cast<double>(rng.UniformInt(2, 6)));
-      search.Seed(v, static_cast<double>(rng.UniformInt(0, 6)));
-    }
-    for (const size_t k : {size_t{1}, size_t{4}, size_t{9}}) {
-      const std::vector<NodeId> front = search.Frontier(k);
-      BasicShortestPathSearch<double, TablePotential> copy = search;
-      std::vector<NodeId> next;
-      const auto no_arcs = [](NodeId, const auto&) {};
-      while (next.size() < k) next.push_back(copy.Step(no_arcs));
-      EXPECT_EQ(front, next) << seed << " k " << k;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
