@@ -225,5 +225,76 @@ TEST(IoMeterTest, CountersAccumulate) {
   EXPECT_NE(a.ToString().find("cost_units=0.255"), std::string::npos);
 }
 
+TEST(IoMeterTest, ThreadCountersWithoutASinkAreTheSharedCounters) {
+  IoMeter meter;
+  meter.RecordRead(4);
+  meter.RecordWrite(2);
+  meter.RecordRelationCreate();
+  const IoCounters shared = meter.counters();
+  const IoCounters own = meter.ThreadCounters();
+  EXPECT_EQ(own.blocks_read, shared.blocks_read);
+  EXPECT_EQ(own.blocks_written, shared.blocks_written);
+  EXPECT_EQ(own.relations_created, shared.relations_created);
+  EXPECT_EQ(own.relations_deleted, shared.relations_deleted);
+}
+
+TEST(IoMeterTest, ThreadCountersReadTheInstalledSink) {
+  IoMeter meter;
+  meter.RecordRead(7);  // before the scope: shared only
+  IoCounters sink;
+  {
+    IoMeter::ScopedThreadCounters scope(&sink);
+    meter.RecordRead(2);
+    meter.RecordWrite(1);
+    meter.RecordRelationDelete();
+    const IoCounters own = meter.ThreadCounters();
+    EXPECT_EQ(own.blocks_read, 2u);
+    EXPECT_EQ(own.blocks_written, 1u);
+    EXPECT_EQ(own.relations_deleted, 1u);
+    EXPECT_EQ(meter.counters().blocks_read, 9u);  // the shared meter too
+  }
+  EXPECT_EQ(sink.blocks_read, 2u);
+  // Closing the scope falls back to the shared counters.
+  EXPECT_EQ(meter.ThreadCounters().blocks_read, 9u);
+}
+
+TEST(IoMeterTest, NestedSinkScopesRestoreTheOuterSink) {
+  IoMeter meter;
+  IoCounters outer;
+  IoCounters inner;
+  IoMeter::ScopedThreadCounters outer_scope(&outer);
+  meter.RecordRead(1);
+  {
+    IoMeter::ScopedThreadCounters inner_scope(&inner);
+    meter.RecordRead(3);  // the innermost sink alone
+    EXPECT_EQ(meter.ThreadCounters().blocks_read, 3u);
+  }
+  meter.RecordRead(5);
+  EXPECT_EQ(outer.blocks_read, 6u);
+  EXPECT_EQ(inner.blocks_read, 3u);
+  EXPECT_EQ(meter.ThreadCounters().blocks_read, 6u);
+  EXPECT_EQ(meter.counters().blocks_read, 9u);
+}
+
+// A sink is the installing thread's alone: blocks another thread records
+// on the same meter reach the shared counters but never this sink.
+TEST(IoMeterTest, OtherThreadsRecordsMissTheSink) {
+  IoMeter meter;
+  IoCounters sink;
+  IoMeter::ScopedThreadCounters scope(&sink);
+  meter.RecordRead(1);
+  std::thread other([&meter] {
+    meter.RecordRead(10);
+    meter.RecordWrite(4);
+  });
+  other.join();
+  meter.RecordWrite(2);
+  EXPECT_EQ(sink.blocks_read, 1u);
+  EXPECT_EQ(sink.blocks_written, 2u);
+  EXPECT_EQ(meter.ThreadCounters().blocks_read, 1u);
+  EXPECT_EQ(meter.counters().blocks_read, 11u);
+  EXPECT_EQ(meter.counters().blocks_written, 6u);
+}
+
 }  // namespace
 }  // namespace atis::storage
