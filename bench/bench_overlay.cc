@@ -51,7 +51,6 @@ struct WorkloadResult {
   size_t nodes = 0;
   size_t cells = 0;
   size_t boundary_nodes = 0;
-  size_t shortcuts = 0;
   double preprocess_ms = 0.0;      // topology persist + load
   uint64_t preprocess_blocks = 0;  // metered I/O of the same
   double customize_full_ms = 0.0;  // whole-metric customization
@@ -105,7 +104,7 @@ WorkloadResult RunWorkload(const Workload& w) {
       ValueOrDie(core::PersistAndLoadLandmarks(set, &db.store())),
       w.euclidean_scale)));
 
-  // Overlay: topology (persisted through the metered relations), then
+  // Overlay: topology (persisted through the metered OC relation), then
   // customization for the store's current metric.
   const core::OverlayTopology built = ValueOrDie(core::OverlayTopology::Build(
       w.graph, {.cell_order = kDefaultCellOrder}));
@@ -119,7 +118,6 @@ WorkloadResult RunWorkload(const Workload& w) {
   out.preprocess_blocks = io_delta.blocks_read + io_delta.blocks_written;
   out.cells = topo->num_cells();
   out.boundary_nodes = topo->num_boundary_nodes();
-  out.shortcuts = topo->num_shortcuts();
 
   graph::RelationalGraphStore* stores[] = {&db.store()};
   const auto cc_started = std::chrono::steady_clock::now();
@@ -186,10 +184,10 @@ WorkloadResult RunWorkload(const Workload& w) {
 }
 
 void PrintWorkload(const WorkloadResult& r) {
-  std::printf("\n%s (%zu nodes; %zu cells, %zu boundary, %zu shortcuts; "
-              "customize %.2fms)\n",
+  std::printf("\n%s (%zu nodes; %zu cells, %zu boundary; customize "
+              "%.2fms)\n",
               r.name.c_str(), r.nodes, r.cells, r.boundary_nodes,
-              r.shortcuts, r.customize_full_ms);
+              r.customize_full_ms);
   PrintRow("trip", {"v4 iters", "v5 iters", "v4 blocks", "v5 blocks",
                     "cost"});
   for (const TripResult& t : r.trips) {
@@ -220,7 +218,6 @@ struct CustomizationPoint {
   uint32_t cell_order = 0;
   size_t cells = 0;
   size_t boundary_nodes = 0;
-  size_t shortcuts = 0;
   double customize_full_ms = 0.0;
   double recustomize_same_cell_ms = 0.0;   // median of reps
   double recustomize_cross_cell_ms = 0.0;  // median of reps; 0 if no edge
@@ -261,7 +258,6 @@ CustomizationPoint RunCustomization(const Workload& w, uint32_t order) {
       core::PersistAndLoadOverlayTopology(built, &db.store(), w.graph));
   out.cells = topo->num_cells();
   out.boundary_nodes = topo->num_boundary_nodes();
-  out.shortcuts = topo->num_shortcuts();
 
   graph::RelationalGraphStore* stores[] = {&db.store()};
   const auto cc_started = std::chrono::steady_clock::now();
@@ -363,7 +359,6 @@ int EmitJson(const std::vector<WorkloadResult>& workloads,
     w.Field("nodes", r.nodes);
     w.Field("cells", r.cells);
     w.Field("boundary_nodes", r.boundary_nodes);
-    w.Field("shortcuts", r.shortcuts);
     w.Field("preprocess_ms", r.preprocess_ms);
     w.Field("preprocess_blocks", r.preprocess_blocks);
     w.Field("customize_full_ms", r.customize_full_ms);
@@ -397,7 +392,6 @@ int EmitJson(const std::vector<WorkloadResult>& workloads,
     w.Field("cell_order", static_cast<uint64_t>(p.cell_order));
     w.Field("cells", p.cells);
     w.Field("boundary_nodes", p.boundary_nodes);
-    w.Field("shortcuts", p.shortcuts);
     w.Field("customize_full_ms", p.customize_full_ms);
     w.Field("recustomize_same_cell_ms", p.recustomize_same_cell_ms);
     w.Field("recustomize_cross_cell_ms", p.recustomize_cross_cell_ms);

@@ -14,13 +14,13 @@ cmake --build "$repo/build" -j "$jobs"
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 echo
-echo "== tsan: concurrent stress tests (buffer pool / route server / batching / route cache / overlay / resilience / ingestion / observability) =="
+echo "== tsan: concurrent stress tests (buffer pool / route server / batching / route cache / overlay / resilience / ingestion / observability / per-thread I/O accounting) =="
 cmake -B "$repo/build-tsan" -S "$repo" -DATIS_SANITIZE=thread
 cmake --build "$repo/build-tsan" -j "$jobs" \
   --target storage_test route_server_test batch_test alt_cache_test \
-  resilience_test obs_test overlay_test ingest_test
+  resilience_test obs_test overlay_test ingest_test db_search_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
-  -R 'BufferPool|RouteServer|RouteCache|Resilien|DiskManager|CircuitBreaker|Deadline|SloWindows|HttpExporter|SlowQueryLog|TraceRing|ObsSampling|Batch|Overlay|UpdateLog|DurableFile|AtomicFile|CrashRecovery|Ingest'
+  -R 'BufferPool|RouteServer|RouteCache|Resilien|DiskManager|CircuitBreaker|Deadline|SloWindows|HttpExporter|SlowQueryLog|TraceRing|ObsSampling|Batch|Overlay|UpdateLog|DurableFile|AtomicFile|CrashRecovery|Ingest|IoMeter|DbThreadCounters'
 # The pool's races are rare interleavings: run its tests 20 more times.
 "$repo/build-tsan/tests/storage_test" --gtest_filter='BufferPool*' \
   --gtest_repeat=20 --gtest_brief=1

@@ -197,6 +197,10 @@ Status DbSearchEngine::EnableOverlay(
     return Status::InvalidArgument(
         "overlay topology does not cover this store's nodes");
   }
+  if (&overlay->customization->topology() != overlay->topology.get()) {
+    return Status::InvalidArgument(
+        "overlay customization was made for another topology");
+  }
   overlay_ = std::move(overlay);
   return Status::OK();
 }
@@ -513,18 +517,6 @@ Result<PathResult> DbSearchEngine::ServedAStar(NodeId source,
   return result;
 }
 
-namespace {
-
-/// How an overlay A* label reached its node (drives path splicing).
-enum class OverlayArc : int8_t {
-  kSeed,      ///< source -> boundary of cell(source), rev table
-  kShortcut,  ///< boundary -> boundary inside one cell, fwd table
-  kCross,     ///< an original cell-crossing edge
-  kFinish,    ///< boundary of cell(destination) -> destination, fwd table
-};
-
-}  // namespace
-
 Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
                                                  NodeId destination,
                                                  const Deadline& deadline,
@@ -583,35 +575,21 @@ Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
   //    was paid during customization. (The overlay pass below still
   //    covers leave-and-return routes; the cheaper candidate wins, and
   //    the in-cell cost bounds the overlay search from above.)
-  double direct_cost = kInf;
-  std::vector<NodeId> direct_path;
-  if (cs == cd) {
-    const OverlayTopology::Cell& cell = topo.cell(cs);
-    const OverlayCustomization::CellTables& tables = cust.cell(cs);
-    const auto ms = static_cast<size_t>(topo.MemberIndexOf(source));
-    const auto md = static_cast<size_t>(topo.MemberIndexOf(destination));
-    if (tables.incell_dist[ms][md] < kInf) {
-      direct_cost = tables.incell_dist[ms][md];
-      std::vector<int32_t> seg;
-      for (auto mi = static_cast<int32_t>(md); mi != -1;
-           mi = tables.incell_pred[ms][static_cast<size_t>(mi)]) {
-        seg.push_back(mi);
-      }
-      for (auto it = seg.rbegin(); it != seg.rend(); ++it) {
-        direct_path.push_back(cell.members[static_cast<size_t>(*it)]);
-      }
-    }
-  }
+  const auto ms = static_cast<size_t>(topo.MemberIndexOf(source));
+  const auto md = static_cast<size_t>(topo.MemberIndexOf(destination));
+  const double direct_cost =
+      cs == cd ? cust.cell(cs).incell_dist[ms][md] : kInf;
   phase.Charge(&result.stats.breakdown.adjacency);
 
   // -- Overlay A*: boundary nodes only, plus the virtual target. Arcs are
-  //    customized shortcuts, original cross edges, and the destination
-  //    cell's finishing column; the source cell's reverse column seeds
-  //    the frontier. No store I/O — every arc is a table lookup.
-  //    Labels are dense: the virtual target at index 0 and store node v at
-  //    v + 1, so the target wins equal-key ties, as BetterCandidate's
-  //    smaller-id rule has always given it; `via` records the arc each
-  //    label came by.
+  //    entries of the cells' in-cell tables — the source's row seeds the
+  //    frontier, a boundary node's row gives its shortcuts and, in the
+  //    destination's cell, its finishing leg — and the original cross
+  //    edges. No store I/O. Labels are dense: the virtual target at index
+  //    0 and store node v at v + 1, so the target wins equal-key ties, as
+  //    BetterCandidate's smaller-id rule has always given it; `by_cross`
+  //    marks the labels that came by a cross edge rather than a table
+  //    entry (drives path splicing).
   constexpr NodeId kTarget = 0;
   const auto slot = [](NodeId v) { return v + 1; };
   auto potential = [&](NodeId slot_v) {
@@ -619,13 +597,13 @@ Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
   };
   graph::BasicShortestPathSearch<double, decltype(potential)> search(
       topo.num_nodes() + 1, potential);
-  std::vector<OverlayArc> via(topo.num_nodes() + 1, OverlayArc::kSeed);
+  std::vector<uint8_t> by_cross(topo.num_nodes() + 1, 0);
   {
     const OverlayTopology::Cell& cell = topo.cell(cs);
-    const OverlayCustomization::CellTables& tables = cust.cell(cs);
-    const auto ms = static_cast<size_t>(topo.MemberIndexOf(source));
+    const std::vector<double>& row = cust.cell(cs).incell_dist[ms];
     for (size_t bi = 0; bi < cell.boundary.size(); ++bi) {
-      const double w = tables.rev_dist[bi][ms];
+      const double w =
+          row[static_cast<size_t>(cell.boundary_member_idx[bi])];
       if (w < kInf) {
         ++result.stats.nodes_generated;
         search.Seed(slot(cell.boundary[bi]), w);
@@ -643,37 +621,30 @@ Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
       ++result.stats.iterations;
       ++result.stats.nodes_expanded;
       ++overlay_expansions;
-      const auto arc = [&](NodeId slot_v, double w, OverlayArc kind) {
+      const auto arc = [&](NodeId slot_v, double w, bool cross) {
         ++result.stats.nodes_generated;
         const bool reached = search.Reached(slot_v);
         if (relax(slot_v, w)) {
           if (reached) ++result.stats.nodes_improved;
-          via[static_cast<size_t>(slot_v)] = kind;
+          by_cross[static_cast<size_t>(slot_v)] = cross;
         }
       };
       const NodeId u = slot_u - 1;
       const int32_t c = topo.CellOf(u);
       const OverlayTopology::Cell& cell = topo.cell(c);
-      const OverlayCustomization::CellTables& tables = cust.cell(c);
-      const auto bi = static_cast<size_t>(topo.BoundaryIndexOf(u));
-      for (const int32_t bj : cell.shortcut_targets[bi]) {
-        const auto mj =
-            static_cast<size_t>(cell.boundary_member_idx[static_cast<size_t>(
-                bj)]);
-        const double w = tables.fwd_dist[bi][mj];
-        if (w < kInf) {
-          arc(slot(cell.boundary[static_cast<size_t>(bj)]), w,
-              OverlayArc::kShortcut);
-        }
+      const std::vector<double>& row = cust.cell(c).incell_dist[
+          static_cast<size_t>(topo.MemberIndexOf(u))];
+      // A shortcut u -> bj exists exactly when its entry is finite.
+      for (size_t bj = 0; bj < cell.boundary.size(); ++bj) {
+        const NodeId v = cell.boundary[bj];
+        const double w =
+            row[static_cast<size_t>(cell.boundary_member_idx[bj])];
+        if (v != u && w < kInf) arc(slot(v), w, /*cross=*/false);
       }
       for (const graph::Edge& e : cust.cross_arcs(u)) {
-        arc(slot(e.to), e.cost, OverlayArc::kCross);
+        arc(slot(e.to), e.cost, /*cross=*/true);
       }
-      if (c == cd) {
-        const auto md = static_cast<size_t>(topo.MemberIndexOf(destination));
-        const double w = tables.fwd_dist[bi][md];
-        if (w < kInf) arc(kTarget, w, OverlayArc::kFinish);
-      }
+      if (c == cd && row[md] < kInf) arc(kTarget, row[md], /*cross=*/false);
       return Status::OK();
     };
     ATIS_RETURN_NOT_OK(search.Run(expand, [&](NodeId slot_u) {
@@ -698,86 +669,54 @@ Result<PathResult> DbSearchEngine::OverlaySearch(NodeId source,
   const double overlay_cost = target_hit ? search.dist(kTarget) : kInf;
   result.stats.io = meter.ThreadCounters() - start_io;
   result.stats.cost_units = result.stats.io.Cost(options_.cost_params);
-
-  if (direct_cost <= overlay_cost && direct_cost < kInf) {
-    result.found = true;
-    result.cost = direct_cost;
-    result.path = std::move(direct_path);
-    run.Finish(result);
-    return result;
-  }
-  if (overlay_cost == kInf) {
+  if (direct_cost == kInf && overlay_cost == kInf) {
     run.Finish(result);  // unreachable
     return result;
   }
 
-  // -- Splice the overlay route back into base-graph nodes: walk the
-  //    label chain target -> source, then emit each arc's intra-cell
-  //    segment from the customized parent trees.
-  std::vector<NodeId> bnodes;  // boundary nodes, source side first
-  for (const NodeId i : search.PathTo(kTarget)) {
-    if (i != kTarget) bnodes.push_back(i - 1);
-  }
-  // Appends the intra-cell path boundary[bi] -> to (exclusive of the
-  // boundary node itself) by walking cell c's forward parent tree.
-  const auto append_fwd = [&](int32_t c, size_t bi,
-                              NodeId to) -> Status {
-    const OverlayTopology::Cell& cell = topo.cell(c);
-    const OverlayCustomization::CellTables& tables = cust.cell(c);
-    const int32_t root = cell.boundary_member_idx[bi];
-    std::vector<int32_t> seg;
+  // -- Splice the route back into base-graph nodes. Every intra-cell leg
+  //    is a member-rooted tree path: appends the members after `from` up
+  //    to and including `to`, walking the in-cell parents of row `from`.
+  const auto append_leg = [&](NodeId from, NodeId to) -> Status {
+    const int32_t c = topo.CellOf(from);
+    const int32_t root = topo.MemberIndexOf(from);
+    const std::vector<int32_t>& pred =
+        cust.cell(c).incell_pred[static_cast<size_t>(root)];
+    std::vector<int32_t> leg;
     for (int32_t mi = topo.MemberIndexOf(to); mi != root;
-         mi = tables.fwd_pred[bi][static_cast<size_t>(mi)]) {
+         mi = pred[static_cast<size_t>(mi)]) {
       if (mi < 0) {
         return Status::Corruption("overlay parent tree does not reach its"
-                                  " boundary root");
+                                  " root");
       }
-      seg.push_back(mi);
+      leg.push_back(mi);
     }
-    for (auto it = seg.rbegin(); it != seg.rend(); ++it) {
+    const OverlayTopology::Cell& cell = topo.cell(c);
+    for (auto it = leg.rbegin(); it != leg.rend(); ++it) {
       result.path.push_back(cell.members[static_cast<size_t>(*it)]);
     }
     return Status::OK();
   };
 
   result.found = true;
-  result.cost = overlay_cost;
   result.path = {source};
-  {
-    // Seed segment: source -> bnodes[0] via the reverse successor tree.
-    const OverlayTopology::Cell& cell = topo.cell(cs);
-    const OverlayCustomization::CellTables& tables = cust.cell(cs);
-    const auto bi = static_cast<size_t>(topo.BoundaryIndexOf(bnodes.front()));
-    const int32_t root = cell.boundary_member_idx[bi];
-    for (int32_t mi = topo.MemberIndexOf(source); mi != root;) {
-      mi = tables.rev_succ[bi][static_cast<size_t>(mi)];
-      if (mi < 0) {
-        return Status::Corruption("overlay successor tree does not reach"
-                                  " its boundary root");
-      }
-      result.path.push_back(cell.members[static_cast<size_t>(mi)]);
-    }
+  if (direct_cost <= overlay_cost) {
+    result.cost = direct_cost;
+    ATIS_RETURN_NOT_OK(append_leg(source, destination));
+    run.Finish(result);
+    return result;
   }
-  for (size_t i = 1; i < bnodes.size(); ++i) {
-    switch (via[static_cast<size_t>(slot(bnodes[i]))]) {
-      case OverlayArc::kShortcut: {
-        const int32_t c = topo.CellOf(bnodes[i - 1]);
-        ATIS_RETURN_NOT_OK(append_fwd(
-            c, static_cast<size_t>(topo.BoundaryIndexOf(bnodes[i - 1])),
-            bnodes[i]));
-        break;
-      }
-      case OverlayArc::kCross:
-        result.path.push_back(bnodes[i]);
-        break;
-      default:
-        return Status::Corruption("unexpected arc type inside the overlay"
-                                  " label chain");
+  result.cost = overlay_cost;
+  NodeId at = source;  // the label chain, source side first
+  for (const NodeId i : search.PathTo(kTarget)) {
+    const NodeId next = i == kTarget ? destination : i - 1;
+    if (by_cross[static_cast<size_t>(i)]) {
+      result.path.push_back(next);
+    } else {
+      ATIS_RETURN_NOT_OK(append_leg(at, next));
     }
+    at = next;
   }
-  ATIS_RETURN_NOT_OK(append_fwd(
-      cd, static_cast<size_t>(topo.BoundaryIndexOf(bnodes.back())),
-      destination));
   run.Finish(result);
   return result;
 }

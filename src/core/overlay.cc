@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "graph/shortest_path.h"
@@ -20,81 +22,51 @@ namespace {
 
 constexpr uint32_t kMaxCellOrder = 8;
 
-/// Shortest-path tree over a member-index adjacency list (one cell's
-/// intra-cell graph). parent[root] = -1; parent[m] = -1 with dist +inf
-/// when unreachable.
-struct MemberTree {
-  std::vector<double> dist;
-  std::vector<int32_t> parent;
-};
-
-MemberTree MemberDijkstra(
-    const std::vector<std::vector<std::pair<int32_t, double>>>& adj,
-    int32_t source) {
-  graph::ShortestPathSearch search(adj.size());
-  search.Seed(source, 0.0);
-  search.Run([&adj](int32_t u, const auto& relax) {
-    for (const auto& [v, c] : adj[static_cast<size_t>(u)]) relax(v, c);
-  });
-  return MemberTree{search.TakeDistances(), search.TakeParents()};
-}
-
-/// One cell's freshly customized state: its tables plus the current cross
-/// arcs of its members (non-empty only for boundary members).
+/// One cell's freshly customized state: its table plus the current cross
+/// arcs of its boundary members.
 struct CellCustomization {
   OverlayCustomization::CellTables tables;
-  std::vector<std::pair<NodeId, std::vector<graph::Edge>>> cross;
+  OverlayCustomization::CrossArcs cross;
 };
 
 /// Reads every member's adjacency through the metered store, splits it
-/// into the intra-cell graph and cross arcs, and runs the restricted
-/// Dijkstras: one forward tree per member (the in-cell all-pairs table,
-/// whose boundary-rooted rows double as the forward boundary tables) and
-/// one reverse tree per boundary node.
+/// into the intra-cell graph and cross arcs, and runs one restricted
+/// Dijkstra per member: the rows of the in-cell all-pairs table.
 Result<CellCustomization> CustomizeCell(const OverlayTopology& topo,
                                         int32_t c,
                                         const RelationalGraphStore* store) {
   const OverlayTopology::Cell& cell = topo.cell(c);
   const size_t m = cell.members.size();
-  const size_t b = cell.boundary.size();
-  std::vector<std::vector<std::pair<int32_t, double>>> fwd_adj(m);
-  std::vector<std::vector<std::pair<int32_t, double>>> rev_adj(m);
+  std::vector<std::vector<std::pair<int32_t, double>>> adj(m);
   CellCustomization out;
+  out.cross.resize(cell.boundary.size());
   for (size_t mi = 0; mi < m; ++mi) {
     const NodeId u = cell.members[mi];
     ATIS_ASSIGN_OR_RETURN(auto edges, store->FetchAdjacency(u));
-    std::vector<graph::Edge> cross;
     for (const auto& e : edges) {
       if (topo.CellOf(e.end) == c) {
-        fwd_adj[mi].emplace_back(topo.MemberIndexOf(e.end), e.cost);
-        rev_adj[static_cast<size_t>(topo.MemberIndexOf(e.end))]
-            .emplace_back(static_cast<int32_t>(mi), e.cost);
+        adj[mi].emplace_back(topo.MemberIndexOf(e.end), e.cost);
+      } else if (topo.IsBoundary(u)) {
+        out.cross[static_cast<size_t>(topo.BoundaryIndexOf(u))].push_back(
+            {e.end, e.cost});
       } else {
-        cross.push_back({e.end, e.cost});
+        return Status::Corruption(
+            "stored edge leaves its cell from a non-boundary node");
       }
     }
-    if (!cross.empty()) out.cross.emplace_back(u, std::move(cross));
   }
   out.tables.incell_dist.resize(m);
   out.tables.incell_pred.resize(m);
   for (size_t mi = 0; mi < m; ++mi) {
-    MemberTree fwd = MemberDijkstra(fwd_adj, static_cast<int32_t>(mi));
-    out.tables.incell_dist[mi] = std::move(fwd.dist);
-    out.tables.incell_pred[mi] = std::move(fwd.parent);
-  }
-  out.tables.fwd_dist.resize(b);
-  out.tables.fwd_pred.resize(b);
-  out.tables.rev_dist.resize(b);
-  out.tables.rev_succ.resize(b);
-  for (size_t bi = 0; bi < b; ++bi) {
-    const size_t root = static_cast<size_t>(cell.boundary_member_idx[bi]);
-    out.tables.fwd_dist[bi] = out.tables.incell_dist[root];
-    out.tables.fwd_pred[bi] = out.tables.incell_pred[root];
-    // A reverse-graph tree's parents are forward-path successors: the
-    // reversed path root..m, read backwards, is the forward path m..root.
-    MemberTree rev = MemberDijkstra(rev_adj, static_cast<int32_t>(root));
-    out.tables.rev_dist[bi] = std::move(rev.dist);
-    out.tables.rev_succ[bi] = std::move(rev.parent);
+    graph::ShortestPathSearch search(m);
+    search.Seed(static_cast<int32_t>(mi), 0.0);
+    search.Run([&adj](int32_t u, const auto& relax) {
+      for (const auto& [v, cost] : adj[static_cast<size_t>(u)]) {
+        relax(v, cost);
+      }
+    });
+    out.tables.incell_dist[mi] = search.TakeDistances();
+    out.tables.incell_pred[mi] = search.TakeParents();
   }
   return out;
 }
@@ -112,7 +84,7 @@ void PublishCustomizationMetrics(double seconds, uint64_t metric_version,
                  "Overlay customization passes (full or incremental)")
       .Increment();
   reg.GetCounter("atis_overlay_cells_recustomized_total",
-                 "Cells whose shortcut tables were (re)computed")
+                 "Cells whose tables were (re)computed")
       .Increment(cells_computed);
 }
 
@@ -210,51 +182,21 @@ Status OverlayTopology::Finalize(const Graph& g) {
     }
     num_boundary_ += cell.boundary.size();
   }
-  // Shortcut topology: which boundary pairs of each cell an intra-cell
-  // path connects. Plain BFS — reachability does not depend on costs.
-  num_shortcuts_ = 0;
-  for (size_t c = 0; c < cells_.size(); ++c) {
-    Cell& cell = cells_[c];
-    const size_t m = cell.members.size();
-    std::vector<std::vector<int32_t>> adj(m);
-    for (size_t mi = 0; mi < m; ++mi) {
-      for (const graph::Edge& e : g.Neighbors(cell.members[mi])) {
-        if (cell_of_[static_cast<size_t>(e.to)] == static_cast<int32_t>(c)) {
-          adj[mi].push_back(member_idx_of_[static_cast<size_t>(e.to)]);
-        }
-      }
-    }
-    cell.shortcut_targets.assign(cell.boundary.size(), {});
-    std::vector<uint8_t> seen(m);
-    for (size_t bi = 0; bi < cell.boundary.size(); ++bi) {
-      std::fill(seen.begin(), seen.end(), 0);
-      std::vector<int32_t> stack{cell.boundary_member_idx[bi]};
-      seen[static_cast<size_t>(stack.back())] = 1;
-      while (!stack.empty()) {
-        const int32_t at = stack.back();
-        stack.pop_back();
-        for (const int32_t next : adj[static_cast<size_t>(at)]) {
-          if (!seen[static_cast<size_t>(next)]) {
-            seen[static_cast<size_t>(next)] = 1;
-            stack.push_back(next);
-          }
-        }
-      }
-      for (size_t bj = 0; bj < cell.boundary.size(); ++bj) {
-        if (bj != bi &&
-            seen[static_cast<size_t>(cell.boundary_member_idx[bj])]) {
-          cell.shortcut_targets[bi].push_back(static_cast<int32_t>(bj));
-        }
-      }
-      num_shortcuts_ += cell.shortcut_targets[bi].size();
-    }
+  uint64_t entries = 0;
+  for (const Cell& cell : cells_) {
+    entries += uint64_t{cell.members.size()} * cell.members.size();
+  }
+  if (entries > kMaxTableEntries) {
+    return Status::InvalidArgument(
+        "overlay tables would hold " + std::to_string(entries) +
+        " entries, over the cap of " + std::to_string(kMaxTableEntries) +
+        "; raise cell_order");
   }
   return Status::OK();
 }
 
 Result<OverlayTopology> OverlayTopology::FromRows(
     const std::vector<RelationalGraphStore::OverlayCellRow>& cells,
-    const std::vector<RelationalGraphStore::OverlayShortcutRow>& links,
     const Graph& g, uint32_t cell_order) {
   if (cells.size() != g.num_nodes()) {
     return Status::InvalidArgument(
@@ -280,39 +222,14 @@ Result<OverlayTopology> OverlayTopology::FromRows(
   }
   topo.cells_.resize(static_cast<size_t>(max_cell) + 1);
   ATIS_RETURN_NOT_OK(topo.Finalize(g));
-  // The persisted boundary flags and shortcut pairs must agree with the
-  // structure this graph implies — a mismatched map file is corruption,
-  // not a quiet re-derivation.
+  // The persisted boundary flags must agree with the structure this graph
+  // implies — a mismatched map file is corruption, not a quiet
+  // re-derivation.
   for (const auto& row : cells) {
     if (topo.IsBoundary(row.node) != row.is_boundary) {
       return Status::InvalidArgument(
           "persisted overlay boundary flags do not match the graph");
     }
-  }
-  size_t persisted = 0;
-  for (const auto& link : links) {
-    if (link.cell < 0 || static_cast<size_t>(link.cell) >= topo.cells_.size()) {
-      return Status::InvalidArgument("overlay shortcut row names no cell");
-    }
-    const int32_t bi = topo.BoundaryIndexOf(link.from);
-    const int32_t bj = topo.BoundaryIndexOf(link.to);
-    if (bi < 0 || bj < 0 || topo.CellOf(link.from) != link.cell ||
-        topo.CellOf(link.to) != link.cell) {
-      return Status::InvalidArgument(
-          "overlay shortcut row references a non-boundary endpoint");
-    }
-    const auto& targets =
-        topo.cells_[static_cast<size_t>(link.cell)]
-            .shortcut_targets[static_cast<size_t>(bi)];
-    if (std::find(targets.begin(), targets.end(), bj) == targets.end()) {
-      return Status::InvalidArgument(
-          "persisted overlay shortcut is not implied by the graph");
-    }
-    ++persisted;
-  }
-  if (persisted != topo.num_shortcuts_) {
-    return Status::InvalidArgument(
-        "persisted overlay shortcut set is incomplete");
   }
   return topo;
 }
@@ -327,22 +244,6 @@ OverlayTopology::ToCellRows() const {
   return rows;
 }
 
-std::vector<RelationalGraphStore::OverlayShortcutRow>
-OverlayTopology::ToShortcutRows() const {
-  std::vector<RelationalGraphStore::OverlayShortcutRow> rows;
-  rows.reserve(num_shortcuts_);
-  for (size_t c = 0; c < cells_.size(); ++c) {
-    const Cell& cell = cells_[c];
-    for (size_t bi = 0; bi < cell.boundary.size(); ++bi) {
-      for (const int32_t bj : cell.shortcut_targets[bi]) {
-        rows.push_back({static_cast<int32_t>(c), cell.boundary[bi],
-                        cell.boundary[static_cast<size_t>(bj)]});
-      }
-    }
-  }
-  return rows;
-}
-
 Result<std::shared_ptr<const OverlayCustomization>> CustomizeOverlay(
     const OverlayTopology& topology,
     std::span<RelationalGraphStore* const> stores,
@@ -353,9 +254,10 @@ Result<std::shared_ptr<const OverlayCustomization>> CustomizeOverlay(
   const auto started = std::chrono::steady_clock::now();
   const size_t num_cells = topology.num_cells();
   auto custom = std::make_shared<OverlayCustomization>();
+  custom->topology_ = &topology;
   custom->metric_version_ = metric_version;
   custom->cells_.resize(num_cells);
-  custom->cross_.resize(topology.num_nodes());
+  custom->cross_.resize(num_cells);
 
   // One thread per store replica, each customizing a disjoint cell
   // stripe; the shared buffer pool sees only read traffic. The
@@ -390,9 +292,8 @@ Result<std::shared_ptr<const OverlayCustomization>> CustomizeOverlay(
       CellCustomization& cc = done[t][i];
       custom->cells_[c] = std::make_shared<const
           OverlayCustomization::CellTables>(std::move(cc.tables));
-      for (auto& [node, arcs] : cc.cross) {
-        custom->cross_[static_cast<size_t>(node)] = std::move(arcs);
-      }
+      custom->cross_[c] = std::make_shared<const
+          OverlayCustomization::CrossArcs>(std::move(cc.cross));
     }
   }
   const double seconds =
@@ -410,10 +311,10 @@ Result<std::shared_ptr<const OverlayCustomization>> RecustomizeForEdges(
     uint64_t metric_version) {
   const auto started = std::chrono::steady_clock::now();
   // Dedupe the work across the batch: a cell rebuild subsumes every
-  // same-cell update inside it, a node adjacency re-read subsumes every
-  // cross-cell update out of that node.
+  // update inside or out of that cell, a node adjacency re-read subsumes
+  // every cross-cell update out of that node.
   std::set<int32_t> cells_to_rebuild;
-  std::set<NodeId> cross_nodes;
+  std::map<int32_t, std::set<NodeId>> cross_tails;  // [cell] -> tails
   for (const auto& [u, v] : edges) {
     if (u < 0 || static_cast<size_t>(u) >= topology.num_nodes() || v < 0 ||
         static_cast<size_t>(v) >= topology.num_nodes()) {
@@ -421,33 +322,38 @@ Result<std::shared_ptr<const OverlayCustomization>> RecustomizeForEdges(
     }
     if (topology.CellOf(u) == topology.CellOf(v)) {
       cells_to_rebuild.insert(topology.CellOf(u));
-    } else {
-      cross_nodes.insert(u);
+    } else if (topology.IsBoundary(u)) {  // an interior tail has no arcs
+      cross_tails[topology.CellOf(u)].insert(u);
     }
   }
   auto custom = std::make_shared<OverlayCustomization>();
+  custom->topology_ = &topology;
   custom->metric_version_ = metric_version;
-  custom->cells_ = previous.cells_;  // shared: copy-on-write per cell
+  // Shared: copy-on-write per cell.
+  custom->cells_ = previous.cells_;
   custom->cross_ = previous.cross_;
   for (const int32_t c : cells_to_rebuild) {
     ATIS_ASSIGN_OR_RETURN(CellCustomization cc,
                           CustomizeCell(topology, c, store));
     custom->cells_[static_cast<size_t>(c)] = std::make_shared<const
         OverlayCustomization::CellTables>(std::move(cc.tables));
-    for (auto& [node, arcs] : cc.cross) {
-      custom->cross_[static_cast<size_t>(node)] = std::move(arcs);
-      cross_nodes.erase(node);  // the rebuild already refreshed it
-    }
+    custom->cross_[static_cast<size_t>(c)] = std::make_shared<const
+        OverlayCustomization::CrossArcs>(std::move(cc.cross));
   }
-  for (const NodeId u : cross_nodes) {
-    ATIS_ASSIGN_OR_RETURN(auto adj, store->FetchAdjacency(u));
-    std::vector<graph::Edge> cross;
-    for (const auto& e : adj) {
-      if (topology.CellOf(e.end) != topology.CellOf(u)) {
-        cross.push_back({e.end, e.cost});
+  for (const auto& [c, tails] : cross_tails) {
+    if (cells_to_rebuild.contains(c)) continue;  // already refreshed
+    auto arcs = std::make_shared<OverlayCustomization::CrossArcs>(
+        *previous.cross_[static_cast<size_t>(c)]);
+    for (const NodeId u : tails) {
+      ATIS_ASSIGN_OR_RETURN(auto adj, store->FetchAdjacency(u));
+      std::vector<graph::Edge>& out =
+          (*arcs)[static_cast<size_t>(topology.BoundaryIndexOf(u))];
+      out.clear();
+      for (const auto& e : adj) {
+        if (topology.CellOf(e.end) != c) out.push_back({e.end, e.cost});
       }
     }
-    custom->cross_[static_cast<size_t>(u)] = std::move(cross);
+    custom->cross_[static_cast<size_t>(c)] = std::move(arcs);
   }
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -466,13 +372,11 @@ Result<std::shared_ptr<const OverlayTopology>> PersistAndLoadOverlayTopology(
   const storage::IoCounters before = meter.counters();
   const auto started = std::chrono::steady_clock::now();
 
-  ATIS_RETURN_NOT_OK(store->StoreOverlayTopology(topology.ToCellRows(),
-                                                 topology.ToShortcutRows()));
+  ATIS_RETURN_NOT_OK(store->StoreOverlayTopology(topology.ToCellRows()));
   ATIS_ASSIGN_OR_RETURN(auto rows, store->LoadOverlayTopology());
   ATIS_ASSIGN_OR_RETURN(
       OverlayTopology loaded,
-      OverlayTopology::FromRows(rows.first, rows.second, g,
-                                topology.cell_order()));
+      OverlayTopology::FromRows(rows, g, topology.cell_order()));
 
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -486,17 +390,14 @@ Result<std::shared_ptr<const OverlayTopology>> PersistAndLoadOverlayTopology(
   reg.GetGauge("atis_overlay_boundary_nodes",
                "Boundary nodes of the installed overlay partition")
       .Set(static_cast<double>(loaded.num_boundary_nodes()));
-  reg.GetGauge("atis_overlay_shortcuts",
-               "Boundary-to-boundary shortcut pairs in the overlay")
-      .Set(static_cast<double>(loaded.num_shortcuts()));
   reg.GetGauge("atis_overlay_preprocess_seconds",
                "Wall time of the latest overlay-topology persist + load")
       .Set(seconds);
   reg.GetCounter("atis_overlay_preprocess_blocks_read_total",
-                 "Blocks read persisting/loading overlay relations")
+                 "Blocks read persisting/loading the overlay relation")
       .Increment(delta.blocks_read);
   reg.GetCounter("atis_overlay_preprocess_blocks_written_total",
-                 "Blocks written persisting/loading overlay relations")
+                 "Blocks written persisting/loading the overlay relation")
       .Increment(delta.blocks_written);
   return std::make_shared<const OverlayTopology>(std::move(loaded));
 }

@@ -6,27 +6,28 @@
 // work differently:
 //
 //   Topology phase (once per map):   partition the nodes into Hilbert
-//     cells, mark boundary nodes (endpoints of cell-crossing edges), and
-//     record which boundary pairs of each cell are connected by an
-//     intra-cell path. Reachability is metric-independent, so this
-//     persists as two relations (OC, OS) through the metered storage
-//     layer — paid once per map.
+//     cells and mark boundary nodes (endpoints of cell-crossing edges).
+//     The partition is metric-independent, so it persists as one relation
+//     (OC) through the metered storage layer — paid once per map.
 //
-//   Customization phase (per metric): per cell, run restricted Dijkstras
-//     from each member over the cell's intra-cell graph — boundary-rooted
-//     forward trees give every shortcut cost AND the boundary -> member
-//     distances, reverse trees give member -> boundary, and the full set
-//     of member-rooted trees gives an in-cell all-pairs table so
-//     same-cell queries need no search at all. Cells are independent, so
+//   Customization phase (per metric): per cell, run one restricted
+//     Dijkstra from each member over the cell's intra-cell graph. The
+//     member-rooted trees form the cell's in-cell all-pairs table, its
+//     only table: a row rooted at a boundary node prices that node's
+//     shortcuts (a boundary pair is connected exactly when its entry is
+//     finite) and finishing legs, a column at a boundary node gives the
+//     member -> boundary seed legs, and any entry answers a same-cell
+//     query with no search at all. Cells are independent, so
 //     customization parallelises across the RouteServer's store replicas,
 //     and a single-edge traffic update re-customizes only the affected
-//     cell (same-cell edge) or patches one cross arc (cross-cell edge)
-//     instead of rebuilding the index or bumping a global cache epoch.
+//     cell (same-cell edge) or re-reads one node's cross arcs
+//     (cross-cell edge) instead of rebuilding the index or bumping a
+//     global cache epoch.
 //
 //   Query phase: DbSearchEngine Version 5 runs A* over *boundary nodes
-//     only* — seeded with the source's member -> boundary column, stepping
-//     along shortcut and cross-cell arcs, finishing through the
-//     destination's boundary -> member column — so a cross-cell query
+//     only* — seeded with the source's row at the boundary columns,
+//     stepping along shortcut and cross-cell arcs, finishing through the
+//     boundary rows at the destination's column — so a cross-cell query
 //     settles a handful of overlay nodes and touches the store only for
 //     the two endpoint probes.
 //
@@ -34,7 +35,7 @@
 // crossing node is a boundary node, intra-cell segments are represented
 // exactly by the customized tables, inter-cell segments by the original
 // cross edges. Same-cell queries additionally consult the in-cell
-// all-pairs table (a shortest path that never leaves the cell has no
+// all-pairs entry (a shortest path that never leaves the cell has no
 // boundary decomposition) and take the cheaper of the two; the in-cell
 // candidate also bounds the overlay search from above, so short local
 // trips terminate after a handful of overlay pops.
@@ -71,40 +72,38 @@ class OverlayTopology {
     std::vector<graph::NodeId> boundary;  ///< sorted subset of members
     /// boundary[i]'s index in `members`.
     std::vector<int32_t> boundary_member_idx;
-    /// shortcut_targets[i] = boundary indices reachable from boundary[i]
-    /// by an intra-cell path (self excluded). Metric-independent.
-    std::vector<std::vector<int32_t>> shortcut_targets;
   };
 
-  /// Partitions `g` on the Hilbert grid and derives boundary nodes and
-  /// shortcut reachability. Cells are numbered densely in Hilbert-curve
-  /// order. A degenerate bounding box (absent or constant geometry)
-  /// yields a single cell holding every node — queries then always take
-  /// the in-cell direct search. InvalidArgument on an empty graph or
-  /// cell_order outside [0, 8].
+  /// Cap on the customized tables' total size, sum over cells of
+  /// |members|^2 entries (a distance and a parent each): 2^26 entries is
+  /// ~0.8 GB. One cell of 8,192 nodes fits; a larger map needs more cells.
+  static constexpr uint64_t kMaxTableEntries = uint64_t{1} << 26;
+
+  /// Partitions `g` on the Hilbert grid and derives boundary nodes. Cells
+  /// are numbered densely in Hilbert-curve order. A degenerate bounding
+  /// box (absent or constant geometry) yields a single cell holding every
+  /// node — queries then always take the in-cell direct lookup.
+  /// InvalidArgument on an empty graph, cell_order outside [0, 8], or a
+  /// partition whose tables would exceed kMaxTableEntries.
   static Result<OverlayTopology> Build(const graph::Graph& g,
                                        const OverlayOptions& options);
 
-  /// Rebuilds a topology from persisted rows; coordinates re-attach from
-  /// `g` (quantised, as Build stores them). InvalidArgument when the rows
-  /// do not cover g's nodes or reference non-boundary shortcut endpoints.
+  /// Rebuilds a topology from persisted OC rows; coordinates re-attach
+  /// from `g` (quantised, as Build stores them). InvalidArgument when the
+  /// rows do not cover g's nodes, their boundary flags disagree with g, or
+  /// the tables would exceed kMaxTableEntries.
   static Result<OverlayTopology> FromRows(
       const std::vector<graph::RelationalGraphStore::OverlayCellRow>& cells,
-      const std::vector<graph::RelationalGraphStore::OverlayShortcutRow>&
-          links,
       const graph::Graph& g, uint32_t cell_order);
 
-  /// Flattens to OC / OS rows for RelationalGraphStore persistence.
+  /// Flattens to OC rows for RelationalGraphStore persistence.
   std::vector<graph::RelationalGraphStore::OverlayCellRow> ToCellRows()
       const;
-  std::vector<graph::RelationalGraphStore::OverlayShortcutRow>
-  ToShortcutRows() const;
 
   uint32_t cell_order() const { return cell_order_; }
   size_t num_nodes() const { return cell_of_.size(); }
   size_t num_cells() const { return cells_.size(); }
   size_t num_boundary_nodes() const { return num_boundary_; }
-  size_t num_shortcuts() const { return num_shortcuts_; }
 
   int32_t CellOf(graph::NodeId u) const {
     return cell_of_[static_cast<size_t>(u)];
@@ -130,7 +129,8 @@ class OverlayTopology {
 
  private:
   OverlayTopology() = default;
-  /// Derives boundary/member/shortcut structure from cell_of_ + g.
+  /// Derives member/boundary structure from cell_of_ + g and checks the
+  /// table-size cap.
   Status Finalize(const graph::Graph& g);
 
   uint32_t cell_order_ = 0;
@@ -140,45 +140,48 @@ class OverlayTopology {
   std::vector<graph::Point> points_;      // [node] quantised coordinates
   std::vector<Cell> cells_;
   size_t num_boundary_ = 0;
-  size_t num_shortcuts_ = 0;
 };
 
 /// The metric-dependent half: per-cell distance tables plus the current
 /// cross-cell arc costs. Immutable once published; incremental
 /// re-customization copies the customization shell and shares the
-/// untouched cells' tables (copy-on-write), so in-flight readers keep a
-/// consistent snapshot.
+/// untouched cells' tables and cross arcs (copy-on-write per cell), so
+/// in-flight readers keep a consistent snapshot. Reads go through the
+/// topology it was customized for, which must outlive it: an OverlayIndex
+/// carries both, and EnableOverlay rejects an index that pairs it with
+/// another.
 class OverlayCustomization {
  public:
-  /// Distance/parent tables of one cell, all indexed by the topology
-  /// cell's boundary index (bi) and member index (mi).
+  /// The one table of a cell, indexed by the topology cell's member
+  /// indices. incell_dist[si][mi] = cheapest intra-cell path members[si]
+  /// -> members[mi] (+inf unreachable); incell_pred[si][mi] = mi's
+  /// predecessor member index on that path (-1 at the root or when
+  /// unreachable). Every overlay arc reads it: seed legs are columns at
+  /// the boundary members, shortcuts and finishing legs are boundary
+  /// rows, and a same-cell query is one entry — the classic CRP
+  /// preprocessing/query trade. O(|members|^2) per cell, capped by
+  /// OverlayTopology::kMaxTableEntries.
   struct CellTables {
-    /// fwd_dist[bi][mi] = cheapest intra-cell path boundary[bi] ->
-    /// members[mi] (+inf unreachable); fwd_pred[bi][mi] = mi's
-    /// predecessor member index on that path (-1 at the root).
-    std::vector<std::vector<double>> fwd_dist;
-    std::vector<std::vector<int32_t>> fwd_pred;
-    /// rev_dist[bi][mi] = cheapest intra-cell path members[mi] ->
-    /// boundary[bi]; rev_succ[bi][mi] = mi's successor member index.
-    std::vector<std::vector<double>> rev_dist;
-    std::vector<std::vector<int32_t>> rev_succ;
-    /// incell_dist[si][mi] = cheapest intra-cell path members[si] ->
-    /// members[mi], for *every* member root — the customized lowest
-    /// level, so a same-cell query is a table lookup rather than a
-    /// query-time search (the classic CRP preprocessing/query trade).
-    /// incell_pred[si][mi] = mi's predecessor member index on that path.
-    /// O(|members|^2) per cell: pick cell_order so cells stay modest.
     std::vector<std::vector<double>> incell_dist;
     std::vector<std::vector<int32_t>> incell_pred;
   };
+  /// Current-metric cross-cell out-edges of one cell's boundary nodes,
+  /// indexed by boundary index.
+  using CrossArcs = std::vector<std::vector<graph::Edge>>;
 
   uint64_t metric_version() const { return metric_version_; }
+  /// The topology these tables were customized for.
+  const OverlayTopology& topology() const { return *topology_; }
   const CellTables& cell(int32_t c) const {
     return *cells_[static_cast<size_t>(c)];
   }
   /// Current-metric cross-cell out-edges of u (empty for interior nodes).
   const std::vector<graph::Edge>& cross_arcs(graph::NodeId u) const {
-    return cross_[static_cast<size_t>(u)];
+    static const std::vector<graph::Edge> kNone;
+    const int32_t bi = topology_->BoundaryIndexOf(u);
+    if (bi < 0) return kNone;
+    return (*cross_[static_cast<size_t>(topology_->CellOf(u))])
+        [static_cast<size_t>(bi)];
   }
 
  private:
@@ -191,9 +194,10 @@ class OverlayCustomization {
       std::span<const std::pair<graph::NodeId, graph::NodeId>>,
       graph::RelationalGraphStore*, size_t*, uint64_t);
 
+  const OverlayTopology* topology_ = nullptr;
   uint64_t metric_version_ = 0;
   std::vector<std::shared_ptr<const CellTables>> cells_;  // [cell]
-  std::vector<std::vector<graph::Edge>> cross_;           // [node]
+  std::vector<std::shared_ptr<const CrossArcs>> cross_;   // [cell]
 };
 
 /// Computes every cell's tables and cross arcs for the metric currently
@@ -228,10 +232,10 @@ struct OverlayIndex {
   std::shared_ptr<const OverlayCustomization> customization;
 };
 
-/// Persists `topology` into `store`'s OC/OS relations and loads it back
+/// Persists `topology` into `store`'s OC relation and loads it back
 /// through the metered storage path (the index the engine serves must be
 /// exactly what the database holds). Publishes
-/// atis_overlay_{cells,boundary_nodes,shortcuts} gauges,
+/// atis_overlay_{cells,boundary_nodes} gauges,
 /// atis_overlay_preprocess_seconds, and the preprocess block counters to
 /// MetricsRegistry::Default().
 Result<std::shared_ptr<const OverlayTopology>> PersistAndLoadOverlayTopology(

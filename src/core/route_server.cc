@@ -1277,7 +1277,6 @@ std::string RouteServer::StatuszJson() {
       out << ",\"overlay\":{\"cell_order\":" << options_.overlay_cell_order
           << ",\"cells\":" << ov->topology->num_cells()
           << ",\"boundary_nodes\":" << ov->topology->num_boundary_nodes()
-          << ",\"shortcuts\":" << ov->topology->num_shortcuts()
           << ",\"metric_version\":"
           << ov->customization->metric_version()
           << ",\"traffic_updates\":"

@@ -146,14 +146,6 @@ Schema RelationalGraphStore::OverlayCellSchema() {
                 /*tuple_size_override=*/8);
 }
 
-Schema RelationalGraphStore::OverlayShortcutSchema() {
-  // Packed size 6 bytes; padded to 8.
-  return Schema({{"cell_id", FieldType::kInt16},
-                 {"from_node", FieldType::kInt16},
-                 {"to_node", FieldType::kInt16}},
-                /*tuple_size_override=*/8);
-}
-
 RelationalGraphStore::RelationalGraphStore(storage::BufferPool* pool)
     : s_("S", EdgeSchema(), pool), r_("R", NodeSchema(), pool) {}
 
@@ -425,15 +417,10 @@ RelationalGraphStore::LoadLandmarkDistances() const {
 }
 
 Status RelationalGraphStore::StoreOverlayTopology(
-    const std::vector<OverlayCellRow>& cells,
-    const std::vector<OverlayShortcutRow>& links) {
+    const std::vector<OverlayCellRow>& cells) {
   if (overlay_cells_ != nullptr) {
     ATIS_RETURN_NOT_OK(overlay_cells_->Clear(/*charge=*/true));
     overlay_cells_.reset();
-  }
-  if (overlay_shortcuts_ != nullptr) {
-    ATIS_RETURN_NOT_OK(overlay_shortcuts_->Clear(/*charge=*/true));
-    overlay_shortcuts_.reset();
   }
   overlay_cells_ = std::make_unique<relational::Relation>(
       "OC", OverlayCellSchema(), s_.pool(), /*charge_create=*/true);
@@ -444,23 +431,12 @@ Status RelationalGraphStore::StoreOverlayTopology(
                          out.SetInt(2, row.is_boundary ? 1 : 0);
                        }).status());
   }
-  overlay_shortcuts_ = std::make_unique<relational::Relation>(
-      "OS", OverlayShortcutSchema(), s_.pool(), /*charge_create=*/true);
-  for (const OverlayShortcutRow& row : links) {
-    ATIS_RETURN_NOT_OK(
-        InsertRow(overlay_shortcuts_.get(), [&](RowWriter& out) {
-          out.SetInt(0, row.cell);
-          out.SetInt(1, row.from);
-          out.SetInt(2, row.to);
-        }).status());
-  }
   return Status::OK();
 }
 
-Result<std::pair<std::vector<RelationalGraphStore::OverlayCellRow>,
-                 std::vector<RelationalGraphStore::OverlayShortcutRow>>>
+Result<std::vector<RelationalGraphStore::OverlayCellRow>>
 RelationalGraphStore::LoadOverlayTopology() const {
-  if (overlay_cells_ == nullptr || overlay_shortcuts_ == nullptr) {
+  if (overlay_cells_ == nullptr) {
     return Status::FailedPrecondition("no overlay topology stored");
   }
   std::vector<OverlayCellRow> cells;
@@ -469,16 +445,9 @@ RelationalGraphStore::LoadOverlayTopology() const {
   for (; c.Valid(); c.Next()) {
     cells.push_back(OverlayCellFromRow(c.row()));
   }
-  ATIS_RETURN_NOT_OK(c.status());
-  std::vector<OverlayShortcutRow> links;
-  links.reserve(overlay_shortcuts_->num_tuples());
-  relational::Relation::Cursor sc = overlay_shortcuts_->Scan();
-  for (; sc.Valid(); sc.Next()) {
-    links.push_back(OverlayShortcutFromRow(sc.row()));
-  }
   // A scan ended by a storage fault must not yield a partial topology.
-  ATIS_RETURN_NOT_OK(sc.status());
-  return std::make_pair(std::move(cells), std::move(links));
+  ATIS_RETURN_NOT_OK(c.status());
+  return cells;
 }
 
 Status RelationalGraphStore::ResetSearchState() {
@@ -546,15 +515,6 @@ RelationalGraphStore::OverlayCellFromRow(const RowView& row) {
   cell.cell = static_cast<int32_t>(row.Int(1));
   cell.is_boundary = row.Int(2) != 0;
   return cell;
-}
-
-RelationalGraphStore::OverlayShortcutRow
-RelationalGraphStore::OverlayShortcutFromRow(const RowView& row) {
-  OverlayShortcutRow link;
-  link.cell = static_cast<int32_t>(row.Int(0));
-  link.from = static_cast<NodeId>(row.Int(1));
-  link.to = static_cast<NodeId>(row.Int(2));
-  return link;
 }
 
 }  // namespace atis::graph

@@ -84,17 +84,6 @@ class RelationalGraphStore {
     bool is_boundary = false;
   };
 
-  /// One tuple of the optional overlayShortcut relation OS: a
-  /// boundary-to-boundary pair of `cell` connected by at least one
-  /// intra-cell path. Reachability is metric-independent, so like OC this
-  /// is topology, paid once per map; the shortcut *costs* are recomputed
-  /// per metric (customization) and never persisted.
-  struct OverlayShortcutRow {
-    int32_t cell = 0;
-    NodeId from = kInvalidNode;
-    NodeId to = kInvalidNode;
-  };
-
   /// Build-time options. The physical layout decides the heap-file
   /// insertion order of node and edge tuples; logical contents and index
   /// behaviour are identical across layouts (per-node adjacency order is
@@ -183,18 +172,15 @@ class RelationalGraphStore {
     return landmark_.get();
   }
 
-  /// (Re)creates the overlay-topology relations OC and OS (APPENDs,
-  /// metered). `cells` must cover every node exactly once. Replaces any
-  /// previously stored overlay topology.
-  Status StoreOverlayTopology(const std::vector<OverlayCellRow>& cells,
-                              const std::vector<OverlayShortcutRow>& links);
+  /// (Re)creates the overlay-topology relation OC (APPENDs, metered).
+  /// `cells` must cover every node exactly once. Replaces any previously
+  /// stored overlay topology.
+  Status StoreOverlayTopology(const std::vector<OverlayCellRow>& cells);
 
-  /// Full scans of OC and OS in storage order; FailedPrecondition when no
-  /// overlay topology has been stored. Metered — this is the "load once
-  /// per store replica" cost of the overlay index.
-  Result<std::pair<std::vector<OverlayCellRow>,
-                   std::vector<OverlayShortcutRow>>>
-  LoadOverlayTopology() const;
+  /// Full scan of OC in storage order; FailedPrecondition when no overlay
+  /// topology has been stored. Metered — this is the "load once per store
+  /// replica" cost of the overlay index.
+  Result<std::vector<OverlayCellRow>> LoadOverlayTopology() const;
 
   bool has_overlay_topology() const { return overlay_cells_ != nullptr; }
 
@@ -215,8 +201,6 @@ class RelationalGraphStore {
   static void WriteEdge(const EdgeRow& row, relational::RowWriter* out);
   static LandmarkDistRow LandmarkDistFromRow(const relational::RowView& row);
   static OverlayCellRow OverlayCellFromRow(const relational::RowView& row);
-  static OverlayShortcutRow OverlayShortcutFromRow(
-      const relational::RowView& row);
 
   /// R's node_id and status fields, for statements that read them on the
   /// packed row (RowView::Int(kStatusField)) before deciding to decode.
@@ -227,7 +211,6 @@ class RelationalGraphStore {
   static relational::Schema NodeSchema();
   static relational::Schema LandmarkDistSchema();
   static relational::Schema OverlayCellSchema();
-  static relational::Schema OverlayShortcutSchema();
 
   /// Field names (indexable keys).
   static constexpr const char* kBeginField = "begin_node";
@@ -243,8 +226,7 @@ class RelationalGraphStore {
   relational::Relation s_;
   relational::Relation r_;
   std::unique_ptr<relational::Relation> landmark_;  ///< L; null until stored
-  std::unique_ptr<relational::Relation> overlay_cells_;      ///< OC
-  std::unique_ptr<relational::Relation> overlay_shortcuts_;  ///< OS
+  std::unique_ptr<relational::Relation> overlay_cells_;  ///< OC
   bool loaded_ = false;
   StoreLayout layout_ = StoreLayout::kRowOrder;
   /// adjacency_rids_[u] = u's edge tuples in insertion order — the

@@ -724,14 +724,21 @@ TEST_P(DbThreadCountersTest, SinkChargesTheRunOnlyItsOwnBlocks) {
   ASSERT_TRUE(quiet.Start(*g, GetParam().statement_at_a_time).ok());
   ASSERT_TRUE(noisy.Start(*g, GetParam().statement_at_a_time).ok());
 
-  // A slow disk stretches each run over many of the reader's reads.
+  // A slow disk stretches each run over many of the reader's reads. The
+  // reader reads a page of its own: the disk leaves concurrent reads and
+  // writes of one page to its caller, and the pool writes the store's.
+  // Both disks allocate it, so later page ids match.
   noisy.disk.SetLatencyModel(storage::DiskLatencyModel{.read_micros = 20});
+  const storage::PageId foreign_page = noisy.disk.AllocatePage();
+  ASSERT_EQ(quiet.disk.AllocatePage(), foreign_page);
   std::atomic<bool> done{false};
   std::atomic<uint64_t> foreign_reads{0};
   std::thread reader([&] {
     storage::Page page;
     while (!done.load()) {
-      if (noisy.disk.ReadPage(0, &page).ok()) foreign_reads.fetch_add(1);
+      if (noisy.disk.ReadPage(foreign_page, &page).ok()) {
+        foreign_reads.fetch_add(1);
+      }
     }
   });
   while (foreign_reads.load() == 0) std::this_thread::yield();

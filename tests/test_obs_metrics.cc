@@ -316,7 +316,6 @@ constexpr const char* kDocumentedFamilies[] = {
     "atis_overlay_preprocess_blocks_read_total",
     "atis_overlay_preprocess_blocks_written_total",
     "atis_overlay_preprocess_seconds",
-    "atis_overlay_shortcuts",
     "atis_partition_boundary_nodes",
     "atis_partition_cross_queries_total",
     "atis_partition_partitions",

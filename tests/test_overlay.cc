@@ -1,5 +1,5 @@
 // Tests for core/overlay: Hilbert-cell partition invariants, boundary
-// derivation, shortcut reachability, OC/OS row round trips, per-metric
+// derivation, the table-size cap, OC row round trips, per-metric
 // customization against a reference restricted Dijkstra, incremental
 // re-customization, and A* Version 5 exactness against the in-memory
 // Dijkstra ground truth.
@@ -17,7 +17,6 @@
 #include <limits>
 #include <memory>
 #include <queue>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -139,34 +138,6 @@ TEST(OverlayTopologyTest, BoundaryIffIncidentToCellCrossingEdge) {
   EXPECT_EQ(topo.num_boundary_nodes(), boundary);
 }
 
-TEST(OverlayTopologyTest, ShortcutTargetsMatchIntraCellReachability) {
-  const graph::Graph g = Grid(8, GridCostModel::kSkewed);
-  const OverlayTopology topo = BuildTopology(g, 2);
-  size_t shortcuts = 0;
-  for (int32_t c = 0; c < static_cast<int32_t>(topo.num_cells()); ++c) {
-    const OverlayTopology::Cell& cell = topo.cell(c);
-    ASSERT_EQ(cell.shortcut_targets.size(), cell.boundary.size());
-    for (size_t bi = 0; bi < cell.boundary.size(); ++bi) {
-      const auto dist = RestrictedDistances(
-          g, cell.members,
-          static_cast<size_t>(cell.boundary_member_idx[bi]));
-      std::set<int32_t> reachable;
-      for (size_t bj = 0; bj < cell.boundary.size(); ++bj) {
-        if (bj == bi) continue;
-        if (dist[static_cast<size_t>(cell.boundary_member_idx[bj])] <
-            kInf) {
-          reachable.insert(static_cast<int32_t>(bj));
-        }
-      }
-      const std::set<int32_t> got(cell.shortcut_targets[bi].begin(),
-                                  cell.shortcut_targets[bi].end());
-      EXPECT_EQ(got, reachable) << "cell " << c << " boundary " << bi;
-      shortcuts += got.size();
-    }
-  }
-  EXPECT_EQ(topo.num_shortcuts(), shortcuts);
-}
-
 TEST(OverlayTopologyTest, RejectsEmptyGraphAndBadOrder) {
   OverlayOptions opt;
   EXPECT_FALSE(OverlayTopology::Build(graph::Graph(), opt).ok());
@@ -186,16 +157,40 @@ TEST(OverlayTopologyTest, DegenerateGeometryYieldsOneCell) {
   EXPECT_EQ(topo.num_boundary_nodes(), 0u);  // nothing crosses cells
 }
 
-TEST(OverlayRowsTest, CellAndShortcutRowsRoundTrip) {
+/// `n` coincident, unconnected nodes: every order puts them in one cell.
+graph::Graph Coincident(int n) {
+  graph::Graph g;
+  for (int i = 0; i < n; ++i) g.AddNode(0.0, 0.0);
+  return g;
+}
+
+TEST(OverlayTopologyTest, OneCellOfTheCapsSizeIsAccepted) {
+  OverlayOptions opt;
+  opt.cell_order = 0;
+  auto topo = OverlayTopology::Build(Coincident(8192), opt);
+  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+  EXPECT_EQ(topo->num_cells(), 1u);
+  EXPECT_EQ(uint64_t{8192} * 8192, OverlayTopology::kMaxTableEntries);
+}
+
+TEST(OverlayTopologyTest, TablesOverTheCapAreRejected) {
+  // A coordinate-less map at the default order is one cell too.
+  auto topo = OverlayTopology::Build(Coincident(8193), OverlayOptions{});
+  ASSERT_TRUE(topo.status().IsInvalidArgument()) << topo.status().ToString();
+  const std::string msg = topo.status().ToString();
+  EXPECT_NE(msg.find("67125249"), std::string::npos) << msg;  // 8193^2
+  EXPECT_NE(msg.find("67108864"), std::string::npos) << msg;  // 2^26
+  EXPECT_NE(msg.find("raise cell_order"), std::string::npos) << msg;
+}
+
+TEST(OverlayRowsTest, CellRowsRoundTrip) {
   const graph::Graph g = Grid(6, GridCostModel::kVariance20);
   const OverlayTopology topo = BuildTopology(g, 2);
-  auto back = OverlayTopology::FromRows(topo.ToCellRows(),
-                                        topo.ToShortcutRows(), g,
-                                        topo.cell_order());
+  auto back =
+      OverlayTopology::FromRows(topo.ToCellRows(), g, topo.cell_order());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->num_cells(), topo.num_cells());
   EXPECT_EQ(back->num_boundary_nodes(), topo.num_boundary_nodes());
-  EXPECT_EQ(back->num_shortcuts(), topo.num_shortcuts());
   for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
     EXPECT_EQ(back->CellOf(u), topo.CellOf(u));
     EXPECT_EQ(back->IsBoundary(u), topo.IsBoundary(u));
@@ -205,32 +200,18 @@ TEST(OverlayRowsTest, CellAndShortcutRowsRoundTrip) {
 TEST(OverlayRowsTest, FromRowsRejectsCorruption) {
   const graph::Graph g = Grid(6, GridCostModel::kUniform);
   const OverlayTopology topo = BuildTopology(g, 2);
-  auto cells = topo.ToCellRows();
-  auto links = topo.ToShortcutRows();
+  const auto cells = topo.ToCellRows();
 
   // Missing a node's cell assignment.
   auto short_cells = cells;
   short_cells.pop_back();
-  EXPECT_FALSE(OverlayTopology::FromRows(short_cells, links, g,
-                                         topo.cell_order())
-                   .ok());
-
-  // A shortcut whose endpoint is not a boundary node of its cell.
-  NodeId interior = graph::kInvalidNode;
-  for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
-    if (!topo.IsBoundary(u)) {
-      interior = u;
-      break;
-    }
-  }
-  ASSERT_NE(interior, graph::kInvalidNode);
-  auto bad_links = links;
-  ASSERT_FALSE(bad_links.empty());
-  bad_links[0].from = interior;
-  bad_links[0].cell = topo.CellOf(interior);
   EXPECT_FALSE(
-      OverlayTopology::FromRows(cells, bad_links, g, topo.cell_order())
-          .ok());
+      OverlayTopology::FromRows(short_cells, g, topo.cell_order()).ok());
+
+  // A boundary flag the graph does not imply.
+  auto flipped = cells;
+  flipped[0].is_boundary = !flipped[0].is_boundary;
+  EXPECT_FALSE(OverlayTopology::FromRows(flipped, g, topo.cell_order()).ok());
 }
 
 TEST(OverlayPersistTest, PersistAndLoadRoundTripsThroughStore) {
@@ -248,9 +229,8 @@ TEST(OverlayPersistTest, PersistAndLoadRoundTripsThroughStore) {
   EXPECT_TRUE(store.has_overlay_topology());
   EXPECT_EQ((*loaded)->num_cells(), topo.num_cells());
   EXPECT_EQ((*loaded)->num_boundary_nodes(), topo.num_boundary_nodes());
-  EXPECT_EQ((*loaded)->num_shortcuts(), topo.num_shortcuts());
 
-  // Re-persisting replaces the OC/OS relations instead of appending.
+  // Re-persisting replaces the OC relation instead of appending.
   auto again = PersistAndLoadOverlayTopology(topo, &store, g);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ((*again)->num_boundary_nodes(), topo.num_boundary_nodes());
@@ -301,15 +281,25 @@ TEST_F(OverlayCustomizationTest, TablesMatchRestrictedDijkstra) {
         }
       }
     }
-    // Boundary forward rows are exactly the all-pairs rows at the
-    // boundary roots.
-    for (size_t bi = 0; bi < cell.boundary.size(); ++bi) {
-      EXPECT_EQ(tables.fwd_dist[bi],
-                tables.incell_dist[static_cast<size_t>(
-                    cell.boundary_member_idx[bi])]);
-    }
   }
   EXPECT_EQ(cust_->metric_version(), 1u);
+}
+
+TEST(OverlayCustomizeTest, StoreEdgeOutOfAnInteriorNodeIsCorruption) {
+  // The topology comes from the grid; the store holds one more edge,
+  // from an interior node into another cell, so the two disagree.
+  const graph::Graph g = Grid(8, GridCostModel::kUniform);
+  const OverlayTopology topo = BuildTopology(g, 1);
+  ASSERT_FALSE(topo.IsBoundary(0));
+  ASSERT_NE(topo.CellOf(0), topo.CellOf(63));
+  graph::Graph stored = g;
+  ASSERT_TRUE(stored.AddEdge(0, 63, 1.0).ok());
+  storage::DiskManager disk;
+  storage::BufferPool pool(&disk, 64);
+  graph::RelationalGraphStore store(&pool);
+  ASSERT_TRUE(store.Load(stored).ok());
+  graph::RelationalGraphStore* stores[] = {&store};
+  EXPECT_TRUE(CustomizeOverlay(topo, stores, 1).status().IsCorruption());
 }
 
 TEST_F(OverlayCustomizationTest, CrossArcsAreExactlyTheCrossingEdges) {
@@ -373,8 +363,6 @@ TEST_F(OverlayCustomizationTest, IncrementalEqualsFullRecustomization) {
 
     for (int32_t c = 0; c < static_cast<int32_t>(topo_->num_cells());
          ++c) {
-      EXPECT_EQ((*incr)->cell(c).fwd_dist, (*full)->cell(c).fwd_dist);
-      EXPECT_EQ((*incr)->cell(c).rev_dist, (*full)->cell(c).rev_dist);
       EXPECT_EQ((*incr)->cell(c).incell_dist,
                 (*full)->cell(c).incell_dist);
     }
@@ -523,6 +511,30 @@ TEST(OverlayEnableTest, Version5NeedsEnableOverlayFirst) {
   EXPECT_FALSE(engine.overlay_enabled());
 }
 
+TEST(OverlayEnableTest, CustomizationOfAnotherTopologyIsRejected) {
+  const graph::Graph g = Grid(5, GridCostModel::kUniform);
+  storage::DiskManager disk;
+  storage::BufferPool pool(&disk, 64);
+  graph::RelationalGraphStore store(&pool);
+  ASSERT_TRUE(store.Load(g).ok());
+  DbSearchEngine engine(&store, &pool);
+  const auto topo =
+      std::make_shared<const OverlayTopology>(BuildTopology(g, 1));
+  const auto twin = std::make_shared<const OverlayTopology>(*topo);
+  graph::RelationalGraphStore* stores[] = {&store};
+  auto cust = CustomizeOverlay(*topo, stores, 1);
+  ASSERT_TRUE(cust.ok());
+  EXPECT_TRUE(engine
+                  .EnableOverlay(std::make_shared<OverlayIndex>(
+                      OverlayIndex{twin, *cust}))
+                  .IsInvalidArgument());
+  EXPECT_FALSE(engine.overlay_enabled());
+  EXPECT_TRUE(engine
+                  .EnableOverlay(std::make_shared<OverlayIndex>(
+                      OverlayIndex{topo, *cust}))
+                  .ok());
+}
+
 
 /// Asserts two customizations of one topology hold identical distance
 /// tables and cross arcs.
@@ -530,8 +542,6 @@ void ExpectSameCustomization(const OverlayTopology& topo,
                              const OverlayCustomization& got,
                              const OverlayCustomization& want) {
   for (int32_t c = 0; c < static_cast<int32_t>(topo.num_cells()); ++c) {
-    EXPECT_EQ(got.cell(c).fwd_dist, want.cell(c).fwd_dist) << "cell " << c;
-    EXPECT_EQ(got.cell(c).rev_dist, want.cell(c).rev_dist) << "cell " << c;
     EXPECT_EQ(got.cell(c).incell_dist, want.cell(c).incell_dist)
         << "cell " << c;
   }
@@ -825,6 +835,36 @@ TEST_F(OverlayCustomizationTest, CrossCellEdgeUpdateRereadsOnlyTheTail) {
   auto full = CustomizeOverlay(*topo_, stores, cust_->metric_version() + 1);
   ASSERT_TRUE(full.ok());
   ExpectSameCustomization(*topo_, **incr, **full);
+}
+
+TEST_F(OverlayCustomizationTest, CrossCellUpdateCopiesOnlyTheTailsCellsArcs) {
+  SetUpWith(Grid(10, GridCostModel::kVariance20), 2);
+  NodeId u = graph::kInvalidNode, v = graph::kInvalidNode;
+  for (NodeId n = 0; n < static_cast<NodeId>(g_.num_nodes()) &&
+                     u == graph::kInvalidNode;
+       ++n) {
+    for (const graph::Edge& e : g_.Neighbors(n)) {
+      if (topo_->CellOf(n) != topo_->CellOf(e.to)) {
+        u = n, v = e.to;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(u, graph::kInvalidNode);
+  ASSERT_TRUE(store_->UpdateEdgeCost(u, v, 42.0).ok());
+  const std::pair<NodeId, NodeId> edge{u, v};
+  size_t cells_changed = 99;
+  auto incr = RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, store_.get(),
+                                  &cells_changed,
+                                  cust_->metric_version() + 1);
+  ASSERT_TRUE(incr.ok()) << incr.status().ToString();
+  // Every node outside the tail's cell reads the previous customization's
+  // storage; only the tail's cell holds a fresh copy.
+  for (NodeId n = 0; n < static_cast<NodeId>(g_.num_nodes()); ++n) {
+    if (topo_->CellOf(n) == topo_->CellOf(u)) continue;
+    EXPECT_EQ(&(*incr)->cross_arcs(n), &cust_->cross_arcs(n)) << "node " << n;
+  }
+  EXPECT_NE(&(*incr)->cross_arcs(u), &cust_->cross_arcs(u));
 }
 
 TEST_F(OverlayCustomizationTest, EmptyBatchSharesEveryTableAtTheNewVersion) {
