@@ -21,8 +21,9 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
   resilience_test obs_test overlay_test ingest_test db_search_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
   -R 'BufferPool|RouteServer|RouteCache|Resilien|DiskManager|CircuitBreaker|Deadline|SloWindows|HttpExporter|SlowQueryLog|TraceRing|ObsSampling|Batch|Overlay|UpdateLog|DurableFile|AtomicFile|CrashRecovery|Ingest|IoMeter|DbThreadCounters'
-# The pool's races are rare interleavings: run its tests 20 more times.
-"$repo/build-tsan/tests/storage_test" --gtest_filter='BufferPool*' \
+# The pool's and the disk's races are rare interleavings: run their tests
+# 20 more times.
+"$repo/build-tsan/tests/storage_test" --gtest_filter='BufferPool*:DiskManager*' \
   --gtest_repeat=20 --gtest_brief=1
 
 echo

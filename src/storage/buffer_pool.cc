@@ -14,6 +14,11 @@ namespace {
 /// not just held for a moment by an optimistic fetch undoing a stale pin.
 constexpr int kClaimAttempts = 8;
 
+/// The calling thread's last unpin stamp, shared by every pool it uses.
+/// Unpin raises it to the shard clock and adds one, so one thread's stamps
+/// rise strictly in its unpin order and the hit path writes no shared word.
+thread_local uint64_t t_unpin_stamp = 0;
+
 }  // namespace
 
 PageGuard& PageGuard::operator=(PageGuard&& o) noexcept {
@@ -115,7 +120,7 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
       }
       if (pins >= 0) {
         if (f.id.load(std::memory_order_relaxed) == id) {
-          shard.hits.fetch_add(1, std::memory_order_relaxed);
+          f.hits.fetch_add(1, std::memory_order_relaxed);
           return PageGuard(this, id, &f.page, idx);
         }
         f.pins.fetch_sub(1, std::memory_order_release);  // ABA: undo
@@ -141,7 +146,7 @@ Result<PageGuard> BufferPool::FetchPageSlow(Shard& shard, PageId id) {
       // Under the latch a mapped frame that is not being filled is never
       // busy, so a plain increment pins it.
       f.pins.fetch_add(1, std::memory_order_acquire);
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
+      f.hits.fetch_add(1, std::memory_order_relaxed);
       return PageGuard(this, id, &f.page, idx);
     }
 
@@ -306,7 +311,9 @@ bool BufferPool::IsCached(PageId id) const {
 BufferPoolStats BufferPool::stats() const {
   BufferPoolStats s;
   for (const auto& shard_ptr : shards_) {
-    s.hits += shard_ptr->hits.load(std::memory_order_relaxed);
+    for (size_t i = 0; i < shard_ptr->num_frames; ++i) {
+      s.hits += shard_ptr->frames[i].hits.load(std::memory_order_relaxed);
+    }
     s.misses += shard_ptr->misses.load(std::memory_order_relaxed);
     s.evictions += shard_ptr->evictions.load(std::memory_order_relaxed);
     s.dirty_writebacks +=
@@ -321,7 +328,9 @@ void BufferPool::ResetStats() {
   // Every counter in BufferPoolStats, shard-local and pool-global alike —
   // a reset that misses a field corrupts every delta-based observer.
   for (const auto& shard_ptr : shards_) {
-    shard_ptr->hits.store(0, std::memory_order_relaxed);
+    for (size_t i = 0; i < shard_ptr->num_frames; ++i) {
+      shard_ptr->frames[i].hits.store(0, std::memory_order_relaxed);
+    }
     shard_ptr->misses.store(0, std::memory_order_relaxed);
     shard_ptr->evictions.store(0, std::memory_order_relaxed);
     shard_ptr->dirty_writebacks.store(0, std::memory_order_relaxed);
@@ -355,10 +364,13 @@ void BufferPool::Unpin(PageId id, uint32_t frame) {
   Frame& f = shard.frames[frame];
   assert(f.id.load(std::memory_order_relaxed) == id &&
          f.pins.load(std::memory_order_relaxed) > 0);
-  // Stamp before the release-decrement: an evictor that sees the frame
-  // unpinned also sees its new LRU position.
-  f.stamp.store(shard.clock.fetch_add(1, std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
+  // The shard clock is only read here (latch holders raise it), so an
+  // unpin writes nothing but its own frame and thread. Stamp before the
+  // release-decrement: an evictor that sees the frame unpinned also sees
+  // its new LRU position.
+  const uint64_t floor = shard.clock.load(std::memory_order_relaxed);
+  t_unpin_stamp = (t_unpin_stamp < floor ? floor : t_unpin_stamp) + 1;
+  f.stamp.store(t_unpin_stamp, std::memory_order_relaxed);
   f.pins.fetch_sub(1, std::memory_order_release);
 }
 
@@ -407,6 +419,7 @@ Result<uint32_t> BufferPool::ClaimVictim(Shard& shard) {
     // LRU victim: the unpinned resident frame unpinned longest ago.
     uint32_t best = kNoFrame;
     uint64_t best_stamp = UINT64_MAX;
+    uint64_t newest = 0;
     for (size_t i = 0; i < shard.num_frames; ++i) {
       const Frame& f = shard.frames[i];
       if (f.pins.load(std::memory_order_acquire) != 0) continue;
@@ -415,6 +428,12 @@ Result<uint32_t> BufferPool::ClaimVictim(Shard& shard) {
         best_stamp = stamp;
         best = static_cast<uint32_t>(i);
       }
+      if (stamp > newest) newest = stamp;
+    }
+    // Raise the clock to the newest stamp seen, so every thread's next
+    // unpin in this shard ranks after every frame unpinned so far.
+    if (newest > shard.clock.load(std::memory_order_relaxed)) {
+      shard.clock.store(newest, std::memory_order_relaxed);
     }
     if (best == kNoFrame) {
       std::this_thread::yield();

@@ -39,14 +39,25 @@
 // before the CAS as well makes such stale pins rare.) A stale pin lasts a
 // few instructions; a latch holder whose CAS loses to one looks again.
 //
-// LRU by unpin stamps. Unpin stores a tick of the shard's clock in
-// `frame.stamp` before its release-decrement of `pins`. The victim is the
-// unpinned resident frame with the smallest stamp; free frames are used
-// first. A list LRU moves a frame to its front at exactly this event and
-// removes it while pinned, so in a single-threaded run (the paper's
+// LRU by unpin stamps. Unpin stores a stamp in `frame.stamp` before its
+// release-decrement of `pins`. The stamp comes from a counter of the
+// calling thread, shared by every pool the thread uses: raised to the
+// shard's clock if below it, then incremented. The shard clock is written
+// only by a latch holder's victim scan, which raises it to the newest
+// stamp it saw; so a hit and its unpin write only their own frame and
+// thread, and hits are counted in the frame (`Frame::hits`). The victim is
+// the unpinned resident frame with the smallest stamp; free frames are
+// used first. One thread's stamps rise strictly in its unpin order, and a
+// list LRU moves a frame to its front at exactly this event and removes
+// it while pinned, so in a single-threaded run (the paper's
 // statement-at-a-time mode and every unit test) the hit, miss, victim and
-// dirty write-back sequence is the list LRU's, tick for tick. Under
-// concurrency the order is the order in which the stamps were taken.
+// dirty write-back sequence is the list LRU's, tick for tick, however
+// many pools the thread interleaves. Under concurrency the order is
+// approximate: threads' counters advance independently between two victim
+// scans of a shard, so among the frames unpinned since the last scan a
+// thread that unpinned more often ranks its frames as more recent. Frames
+// unpinned before a scan rank older than frames unpinned after it, but
+// for an unpin that races the scan itself.
 #pragma once
 
 #include <atomic>
@@ -195,9 +206,12 @@ class BufferPool {
   struct alignas(64) Frame {
     std::atomic<PageId> id{kInvalidPageId};
     std::atomic<int32_t> pins{0};
-    /// Shard clock tick of the last unpin; the smallest
+    /// Stamp of the last unpin (see "LRU by unpin stamps"); the smallest
     /// stamp among unpinned resident frames is the LRU victim.
     std::atomic<uint64_t> stamp{0};
+    /// Fetches that hit this frame, counted on the line the pin CAS
+    /// already owns; BufferPool::stats() sums them.
+    std::atomic<uint64_t> hits{0};
     std::atomic<bool> dirty{false};
     /// Set (under the shard latch) while a miss is filling this frame from
     /// disk *outside* the latch; the frame is kBusy meanwhile.
@@ -207,16 +221,21 @@ class BufferPool {
   };
 
   /// One slice of the pool. Frame indexes are local to the shard.
-  struct Shard {
+  /// Three cache lines: what every fetch reads, the stamp floor every
+  /// unpin reads, and what latch holders write. So the hit path writes
+  /// no line of the shard, and a miss does not evict a line that other
+  /// threads' hits read.
+  struct alignas(64) Shard {
     explicit Shard(size_t n) : frames(new Frame[n]), num_frames(n) {}
-    mutable std::mutex mu;
-    std::condition_variable io_cv;  // signalled when an in-flight fill ends
     std::unique_ptr<Frame[]> frames;
     size_t num_frames;
-    std::vector<uint32_t> free_frames;  // guarded by mu
-    /// Touched by every unpin and hit; kept off the latch's cache line.
+    /// Floor for unpin stamps: read by every unpin, written only by a
+    /// latch holder's victim scan, and only when it rises.
     alignas(64) std::atomic<uint64_t> clock{0};
-    std::atomic<uint64_t> hits{0};
+    alignas(64) mutable std::mutex mu;
+    std::condition_variable io_cv;  // signalled when an in-flight fill ends
+    std::vector<uint32_t> free_frames;  // guarded by mu
+    /// Written under mu.
     std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> evictions{0};
     std::atomic<uint64_t> dirty_writebacks{0};

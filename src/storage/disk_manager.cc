@@ -26,57 +26,79 @@ bool ConsumeCountdown(std::atomic<uint64_t>& countdown, uint64_t disarmed) {
   return true;
 }
 
+/// Slot-table entries before the first doubling.
+constexpr size_t kInitialSlots = 64;
+
 }  // namespace
+
+DiskManager::DiskManager() {
+  tables_.push_back(std::make_unique<SlotTable>(kInitialSlots));
+  table_.store(tables_.back().get(), std::memory_order_release);
+}
 
 PageId DiskManager::AllocatePage() {
   std::unique_lock lock(mu_);
   if (!free_list_.empty()) {
     const PageId id = free_list_.back();
     free_list_.pop_back();
-    pages_[id] = std::make_unique<Page>();
+    Slot& slot = *slots_[id];
+    slot.page.Zero();
+    slot.live.store(true, std::memory_order_release);
     return id;
   }
-  pages_.push_back(std::make_unique<Page>());
-  return static_cast<PageId>(pages_.size() - 1);
+  const auto id = static_cast<PageId>(slots_.size());
+  const SlotTable* table = tables_.back().get();
+  if (id == table->capacity) {
+    // Full: publish a copy twice the size. Readers still on the old table
+    // find every id it covers, so it is kept, not freed.
+    auto grown = std::make_unique<SlotTable>(2 * table->capacity);
+    for (size_t i = 0; i < table->capacity; ++i) {
+      grown->slots[i].store(slots_[i].get(), std::memory_order_relaxed);
+    }
+    tables_.push_back(std::move(grown));
+    table = tables_.back().get();
+    table_.store(table, std::memory_order_release);
+  }
+  slots_.push_back(std::make_unique<Slot>());
+  table->slots[id].store(slots_.back().get(), std::memory_order_release);
+  return id;
 }
 
 Status DiskManager::DeallocatePage(PageId id) {
   std::unique_lock lock(mu_);
-  ATIS_RETURN_NOT_OK(Validate(id));
-  pages_[id].reset();
+  Slot* slot = LiveSlot(id);
+  if (slot == nullptr) return NotAllocated(id);
+  // The slot keeps its memory: a read racing this call copies owned bytes.
+  slot->live.store(false, std::memory_order_release);
   free_list_.push_back(id);
   return Status::OK();
 }
 
 Status DiskManager::ReadPage(PageId id, Page* dest) {
+  Slot* slot = LiveSlot(id);
+  if (slot == nullptr) return NotAllocated(id);
   uint32_t spike_micros = 0;
-  {
-    std::shared_lock lock(mu_);
-    ATIS_RETURN_NOT_OK(Validate(id));
-    ATIS_RETURN_NOT_OK(CheckFault(&spike_micros));
-    *dest = *pages_[id];
-    meter_.RecordRead();
-  }
+  ATIS_RETURN_NOT_OK(CheckFault(&spike_micros));
+  *dest = slot->page;
+  meter_.RecordRead();
   SimulateLatency(/*is_write=*/false, spike_micros);
   return Status::OK();
 }
 
 Status DiskManager::WritePage(PageId id, const Page& src) {
+  Slot* slot = LiveSlot(id);
+  if (slot == nullptr) return NotAllocated(id);
   uint32_t spike_micros = 0;
-  {
-    std::shared_lock lock(mu_);
-    ATIS_RETURN_NOT_OK(Validate(id));
-    ATIS_RETURN_NOT_OK(CheckFault(&spike_micros));
-    *pages_[id] = src;
-    meter_.RecordWrite();
-  }
+  ATIS_RETURN_NOT_OK(CheckFault(&spike_micros));
+  slot->page = src;
+  meter_.RecordWrite();
   SimulateLatency(/*is_write=*/true, spike_micros);
   return Status::OK();
 }
 
 size_t DiskManager::num_allocated() const {
   std::shared_lock lock(mu_);
-  return pages_.size() - free_list_.size();
+  return slots_.size() - free_list_.size();
 }
 
 void DiskManager::SetFaultProfile(FaultProfile profile) {
@@ -94,23 +116,17 @@ FaultProfile DiskManager::fault_profile() const {
 
 Status DiskManager::CheckDurableWrite(uint32_t* spike_micros) {
   uint32_t spike = 0;
-  Status st;
-  {
-    std::shared_lock lock(mu_);
-    st = CheckDurableFault(DurableOp::kWrite, &spike);
-  }
+  Status st = CheckDurableFault(DurableOp::kWrite, &spike);
   if (spike_micros != nullptr) *spike_micros = spike;
   return st;
 }
 
 Status DiskManager::CheckDurableSync() {
-  std::shared_lock lock(mu_);
   uint32_t spike = 0;
   return CheckDurableFault(DurableOp::kSync, &spike);
 }
 
 Status DiskManager::CheckDurableTruncate() {
-  std::shared_lock lock(mu_);
   uint32_t spike = 0;
   return CheckDurableFault(DurableOp::kTruncate, &spike);
 }
@@ -131,6 +147,7 @@ Status DiskManager::CheckDurableFault(DurableOp op, uint32_t* spike_micros) {
     }
   }
   if (!profile_enabled_.load(std::memory_order_relaxed)) return Status::OK();
+  std::shared_lock lock(mu_);  // profile_ is written under mu_
   if (permanent_tripped_.load(std::memory_order_relaxed)) {
     faults_injected_.fetch_add(1, std::memory_order_relaxed);
     return Status::Internal("disk failed permanently (injected)");
@@ -185,7 +202,7 @@ Status DiskManager::CheckFault(uint32_t* spike_micros) {
     }
   }
   if (!profile_enabled_.load(std::memory_order_relaxed)) return Status::OK();
-
+  std::shared_lock lock(mu_);  // profile_ is written under mu_
   if (permanent_tripped_.load(std::memory_order_relaxed)) {
     faults_injected_.fetch_add(1, std::memory_order_relaxed);
     return Status::Internal("disk failed permanently (injected)");
@@ -225,12 +242,8 @@ void DiskManager::SimulateLatency(bool is_write,
   }
 }
 
-Status DiskManager::Validate(PageId id) const {
-  if (id >= pages_.size() || pages_[id] == nullptr) {
-    return Status::NotFound("page " + std::to_string(id) +
-                            " is not allocated");
-  }
-  return Status::OK();
+Status DiskManager::NotAllocated(PageId id) {
+  return Status::NotFound("page " + std::to_string(id) + " is not allocated");
 }
 
 }  // namespace atis::storage

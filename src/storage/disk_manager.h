@@ -5,12 +5,21 @@
 // seeks), but the interface is exactly that of a paged disk file: allocate,
 // read, write, deallocate.
 //
-// Thread safety: all operations may be called concurrently. Allocation
-// metadata is guarded by a shared mutex (exclusive for allocate/deallocate,
-// shared for page I/O); the meter and the fault-injection state are atomic.
-// Concurrent ReadPage/WritePage of the *same* page are the caller's
-// responsibility — the buffer pool guarantees it by routing every page
-// through exactly one latch-protected shard.
+// Thread safety: all operations may be called concurrently. Page I/O takes
+// no lock on the fault-free path: pages live in slots reached through a
+// slot table that a reader finds with one acquire-load, and a slot's live
+// flag says whether its id is allocated. Allocation and deallocation take
+// the mutex exclusively; when the table is full, allocation publishes a
+// copy twice the size and keeps the old array until destruction, so a
+// reader holding it stays valid. A deallocated page keeps its slot and
+// memory, and is zeroed when its id is reused: a read racing a
+// deallocation either sees the id freed or copies bytes that are still
+// owned, never freed memory. The meter and the fault countdowns are
+// atomic; only an enabled FaultProfile takes the mutex shared, because
+// the profile is written under it. Concurrent ReadPage/WritePage of the
+// *same* page are the caller's responsibility — the buffer pool
+// guarantees it by routing every page through exactly one latch-protected
+// shard.
 #pragma once
 
 #include <atomic>
@@ -79,7 +88,7 @@ struct FaultProfile {
 
 class DiskManager {
  public:
-  DiskManager() = default;
+  DiskManager();
 
   DiskManager(const DiskManager&) = delete;
   DiskManager& operator=(const DiskManager&) = delete;
@@ -103,8 +112,8 @@ class DiskManager {
   const IoMeter& meter() const { return meter_; }
 
   /// Installs (or clears, with a zero model) the simulated device latency.
-  /// The sleep happens outside the allocation lock, after a successful
-  /// access. Not meant to be changed while I/O is in flight.
+  /// The sleep happens after a successful access, holding no lock. Not
+  /// meant to be changed while I/O is in flight.
   void SetLatencyModel(DiskLatencyModel model) {
     latency_read_micros_.store(model.read_micros, std::memory_order_relaxed);
     latency_write_micros_.store(model.write_micros,
@@ -174,39 +183,82 @@ class DiskManager {
   /// Sentinel countdown value meaning "not armed".
   static constexpr uint64_t kFaultDisarmed = ~uint64_t{0};
 
-  Status Validate(PageId id) const;  // caller holds mu_ (any mode)
+  /// One page: its bytes and whether its id is allocated. A slot is
+  /// created with its id and lives until the DiskManager is destroyed.
+  /// Cache-line aligned, so zeroing or copying one page never writes a
+  /// line that holds another slot's live flag.
+  struct alignas(64) Slot {
+    std::atomic<bool> live{true};
+    alignas(64) Page page;
+  };
+  /// The readers' view of the slots: entry i is id i's slot, or null for
+  /// an id not yet handed out. Entries are set under mu_; a full table is
+  /// replaced by a copy twice its size, never resized in place.
+  struct SlotTable {
+    explicit SlotTable(size_t n)
+        : capacity(n), slots(new std::atomic<Slot*>[n]()) {}
+    size_t capacity;
+    std::unique_ptr<std::atomic<Slot*>[]> slots;
+  };
+
+  /// The live slot of `id`, or null when `id` is not allocated. Lock-free.
+  Slot* LiveSlot(PageId id) const {
+    const SlotTable* table = table_.load(std::memory_order_acquire);
+    if (id >= table->capacity) return nullptr;
+    Slot* slot = table->slots[id].load(std::memory_order_acquire);
+    return slot != nullptr && slot->live.load(std::memory_order_acquire)
+               ? slot
+               : nullptr;
+  }
+  static Status NotAllocated(PageId id);
   /// Consumes one unit of every armed fault source; error when one fires.
-  /// On success *spike_micros carries any straggler sleep to add after the
-  /// lock is released. Caller holds mu_ (any mode).
+  /// On success *spike_micros carries any straggler sleep to add once the
+  /// access is done. Takes mu_ shared only while a FaultProfile is enabled.
   Status CheckFault(uint32_t* spike_micros);
   /// Which durable-path operation a fault check gates (selects the
   /// FaultProfile rate it draws against).
   enum class DurableOp { kWrite, kSync, kTruncate };
   /// Durable-path twin of CheckFault: countdowns and the permanent trip
   /// fire as usual, then one draw against the op's transient rate.
-  /// Caller holds mu_ (any mode).
+  /// Takes mu_ shared only while a FaultProfile is enabled.
   Status CheckDurableFault(DurableOp op, uint32_t* spike_micros);
   void SimulateLatency(bool is_write, uint32_t spike_micros) const;
 
-  mutable std::shared_mutex mu_;
-  std::vector<std::unique_ptr<Page>> pages_;  // nullptr == freed slot
-  std::vector<PageId> free_list_;
-  IoMeter meter_;
+  // Three groups, each starting a cache line, so that no page access
+  // writes a line another access only reads: the words every access reads
+  // (written by configuration calls and table doublings), the meter every
+  // access writes, and the allocation state.
+
+  /// Current slot table; the newest entry of tables_.
+  alignas(64) std::atomic<const SlotTable*> table_;
   /// Remaining successful ops before permanent failure; kFaultDisarmed =
   /// not armed. One word, consumed by a single CAS loop.
   std::atomic<uint64_t> fault_countdown_{kFaultDisarmed};
   /// Remaining accesses that fail transiently (0 = none).
   std::atomic<uint64_t> transient_countdown_{0};
-  /// FaultProfile fields; written under mu_ (exclusive), read under mu_
-  /// (shared). `profile_enabled_` is the atomic fast-path switch so a
+  /// Whether profile_ is enabled: the atomic fast-path switch, so a
   /// disabled profile costs one relaxed load per access.
-  FaultProfile profile_;
   std::atomic<bool> profile_enabled_{false};
+  std::atomic<uint32_t> latency_read_micros_{0};
+  std::atomic<uint32_t> latency_write_micros_{0};
+
+  alignas(64) IoMeter meter_;
+
+  /// Exclusive for allocation, deallocation and SetFaultProfile; shared
+  /// for reads of profile_. Page I/O without a profile never takes it.
+  alignas(64) mutable std::shared_mutex mu_;
+  /// Every table published, the current one last; older ones are kept
+  /// for readers that loaded them before a doubling. Guarded by mu_.
+  std::vector<std::unique_ptr<SlotTable>> tables_;
+  /// Owner of every slot, indexed by id. Guarded by mu_.
+  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<PageId> free_list_;  // guarded by mu_
+  /// FaultProfile fields; written under mu_ (exclusive), read under mu_
+  /// (shared).
+  FaultProfile profile_;
   std::atomic<bool> permanent_tripped_{false};
   std::atomic<uint64_t> fault_draws_{0};  ///< counter feeding the rng hash
   std::atomic<uint64_t> faults_injected_{0};
-  std::atomic<uint32_t> latency_read_micros_{0};
-  std::atomic<uint32_t> latency_write_micros_{0};
 };
 
 }  // namespace atis::storage

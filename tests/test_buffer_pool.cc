@@ -322,6 +322,52 @@ TEST(BufferPoolTest, ResetStatsZeroesCountersNotContents) {
   EXPECT_EQ(pool.stats().hits, 1u);
 }
 
+// Hits are counted in the frames, each by the fetching thread on the
+// frame it pinned: with threads hitting and missing on shared shards,
+// hits + misses still equals their fetches exactly after the join, and
+// ResetStats zeroes every frame's count.
+TEST(BufferPoolTest, HitsAreCountedExactlyAcrossThreads) {
+  constexpr size_t kThreads = 4;
+  constexpr int kFetchesPerThread = 3000;
+  DiskManager dm;
+  BufferPool pool(&dm, 16, 4);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 24; ++i) ids.push_back(dm.AllocatePage());
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(300 + t);
+      for (int i = 0; i < kFetchesPerThread; ++i) {
+        // Mostly the first 12 pages (hits), sometimes the rest (misses).
+        const size_t span = rng.UniformInt(8) == 0 ? ids.size() : 12;
+        if (!pool.FetchPage(ids[rng.UniformInt(span)]).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  const BufferPoolStats s = pool.stats();
+  EXPECT_EQ(s.hits + s.misses, uint64_t{kThreads} * kFetchesPerThread);
+  EXPECT_GT(s.hits, s.misses);
+  EXPECT_EQ(s.misses, dm.meter().counters().blocks_read);
+
+  pool.ResetStats();
+  EXPECT_EQ(pool.stats().hits, 0u);
+  EXPECT_EQ(pool.stats().misses, 0u);
+  for (const PageId id : ids) {
+    if (pool.IsCached(id)) {
+      ASSERT_TRUE(pool.FetchPage(id).ok());
+      EXPECT_EQ(pool.stats().hits, 1u);
+      break;
+    }
+  }
+}
+
 // Multi-threaded stress: each worker hammers its own writable pages while
 // everyone fetches a shared read-only set, through a pool small enough to
 // force constant eviction/write-back traffic. Run under
@@ -769,71 +815,93 @@ void ExpectSameState(const BufferPool& pool, const ReferenceLru& ref,
   }
 }
 
-void RunLruEquivalence(size_t capacity, size_t num_shards, uint64_t seed) {
-  DiskManager dm;
-  std::vector<PageId> pages = MakeColdPages(dm, 3 * capacity);
-  const uint64_t writes_before = dm.meter().counters().blocks_written;
-  BufferPool pool(&dm, capacity, num_shards);
-  ReferenceLru ref(capacity, num_shards);
-  std::vector<PageGuard> held;
-  Rng rng(seed);
-  for (int op = 0; op < 3000; ++op) {
+/// One pool and its reference, driven one random operation at a time.
+class LruReplay {
+ public:
+  LruReplay(size_t capacity, size_t num_shards)
+      : pages_(MakeColdPages(dm_, 3 * capacity)),
+        writes_before_(dm_.meter().counters().blocks_written),
+        capacity_(capacity),
+        pool_(&dm_, capacity, num_shards),
+        ref_(capacity, num_shards) {}
+  ~LruReplay() {
+    for (PageGuard& g : held_) ref_.Unpin(g.id());
+  }
+
+  /// Applies one operation drawn from `rng` to the pool and the reference,
+  /// then checks that they agree.
+  void Step(Rng& rng, int op) {
     const uint64_t kind = rng.UniformInt(100);
-    const PageId id = pages[rng.UniformInt(pages.size())];
+    const PageId id = pages_[rng.UniformInt(pages_.size())];
     if (kind < 58) {
       // Fetch; sometimes dirty it, sometimes keep it pinned for a while.
-      auto g = pool.FetchPage(id);
-      const bool ok = ref.Fetch(id);
+      auto g = pool_.FetchPage(id);
+      const bool ok = ref_.Fetch(id);
       ASSERT_EQ(g.ok(), ok) << "op " << op;
       if (!ok) {
         EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted);
       } else {
         if (rng.UniformInt(3) == 0) {
           g->MutablePage().WriteAt<uint32_t>(4, static_cast<uint32_t>(op));
-          ref.Dirty(id);
+          ref_.Dirty(id);
         }
-        if (held.size() < 3 && rng.UniformInt(4) == 0) {
-          held.push_back(std::move(g).value());
+        if (held_.size() < 3 && rng.UniformInt(4) == 0) {
+          held_.push_back(std::move(g).value());
         } else {
           g->Release();
-          ref.Unpin(id);
+          ref_.Unpin(id);
         }
       }
     } else if (kind < 72) {
-      if (held.empty()) continue;
-      const size_t i = rng.UniformInt(held.size());
+      if (held_.empty()) return;
+      const size_t i = rng.UniformInt(held_.size());
       if (rng.UniformInt(2) == 0) {
-        held[i].MutablePage().WriteAt<uint32_t>(8, static_cast<uint32_t>(op));
-        ref.Dirty(held[i].id());
+        held_[i].MutablePage().WriteAt<uint32_t>(8, static_cast<uint32_t>(op));
+        ref_.Dirty(held_[i].id());
       }
-      ref.Unpin(held[i].id());
-      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+      ref_.Unpin(held_[i].id());
+      held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(i));
     } else if (kind < 79) {
       // Only with nothing pinned, so the new page always finds a frame
       // (its id is unknown until the call returns).
-      if (!held.empty()) continue;
-      auto g = pool.NewPage();
+      if (!held_.empty()) return;
+      auto g = pool_.NewPage();
       ASSERT_TRUE(g.ok());
-      ASSERT_TRUE(ref.New(g->id()));
-      pages.push_back(g->id());
+      ASSERT_TRUE(ref_.New(g->id()));
+      pages_.push_back(g->id());
       g->Release();
-      ref.Unpin(pages.back());
+      ref_.Unpin(pages_.back());
     } else if (kind < 86) {
-      if (pages.size() <= capacity) continue;
-      const bool ok = ref.Delete(id);
-      ASSERT_EQ(pool.DeletePage(id).ok(), ok) << "op " << op;
-      if (ok) pages.erase(std::find(pages.begin(), pages.end(), id));
+      if (pages_.size() <= capacity_) return;
+      const bool ok = ref_.Delete(id);
+      ASSERT_EQ(pool_.DeletePage(id).ok(), ok) << "op " << op;
+      if (ok) pages_.erase(std::find(pages_.begin(), pages_.end(), id));
     } else if (kind < 93) {
-      ASSERT_EQ(pool.EvictAll().ok(), ref.EvictAll()) << "op " << op;
+      ASSERT_EQ(pool_.EvictAll().ok(), ref_.EvictAll()) << "op " << op;
     } else {
-      ASSERT_TRUE(pool.FlushAll().ok());
-      ref.FlushAll();
+      ASSERT_TRUE(pool_.FlushAll().ok());
+      ref_.FlushAll();
     }
-    ExpectSameState(pool, ref, dm, writes_before, pages, op);
+    ExpectSameState(pool_, ref_, dm_, writes_before_, pages_, op);
+  }
+
+ private:
+  DiskManager dm_;
+  std::vector<PageId> pages_;
+  uint64_t writes_before_;
+  size_t capacity_;
+  BufferPool pool_;
+  ReferenceLru ref_;
+  std::vector<PageGuard> held_;
+};
+
+void RunLruEquivalence(size_t capacity, size_t num_shards, uint64_t seed) {
+  LruReplay replay(capacity, num_shards);
+  Rng rng(seed);
+  for (int op = 0; op < 3000; ++op) {
+    replay.Step(rng, op);
     if (::testing::Test::HasFatalFailure()) return;
   }
-  for (PageGuard& g : held) ref.Unpin(g.id());
-  held.clear();
 }
 
 TEST(BufferPoolLruModelTest, OneShardReplaysReferenceLru) {
@@ -847,6 +915,23 @@ TEST(BufferPoolLruModelTest, FourShardsReplayReferenceLru) {
   for (const uint64_t seed : {4, 5, 6}) {
     SCOPED_TRACE(seed);
     RunLruEquivalence(10, 4, seed);
+  }
+}
+
+// Unpin stamps come from one counter per thread, shared by every pool the
+// thread uses: a thread that interleaves two pools must still replay the
+// reference in each (a stamp source that restarts or falls back when the
+// thread moves to another pool breaks this).
+TEST(BufferPoolLruModelTest, OneThreadOnTwoPoolsReplaysReferenceLruInEach) {
+  for (const uint64_t seed : {7, 8, 9}) {
+    SCOPED_TRACE(seed);
+    LruReplay one_shard(6, 1);
+    LruReplay four_shards(10, 4);
+    Rng rng(seed);
+    for (int op = 0; op < 3000; ++op) {
+      (rng.UniformInt(2) == 0 ? one_shard : four_shards).Step(rng, op);
+      if (HasFatalFailure()) return;
+    }
   }
 }
 
