@@ -105,7 +105,7 @@ WorkloadResult RunWorkload(const Workload& w) {
       w.euclidean_scale)));
 
   // Overlay: topology (persisted through the metered OC relation), then
-  // customization for the store's current metric.
+  // customization on the store-rounded metric.
   const core::OverlayTopology built = ValueOrDie(core::OverlayTopology::Build(
       w.graph, {.cell_order = kDefaultCellOrder}));
   const storage::IoCounters io_before = db.disk().meter().counters();
@@ -119,10 +119,9 @@ WorkloadResult RunWorkload(const Workload& w) {
   out.cells = topo->num_cells();
   out.boundary_nodes = topo->num_boundary_nodes();
 
-  graph::RelationalGraphStore* stores[] = {&db.store()};
   const auto cc_started = std::chrono::steady_clock::now();
   auto custom = ValueOrDie(
-      core::CustomizeOverlay(*topo, stores, /*metric_version=*/1));
+      core::CustomizeOverlay(*topo, stored, /*metric_version=*/1));
   out.customize_full_ms = 1e3 * SecondsSince(cc_started);
   CheckOk(db.engine().EnableOverlay(
       std::make_shared<const core::OverlayIndex>(
@@ -259,20 +258,20 @@ CustomizationPoint RunCustomization(const Workload& w, uint32_t order) {
   out.cells = topo->num_cells();
   out.boundary_nodes = topo->num_boundary_nodes();
 
-  graph::RelationalGraphStore* stores[] = {&db.store()};
+  graph::Graph stored = core::WithStoredEdgeCosts(w.graph);
   const auto cc_started = std::chrono::steady_clock::now();
   std::shared_ptr<const core::OverlayCustomization> current = ValueOrDie(
-      core::CustomizeOverlay(*topo, stores, /*metric_version=*/1));
+      core::CustomizeOverlay(*topo, stored, /*metric_version=*/1));
   out.customize_full_ms = 1e3 * SecondsSince(cc_started);
 
   // Congest one same-cell edge (cost increases keep every index sound)
   // and measure the incremental path: re-customize only the edge's cell.
-  graph::Graph stored = core::WithStoredEdgeCosts(w.graph);
   graph::NodeId u = 0, v = 0;
   if (FindEdge(w.graph, *topo, /*same_cell=*/true, &u, &v)) {
     const double congested = ValueOrDie(stored.EdgeCost(u, v)) * 3.0;
     CheckOk(db.store().UpdateEdgeCost(u, v, congested));
-    // Mirror the store's float-rounded write in the in-memory truth.
+    // Mirror the store's float-rounded write in the metric the overlay
+    // re-customizes from.
     CheckOk(stored.SetEdgeCost(
         u, v, static_cast<double>(static_cast<float>(congested))));
     std::vector<double> samples;
@@ -280,8 +279,8 @@ CustomizationPoint RunCustomization(const Workload& w, uint32_t order) {
       const auto t0 = std::chrono::steady_clock::now();
       const std::pair<graph::NodeId, graph::NodeId> edge{u, v};
       current = ValueOrDie(core::RecustomizeForEdges(
-          *topo, *current, {&edge, 1}, &db.store(),
-          &out.cells_changed_same_cell, current->metric_version() + 1));
+          *topo, *current, {&edge, 1}, stored, &out.cells_changed_same_cell,
+          current->metric_version() + 1));
       samples.push_back(1e3 * SecondsSince(t0));
     }
     out.recustomize_same_cell_ms = MedianMs(samples);
@@ -296,7 +295,7 @@ CustomizationPoint RunCustomization(const Workload& w, uint32_t order) {
       const auto t0 = std::chrono::steady_clock::now();
       const std::pair<graph::NodeId, graph::NodeId> edge{u, v};
       current = ValueOrDie(core::RecustomizeForEdges(
-          *topo, *current, {&edge, 1}, &db.store(), &changed,
+          *topo, *current, {&edge, 1}, stored, &changed,
           current->metric_version() + 1));
       samples.push_back(1e3 * SecondsSince(t0));
     }

@@ -415,9 +415,8 @@ int CmdDbRoute(int argc, char** argv, const char* argv0) {
       std::fprintf(stderr, "%s\n", topo.status().ToString().c_str());
       return 1;
     }
-    graph::RelationalGraphStore* stores[] = {&store};
-    auto cust =
-        core::CustomizeOverlay(**topo, stores, /*metric_version=*/1);
+    auto cust = core::CustomizeOverlay(
+        **topo, core::WithStoredEdgeCosts(*g), /*metric_version=*/1);
     if (!cust.ok()) {
       std::fprintf(stderr, "%s\n", cust.status().ToString().c_str());
       return 1;

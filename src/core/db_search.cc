@@ -249,24 +249,6 @@ Result<PathResult> DbSearchEngine::AStar(NodeId source, NodeId destination,
   return Status::Internal("unreachable A* version");
 }
 
-Result<PathResult> DbSearchEngine::AStarCustom(NodeId source,
-                                               NodeId destination,
-                                               const Estimator& estimator,
-                                               FrontierImpl frontier,
-                                               const Deadline& deadline) {
-  switch (frontier) {
-    case FrontierImpl::kStatusAttribute:
-      return BestFirstStatusAttribute(source, destination, &estimator,
-                                      "astar-status-attribute", deadline,
-                                      /*batch=*/nullptr);
-    case FrontierImpl::kSeparateRelation:
-      return AStarSeparateRelation(source, destination, estimator,
-                                   "astar-separate-relation", deadline,
-                                   /*batch=*/nullptr);
-  }
-  return Status::Internal("unreachable frontier implementation");
-}
-
 Result<PathResult> DbSearchEngine::BestFirstStatusAttribute(
     NodeId source, NodeId destination, const Estimator* estimator,
     std::string_view label, const Deadline& deadline, BatchContext* batch) {

@@ -52,15 +52,10 @@ struct OverlayIndex;  // core/overlay.h
 enum class AStarVersion { kV1 = 1, kV2 = 2, kV3 = 3, kV4 = 4, kV5 = 5 };
 std::string_view AStarVersionName(AStarVersion v);
 
-enum class FrontierImpl {
-  kSeparateRelation,  ///< APPEND/DELETE on a dedicated frontier relation
-  kStatusAttribute,   ///< REPLACE of R.status (the paper's preference)
-};
-
 struct DbSearchOptions {
-  /// Frontier duplicate management (only observable with
-  /// kSeparateRelation; the status attribute is duplicate-free by
-  /// construction).
+  /// Frontier duplicate management (only observable in A* Version 1's
+  /// separate frontier relation; the status attribute is duplicate-free
+  /// by construction).
   DuplicatePolicy duplicate_policy = DuplicatePolicy::kAvoid;
   /// Evict the buffer pool between statements (the paper's execution
   /// model). Turning this off lets statements share cached blocks.
@@ -129,14 +124,6 @@ class DbSearchEngine {
   /// null or incomplete indexes.
   Status EnableOverlay(std::shared_ptr<const OverlayIndex> overlay);
   bool overlay_enabled() const { return overlay_ != nullptr; }
-
-  /// A* with an explicit estimator/frontier combination (the versions
-  /// above are canned configurations of this).
-  Result<PathResult> AStarCustom(graph::NodeId source,
-                                 graph::NodeId destination,
-                                 const Estimator& estimator,
-                                 FrontierImpl frontier,
-                                 const Deadline& deadline = {});
 
   const DbSearchOptions& options() const { return options_; }
 

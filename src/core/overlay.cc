@@ -6,7 +6,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 
 #include "graph/shortest_path.h"
 #include "graph/spatial_layout.h"
@@ -29,12 +28,11 @@ struct CellCustomization {
   OverlayCustomization::CrossArcs cross;
 };
 
-/// Reads every member's adjacency through the metered store, splits it
-/// into the intra-cell graph and cross arcs, and runs one restricted
-/// Dijkstra per member: the rows of the in-cell all-pairs table.
+/// Splits every member's out-edges in `metric` into the intra-cell graph
+/// and cross arcs, and runs one restricted Dijkstra per member: the rows
+/// of the in-cell all-pairs table.
 Result<CellCustomization> CustomizeCell(const OverlayTopology& topo,
-                                        int32_t c,
-                                        const RelationalGraphStore* store) {
+                                        int32_t c, const Graph& metric) {
   const OverlayTopology::Cell& cell = topo.cell(c);
   const size_t m = cell.members.size();
   std::vector<std::vector<std::pair<int32_t, double>>> adj(m);
@@ -42,16 +40,14 @@ Result<CellCustomization> CustomizeCell(const OverlayTopology& topo,
   out.cross.resize(cell.boundary.size());
   for (size_t mi = 0; mi < m; ++mi) {
     const NodeId u = cell.members[mi];
-    ATIS_ASSIGN_OR_RETURN(auto edges, store->FetchAdjacency(u));
-    for (const auto& e : edges) {
-      if (topo.CellOf(e.end) == c) {
-        adj[mi].emplace_back(topo.MemberIndexOf(e.end), e.cost);
+    for (const graph::Edge& e : metric.Neighbors(u)) {
+      if (topo.CellOf(e.to) == c) {
+        adj[mi].emplace_back(topo.MemberIndexOf(e.to), e.cost);
       } else if (topo.IsBoundary(u)) {
-        out.cross[static_cast<size_t>(topo.BoundaryIndexOf(u))].push_back(
-            {e.end, e.cost});
+        out.cross[static_cast<size_t>(topo.BoundaryIndexOf(u))].push_back(e);
       } else {
         return Status::Corruption(
-            "stored edge leaves its cell from a non-boundary node");
+            "metric edge leaves its cell from a non-boundary node");
       }
     }
   }
@@ -69,6 +65,15 @@ Result<CellCustomization> CustomizeCell(const OverlayTopology& topo,
     out.tables.incell_pred[mi] = search.TakeParents();
   }
   return out;
+}
+
+/// InvalidArgument unless `metric` has exactly the topology's nodes.
+Status CheckMetric(const OverlayTopology& topology, const Graph& metric) {
+  if (metric.num_nodes() != topology.num_nodes()) {
+    return Status::InvalidArgument(
+        "overlay metric and topology disagree on the node count");
+  }
+  return Status::OK();
 }
 
 void PublishCustomizationMetrics(double seconds, uint64_t metric_version,
@@ -245,12 +250,9 @@ OverlayTopology::ToCellRows() const {
 }
 
 Result<std::shared_ptr<const OverlayCustomization>> CustomizeOverlay(
-    const OverlayTopology& topology,
-    std::span<RelationalGraphStore* const> stores,
+    const OverlayTopology& topology, const Graph& metric,
     uint64_t metric_version) {
-  if (stores.empty()) {
-    return Status::InvalidArgument("CustomizeOverlay needs a store");
-  }
+  ATIS_RETURN_NOT_OK(CheckMetric(topology, metric));
   const auto started = std::chrono::steady_clock::now();
   const size_t num_cells = topology.num_cells();
   auto custom = std::make_shared<OverlayCustomization>();
@@ -258,43 +260,14 @@ Result<std::shared_ptr<const OverlayCustomization>> CustomizeOverlay(
   custom->metric_version_ = metric_version;
   custom->cells_.resize(num_cells);
   custom->cross_.resize(num_cells);
-
-  // One thread per store replica, each customizing a disjoint cell
-  // stripe; the shared buffer pool sees only read traffic. The
-  // single-store case runs inline.
-  const size_t num_threads = std::min(stores.size(), num_cells);
-  std::vector<std::vector<CellCustomization>> done(num_threads);
-  std::vector<Status> status(num_threads, Status::OK());
-  auto worker = [&](size_t t) {
-    for (size_t c = t; c < num_cells; c += num_threads) {
-      auto r = CustomizeCell(topology, static_cast<int32_t>(c), stores[t]);
-      if (!r.ok()) {
-        status[t] = r.status();
-        return;
-      }
-      done[t].push_back(std::move(r).value());
-    }
-  };
-  if (num_threads <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (size_t t = 0; t < num_threads; ++t) {
-      threads.emplace_back(worker, t);
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  for (size_t t = 0; t < num_threads; ++t) {
-    ATIS_RETURN_NOT_OK(status[t]);
-    size_t i = 0;
-    for (size_t c = t; c < num_cells; c += num_threads, ++i) {
-      CellCustomization& cc = done[t][i];
-      custom->cells_[c] = std::make_shared<const
-          OverlayCustomization::CellTables>(std::move(cc.tables));
-      custom->cross_[c] = std::make_shared<const
-          OverlayCustomization::CrossArcs>(std::move(cc.cross));
-    }
+  for (size_t c = 0; c < num_cells; ++c) {
+    ATIS_ASSIGN_OR_RETURN(
+        CellCustomization cc,
+        CustomizeCell(topology, static_cast<int32_t>(c), metric));
+    custom->cells_[c] = std::make_shared<const
+        OverlayCustomization::CellTables>(std::move(cc.tables));
+    custom->cross_[c] = std::make_shared<const
+        OverlayCustomization::CrossArcs>(std::move(cc.cross));
   }
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -306,9 +279,9 @@ Result<std::shared_ptr<const OverlayCustomization>> CustomizeOverlay(
 
 Result<std::shared_ptr<const OverlayCustomization>> RecustomizeForEdges(
     const OverlayTopology& topology, const OverlayCustomization& previous,
-    std::span<const std::pair<NodeId, NodeId>> edges,
-    RelationalGraphStore* store, size_t* cells_changed,
-    uint64_t metric_version) {
+    std::span<const std::pair<NodeId, NodeId>> edges, const Graph& metric,
+    size_t* cells_changed, uint64_t metric_version) {
+  ATIS_RETURN_NOT_OK(CheckMetric(topology, metric));
   const auto started = std::chrono::steady_clock::now();
   // Dedupe the work across the batch: a cell rebuild subsumes every
   // update inside or out of that cell, a node adjacency re-read subsumes
@@ -334,7 +307,7 @@ Result<std::shared_ptr<const OverlayCustomization>> RecustomizeForEdges(
   custom->cross_ = previous.cross_;
   for (const int32_t c : cells_to_rebuild) {
     ATIS_ASSIGN_OR_RETURN(CellCustomization cc,
-                          CustomizeCell(topology, c, store));
+                          CustomizeCell(topology, c, metric));
     custom->cells_[static_cast<size_t>(c)] = std::make_shared<const
         OverlayCustomization::CellTables>(std::move(cc.tables));
     custom->cross_[static_cast<size_t>(c)] = std::make_shared<const
@@ -345,12 +318,11 @@ Result<std::shared_ptr<const OverlayCustomization>> RecustomizeForEdges(
     auto arcs = std::make_shared<OverlayCustomization::CrossArcs>(
         *previous.cross_[static_cast<size_t>(c)]);
     for (const NodeId u : tails) {
-      ATIS_ASSIGN_OR_RETURN(auto adj, store->FetchAdjacency(u));
       std::vector<graph::Edge>& out =
           (*arcs)[static_cast<size_t>(topology.BoundaryIndexOf(u))];
       out.clear();
-      for (const auto& e : adj) {
-        if (topology.CellOf(e.end) != c) out.push_back({e.end, e.cost});
+      for (const graph::Edge& e : metric.Neighbors(u)) {
+        if (topology.CellOf(e.to) != c) out.push_back(e);
       }
     }
     custom->cross_[static_cast<size_t>(c)] = std::move(arcs);

@@ -17,12 +17,13 @@
 //     shortcuts (a boundary pair is connected exactly when its entry is
 //     finite) and finishing legs, a column at a boundary node gives the
 //     member -> boundary seed legs, and any entry answers a same-cell
-//     query with no search at all. Cells are independent, so
-//     customization parallelises across the RouteServer's store replicas,
-//     and a single-edge traffic update re-customizes only the affected
-//     cell (same-cell edge) or re-reads one node's cross arcs
-//     (cross-cell edge) instead of rebuilding the index or bumping a
-//     global cache epoch.
+//     query with no search at all. Customization is a pure function of
+//     the topology and the metric, an in-memory graph holding the costs
+//     the store serves (WithStoredEdgeCosts; RouteServer passes the
+//     metric snapshot it publishes), so it reads no storage. Cells are
+//     independent: a single-edge traffic update re-customizes only the
+//     affected cell (same-cell edge) or re-reads one node's cross arcs
+//     (cross-cell edge) instead of rebuilding the index.
 //
 //   Query phase: DbSearchEngine Version 5 runs A* over *boundary nodes
 //     only* — seeded with the source's row at the boundary columns,
@@ -186,13 +187,12 @@ class OverlayCustomization {
 
  private:
   friend Result<std::shared_ptr<const OverlayCustomization>>
-  CustomizeOverlay(const OverlayTopology&,
-                   std::span<graph::RelationalGraphStore* const>, uint64_t);
+  CustomizeOverlay(const OverlayTopology&, const graph::Graph&, uint64_t);
   friend Result<std::shared_ptr<const OverlayCustomization>>
   RecustomizeForEdges(
       const OverlayTopology&, const OverlayCustomization&,
       std::span<const std::pair<graph::NodeId, graph::NodeId>>,
-      graph::RelationalGraphStore*, size_t*, uint64_t);
+      const graph::Graph&, size_t*, uint64_t);
 
   const OverlayTopology* topology_ = nullptr;
   uint64_t metric_version_ = 0;
@@ -200,29 +200,29 @@ class OverlayCustomization {
   std::vector<std::shared_ptr<const CrossArcs>> cross_;   // [cell]
 };
 
-/// Computes every cell's tables and cross arcs for the metric currently
-/// stored in the S relations. Adjacency is read through the metered
-/// storage layer; cells are customized in parallel, one thread per store
-/// replica (each replica serves a disjoint cell subset, so the shared
-/// pool sees only read traffic). `stores` must be non-empty, all loaded
-/// with the same map.
+/// Computes every cell's tables and cross arcs for `metric`, a graph over
+/// the topology's nodes holding the costs the store serves (pass
+/// WithStoredEdgeCosts(g), so every table entry is exactly what a search
+/// over the store would sum). InvalidArgument when the node counts
+/// differ; Corruption when `metric` has an edge that leaves its cell from
+/// a node the topology calls interior.
 Result<std::shared_ptr<const OverlayCustomization>> CustomizeOverlay(
-    const OverlayTopology& topology,
-    std::span<graph::RelationalGraphStore* const> stores,
+    const OverlayTopology& topology, const graph::Graph& metric,
     uint64_t metric_version);
 
-/// Batched re-customization for a whole update batch in one shot: the
-/// affected cells are deduplicated first, so a hundred updates inside one
-/// cell rebuild that cell once, not a hundred times. Same-cell edges mark
-/// their cell for rebuild; cross-cell edges re-read just the tail node's
-/// adjacency. The result's metric_version is `metric_version` verbatim —
-/// the caller (the server's write path) aligns overlay versions with its
-/// snapshot versions instead of counting per-edge steps. *cells_changed
-/// reports the number of distinct cells rebuilt.
+/// Batched re-customization for a whole update batch in one shot, over
+/// `metric` already holding the batch's costs: the affected cells are
+/// deduplicated first, so a hundred updates inside one cell rebuild that
+/// cell once, not a hundred times. Same-cell edges mark their cell for
+/// rebuild; cross-cell edges re-read just the tail node's out-edges. The
+/// result's metric_version is `metric_version` verbatim — the caller (the
+/// server's write path) aligns overlay versions with its snapshot
+/// versions instead of counting per-edge steps. *cells_changed reports
+/// the number of distinct cells rebuilt.
 Result<std::shared_ptr<const OverlayCustomization>> RecustomizeForEdges(
     const OverlayTopology& topology, const OverlayCustomization& previous,
     std::span<const std::pair<graph::NodeId, graph::NodeId>> edges,
-    graph::RelationalGraphStore* store, size_t* cells_changed,
+    const graph::Graph& metric, size_t* cells_changed,
     uint64_t metric_version);
 
 /// The pair a Version 5 search needs, swapped atomically as one unit on

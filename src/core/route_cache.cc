@@ -50,11 +50,10 @@ RouteCache::LookupResult RouteCache::Lookup(const Key& key,
     ++shard.stats.misses;
     return out;
   }
-  if (it->second->epoch != now || it->second->stale) {
-    // Computed under an older cost model (or region-invalidated): report
-    // a miss so the caller recomputes under the current one, and (unless
-    // the entry is being kept as degraded-mode fallback material) evict
-    // it.
+  if (it->second->epoch != now) {
+    // Computed under an older cost model: report a miss so the caller
+    // recomputes under the current one, and (unless the entry is being
+    // kept as degraded-mode fallback material) evict it.
     ++shard.stats.misses;
     if (evict_stale) {
       shard.lru.erase(it->second);
@@ -85,7 +84,7 @@ RouteCache::StaleLookupResult RouteCache::LookupAllowStale(const Key& key) {
   // Lookup(), so staleness never outlives the outage plus one hit.
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   out.result = it->second->result;
-  out.stale = it->second->epoch != now || it->second->stale;
+  out.stale = it->second->epoch != now;
   if (out.stale) {
     ++shard.stats.stale_serves;
   } else {
@@ -95,19 +94,14 @@ RouteCache::StaleLookupResult RouteCache::LookupAllowStale(const Key& key) {
 }
 
 void RouteCache::Insert(const Key& key, uint64_t observed_epoch,
-                        const PathResult& result,
-                        std::vector<int32_t> regions,
-                        std::optional<uint64_t> observed_seq) {
+                        const PathResult& result) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  // Epoch (and invalidation-sequence) check under the shard lock: a
-  // result computed before a traffic update (and raced past it) must not
-  // be cached. Re-reading epoch() here is safe because BumpEpoch
-  // happens-before any lookup that must not see the stale entry; the same
-  // holds for the sequence bump in InvalidateRegions, which precedes its
-  // shard scans.
-  if (epoch() != observed_epoch ||
-      (observed_seq.has_value() && invalidation_seq() != *observed_seq)) {
+  // Epoch check under the shard lock: a result computed before a traffic
+  // update (and raced past it) must not be cached. Re-reading epoch()
+  // here is safe because BumpEpoch happens-before any lookup that must
+  // not see the stale entry.
+  if (epoch() != observed_epoch) {
     ++shard.stats.stale_inserts_dropped;
     return;
   }
@@ -115,13 +109,10 @@ void RouteCache::Insert(const Key& key, uint64_t observed_epoch,
   if (it != shard.index.end()) {
     it->second->epoch = observed_epoch;
     it->second->result = result;
-    it->second->regions = std::move(regions);
-    it->second->stale = false;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.push_front(Entry{key, observed_epoch, result,
-                             std::move(regions), /*stale=*/false});
+  shard.lru.push_front(Entry{key, observed_epoch, result});
   shard.index.emplace(key, shard.lru.begin());
   ++shard.stats.insertions;
   while (shard.lru.size() > per_shard_capacity_) {
@@ -129,35 +120,6 @@ void RouteCache::Insert(const Key& key, uint64_t observed_epoch,
     shard.lru.pop_back();
     ++shard.stats.lru_evictions;
   }
-}
-
-size_t RouteCache::InvalidateRegions(std::span<const int32_t> regions) {
-  // Sequence bump first: any compute that observed the old sequence and
-  // inserts after our scan passed its shard is dropped at insert time, so
-  // the scan cannot miss a concurrently-inserted intersecting entry.
-  invalidation_seq_.fetch_add(1, std::memory_order_acq_rel);
-  size_t invalidated = 0;
-  bool counted_call = false;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (!counted_call) {  // once per call, not once per shard
-      ++shard->stats.region_invalidations;
-      counted_call = true;
-    }
-    for (Entry& entry : shard->lru) {
-      if (entry.stale) continue;
-      for (const int32_t r : regions) {
-        if (std::binary_search(entry.regions.begin(), entry.regions.end(),
-                               r)) {
-          entry.stale = true;
-          ++shard->stats.region_entries_invalidated;
-          ++invalidated;
-          break;
-        }
-      }
-    }
-  }
-  return invalidated;
 }
 
 RouteCache::Stats RouteCache::stats() const {
@@ -171,9 +133,6 @@ RouteCache::Stats RouteCache::stats() const {
     total.insertions += shard->stats.insertions;
     total.stale_inserts_dropped += shard->stats.stale_inserts_dropped;
     total.stale_serves += shard->stats.stale_serves;
-    total.region_invalidations += shard->stats.region_invalidations;
-    total.region_entries_invalidated +=
-        shard->stats.region_entries_invalidated;
   }
   return total;
 }

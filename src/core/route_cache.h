@@ -8,18 +8,8 @@
 // scanning), and a lookup that hits an older-epoch entry evicts it as
 // stale instead of serving it. A result computed concurrently with an
 // update is likewise dropped at insert time — its observed epoch no longer
-// matches — so a stale path is never served, only recomputed.
-//
-// Region-scoped invalidation: entries may carry the set of overlay cells
-// (core/overlay.h) their path touches. A traffic update that only *raises*
-// costs inside known cells can then call InvalidateRegions with those
-// cells instead of BumpEpoch: warm routes through untouched regions keep
-// serving, and only intersecting entries go stale. This is sound for cost
-// increases only — an increase cannot improve a route that avoids the
-// touched cells, but a decrease can, so cost decreases must still bump
-// the global epoch. Results computed concurrently with a region
-// invalidation are dropped at insert time via the invalidation sequence
-// number (capture invalidation_seq() with epoch() before computing).
+// matches — so a stale path is never served, only recomputed. The epoch
+// is the only invalidation rule.
 //
 // Sharding: entries hash to independent shards, each with its own mutex,
 // LRU list, and capacity slice, so concurrent workers do not serialise on
@@ -32,7 +22,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -72,9 +61,6 @@ class RouteCache {
     uint64_t insertions = 0;
     uint64_t stale_inserts_dropped = 0;
     uint64_t stale_serves = 0;      ///< stale entries handed out on purpose
-    uint64_t region_invalidations = 0;  ///< InvalidateRegions calls
-    /// Entries marked stale by region-scoped invalidation.
-    uint64_t region_entries_invalidated = 0;
   };
 
   struct LookupResult {
@@ -98,23 +84,8 @@ class RouteCache {
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Invalidates every cached route (entries are evicted lazily on their
-  /// next lookup). Call on any traffic/cost-model change — mandatory for
-  /// cost *decreases*, which InvalidateRegions cannot cover soundly.
+  /// next lookup). Call on any traffic/cost-model change.
   void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
-
-  /// Sequence number of region-scoped invalidations. Capture it together
-  /// with epoch() before computing a result; Insert drops results whose
-  /// observed sequence is out of date (an invalidation ran mid-compute).
-  uint64_t invalidation_seq() const {
-    return invalidation_seq_.load(std::memory_order_acquire);
-  }
-
-  /// Marks stale every entry whose region set intersects `regions`
-  /// (overlay cell ids), leaving routes through untouched regions warm.
-  /// O(cache size) scan under per-shard locks — paid only on traffic
-  /// updates. Sound for cost increases only; see the file comment.
-  /// Returns the number of entries invalidated.
-  size_t InvalidateRegions(std::span<const int32_t> regions);
 
   /// Fresh lookup. A stale entry (older epoch) reports a miss; with
   /// `evict_stale` it is also dropped on the spot. Degraded-capable
@@ -130,16 +101,9 @@ class RouteCache {
   StaleLookupResult LookupAllowStale(const Key& key);
 
   /// Caches `result` computed while `observed_epoch` (from epoch()) was
-  /// current. Dropped when an epoch bump happened since. `regions` is the
-  /// sorted set of overlay cells the path touches (empty = not region
-  /// tracked, so only epoch bumps invalidate it). When `observed_seq`
-  /// (from invalidation_seq()) is supplied, the insert is also dropped if
-  /// any region invalidation ran since — conservative, but a compute
-  /// raced by an invalidation is rare and merely recomputes.
+  /// current. Dropped when an epoch bump happened since.
   void Insert(const Key& key, uint64_t observed_epoch,
-              const PathResult& result,
-              std::vector<int32_t> regions = {},
-              std::optional<uint64_t> observed_seq = std::nullopt);
+              const PathResult& result);
 
   Stats stats() const;
   size_t size() const;
@@ -150,8 +114,6 @@ class RouteCache {
     Key key;
     uint64_t epoch = 0;
     PathResult result;
-    std::vector<int32_t> regions;  ///< sorted overlay cells; may be empty
-    bool stale = false;            ///< region-invalidated
   };
 
   struct KeyHash {
@@ -168,7 +130,6 @@ class RouteCache {
   Shard& ShardFor(const Key& key);
 
   std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint64_t> invalidation_seq_{0};
   size_t per_shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -93,21 +93,10 @@ RouteServer::RouteServer(const graph::Graph& g, Options options)
         store.get(), pool_.get(), search));
     stores_.push_back(std::move(store));
   }
-  if (options_.overlay_cell_order > 0) {
-    // The writer's private replica: overlay re-customization reads
-    // post-update adjacency from here without touching (or waiting for)
-    // any serving replica.
-    updater_store_ =
-        std::make_unique<graph::RelationalGraphStore>(pool_.get());
-    if (Status st = updater_store_->Load(base, load_options); !st.ok()) {
-      init_status_ = std::move(st);
-      return;
-    }
-  }
-
   // The initial metric on the store's float-rounded costs (a snapshot
   // route costs what the engine would have reported); landmarks are
-  // selected on it too, since that is the metric the engines accumulate.
+  // selected and the overlay customized on it too, since that is the
+  // metric the engines accumulate.
   write_graph_ = WithStoredEdgeCosts(base);
   auto initial = std::make_shared<MetricState>();
   initial->snapshot = std::make_shared<const graph::Graph>(write_graph_);
@@ -135,9 +124,8 @@ RouteServer::RouteServer(const graph::Graph& g, Options options)
 
   if (options_.overlay_cell_order > 0) {
     // Topology once (persisted through replica 0's metered storage path),
-    // then per-metric customization parallelised across the replicas —
-    // each store serves a disjoint cell stripe, so the shared pool sees
-    // only read traffic. Every engine serves the same immutable index.
+    // then customization on the writer's metric. Every engine serves the
+    // same immutable index.
     init_status_ = [&]() -> Status {
       ATIS_ASSIGN_OR_RETURN(
           OverlayTopology built,
@@ -147,12 +135,9 @@ RouteServer::RouteServer(const graph::Graph& g, Options options)
           auto topology,
           PersistAndLoadOverlayTopology(built, stores_.front().get(),
                                         base));
-      std::vector<graph::RelationalGraphStore*> replicas;
-      replicas.reserve(stores_.size());
-      for (auto& store : stores_) replicas.push_back(store.get());
       ATIS_ASSIGN_OR_RETURN(
           auto customization,
-          CustomizeOverlay(*topology, replicas, /*metric_version=*/1));
+          CustomizeOverlay(*topology, write_graph_, /*metric_version=*/1));
       auto index = std::make_shared<const OverlayIndex>(
           OverlayIndex{std::move(topology), std::move(customization)});
       for (auto& engine : engines_) {
@@ -240,10 +225,6 @@ Status RouteServer::StartServing(std::shared_ptr<MetricState> initial) {
     cache_stale_ = &reg.GetCounter(
         "atis_route_cache_stale_evictions_total",
         "Cached routes evicted because a traffic update bumped the epoch");
-    cache_region_invalidated_ = &reg.GetCounter(
-        "atis_route_cache_region_invalidated_total",
-        "Cached routes invalidated by region-scoped (overlay-cell) "
-        "traffic updates");
   }
 
   {
@@ -779,11 +760,12 @@ Status RouteServer::ApplyUpdates(std::span<const EdgeCostUpdate> updates) {
   last_committed_seq_ = seq;
 
   // Past the commit point every fallible step mutates writer state
-  // (updater replica, write_graph_, overlay, landmarks). A failure
-  // partway leaves that state half-applied with no batch in the dirty
-  // set, and the NEXT successful publish would snapshot the half-applied
-  // graph while worker replicas never catch up — served answers would
-  // silently diverge from the published snapshot, overlay, and WAL. So a
+  // (write_graph_, overlay, landmarks); none reads storage, and for a
+  // validated batch none fails. Should one fail, it would leave that
+  // state half-applied with no batch in the dirty set, and the NEXT
+  // successful publish would snapshot the half-applied graph while
+  // worker replicas never catch up — served answers would silently
+  // diverge from the published snapshot, overlay, and WAL. So a
   // post-commit build failure poisons the write path instead: readers
   // keep serving the last fully-published version (still internally
   // consistent), further updates are refused with the poison status, and
@@ -812,10 +794,9 @@ Status RouteServer::PublishBatchLocked(
     std::lock_guard<std::mutex> lock(mu_);
     prev = head_;
   }
-  // Build version N+1 off to the side: updater replica first (overlay
-  // re-customization reads adjacency from it), then the writer's graphs
-  // and the landmark repair's pending list, then one immutable snapshot
-  // copy.
+  // Build version N+1 off to the side: the writer's graphs and the
+  // landmark repair's pending list first, then one immutable snapshot
+  // copy, which the overlay re-customization reads as its metric.
   const uint64_t new_version =
       published_version_.load(std::memory_order_relaxed) + 1;
   const bool landmarks = prev->landmarks != nullptr;
@@ -823,9 +804,6 @@ Status RouteServer::PublishBatchLocked(
     reverse_graph_ = graph::ReverseOf(write_graph_);
   }
   for (const EdgeCostUpdate& e : updates) {
-    if (updater_store_ != nullptr) {
-      ATIS_RETURN_NOT_OK(updater_store_->UpdateEdgeCost(e.u, e.v, e.cost));
-    }
     const double cost = static_cast<float>(e.cost);
     if (landmarks) {
       if (landmark_pending_keys_.insert(EdgeKey(e.u, e.v)).second) {
@@ -853,8 +831,7 @@ Status RouteServer::PublishBatchLocked(
         auto customization,
         RecustomizeForEdges(*prev->overlay->topology,
                             *prev->overlay->customization, edges,
-                            updater_store_.get(), &cells_changed,
-                            new_version));
+                            *next->snapshot, &cells_changed, new_version));
     next->overlay = std::make_shared<const OverlayIndex>(
         OverlayIndex{prev->overlay->topology, std::move(customization)});
     overlay_cells_recustomized_.fetch_add(cells_changed,
@@ -905,27 +882,7 @@ Status RouteServer::PublishBatchLocked(
   // Cache invalidation AFTER publication: a query still pinned at the
   // old version can no longer insert past this point (its version guard
   // fails), so the invalidation cannot be raced stale.
-  if (cache_) {
-    if (!any_decrease && prev->overlay != nullptr) {
-      // Pure increases cannot improve a route that avoids the updated
-      // edges, so only cached paths through their cells can be wrong.
-      std::vector<int32_t> regions;
-      regions.reserve(2 * updates.size());
-      for (const EdgeCostUpdate& e : updates) {
-        regions.push_back(prev->overlay->topology->CellOf(e.u));
-        regions.push_back(prev->overlay->topology->CellOf(e.v));
-      }
-      std::sort(regions.begin(), regions.end());
-      regions.erase(std::unique(regions.begin(), regions.end()),
-                    regions.end());
-      const size_t invalidated = cache_->InvalidateRegions(regions);
-      cache_region_invalidated_->Increment(invalidated);
-    } else {
-      // Decreases (or region-blind servers) fall back to the global
-      // epoch bump: everything recomputes.
-      cache_->BumpEpoch();
-    }
-  }
+  if (cache_) cache_->BumpEpoch();
   cache_version_.store(new_version, std::memory_order_release);
   traffic_updates_applied_.fetch_add(updates.size(),
                                      std::memory_order_relaxed);
@@ -1108,22 +1065,6 @@ bool RouteServer::ServeDegraded(const RouteQuery& q,
   return true;
 }
 
-std::vector<int32_t> RouteServer::PathRegions(const PathResult& result,
-                                              const OverlayIndex* overlay) {
-  std::vector<int32_t> regions;
-  if (overlay == nullptr || !result.found) return regions;
-  const OverlayTopology& topo = *overlay->topology;
-  regions.reserve(8);
-  for (const graph::NodeId n : result.path) {
-    const int32_t c = topo.CellOf(n);
-    if (regions.empty() || regions.back() != c) regions.push_back(c);
-  }
-  std::sort(regions.begin(), regions.end());
-  regions.erase(std::unique(regions.begin(), regions.end()),
-                regions.end());
-  return regions;
-}
-
 std::shared_ptr<const OverlayIndex> RouteServer::overlay_index() {
   std::lock_guard<std::mutex> lock(mu_);
   return head_ != nullptr ? head_->overlay : nullptr;
@@ -1258,10 +1199,7 @@ std::string RouteServer::StatuszJson() {
                               static_cast<double>(lookups)
                         : 0.0)
         << ",\"stale_evictions\":" << cs.stale_evictions
-        << ",\"stale_serves\":" << cs.stale_serves
-        << ",\"region_invalidations\":" << cs.region_invalidations
-        << ",\"region_entries_invalidated\":"
-        << cs.region_entries_invalidated << "}";
+        << ",\"stale_serves\":" << cs.stale_serves << "}";
   }
 
   if (partitioned_ != nullptr) {
@@ -1405,7 +1343,6 @@ RouteResponse RouteServer::RunOne(size_t worker_id, size_t query_index,
 
   const RouteCache::Key key{q.source, q.destination, q.algorithm, q.version};
   uint64_t observed_epoch = 0;
-  uint64_t observed_seq = 0;
   bool answered_from_cache = false;
   bool answered_stale_replica = false;
   if (!replica_health.ok()) {
@@ -1426,7 +1363,6 @@ RouteResponse RouteServer::RunOne(size_t worker_id, size_t query_index,
   }
   if (cache_ && !answered_stale_replica) {
     observed_epoch = cache_->epoch();
-    observed_seq = cache_->invalidation_seq();
     // A cached route is exact at the pinned version only once that
     // version's invalidation has finished (the older routes it drops are
     // gone) and while no newer version has published (whose queries may
@@ -1489,16 +1425,14 @@ RouteResponse RouteServer::RunOne(size_t worker_id, size_t query_index,
     if (r.ok()) {
       resp.result = std::move(r).value();
       // Cache successful answers (including proven "no route"); the insert
-      // is dropped inside the cache when a traffic update — epoch bump or
-      // region invalidation — raced this query, and skipped entirely when
-      // a newer metric version published mid-query: an answer computed at
-      // version N must never outlive version N+1's invalidation.
+      // is dropped inside the cache when a traffic update's epoch bump
+      // raced this query, and skipped entirely when a newer metric version
+      // published mid-query: an answer computed at version N must never
+      // outlive version N+1's invalidation.
       if (cache_ &&
           pinned.version ==
               published_version_.load(std::memory_order_acquire)) {
-        cache_->Insert(key, observed_epoch, resp.result,
-                       PathRegions(resp.result, pinned.overlay.get()),
-                       observed_seq);
+        cache_->Insert(key, observed_epoch, resp.result);
       }
     } else if (!options_.enable_degraded ||
                !ServeDegraded(q, key, r.status(), pinned, &resp)) {

@@ -55,10 +55,13 @@
 // MetricState — version number, float-rounded graph snapshot, overlay
 // index, landmark table and estimator — and updates never quiesce the
 // worker pool. A writer builds version N+1 off to the side (WAL append +
-// fsync first when Options::wal.dir is set, then updater-replica apply,
-// incremental overlay re-customization deduplicated across the batch, and
+// fsync first when Options::wal.dir is set, then the apply to the
+// writer's in-memory metric, its snapshot copy, incremental overlay
+// re-customization over that snapshot deduplicated across the batch, and
 // landmark revalidation when any cost decreased), then publishes it by
-// swapping one shared_ptr under the queue mutex.
+// swapping one shared_ptr under the queue mutex. Past the WAL commit the
+// writer touches no storage. Every publication bumps the route cache's
+// epoch.
 //
 // Landmark revalidation repairs the table in place of 2k SSSPs
 // (RepairLandmarks): the writer keeps a reverse copy of its metric,
@@ -202,10 +205,10 @@ class RouteServer {
     /// Partition-boundary overlay for A* Version 5 (core/overlay.h).
     /// 0 disables; > 0 builds the 2^order x 2^order Hilbert partition,
     /// persists its topology through replica 0's storage path, customizes
-    /// the distance tables in parallel across the store replicas, and
-    /// enables kV5 queries on every worker. UpdateEdgeCost then
-    /// re-customizes incrementally (only the touched cell) instead of
-    /// leaving the overlay stale.
+    /// the distance tables on the float-rounded map, and enables kV5
+    /// queries on every worker. UpdateEdgeCost then re-customizes
+    /// incrementally (only the touched cell) instead of leaving the
+    /// overlay stale.
     uint32_t overlay_cell_order = 0;
     /// Memoise full route results in a sharded LRU invalidated by traffic
     /// epochs (see core/route_cache.h).
@@ -324,16 +327,14 @@ class RouteServer {
   /// version. Safe to call concurrently with ServeBatch — readers are
   /// never blocked: the batch is WAL-committed first (when durability is
   /// on; a failed commit applies nothing), built into an immutable
-  /// version-N+1 MetricState off to the side (updater-replica apply,
-  /// overlay re-customization deduplicated across the batch's cells,
-  /// landmark re-validation when any cost decreased — Version 4 stays
-  /// exact under live traffic), and published by one pointer swap.
-  /// In-flight queries keep serving their pinned version; workers catch
-  /// up at their next batch claim. Cache invalidation is scoped: a batch
-  /// of pure cost *increases* with the overlay on invalidates only the
-  /// cached routes whose paths touch the updated edges' cells
-  /// (RouteCache::InvalidateRegions); any decrease — which can improve
-  /// routes anywhere — bumps the global epoch. Concurrent writers
+  /// version-N+1 MetricState off to the side (in-memory metric apply,
+  /// overlay re-customization over the new snapshot deduplicated across
+  /// the batch's cells, landmark re-validation when any cost decreased —
+  /// Version 4 stays exact under live traffic), and published by one
+  /// pointer swap. In-flight queries keep serving their pinned version;
+  /// workers catch up at their next batch claim. Each publication bumps
+  /// the route cache's epoch, so every cached route recomputes on its
+  /// next lookup. Concurrent writers
   /// serialize among themselves. A batch with a negative or NaN cost
   /// (InvalidArgument) or an unknown edge (NotFound) applies and logs
   /// nothing. A cost of +infinity closes the street until a later update
@@ -341,8 +342,8 @@ class RouteServer {
   ///
   /// Failure atomicity: any failure BEFORE the commit point (validation,
   /// WAL append/fsync) applies nothing and may be retried. A failure
-  /// AFTER the commit point — while building version N+1 (updater-replica
-  /// apply, overlay re-customization, landmark revalidation) — leaves
+  /// AFTER the commit point — while building version N+1 (metric apply,
+  /// overlay re-customization, landmark revalidation) — leaves
   /// writer-side state half-mutated, so the write path poisons itself:
   /// nothing is published, readers keep serving the last fully-published
   /// version, and every later ApplyUpdates is refused with the poison
@@ -525,10 +526,6 @@ class RouteServer {
   bool ServeDegraded(const RouteQuery& q, const RouteCache::Key& key,
                      Status cause, const MetricState& pinned,
                      RouteResponse* resp);
-  /// The sorted set of overlay cells `result`'s path touches (empty when
-  /// `overlay` is null) — the cache entry's region tag.
-  static std::vector<int32_t> PathRegions(const PathResult& result,
-                                          const OverlayIndex* overlay);
   /// Brings worker `worker_id`'s replica (store costs, overlay pointer,
   /// estimator pointer) up to `pinned`, applying `todo`. Returns the
   /// first failure; on failure the replica stays marked behind and the
@@ -542,11 +539,11 @@ class RouteServer {
   /// Writes `checkpoint-<seq>.atisg` atomically, resets the WAL, and
   /// removes superseded checkpoints. Caller holds update_mu_.
   Status WriteCheckpoint(uint64_t seq);
-  /// The post-commit half of ApplyUpdates: mutates the updater replica
-  /// and write_graph_, builds the version-N+1 MetricState (overlay
-  /// re-customization, landmark revalidation), publishes it, and runs
-  /// scoped cache invalidation. Caller holds update_mu_ and must poison
-  /// the write path on failure (writer state may be half-mutated).
+  /// The post-commit half of ApplyUpdates: mutates write_graph_, builds
+  /// the version-N+1 MetricState (overlay re-customization, landmark
+  /// revalidation), publishes it, and bumps the cache epoch. Caller holds
+  /// update_mu_ and must poison the write path on failure (writer state
+  /// may be half-mutated).
   /// `started` is when the next stage began (for the stage timings).
   Status PublishBatchLocked(std::span<const EdgeCostUpdate> updates,
                             bool any_decrease,
@@ -584,9 +581,6 @@ class RouteServer {
   /// The writer's working copy of the served metric (float-rounded).
   /// Each publication copies it into an immutable MetricState snapshot.
   graph::Graph write_graph_;
-  /// Dedicated non-serving replica the writer keeps current so overlay
-  /// re-customization reads post-update adjacency (null when V5 is off).
-  std::unique_ptr<graph::RelationalGraphStore> updater_store_;
   /// ReverseOf(write_graph_) at the same costs, for the landmark repair's
   /// backward columns; built at the first update when V4 is on (empty
   /// before).
@@ -623,7 +617,6 @@ class RouteServer {
   obs::Counter* cache_hits_ = nullptr;
   obs::Counter* cache_misses_ = nullptr;
   obs::Counter* cache_stale_ = nullptr;
-  obs::Counter* cache_region_invalidated_ = nullptr;
   obs::Counter* deadline_exceeded_ = nullptr;
   obs::Counter* degraded_stale_ = nullptr;
   obs::Counter* degraded_snapshot_ = nullptr;

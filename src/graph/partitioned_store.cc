@@ -329,7 +329,11 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
   // every entry to every exit, over an in-memory CSR built from the edge
   // spill with store-rounded costs. Partitions are independent, so the
   // loop fans out across threads (the spill reads go through the
-  // thread-safe DiskManager), one thread per hardware thread.
+  // thread-safe DiskManager), one thread per hardware thread. The
+  // result, per partition the entries x exits within-partition shortest
+  // costs (row-major, +inf where unreachable without leaving it), lives
+  // only until the overlay graph below is built from it.
+  std::vector<std::vector<double>> entry_exit_cost(num_partitions);
   {
     const unsigned num_threads = static_cast<unsigned>(std::min<size_t>(
         std::max(1u, std::thread::hardware_concurrency()), num_partitions));
@@ -356,7 +360,8 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
         return static_cast<NodeId>(
             store->global_map_[static_cast<size_t>(global)] & 0xFFFF);
       };
-      part.entry_exit_cost.resize(part.entries.size() * part.exits.size());
+      std::vector<double>& cost = entry_exit_cost[p];
+      cost.resize(part.entries.size() * part.exits.size());
       for (size_t ei = 0; ei < part.entries.size(); ++ei) {
         ShortestPathSearch search(owned);
         search.Seed(local_of(part.entries[ei]), 0.0);
@@ -364,7 +369,7 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
           for (const auto& [v, c] : adj[static_cast<size_t>(u)]) relax(v, c);
         });
         for (size_t xi = 0; xi < part.exits.size(); ++xi) {
-          part.entry_exit_cost[ei * part.exits.size() + xi] =
+          cost[ei * part.exits.size() + xi] =
               search.dist(local_of(part.exits[xi]));
         }
       }
@@ -406,14 +411,14 @@ Result<std::unique_ptr<PartitionedGraphStore>> PartitionedGraphStore::Build(
           static_cast<int32_t>(i);
     }
     store->overlay_adj_.assign(store->overlay_nodes_.size(), {});
-    for (const Partition& part : store->partitions_) {
+    for (size_t p = 0; p < num_partitions; ++p) {
+      const Partition& part = store->partitions_[p];
       for (size_t ei = 0; ei < part.entries.size(); ++ei) {
         const int32_t from =
             store->overlay_index_[static_cast<size_t>(part.entries[ei])];
         for (size_t xi = 0; xi < part.exits.size(); ++xi) {
           if (part.entries[ei] == part.exits[xi]) continue;
-          const double cost =
-              part.entry_exit_cost[ei * part.exits.size() + xi];
+          const double cost = entry_exit_cost[p][ei * part.exits.size() + xi];
           if (!(cost < kInf)) continue;
           const int32_t to =
               store->overlay_index_[static_cast<size_t>(part.exits[xi])];

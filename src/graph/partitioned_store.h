@@ -120,9 +120,6 @@ class PartitionedGraphStore {
     /// edges (entries) and sources of outgoing ones (exits).
     std::vector<NodeId> entries;
     std::vector<NodeId> exits;
-    /// Customized within-partition shortest costs, entries x exits,
-    /// row-major; +inf where unreachable without leaving the partition.
-    std::vector<double> entry_exit_cost;
   };
 
   PartitionedGraphStore() = default;

@@ -180,19 +180,21 @@ TEST(DbAStarVersionsTest, V3BeatsV2OnGrids) {
   EXPECT_LT(v3->stats.cost_units, v2->stats.cost_units);
 }
 
-TEST(DbAStarVersionsTest, CustomConfigurationRuns) {
+TEST(DbAStarVersionsTest, V4WithAZeroEstimatorExpandsLikeDijkstra) {
+  // Any estimator plugs in through EnableLandmarks; with the zero
+  // estimator, best-first search is Dijkstra's expansion order.
   auto g = GridGraphGenerator::Generate({6, GridCostModel::kUniform});
   ASSERT_TRUE(g.ok());
   DbFixture db(*g);
-  auto zero = MakeEstimator(EstimatorKind::kZero);
-  auto r = db.engine->AStarCustom(0, 35, *zero,
-                                  FrontierImpl::kSeparateRelation);
+  ASSERT_TRUE(
+      db.engine->EnableLandmarks(MakeEstimator(EstimatorKind::kZero)).ok());
+  auto r = db.engine->AStar(0, 35, AStarVersion::kV4);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->found);
-  // Zero estimator best-first == Dijkstra's expansion count.
   auto dj = db.engine->Dijkstra(0, 35);
   ASSERT_TRUE(dj.ok());
   EXPECT_EQ(r->stats.iterations, dj->stats.iterations);
+  EXPECT_EQ(r->cost, dj->cost);
 }
 
 TEST(DbAStarVersionsTest, V1DuplicatePoliciesAgreeOnCost) {
@@ -414,9 +416,9 @@ struct LandmarkOverlayDb {
                           OverlayTopology::Build(g, OverlayOptions{3}));
     ATIS_ASSIGN_OR_RETURN(auto topology,
                           PersistAndLoadOverlayTopology(built, &store, g));
-    graph::RelationalGraphStore* stores[] = {&store};
-    ATIS_ASSIGN_OR_RETURN(auto customization,
-                          CustomizeOverlay(*topology, stores, 1));
+    ATIS_ASSIGN_OR_RETURN(
+        auto customization,
+        CustomizeOverlay(*topology, WithStoredEdgeCosts(g), 1));
     return engine->EnableOverlay(std::make_shared<OverlayIndex>(
         OverlayIndex{std::move(topology), std::move(customization)}));
   }

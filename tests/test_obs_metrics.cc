@@ -327,7 +327,6 @@ constexpr const char* kDocumentedFamilies[] = {
     "atis_relations_deleted_total",
     "atis_route_cache_hits_total",
     "atis_route_cache_misses_total",
-    "atis_route_cache_region_invalidated_total",
     "atis_route_cache_stale_evictions_total",
     "atis_search_iterations_total",
     "atis_search_runs_total",

@@ -240,18 +240,25 @@ class OverlayCustomizationTest : public ::testing::Test {
  protected:
   void SetUpWith(const graph::Graph& g, uint32_t order) {
     g_ = g;
+    metric_ = WithStoredEdgeCosts(g_);
     disk_ = std::make_unique<storage::DiskManager>();
     pool_ = std::make_unique<storage::BufferPool>(disk_.get(), 64);
     store_ = std::make_unique<graph::RelationalGraphStore>(pool_.get());
     ASSERT_TRUE(store_->Load(g_).ok());
     topo_ = std::make_shared<OverlayTopology>(BuildTopology(g_, order));
-    graph::RelationalGraphStore* stores[] = {store_.get()};
-    auto cust = CustomizeOverlay(*topo_, stores, /*metric_version=*/1);
+    auto cust = CustomizeOverlay(*topo_, metric_, /*metric_version=*/1);
     ASSERT_TRUE(cust.ok()) << cust.status().ToString();
     cust_ = std::move(cust).value();
   }
 
-  graph::Graph g_;
+  /// Sets u -> v's cost in the map and, float-rounded as the store keeps
+  /// it, in the metric the overlay is customized from.
+  void SetCost(NodeId u, NodeId v, double cost) {
+    ASSERT_TRUE(g_.SetEdgeCost(u, v, cost).ok());
+    ASSERT_TRUE(metric_.SetEdgeCost(u, v, static_cast<float>(cost)).ok());
+  }
+
+  graph::Graph g_, metric_;
   std::unique_ptr<storage::DiskManager> disk_;
   std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<graph::RelationalGraphStore> store_;
@@ -285,21 +292,73 @@ TEST_F(OverlayCustomizationTest, TablesMatchRestrictedDijkstra) {
   EXPECT_EQ(cust_->metric_version(), 1u);
 }
 
-TEST(OverlayCustomizeTest, StoreEdgeOutOfAnInteriorNodeIsCorruption) {
-  // The topology comes from the grid; the store holds one more edge,
+TEST(OverlayCustomizeTest, MetricEdgeOutOfAnInteriorNodeIsCorruption) {
+  // The topology comes from the grid; the metric holds one more edge,
   // from an interior node into another cell, so the two disagree.
   const graph::Graph g = Grid(8, GridCostModel::kUniform);
   const OverlayTopology topo = BuildTopology(g, 1);
   ASSERT_FALSE(topo.IsBoundary(0));
   ASSERT_NE(topo.CellOf(0), topo.CellOf(63));
-  graph::Graph stored = g;
-  ASSERT_TRUE(stored.AddEdge(0, 63, 1.0).ok());
-  storage::DiskManager disk;
-  storage::BufferPool pool(&disk, 64);
-  graph::RelationalGraphStore store(&pool);
-  ASSERT_TRUE(store.Load(stored).ok());
-  graph::RelationalGraphStore* stores[] = {&store};
-  EXPECT_TRUE(CustomizeOverlay(topo, stores, 1).status().IsCorruption());
+  graph::Graph metric = WithStoredEdgeCosts(g);
+  ASSERT_TRUE(metric.AddEdge(0, 63, 1.0).ok());
+  EXPECT_TRUE(CustomizeOverlay(topo, metric, 1).status().IsCorruption());
+}
+
+TEST(OverlayCustomizeTest, MetricOfAnotherMapIsRejected) {
+  const OverlayTopology topo =
+      BuildTopology(Grid(8, GridCostModel::kUniform), 1);
+  const graph::Graph other = Grid(6, GridCostModel::kUniform);
+  EXPECT_TRUE(CustomizeOverlay(topo, other, 1).status().IsInvalidArgument());
+}
+
+/// Reads every node's adjacency back through the store's FetchAdjacency:
+/// the metric a database search accumulates.
+graph::Graph StoredAdjacency(const graph::Graph& g,
+                             const graph::RelationalGraphStore& store) {
+  graph::Graph stored;
+  for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
+    stored.AddNode(g.point(u).x, g.point(u).y);
+  }
+  for (NodeId u = 0; u < static_cast<NodeId>(g.num_nodes()); ++u) {
+    auto rows = store.FetchAdjacency(u);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (!rows.ok()) continue;
+    for (const auto& row : *rows) {
+      EXPECT_TRUE(stored.AddEdge(u, row.end, row.cost).ok());
+    }
+  }
+  return stored;
+}
+
+TEST(OverlayCustomizeTest, TablesEqualRestrictedDijkstraOverTheStore) {
+  auto rm = graph::GenerateMinneapolisLike();
+  ASSERT_TRUE(rm.ok());
+  const graph::Graph maps[] = {Grid(12, GridCostModel::kVariance20),
+                               rm->graph};
+  for (const graph::Graph& g : maps) {
+    SCOPED_TRACE(g.num_nodes());
+    storage::DiskManager disk;
+    storage::BufferPool pool(&disk, 64);
+    graph::RelationalGraphStore store(&pool);
+    ASSERT_TRUE(store.Load(g).ok());
+    const graph::Graph stored = StoredAdjacency(g, store);
+    const graph::Graph metric = WithStoredEdgeCosts(g);
+    for (const uint32_t order : {1u, 2u, 3u}) {
+      SCOPED_TRACE(order);
+      const OverlayTopology topo = BuildTopology(g, order);
+      auto cust = CustomizeOverlay(topo, metric, 1);
+      ASSERT_TRUE(cust.ok()) << cust.status().ToString();
+      for (int32_t c = 0; c < static_cast<int32_t>(topo.num_cells()); ++c) {
+        const std::vector<NodeId>& members = topo.cell(c).members;
+        const auto& dist = (*cust)->cell(c).incell_dist;
+        ASSERT_EQ(dist.size(), members.size());
+        for (size_t si = 0; si < members.size(); ++si) {
+          ASSERT_EQ(dist[si], RestrictedDistances(stored, members, si))
+              << "cell " << c << " row " << si;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(OverlayCustomizationTest, CrossArcsAreExactlyTheCrossingEdges) {
@@ -345,20 +404,17 @@ TEST_F(OverlayCustomizationTest, IncrementalEqualsFullRecustomization) {
   for (const auto& [u, v, want_changed] :
        {std::tuple{same_u, same_v, size_t{1}},
         std::tuple{cross_u, cross_v, size_t{0}}}) {
-    const double new_cost = *g_.EdgeCost(u, v) + 7.25;
-    ASSERT_TRUE(store_->UpdateEdgeCost(u, v, new_cost).ok());
+    SetCost(u, v, *g_.EdgeCost(u, v) + 7.25);
 
     size_t cells_changed = 99;
     const std::pair<NodeId, NodeId> edge{u, v};
-    auto incr = RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, store_.get(),
+    auto incr = RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, metric_,
                                     &cells_changed,
                                     cust_->metric_version() + 1);
     ASSERT_TRUE(incr.ok()) << incr.status().ToString();
     EXPECT_EQ(cells_changed, want_changed) << u << "->" << v;
 
-    graph::RelationalGraphStore* stores[] = {store_.get()};
-    auto full = CustomizeOverlay(*topo_, stores,
-                                 (*incr)->metric_version());
+    auto full = CustomizeOverlay(*topo_, metric_, (*incr)->metric_version());
     ASSERT_TRUE(full.ok());
 
     for (int32_t c = 0; c < static_cast<int32_t>(topo_->num_cells());
@@ -396,15 +452,14 @@ class OverlayQueryTest : public ::testing::Test {
     ASSERT_TRUE(built.ok());
     auto topo = PersistAndLoadOverlayTopology(*built, store_.get(), g_);
     ASSERT_TRUE(topo.ok());
-    graph::RelationalGraphStore* stores[] = {store_.get()};
-    auto cust = CustomizeOverlay(**topo, stores, 1);
+    rounded_ = WithStoredEdgeCosts(g_);
+    auto cust = CustomizeOverlay(**topo, rounded_, 1);
     ASSERT_TRUE(cust.ok());
     ASSERT_TRUE(engine_
                     ->EnableOverlay(std::make_shared<OverlayIndex>(
                         OverlayIndex{std::move(topo).value(),
                                      std::move(cust).value()}))
                     .ok());
-    rounded_ = WithStoredEdgeCosts(g_);
   }
 
   /// Asserts kV5 returns the Dijkstra-optimal cost and a valid path.
@@ -521,8 +576,7 @@ TEST(OverlayEnableTest, CustomizationOfAnotherTopologyIsRejected) {
   const auto topo =
       std::make_shared<const OverlayTopology>(BuildTopology(g, 1));
   const auto twin = std::make_shared<const OverlayTopology>(*topo);
-  graph::RelationalGraphStore* stores[] = {&store};
-  auto cust = CustomizeOverlay(*topo, stores, 1);
+  auto cust = CustomizeOverlay(*topo, WithStoredEdgeCosts(g), 1);
   ASSERT_TRUE(cust.ok());
   EXPECT_TRUE(engine
                   .EnableOverlay(std::make_shared<OverlayIndex>(
@@ -694,17 +748,16 @@ TEST_P(OverlayRecustomizeProperty, ChainedEdgeChangesMatchFullCustomization) {
                               : rng.UniformDouble(1.2, 20.0);  // increase
     const double cost = *g_.EdgeCost(u, v) * factor;
     ASSERT_TRUE(store_->UpdateEdgeCost(u, v, cost).ok());
-    ASSERT_TRUE(g_.SetEdgeCost(u, v, cost).ok());
+    SetCost(u, v, cost);
 
     size_t cells_changed = 99;
     const std::pair<NodeId, NodeId> edge{u, v};
-    auto incr = RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, store_.get(),
+    auto incr = RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, metric_,
                                     &cells_changed,
                                     cust_->metric_version() + 1);
     ASSERT_TRUE(incr.ok()) << incr.status().ToString();
     EXPECT_EQ(cells_changed, topo_->CellOf(u) == topo_->CellOf(v) ? 1u : 0u);
-    graph::RelationalGraphStore* stores[] = {store_.get()};
-    auto full = CustomizeOverlay(*topo_, stores, (*incr)->metric_version());
+    auto full = CustomizeOverlay(*topo_, metric_, (*incr)->metric_version());
     ASSERT_TRUE(full.ok());
     ExpectSameCustomization(*topo_, **incr, **full);
     cust_ = std::move(incr).value();  // chain repairs
@@ -737,12 +790,12 @@ TEST_F(OverlayCustomizationTest, EdgeUpdateRebuildsOneCellAndSharesTheRest) {
   const int32_t cell = topo_->CellOf(u);
   ASSERT_EQ(topo_->CellOf(v), cell);
   ASSERT_GT(topo_->num_cells(), 16u);
-  ASSERT_TRUE(store_->UpdateEdgeCost(u, v, 5.0).ok());
-  ASSERT_TRUE(store_->UpdateEdgeCost(v, u, 5.0).ok());
+  SetCost(u, v, 5.0);
+  SetCost(v, u, 5.0);
 
   const std::pair<NodeId, NodeId> edges[] = {{u, v}, {v, u}};
   size_t cells_changed = 99;
-  auto incr = RecustomizeForEdges(*topo_, *cust_, edges, store_.get(),
+  auto incr = RecustomizeForEdges(*topo_, *cust_, edges, metric_,
                                   &cells_changed, /*metric_version=*/2);
   ASSERT_TRUE(incr.ok()) << incr.status().ToString();
   EXPECT_EQ(cells_changed, 1u);
@@ -754,8 +807,7 @@ TEST_F(OverlayCustomizationTest, EdgeUpdateRebuildsOneCellAndSharesTheRest) {
       EXPECT_EQ(&(*incr)->cell(c), &cust_->cell(c)) << "cell " << c;
     }
   }
-  graph::RelationalGraphStore* stores[] = {store_.get()};
-  auto full = CustomizeOverlay(*topo_, stores, 2);
+  auto full = CustomizeOverlay(*topo_, metric_, 2);
   ASSERT_TRUE(full.ok());
   ExpectSameCustomization(*topo_, **incr, **full);
 }
@@ -783,17 +835,14 @@ TEST_F(OverlayCustomizationTest, BatchRebuildsEachTouchedCellOnce) {
   }
   ASSERT_EQ(cross, 2u);
   ASSERT_GT(edges.size(), 10u);
-  for (const auto& [u, v] : edges) {
-    ASSERT_TRUE(store_->UpdateEdgeCost(u, v, *g_.EdgeCost(u, v) + 1.5).ok());
-  }
+  for (const auto& [u, v] : edges) SetCost(u, v, *g_.EdgeCost(u, v) + 1.5);
   size_t cells_changed = 99;
-  auto incr = RecustomizeForEdges(*topo_, *cust_, edges, store_.get(),
+  auto incr = RecustomizeForEdges(*topo_, *cust_, edges, metric_,
                                   &cells_changed, /*metric_version=*/7);
   ASSERT_TRUE(incr.ok()) << incr.status().ToString();
   EXPECT_EQ(cells_changed, 2u);
   EXPECT_EQ((*incr)->metric_version(), 7u);
-  graph::RelationalGraphStore* stores[] = {store_.get()};
-  auto full = CustomizeOverlay(*topo_, stores, 7);
+  auto full = CustomizeOverlay(*topo_, metric_, 7);
   ASSERT_TRUE(full.ok());
   ExpectSameCustomization(*topo_, **incr, **full);
 }
@@ -812,12 +861,12 @@ TEST_F(OverlayCustomizationTest, CrossCellEdgeUpdateRereadsOnlyTheTail) {
     }
   }
   ASSERT_NE(u, graph::kInvalidNode);
-  ASSERT_TRUE(store_->UpdateEdgeCost(u, v, 42.0).ok());
+  SetCost(u, v, 42.0);
 
   // A one-element batch: no cell tables change, only u's cross arcs.
   const std::pair<NodeId, NodeId> edge{u, v};
   size_t cells_changed = 99;
-  auto incr = RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, store_.get(),
+  auto incr = RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, metric_,
                                   &cells_changed,
                                   cust_->metric_version() + 1);
   ASSERT_TRUE(incr.ok()) << incr.status().ToString();
@@ -831,8 +880,7 @@ TEST_F(OverlayCustomizationTest, CrossCellEdgeUpdateRereadsOnlyTheTail) {
                                [v](const graph::Edge& e) { return e.to == v; });
   ASSERT_NE(it, arcs.end());
   EXPECT_EQ(it->cost, 42.0);
-  graph::RelationalGraphStore* stores[] = {store_.get()};
-  auto full = CustomizeOverlay(*topo_, stores, cust_->metric_version() + 1);
+  auto full = CustomizeOverlay(*topo_, metric_, cust_->metric_version() + 1);
   ASSERT_TRUE(full.ok());
   ExpectSameCustomization(*topo_, **incr, **full);
 }
@@ -851,10 +899,10 @@ TEST_F(OverlayCustomizationTest, CrossCellUpdateCopiesOnlyTheTailsCellsArcs) {
     }
   }
   ASSERT_NE(u, graph::kInvalidNode);
-  ASSERT_TRUE(store_->UpdateEdgeCost(u, v, 42.0).ok());
+  SetCost(u, v, 42.0);
   const std::pair<NodeId, NodeId> edge{u, v};
   size_t cells_changed = 99;
-  auto incr = RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, store_.get(),
+  auto incr = RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, metric_,
                                   &cells_changed,
                                   cust_->metric_version() + 1);
   ASSERT_TRUE(incr.ok()) << incr.status().ToString();
@@ -871,8 +919,8 @@ TEST_F(OverlayCustomizationTest, EmptyBatchSharesEveryTableAtTheNewVersion) {
   SetUpWith(Grid(6, GridCostModel::kSkewed), 1);
   size_t cells_changed = 99;
   auto next = RecustomizeForEdges(
-      *topo_, *cust_, std::span<const std::pair<NodeId, NodeId>>{},
-      store_.get(), &cells_changed, /*metric_version=*/5);
+      *topo_, *cust_, std::span<const std::pair<NodeId, NodeId>>{}, metric_,
+      &cells_changed, /*metric_version=*/5);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_EQ(cells_changed, 0u);
   EXPECT_EQ((*next)->metric_version(), 5u);
@@ -889,13 +937,13 @@ TEST_F(OverlayCustomizationTest, EdgesOutsideTheOverlayAreRejected) {
                              std::pair<NodeId, NodeId>{999, 0},
                              std::pair<NodeId, NodeId>{-1, 0}}) {
     const std::pair<NodeId, NodeId> edge{u, v};
-    EXPECT_TRUE(RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, store_.get(),
+    EXPECT_TRUE(RecustomizeForEdges(*topo_, *cust_, {&edge, 1}, metric_,
                                     &cells_changed, 2)
                     .status()
                     .IsInvalidArgument())
         << u << "->" << v;
     const std::pair<NodeId, NodeId> batch[] = {{0, 1}, {u, v}};
-    EXPECT_TRUE(RecustomizeForEdges(*topo_, *cust_, batch, store_.get(),
+    EXPECT_TRUE(RecustomizeForEdges(*topo_, *cust_, batch, metric_,
                                     &cells_changed, 2)
                     .status()
                     .IsInvalidArgument())
@@ -912,8 +960,7 @@ TEST_F(OverlayQueryTest, ClosedStreetsDisconnectAndReopenedOnesReconnect) {
                                                    {34, corner}};
   const auto topo =
       std::make_shared<const OverlayTopology>(BuildTopology(g_, 1));
-  graph::RelationalGraphStore* stores[] = {store_.get()};
-  auto base = CustomizeOverlay(*topo, stores, 1);
+  auto base = CustomizeOverlay(*topo, rounded_, 1);
   ASSERT_TRUE(base.ok());
   std::shared_ptr<const OverlayCustomization> cust = std::move(base).value();
   const auto recustomize = [&](double cost, uint64_t version) {
@@ -921,8 +968,9 @@ TEST_F(OverlayQueryTest, ClosedStreetsDisconnectAndReopenedOnesReconnect) {
       ASSERT_TRUE(store_->UpdateEdgeCost(u, v, cost).ok());
       ASSERT_TRUE(g_.SetEdgeCost(u, v, cost).ok());
     }
+    rounded_ = WithStoredEdgeCosts(g_);
     size_t cells_changed = 0;
-    auto next = RecustomizeForEdges(*topo, *cust, into_corner, store_.get(),
+    auto next = RecustomizeForEdges(*topo, *cust, into_corner, rounded_,
                                     &cells_changed, version);
     ASSERT_TRUE(next.ok()) << next.status().ToString();
     cust = std::move(next).value();
@@ -930,7 +978,6 @@ TEST_F(OverlayQueryTest, ClosedStreetsDisconnectAndReopenedOnesReconnect) {
                     ->EnableOverlay(std::make_shared<OverlayIndex>(
                         OverlayIndex{topo, cust}))
                     .ok());
-    rounded_ = WithStoredEdgeCosts(g_);
   };
 
   recustomize(kInf, 2);

@@ -98,6 +98,44 @@ TEST(RouteCacheTest, ReinsertAfterBumpServesTheNewRoute) {
   EXPECT_EQ(hit.result->cost, 12.5);
 }
 
+TEST(RouteCacheTest, AllowStaleLookupOfAFreshEntryIsAHit) {
+  RouteCache cache;
+  EXPECT_FALSE(cache.LookupAllowStale(Key(1, 2)).result.has_value());
+  cache.Insert(Key(1, 2), cache.epoch(), Route(3.0));
+  auto hit = cache.LookupAllowStale(Key(1, 2));
+  ASSERT_TRUE(hit.result.has_value());
+  EXPECT_FALSE(hit.stale);
+  EXPECT_EQ(hit.result->cost, 3.0);
+
+  const RouteCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.stale_serves, 0u);
+}
+
+TEST(RouteCacheTest, RecomputeOverwritesAKeptStaleEntry) {
+  // A degraded-capable server keeps the stale entry as fallback; the
+  // recompute under the new epoch overwrites it in place and it is
+  // fresh again.
+  RouteCache cache;
+  cache.Insert(Key(1, 2), cache.epoch(), Route(1.0));
+  cache.BumpEpoch();
+  EXPECT_FALSE(cache.Lookup(Key(1, 2), /*evict_stale=*/false)
+                   .result.has_value());
+  EXPECT_EQ(cache.size(), 1u);
+
+  cache.Insert(Key(1, 2), cache.epoch(), Route(1.5));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().insertions, 1u);  // overwritten, not added
+  auto fallback = cache.LookupAllowStale(Key(1, 2));
+  ASSERT_TRUE(fallback.result.has_value());
+  EXPECT_FALSE(fallback.stale);
+  auto hit = cache.Lookup(Key(1, 2));
+  ASSERT_TRUE(hit.result.has_value());
+  EXPECT_EQ(hit.result->cost, 1.5);
+  EXPECT_EQ(cache.stats().stale_serves, 0u);
+}
+
 TEST(RouteCacheTest, CapacityEvictsLeastRecentlyUsed) {
   RouteCache::Options opt;
   opt.capacity = 4;
@@ -146,87 +184,6 @@ TEST(RouteCacheTest, DegenerateCapacityStillWorks) {
   RouteCache cache(opt);
   cache.Insert(Key(1, 2), cache.epoch(), Route(1.0));
   EXPECT_LE(cache.size(), 1u);
-}
-
-TEST(RouteCacheRegionTest, InvalidateRegionsSparesUntouchedEntries) {
-  RouteCache cache;
-  cache.Insert(Key(1, 2), cache.epoch(), Route(1.0), {0, 1});
-  cache.Insert(Key(3, 4), cache.epoch(), Route(2.0), {2});
-  cache.Insert(Key(5, 6), cache.epoch(), Route(3.0), {1, 3});
-  cache.Insert(Key(7, 8), cache.epoch(), Route(4.0));  // region-less
-
-  const int32_t touched[] = {1};
-  EXPECT_EQ(cache.InvalidateRegions(touched), 2u);
-
-  // Entries through region 1 are stale; the others keep serving warm.
-  EXPECT_FALSE(cache.Lookup(Key(1, 2)).result.has_value());
-  EXPECT_FALSE(cache.Lookup(Key(5, 6)).result.has_value());
-  EXPECT_TRUE(cache.Lookup(Key(3, 4)).result.has_value());
-  EXPECT_TRUE(cache.Lookup(Key(7, 8)).result.has_value());
-
-  const RouteCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.region_invalidations, 1u);
-  EXPECT_EQ(stats.region_entries_invalidated, 2u);
-  EXPECT_EQ(stats.stale_evictions, 2u);  // evicted on contact, as epoch
-  // A region-less entry is only invalidated by a global epoch bump.
-  cache.BumpEpoch();
-  EXPECT_FALSE(cache.Lookup(Key(7, 8)).result.has_value());
-}
-
-TEST(RouteCacheRegionTest, AlreadyStaleEntriesAreNotRecounted) {
-  RouteCache cache;
-  cache.Insert(Key(1, 2), cache.epoch(), Route(1.0), {5});
-  const int32_t touched[] = {5};
-  EXPECT_EQ(cache.InvalidateRegions(touched), 1u);
-  EXPECT_EQ(cache.InvalidateRegions(touched), 0u);  // idempotent
-  EXPECT_EQ(cache.stats().region_entries_invalidated, 1u);
-  EXPECT_EQ(cache.stats().region_invalidations, 2u);
-}
-
-TEST(RouteCacheRegionTest, StaleLookupAllowedServesRegionStaleEntry) {
-  RouteCache cache;
-  cache.Insert(Key(1, 2), cache.epoch(), Route(9.0), {0});
-  const int32_t touched[] = {0};
-  cache.InvalidateRegions(touched);
-  auto stale = cache.LookupAllowStale(Key(1, 2));
-  ASSERT_TRUE(stale.result.has_value());  // degraded mode still serves it
-  EXPECT_TRUE(stale.stale);
-  EXPECT_EQ(cache.stats().stale_serves, 1u);
-}
-
-TEST(RouteCacheRegionTest, InsertRacedByInvalidationIsDropped) {
-  RouteCache cache;
-  const uint64_t epoch = cache.epoch();
-  const uint64_t seq = cache.invalidation_seq();
-  // An invalidation lands between compute and insert: the result may have
-  // routed through the invalidated region, so it must not be cached.
-  const int32_t touched[] = {7};
-  cache.InvalidateRegions(touched);
-  cache.Insert(Key(1, 2), epoch, Route(1.0), {3}, seq);
-  EXPECT_FALSE(cache.Lookup(Key(1, 2)).result.has_value());
-  EXPECT_EQ(cache.stats().stale_inserts_dropped, 1u);
-
-  // With the current sequence the insert lands.
-  cache.Insert(Key(1, 2), epoch, Route(1.0), {3},
-               cache.invalidation_seq());
-  EXPECT_TRUE(cache.Lookup(Key(1, 2)).result.has_value());
-}
-
-TEST(RouteCacheRegionTest, ReinsertClearsRegionStaleness) {
-  RouteCache cache;
-  cache.Insert(Key(1, 2), cache.epoch(), Route(1.0), {4});
-  const int32_t touched[] = {4};
-  cache.InvalidateRegions(touched);
-  // The recompute overwrites in place with fresh regions; the entry is
-  // live again.
-  cache.Insert(Key(1, 2), cache.epoch(), Route(1.5), {6},
-               cache.invalidation_seq());
-  auto hit = cache.Lookup(Key(1, 2));
-  ASSERT_TRUE(hit.result.has_value());
-  EXPECT_EQ(hit.result->cost, 1.5);
-  EXPECT_EQ(cache.InvalidateRegions(touched), 0u);  // old tag is gone
-  const int32_t fresh[] = {6};
-  EXPECT_EQ(cache.InvalidateRegions(fresh), 1u);
 }
 
 TEST(RouteCacheTest, ConcurrentMixedLoadKeepsCountsConsistent) {

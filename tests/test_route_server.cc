@@ -466,7 +466,7 @@ TEST(RouteServerOverlayTest, Version5WithoutOverlayFailsPerQuery) {
   EXPECT_FALSE(batch->front().status.ok());
 }
 
-TEST(RouteServerOverlayTest, CostIncreaseKeepsWarmRoutesInOtherRegions) {
+TEST(RouteServerOverlayTest, CostIncreaseInvalidatesEveryCachedRoute) {
   const graph::Graph g = MakeGrid(10);
   RouteServer::Options opt;
   opt.num_workers = 2;
@@ -478,9 +478,8 @@ TEST(RouteServerOverlayTest, CostIncreaseKeepsWarmRoutesInOtherRegions) {
   ASSERT_NE(index, nullptr);
   const OverlayTopology& topo = *index->topology;
 
-  // A same-cell edge to congest, and a probe query in a different cell:
-  // its path is the single node {w}, so its region tag is exactly
-  // {cell(w)} and survival is deterministic.
+  // A same-cell edge to congest, and a probe query in a different cell
+  // whose path (the single node {w}) cannot touch the congested edge.
   graph::NodeId u = graph::kInvalidNode, v = graph::kInvalidNode;
   for (graph::NodeId n = 0; n < static_cast<graph::NodeId>(g.num_nodes());
        ++n) {
@@ -504,7 +503,7 @@ TEST(RouteServerOverlayTest, CostIncreaseKeepsWarmRoutesInOtherRegions) {
   }
   ASSERT_NE(w, graph::kInvalidNode);
 
-  RouteQuery touched;  // endpoints in cell(u), so its tag includes it
+  RouteQuery touched;
   touched.source = u;
   touched.destination = v;
   touched.algorithm = Algorithm::kAStar;
@@ -522,38 +521,91 @@ TEST(RouteServerOverlayTest, CostIncreaseKeepsWarmRoutesInOtherRegions) {
   EXPECT_TRUE((*warm)[0].cache_hit);
   EXPECT_TRUE((*warm)[1].cache_hit);
 
-  // A pure cost increase invalidates only routes through cell(u).
+  // Even a pure cost increase bumps the epoch: every cached route, in the
+  // touched cell or not, recomputes at the new version.
+  const uint64_t epoch = server.cache()->epoch();
   const double base = *g.EdgeCost(u, v);
   ASSERT_TRUE(server.UpdateEdgeCost(u, v, base + 50.0).ok());
   EXPECT_EQ(server.overlay_metric_version(), 2u);  // re-customized
-  EXPECT_GE(server.cache()->stats().region_invalidations, 1u);
+  EXPECT_EQ(server.cache()->epoch(), epoch + 1);
 
   auto after = server.ServeBatch(queries);
   ASSERT_TRUE(after.ok());
-  EXPECT_FALSE((*after)[0].cache_hit) << "touched region must recompute";
-  EXPECT_TRUE((*after)[1].cache_hit) << "untouched region stays warm";
+  EXPECT_FALSE((*after)[0].cache_hit);
+  EXPECT_FALSE((*after)[1].cache_hit);
   const graph::Graph rounded =
       WithStoredEdgeCosts(WithEdgeCost(g, u, v, base + 50.0));
   const PathResult want = DijkstraSearch(rounded, u, v);
   EXPECT_NEAR((*after)[0].result.cost, want.cost, 1e-9);
 
-  // A decrease can improve routes anywhere, so it must bump the epoch
-  // and flush even the untouched region.
-  ASSERT_TRUE(server.UpdateEdgeCost(u, v, base + 10.0).ok());
-  auto flushed = server.ServeBatch(queries);
-  ASSERT_TRUE(flushed.ok());
-  EXPECT_FALSE((*flushed)[1].cache_hit);
+  // The recomputed routes are cached again at the new epoch.
+  auto rewarmed = server.ServeBatch(queries);
+  ASSERT_TRUE(rewarmed.ok());
+  EXPECT_TRUE((*rewarmed)[0].cache_hit);
+  EXPECT_TRUE((*rewarmed)[1].cache_hit);
 
-  // The serving-path status page reports the overlay.
+  // The serving-path status page reports the overlay and the epoch.
   const std::string statusz = server.StatuszJson();
   EXPECT_NE(statusz.find("\"overlay\""), std::string::npos);
-  EXPECT_NE(statusz.find("\"region_invalidations\""), std::string::npos);
+  EXPECT_NE(statusz.find("\"epoch\":" + std::to_string(epoch + 1)),
+            std::string::npos);
+}
+
+TEST(RouteServerOverlayTest, PublishedOverlayEqualsFullCustomization) {
+  const graph::Graph g = MakeGrid(12);
+  RouteServer::Options opt;
+  opt.num_workers = 2;
+  opt.overlay_cell_order = 2;
+  RouteServer server(g, opt);
+  ASSERT_TRUE(server.init_status().ok());
+
+  // Mixed increases and decreases, same-cell and cross-cell, one batch at
+  // a time: each re-customizes only the cells and tails it touches.
+  Rng rng(7);
+  for (int b = 0; b < 5; ++b) {
+    std::vector<EdgeCostUpdate> batch;
+    for (int i = 0; i < 6; ++i) {
+      const auto u =
+          static_cast<graph::NodeId>(rng.UniformInt(g.num_nodes()));
+      const auto edges = g.Neighbors(u);
+      const graph::Edge& e = edges[rng.UniformInt(edges.size())];
+      batch.push_back({u, e.to, e.cost * rng.UniformDouble(0.5, 2.0)});
+    }
+    ASSERT_TRUE(server.ApplyUpdates(batch).ok());
+  }
+
+  const auto index = server.overlay_index();
+  const auto snapshot = server.snapshot();
+  ASSERT_NE(index, nullptr);
+  ASSERT_NE(snapshot, nullptr);
+  const OverlayCustomization& served = *index->customization;
+  ASSERT_EQ(served.metric_version(), server.published_version());
+  auto full = CustomizeOverlay(*index->topology, *snapshot,
+                               served.metric_version());
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const OverlayTopology& topo = *index->topology;
+  for (int32_t c = 0; c < static_cast<int32_t>(topo.num_cells()); ++c) {
+    EXPECT_EQ(served.cell(c).incell_dist, (*full)->cell(c).incell_dist)
+        << "cell " << c;
+    EXPECT_EQ(served.cell(c).incell_pred, (*full)->cell(c).incell_pred)
+        << "cell " << c;
+  }
+  for (graph::NodeId n = 0; n < static_cast<graph::NodeId>(g.num_nodes());
+       ++n) {
+    const auto& got = served.cross_arcs(n);
+    const auto& want = (*full)->cross_arcs(n);
+    ASSERT_EQ(got.size(), want.size()) << "node " << n;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].to, want[i].to) << "node " << n;
+      EXPECT_EQ(got[i].cost, want[i].cost) << "node " << n;
+    }
+  }
 }
 
 TEST(RouteServerOverlayTest, ConcurrentUpdatesAndServesStayExact) {
-  // The TSan scenario: a traffic dispatcher applies pure cost increases
-  // (each one quiesces the pool, re-customizes the touched cell, and
-  // republishes the overlay) while workers serve Version 5 batches. No
+  // The TSan scenario: a traffic dispatcher applies cost increases (each
+  // one re-customizes the touched cell and publishes a new version with
+  // its overlay) while workers serve Version 5 batches. No
   // response may be an error, and once the updater is done the server
   // must agree exactly with a fresh reference over the final metric.
   const graph::Graph g = MakeGrid(8);
@@ -569,8 +621,7 @@ TEST(RouteServerOverlayTest, ConcurrentUpdatesAndServesStayExact) {
   constexpr int kUpdates = 6;
   std::thread updater([&] {
     for (int i = 1; i <= kUpdates; ++i) {
-      // Monotonic increases only: decreases would be sound too, but
-      // increases keep the region-scoped invalidation path hot.
+      // Monotonic increases; decreases would be exact too.
       ASSERT_TRUE(
           server.UpdateEdgeCost(5, e0.to, e0.cost + 3.0 * i).ok());
       ASSERT_TRUE(

@@ -644,51 +644,56 @@ TEST(CrashRecoveryTest, StaleCheckpointTmpIsIgnoredAndCleanedUp) {
   }
 }
 
-// A build failure AFTER the commit point (here: the updater replica and
-// overlay re-customization hitting disk faults) leaves writer-side state
-// half-mutated. The write path must poison itself — publishing anything
-// later would serve a metric diverging from the replicas — while readers
-// keep serving the last fully-published version.
-TEST(RouteServerWritePathTest, PostCommitBuildFailurePoisonsTheWritePath) {
+// Past the WAL commit the writer touches no storage: overlay
+// re-customization reads the metric snapshot it is about to publish. So
+// on an overlay server without a WAL whose every page access faults, an
+// update batch still publishes, and the worker, whose replica cannot
+// catch up, answers at the new version degraded from that snapshot.
+TEST(RouteServerWritePathTest, UpdatesPublishWhileEveryPageAccessFaults) {
   const graph::Graph g = MakeGrid(16);
   RouteServer::Options opt;
   opt.num_workers = 1;
-  opt.overlay_cell_order = 1;  // updater replica + re-customization on
-  opt.pool_frames = 16;        // tiny pool: the build must touch disk
+  opt.overlay_cell_order = 1;
+  opt.pool_frames = 16;
   RouteServer server(g, opt);
   ASSERT_TRUE(server.init_status().ok());
-  ASSERT_TRUE(server.write_path_status().ok());
 
-  const graph::Edge first = g.Neighbors(0)[0];
-  ASSERT_TRUE(server.UpdateEdgeCost(0, first.to, first.cost * 2.0).ok());
-  const uint64_t good_version = server.published_version();
-  EXPECT_EQ(good_version, 2u);
-
+  // Nothing cached: the replica's catch-up must read the disk.
+  ASSERT_TRUE(server.pool().EvictAll().ok());
   storage::FaultProfile chaos;
   chaos.transient_rate = 1.0;  // every page access fails
   server.disk().SetFaultProfile(chaos);
-  const graph::Edge second = g.Neighbors(1)[0];
-  EXPECT_FALSE(
-      server.UpdateEdgeCost(1, second.to, second.cost * 2.0).ok());
-  EXPECT_FALSE(server.write_path_status().ok());
-  EXPECT_EQ(server.published_version(), good_version);
+  const graph::Edge first = g.Neighbors(0)[0];
+  const graph::Edge second = g.Neighbors(17)[1];
+  const EdgeCostUpdate batch[] = {{0, first.to, first.cost * 2.0},
+                                  {17, second.to, second.cost * 0.5}};
+  ASSERT_TRUE(server.ApplyUpdates(batch).ok());
+  EXPECT_TRUE(server.write_path_status().ok());
+  EXPECT_EQ(server.published_version(), 2u);
+  EXPECT_EQ(server.overlay_metric_version(), 2u);
 
-  // The device heals, but the writer state is still half-applied: further
-  // updates are refused with the poison status, nothing new publishes.
-  server.disk().ClearFaultInjection();
-  const Status refused =
-      server.UpdateEdgeCost(1, second.to, second.cost * 2.0);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_NE(refused.ToString().find("poisoned"), std::string::npos);
-  EXPECT_EQ(server.published_version(), good_version);
-
-  // Readers are unaffected and still serve the last published version.
-  auto batch = server.ServeBatch(
-      {RouteQuery{0, static_cast<graph::NodeId>(g.num_nodes() - 1),
-                  Algorithm::kDijkstra}});
-  ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE((*batch)[0].status.ok());
-  EXPECT_EQ((*batch)[0].metric_version, good_version);
+  graph::Graph updated = g;
+  for (const EdgeCostUpdate& e : batch) {
+    ASSERT_TRUE(updated.SetEdgeCost(e.u, e.v, e.cost).ok());
+  }
+  const graph::Graph rounded = WithStoredEdgeCosts(updated);
+  const auto last = static_cast<graph::NodeId>(g.num_nodes() - 1);
+  const std::vector<RouteQuery> queries = {
+      RouteQuery{0, last, Algorithm::kDijkstra},
+      RouteQuery{17, last - 20, Algorithm::kAStar, AStarVersion::kV5}};
+  auto served = server.ServeBatch(queries);
+  ASSERT_TRUE(served.ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const RouteResponse& resp = (*served)[i];
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    EXPECT_EQ(resp.metric_version, 2u) << "query " << i;
+    EXPECT_TRUE(resp.degraded) << "query " << i;
+    EXPECT_EQ(resp.served_via, ServedVia::kSnapshot) << "query " << i;
+    const PathResult want =
+        DijkstraSearch(rounded, queries[i].source, queries[i].destination);
+    ASSERT_TRUE(want.found);
+    EXPECT_EQ(resp.result.cost, want.cost) << "query " << i;
+  }
 }
 
 }  // namespace
